@@ -134,7 +134,7 @@ def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
     module = descriptor.module
     rho = _radius_vector(args.radius, module.dims)
     window = _parse_fraction_arg(args.window, "window")
-    report = intrinsic_radius(module, rho, args.depth, window, args.depth_cap)
+    report = intrinsic_radius(module, rho, args.depth, window)
     doc = {
         "schema": SCHEMA,
         "command": "ir",
@@ -153,7 +153,7 @@ def cmd_oc(args: argparse.Namespace) -> tuple[dict, int]:
     descriptor, envelope = _load(args.descriptor)
     tol = _parse_fraction_arg(args.tol, "tol")
     window = _parse_fraction_arg(args.window, "window")
-    verdict = oc_ir_test(descriptor.module, args.depth, tol, window, args.depth_cap)
+    verdict = oc_ir_test(descriptor.module, args.depth, tol, window)
     doc = {
         "schema": SCHEMA,
         "command": "oc",
@@ -176,7 +176,7 @@ def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
     descriptor, envelope = _load(args.descriptor)
     eta = _parse_radius_arg(args.eta, "eta exponent")
     lam = _parse_radius_arg(getattr(args, "lam"), "lambda exponent")
-    report = taylor_probe(descriptor.module, eta, lam, args.depth, args.depth_cap)
+    report = taylor_probe(descriptor.module, eta, lam, args.depth)
     doc = {
         "schema": SCHEMA,
         "command": "taylor",
@@ -194,6 +194,10 @@ def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
     descriptor, envelope = _load(args.descriptor)
     module = descriptor.module
+    if not 0 <= args.direction < module.dims:
+        raise CliError(
+            f"direction {args.direction} out of range for a module with {module.dims} variables"
+        )
     point = _point(args.point, module.prime)
     curve = specialize(module, args.direction, point)
     label = descriptor.label
@@ -223,7 +227,6 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
         seed=args.seed,
         tol=tol,
         window=window,
-        depth_cap=args.depth_cap,
     )
     doc = {
         "schema": SCHEMA,
@@ -323,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="1/4")
     p.add_argument("--radius", action="append", metavar="EXP",
                    help="radius exponent num/den or 'center'; repeat per variable")
-    p.add_argument("--depth-cap", type=int, default=512)
 
     p = add("oc", cmd_oc, "overconvergence verdict at the unit polyradius")
     p.add_argument("descriptor")
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--tol", default="1/20")
     p.add_argument("--window", default="1/4")
-    p.add_argument("--depth-cap", type=int, default=512)
 
     p = add("taylor", cmd_taylor, "Taylor-term decay probe")
     p.add_argument("descriptor")
@@ -338,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="0",
                    help="inner-radius exponent num/den (default 0, i.e. radius 1)")
     p.add_argument("--depth", type=int, default=24, help="multi-index bound J")
-    p.add_argument("--depth-cap", type=int, default=512)
 
     p = add("specialize", cmd_specialize, "restrict to a coordinate curve")
     p.add_argument("descriptor")
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", default="1/20")
     p.add_argument("--window", default="1/4")
-    p.add_argument("--depth-cap", type=int, default=512)
 
     p = add("techlemma", cmd_techlemma, "dominant-term certificate on an interval")
     p.add_argument("poly", help="one-variable polynomial descriptor path")

@@ -25,8 +25,8 @@ class NotIntegrableError(ValueError):
     """Raised when an operation requires integrability and curvature is nonzero."""
 
 
-class DepthCapError(RuntimeError):
-    """Raised when an iteration depth exceeds the configured cap."""
+class DepthCapError(ValueError):
+    """Raised when a requested depth exceeds DEFAULT_DEPTH_CAP."""
 
 
 class PolyMatrix:
@@ -254,38 +254,3 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     while True:
         yield G
         G = G.partial(direction) + (N @ G)
-
-
-@dataclass(frozen=True)
-class DerivMatrixSequence:
-    """G_{i,0} .. G_{i,depth} for one direction."""
-
-    direction: int
-    matrices: Tuple[PolyMatrix, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.matrices) - 1
-
-    def __getitem__(self, s: int) -> PolyMatrix:
-        return self.matrices[s]
-
-
-def iterated_matrices(
-    module: ConnectionModule,
-    direction: int,
-    depth: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> DerivMatrixSequence:
-    """Collect G_{direction,s} for s = 0..depth (module must be integrable)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > depth_cap:
-        raise DepthCapError(f"depth {depth} exceeds cap {depth_cap}")
-    require_integrable(module)
-    out = []
-    for s, G in enumerate(iter_deriv_matrices(module, direction)):
-        out.append(G)
-        if s == depth:
-            break
-    return DerivMatrixSequence(direction, tuple(out))

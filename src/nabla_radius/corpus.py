@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 from .connection import ConnectionModule, PolyMatrix
 from .descriptor import ModuleDescriptor
 from .laurent import LaurentPoly
-from .padic import PAdicRational
 
 
 def trivial_module(prime: int, n: int, m: int, rank: int) -> ConnectionModule:
@@ -189,10 +188,3 @@ def random_integrable_module(rng: random.Random, prime: int, rank: int) -> Conne
         )
         matrices.append(PolyMatrix(rows))
     return ConnectionModule(prime, 2, 0, rank, tuple(matrices))
-
-
-def random_unit_scalar(rng: random.Random, prime: int) -> PAdicRational:
-    """A small random rational with valuation exactly zero."""
-    from .curves import sample_unit_point
-
-    return sample_unit_point(rng, prime, 1).coordinates[0]

@@ -20,12 +20,11 @@ from .connection import (
     DEFAULT_DEPTH_CAP,
     ConnectionModule,
     DepthCapError,
-    iter_deriv_matrices,
     require_integrable,
 )
 from .laurent import RadiusVector
 from .padic import LogNorm, LogRadius, PAdicRational, fraction_valuation
-from .radius import OcVerdict, RadiusReport, Verdict, intrinsic_radius, oc_ir_test
+from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ def generic_equality_check(
     point: UnitPoint,
     depth: int,
     rho: LogRadius,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> Optional[int]:
     """Compare |G_{i,s}(point)| against |G_{i,s}| for s <= depth.
 
@@ -89,24 +87,18 @@ def generic_equality_check(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > depth_cap:
-        raise DepthCapError(f"depth {depth} exceeds cap {depth_cap}")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     if rho.is_center:
         raise ValueError("comparison radius must be strictly positive")
     require_integrable(module)
     multi = RadiusVector.single(module.dims, direction, rho)
     single = RadiusVector((rho,))
-    for s, G in enumerate(iter_deriv_matrices(module, direction)):
-        if s == 0:
-            continue
-        if G.is_zero:
-            break  # all later matrices vanish on both sides
+    for s, G in deriv_ladder(module, direction, depth):
         full = G.gauss_lognorm(multi)
         evaluated = G.specialize(direction, point.coordinates).gauss_lognorm(single)
         if full != evaluated:
             return s
-        if s == depth:
-            break
     return None
 
 
@@ -140,7 +132,6 @@ class CurveWitness:
     point: UnitPoint
     ir_full: LogNorm
     ir_curve: LogNorm
-    curve_report: RadiusReport
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,7 +169,6 @@ def curve_witness_search(
     window: Fraction = Fraction(1, 4),
     num_range: int = 9,
     den_range: int = 9,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> CutCheckReport:
     """Search seeded random unit points for a curve witness.
 
@@ -187,10 +177,15 @@ def curve_witness_search(
     the seed and tested in order; the first one passing the generic
     equality check at radius 1 wins.  Finding no witness is a legal
     outcome and is reported as such.
+
+    A passing point needs no second recursion on its curve: the curve's
+    G_s are the specialized G_s, and the check has just confirmed that
+    their unit-radius norms equal the full ones at every depth, so the
+    curve's radius is the witness direction's point estimate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    verdict = oc_ir_test(module, depth, tol, window, depth_cap)
+    verdict = oc_ir_test(module, depth, tol, window)
     if verdict.verdict is not Verdict.NOT_OVERCONVERGENT_EVIDENCE:
         return CutCheckReport(verdict, None, depth, trials, seed)
     direction = verdict.witness_direction
@@ -201,21 +196,13 @@ def curve_witness_search(
         for _ in range(trials)
     ]
     for point in points:
-        failure = generic_equality_check(
-            module, direction, point, depth, LogRadius.one(), depth_cap
-        )
-        if failure is not None:
+        if generic_equality_check(module, direction, point, depth, LogRadius.one()) is not None:
             continue
-        curve = specialize(module, direction, point)
-        curve_report = intrinsic_radius(
-            curve, RadiusVector.ones(1), depth, window, depth_cap
-        )
         witness = CurveWitness(
             direction=direction,
             point=point,
             ir_full=verdict.report.ir_estimate,
-            ir_curve=curve_report.ir_estimate,
-            curve_report=curve_report,
+            ir_curve=verdict.report.directions[direction].point_estimate,
         )
         return CutCheckReport(verdict, witness, depth, trials, seed)
     return CutCheckReport(verdict, None, depth, trials, seed)

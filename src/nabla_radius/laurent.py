@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .padic import (
-    DISC_CENTER,
     LogNorm,
     LogRadius,
     NORM_ZERO,
@@ -342,20 +340,22 @@ class LaurentPoly:
 
     def sup_vertex_lognorm(self, lam: LogRadius) -> LogNorm:
         """Sup norm over the subannulus with inner radius lam: the largest
-        Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m."""
+        Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m.
+
+        Each term is largest at the corner that puts lam on its negative
+        annulus exponents and 1 everywhere else, so the exponent is the
+        min over terms of v(a_J) + lam * sum(J_l for J_l < 0).
+        """
         if lam.is_center:
             raise ValueError("inner radius must be strictly positive")
         L = lam.exponent
-        corners = (Fraction(0),) if L == 0 else (L, Fraction(0))
-        disc_part = tuple(LogRadius.one() for _ in range(self.nvars_disc))
-        best: Optional[LogNorm] = None
-        for combo in product(corners, repeat=self.nvars_annulus):
-            rho = RadiusVector(tuple(LogRadius(c) for c in combo) + disc_part)
-            norm = self.gauss_lognorm(rho)
-            if best is None or best < norm:
-                best = norm
-        assert best is not None
-        return best
+        n = self.nvars_annulus
+        best: Optional[Fraction] = None
+        for key, coeff in self._terms.items():
+            w = fraction_valuation(coeff, self.prime) + L * sum(j for j in key[:n] if j < 0)
+            if best is None or w < best:
+                best = w
+        return NORM_ZERO if best is None else LogNorm(best)
 
     # -- substitution -----------------------------------------------------
 

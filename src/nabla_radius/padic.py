@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 class PrimeError(ValueError):
@@ -59,15 +59,12 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 
-ScalarLike = Union["PAdicRational", Fraction, int]
-
-
 @dataclass(frozen=True)
 class PAdicRational:
     """An exact rational number viewed inside the p-adic field Q_p.
 
-    Arithmetic is plain rational arithmetic; the prime only matters for
-    valuations and norms.  Mixing scalars with different primes raises.
+    The prime only matters for valuations and norms; arithmetic is done
+    on the bare ``Fraction`` value.
     """
 
     value: Fraction
@@ -106,61 +103,6 @@ class PAdicRational:
     def lognorm(self) -> "LogNorm":
         v = self.valuation()
         return NORM_ZERO if v is None else LogNorm(Fraction(v))
-
-    def _coerce(self, other: ScalarLike) -> Fraction:
-        if isinstance(other, PAdicRational):
-            if other.prime != self.prime:
-                raise PrimeError(
-                    f"prime mismatch: {self.prime} vs {other.prime}"
-                )
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: ScalarLike) -> "PAdicRational":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value + v, self.prime)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "PAdicRational":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value - v, self.prime)
-
-    def __rsub__(self, other: ScalarLike) -> "PAdicRational":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PAdicRational(v - self.value, self.prime)
-
-    def __mul__(self, other: ScalarLike) -> "PAdicRational":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PAdicRational(self.value * v, self.prime)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "PAdicRational":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by p-adic zero")
-        return PAdicRational(self.value / v, self.prime)
-
-    def __neg__(self) -> "PAdicRational":
-        return PAdicRational(-self.value, self.prime)
-
-    def __pow__(self, k: int) -> "PAdicRational":
-        if self.value == 0 and k < 0:
-            raise ZeroDivisionError("negative power of zero")
-        return PAdicRational(self.value ** k, self.prime)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -221,15 +163,6 @@ NORM_ONE = LogNorm(Fraction(0))
 NORM_ZERO = LogNorm(None)
 
 
-def lognorm_max(a: LogNorm, b: LogNorm, *rest: LogNorm) -> LogNorm:
-    """Largest of the given norms (the smallest exponent)."""
-    return max((a, b, *rest))
-
-
-def lognorm_min(norms: Iterable[LogNorm]) -> LogNorm:
-    return min(norms)
-
-
 @dataclass(frozen=True)
 class LogRadius:
     """A radius p**(-exponent) with rational exponent >= 0.
@@ -275,7 +208,3 @@ class LogRadius:
         if text == "center":
             return cls.center()
         return cls(parse_fraction(text))
-
-
-RADIUS_ONE = LogRadius(Fraction(0))
-DISC_CENTER = LogRadius(None)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .connection import (
     DEFAULT_DEPTH_CAP,
@@ -97,6 +97,23 @@ class RadiusReport:
         }
 
 
+def deriv_ladder(
+    module: ConnectionModule, direction: int, depth: int
+) -> Iterator[Tuple[int, PolyMatrix]]:
+    """Yield (s, G_{direction,s}) for s = 1..depth, streaming the recursion.
+
+    The walk stops right after the first G_s that vanishes: every later
+    one vanishes too, since G_{s+1} = d(G_s) + N G_s.
+    """
+    ladder = iter_deriv_matrices(module, direction)
+    next(ladder)  # G_0 is the identity
+    for s in range(1, depth + 1):
+        G = next(ladder)
+        yield s, G
+        if G.is_zero:
+            return
+
+
 def _window_start(depth: int, window: Fraction) -> int:
     return max(1, math.ceil((1 - window) * depth))
 
@@ -112,30 +129,22 @@ def _direction_radius(
     r_i = rho[direction].exponent
     start = _window_start(depth, window)
     estimates: list[Fraction] = []
-    vanished: Optional[int] = None
-    for s, G in enumerate(iter_deriv_matrices(module, direction)):
-        if s == 0:
-            continue
+    for s, G in deriv_ladder(module, direction, depth):
         if G.is_zero:
-            vanished = s
-            break
+            return DirectionRadius(
+                direction=direction,
+                window_start=s,
+                estimates=(NORM_ONE,),
+                point_estimate=NORM_ONE,
+                stability=Fraction(0),
+                exact=True,
+                vanished_at=s,
+            )
         if s >= start:
             w = G.gauss_lognorm(rho).exponent
             assert w is not None
             est = base - r_i - w / s
             estimates.append(est if est > 0 else Fraction(0))
-        if s == depth:
-            break
-    if vanished is not None:
-        return DirectionRadius(
-            direction=direction,
-            window_start=vanished,
-            estimates=(NORM_ONE,),
-            point_estimate=NORM_ONE,
-            stability=Fraction(0),
-            exact=True,
-            vanished_at=vanished,
-        )
     point = max(estimates)
     return DirectionRadius(
         direction=direction,
@@ -153,13 +162,12 @@ def intrinsic_radius(
     rho: RadiusVector,
     depth: int,
     window: Fraction = Fraction(1, 4),
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho."""
     if depth < 8:
         raise ValueError("depth must be at least 8")
-    if depth > depth_cap:
-        raise DepthCapError(f"depth {depth} exceeds cap {depth_cap}")
+    if depth > DEFAULT_DEPTH_CAP:
+        raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     window = Fraction(window)
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
@@ -213,7 +221,6 @@ def oc_ir_test(
     depth: int,
     tol: Fraction = Fraction(1, 20),
     window: Fraction = Fraction(1, 4),
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> OcVerdict:
     """Evidence for or against IR = 1 at the unit polyradius.
 
@@ -225,9 +232,7 @@ def oc_ir_test(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = intrinsic_radius(
-        module, RadiusVector.ones(module.dims), depth, window, depth_cap
-    )
+    report = intrinsic_radius(module, RadiusVector.ones(module.dims), depth, window)
     negative: list[DirectionRadius] = []
     undecided: list[DirectionRadius] = []
     for d in report.directions:
@@ -314,7 +319,6 @@ def taylor_probe(
     eta: LogRadius,
     lam: LogRadius,
     j_bound: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> TaylorReport:
     """Probe the decay of ||(1/j!) * D^j e_a|| * eta^|j| for |j| <= j_bound.
 
@@ -327,8 +331,8 @@ def taylor_probe(
     """
     if j_bound < 8:
         raise ValueError("multi-index bound must be at least 8")
-    if j_bound > depth_cap:
-        raise DepthCapError(f"bound {j_bound} exceeds cap {depth_cap}")
+    if j_bound > DEFAULT_DEPTH_CAP:
+        raise DepthCapError(f"bound {j_bound} exceeds cap {DEFAULT_DEPTH_CAP}")
     if eta.is_center or eta.exponent is None or eta.exponent <= 0:
         raise ValueError("eta must satisfy 0 < eta < 1 (positive exponent)")
     if lam.is_center:
@@ -342,17 +346,13 @@ def taylor_probe(
     per_direction: list[list[Optional[Fraction]]] = []
     for l in range(dims):
         exps: list[Optional[Fraction]] = [Fraction(0)]
-        for s, G in enumerate(iter_deriv_matrices(module, l)):
-            if s == 0:
-                continue
+        for s, G in deriv_ladder(module, l, j_bound):
             if G.is_zero:
-                exps.extend(None for _ in range(s, j_bound + 1))
                 break
             w = G.sup_vertex_lognorm(lam).exponent
             assert w is not None
             exps.append(w - factorial_valuation(s, p) + s * h)
-            if s == j_bound:
-                break
+        exps.extend(None for _ in range(len(exps), j_bound + 1))
         per_direction.append(exps)
 
     level_minima: list[tuple[int, Optional[Fraction]]] = []

@@ -8,8 +8,9 @@ randomness is seeded, so the suite is deterministic.
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
-from nabla_radius.connection import integrability_check, iterated_matrices
+from nabla_radius.connection import integrability_check, iter_deriv_matrices
 from nabla_radius.corpus import (
     build_corpus,
     constant_annulus_module,
@@ -119,7 +120,7 @@ def test_criterion_2_exponential_module_radius_and_probes():
 
 def test_criterion_3_power_modules_exact_and_drifting():
     # Integer exponent: the recursion terminates and the radius is exactly 1.
-    seq = iterated_matrices(power_module(5, 3), 0, 6)
+    seq = list(islice(iter_deriv_matrices(power_module(5, 3), 0), 7))
     assert seq[4].is_zero and not seq[3].is_zero
     report = intrinsic_radius(power_module(5, 3), R1, depth=16)
     assert report.exact_flag and report.directions[0].vanished_at == 4
@@ -230,8 +231,8 @@ def test_criterion_6_specialization_naturality_exact():
         point = sample_unit_point(rng, 3, 1)
         for direction in range(2):
             curve = specialize(module, direction, point)
-            full = iterated_matrices(module, direction, 50)
-            reduced = iterated_matrices(curve, 0, 50)
+            full = list(islice(iter_deriv_matrices(module, direction), 51))
+            reduced = list(islice(iter_deriv_matrices(curve, 0), 51))
             for s in range(51):
                 assert full[s].specialize(direction, point.coordinates) == reduced[s], (
                     k, direction, s,
@@ -256,6 +257,8 @@ def test_criterion_7_curve_witness_reproduces_full_radius():
     assert w is not None
     assert w.ir_curve == w.ir_full
     assert w.ir_curve.exponent == Fraction(1, 2)
+    curve = specialize(module, w.direction, w.point)
+    assert w.ir_curve == intrinsic_radius(curve, R1, depth=50).ir_estimate
     print(f"criterion 7 (curve witnesses: {passes}/10 generic points agree to "
           f"depth 50; witness curve radius equals the full radius exactly): PASS")
 

@@ -173,6 +173,11 @@ class TestOc:
         assert code == 4
         assert doc["verdict"] == "INCONCLUSIVE"
 
+    def test_depth_over_cap_is_refused(self, capsys, dwork_path):
+        code, out, err = run(capsys, ["oc", dwork_path, "--depth", "600"])
+        assert code == 1 and out == ""
+        assert err == "nabla-radius: depth 600 exceeds cap 512\n"
+
 
 class TestTaylor:
     def test_fail(self, capsys, dwork_path):
@@ -208,6 +213,13 @@ class TestTaylor:
         code = main(["taylor", dwork_path])
         assert code == 1
 
+    def test_depth_over_cap_is_refused(self, capsys, dwork_path):
+        code, out, err = run(
+            capsys, ["taylor", dwork_path, "--eta", "1/4", "--depth", "600"]
+        )
+        assert code == 1 and out == ""
+        assert err == "nabla-radius: bound 600 exceeds cap 512\n"
+
 
 class TestSpecialize:
     def test_produces_descriptor(self, capsys, two_var_path):
@@ -231,6 +243,14 @@ class TestSpecialize:
             capsys, ["specialize", two_var_path, "--direction", "0", "--point", "2,2"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("direction", ["5", "-1"])
+    def test_direction_out_of_range(self, capsys, two_var_path, direction):
+        code, out, err = run(
+            capsys, ["specialize", two_var_path, "--direction", direction, "--point", "2"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: direction ") and "out of range" in err
 
 
 class TestCutcheck:

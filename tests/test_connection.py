@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabla_radius.connection import (
+    DEFAULT_DEPTH_CAP,
     ConnectionModule,
     DepthCapError,
     NotIntegrableError,
@@ -11,7 +13,6 @@ from nabla_radius.connection import (
     curvature,
     integrability_check,
     iter_deriv_matrices,
-    iterated_matrices,
     require_integrable,
 )
 from nabla_radius.corpus import (
@@ -22,11 +23,17 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
-from nabla_radius.padic import PAdicRational
+from nabla_radius.padic import LogRadius, PAdicRational
+from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
 
 
 def scalar(p, n, m, value):
     return LaurentPoly.constant(p, n, m, value)
+
+
+def ladder(module, direction, depth):
+    """G_0 .. G_depth of the derivative recursion in one direction."""
+    return list(islice(iter_deriv_matrices(module, direction), depth + 1))
 
 
 class TestPolyMatrix:
@@ -126,7 +133,7 @@ class TestIntegrability:
 class TestIteratedDerivatives:
     def test_trivial_module_all_identity_derivatives(self):
         module = trivial_module(3, 1, 0, 2)
-        seq = iterated_matrices(module, 0, 5)
+        seq = ladder(module, 0, 5)
         assert seq[0] == PolyMatrix.identity(3, 1, 0, 2)
         for s in range(1, 6):
             assert seq[s].is_zero
@@ -134,7 +141,7 @@ class TestIteratedDerivatives:
     def test_exponential_closed_form(self):
         # N = [1]: G_s = [1] for every s.
         module = exponential_module(3)
-        seq = iterated_matrices(module, 0, 6)
+        seq = ladder(module, 0, 6)
         one = PolyMatrix.from_scalar_rows(3, 0, 1, [[1]])
         for s in range(7):
             assert seq[s] == one
@@ -144,7 +151,7 @@ class TestIteratedDerivatives:
         # N = [a/t]: G_s = a(a-1)...(a-s+1) / t**s.
         p = 5
         module = power_module(p, a)
-        seq = iterated_matrices(module, 0, 6)
+        seq = ladder(module, 0, 6)
         coeff = Fraction(1)
         for s in range(7):
             expected = LaurentPoly(p, 1, 0, {(-s,): coeff})
@@ -153,7 +160,7 @@ class TestIteratedDerivatives:
 
     def test_integer_power_vanishes_exactly(self):
         module = power_module(5, Fraction(3))
-        seq = iterated_matrices(module, 0, 8)
+        seq = ladder(module, 0, 8)
         assert not seq[3].is_zero
         for s in range(4, 9):
             assert seq[s].is_zero
@@ -161,7 +168,7 @@ class TestIteratedDerivatives:
     def test_matches_falling_factorial_oracle(self):
         p, a = 3, Fraction(1, 2)
         module = power_module(p, a)
-        seq = iterated_matrices(module, 0, 40)
+        seq = ladder(module, 0, 40)
         for s in range(41):
             w = falling_factorial_valuation(a, s, p)
             got = seq[s].gauss_lognorm(RadiusVector.ones(1))
@@ -171,7 +178,7 @@ class TestIteratedDerivatives:
         # G_{s+1} = d(G_s) + N G_s, checked directly on a two-var module.
         module = exponential_two_var_module(3)
         for i in range(2):
-            seq = iterated_matrices(module, i, 6)
+            seq = ladder(module, i, 6)
             N = module.matrices[i]
             for s in range(6):
                 assert seq[s + 1] == seq[s].partial(i) + N @ seq[s]
@@ -179,14 +186,19 @@ class TestIteratedDerivatives:
     def test_direction_out_of_range(self):
         module = exponential_module(3)
         with pytest.raises(IndexError):
-            iterated_matrices(module, 1, 3)
+            next(iter_deriv_matrices(module, 1))
+        with pytest.raises(IndexError):
+            list(deriv_ladder(module, 1, 3))
 
     def test_depth_cap(self):
+        # The recursion itself is unbounded; the analyses refuse depths
+        # above the cap and accept the cap itself.
         module = exponential_module(3)
+        assert len(ladder(module, 0, 600)) == 601
         with pytest.raises(DepthCapError):
-            iterated_matrices(module, 0, 600)
-        seq = iterated_matrices(module, 0, 600, depth_cap=1000)
-        assert seq.depth == 600
+            intrinsic_radius(module, RadiusVector.ones(1), DEFAULT_DEPTH_CAP + 1)
+        report = intrinsic_radius(module, RadiusVector.ones(1), DEFAULT_DEPTH_CAP)
+        assert report.depth == DEFAULT_DEPTH_CAP
 
     def test_non_integrable_rejected(self):
         p = 3
@@ -196,14 +208,18 @@ class TestIteratedDerivatives:
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
         )
         with pytest.raises(NotIntegrableError):
-            iterated_matrices(module, 0, 3)
+            require_integrable(module)
+        with pytest.raises(NotIntegrableError):
+            taylor_probe(module, LogRadius(Fraction(1, 4)), LogRadius.one(), 8)
 
     def test_generator_matches_sequence(self):
         module = power_module(3, Fraction(1, 2))
         gen = iter_deriv_matrices(module, 0)
-        seq = iterated_matrices(module, 0, 5)
-        for s in range(6):
-            assert next(gen) == seq[s]
+        walk = list(deriv_ladder(module, 0, 5))
+        assert next(gen) == PolyMatrix.identity(3, 1, 0, 1)
+        assert [s for s, _ in walk] == [1, 2, 3, 4, 5]
+        for _, G in walk:
+            assert next(gen) == G
 
     @given(
         e1=st.integers(-3, 3).filter(bool),
@@ -220,7 +236,7 @@ class TestIteratedDerivatives:
             matrices=(PolyMatrix([[phi.partial(0)]]), PolyMatrix([[phi.partial(1)]])),
         )
         assert integrability_check(module) is None
-        seq = iterated_matrices(module, 0, 4)
+        seq = ladder(module, 0, 4)
         N = module.matrices[0]
         for s in range(4):
             assert seq[s + 1] == seq[s].partial(0) + N @ seq[s]

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from nabla_radius.connection import (
+    DEFAULT_DEPTH_CAP,
     ConnectionModule,
+    DepthCapError,
     NotIntegrableError,
     PolyMatrix,
     integrability_check,
-    iterated_matrices,
+    iter_deriv_matrices,
 )
 from nabla_radius.corpus import exponential_two_var_module, trivial_module
 from nabla_radius.curves import (
@@ -20,11 +23,17 @@ from nabla_radius.curves import (
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
 from nabla_radius.padic import LogRadius, PAdicRational
-from nabla_radius.radius import Verdict
+from nabla_radius.radius import Verdict, intrinsic_radius
 
 
 def unit(value, p=3):
     return PAdicRational(Fraction(value), p)
+
+
+def curve_radius(module, witness, depth):
+    """The witness curve's radius, computed by its own recursion."""
+    curve = specialize(module, witness.direction, witness.point)
+    return intrinsic_radius(curve, RadiusVector.ones(1), depth).ir_estimate
 
 
 def potential_module(p, phi):
@@ -100,8 +109,8 @@ class TestSpecialize:
         module = shifted_module()
         pt = UnitPoint((unit(Fraction(5, 2)),))
         curve = specialize(module, direction, pt)
-        full = iterated_matrices(module, direction, 12)
-        reduced = iterated_matrices(curve, 0, 12)
+        full = list(islice(iter_deriv_matrices(module, direction), 13))
+        reduced = list(islice(iter_deriv_matrices(curve, 0), 13))
         for s in range(13):
             assert full[s].specialize(direction, pt.coordinates) == reduced[s]
 
@@ -138,6 +147,10 @@ class TestGenericEquality:
             generic_equality_check(module, 0, pt, depth=0, rho=LogRadius.one())
         with pytest.raises(ValueError):
             generic_equality_check(module, 0, pt, depth=5, rho=LogRadius.center())
+        with pytest.raises(DepthCapError):
+            generic_equality_check(
+                module, 0, pt, depth=DEFAULT_DEPTH_CAP + 1, rho=LogRadius.one()
+            )
 
     def test_non_integrable_rejected(self):
         p = 3
@@ -174,6 +187,7 @@ class TestCurveWitnessSearch:
         assert w.direction == 0
         assert w.ir_curve == w.ir_full
         assert w.ir_curve.exponent == Fraction(1, 2)
+        assert w.ir_curve == curve_radius(module, w, 24)
 
     def test_deterministic_in_seed(self):
         module = exponential_two_var_module(3)
@@ -183,6 +197,8 @@ class TestCurveWitnessSearch:
         assert a.witness.point == b.witness.point
         c = curve_witness_search(module, depth=24, trials=5, seed=8)
         assert c.witness is not None
+        for report in (a, c):
+            assert report.witness.ir_curve == curve_radius(module, report.witness, 24)
 
     def test_positive_verdict_skips_search(self):
         report = curve_witness_search(trivial_module(3, 2, 0, 1), depth=8, trials=3, seed=0)

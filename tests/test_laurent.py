@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +242,23 @@ class TestSupVertexNorm:
             for r2 in grid:
                 rho = RadiusVector((LogRadius(r1), LogRadius(r2), LogRadius.one()))
                 assert not (sup < f.gauss_lognorm(rho))
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        m=st.integers(0, 2),
+        lam=st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=8),
+    )
+    @settings(max_examples=100)
+    def test_matches_corner_enumeration(self, data, n, m, lam):
+        # Reference: the largest Gauss norm over all 2^n corners {lam, 1}^n x {1}^m.
+        f = data.draw(polys(n, m))
+        disc = (LogRadius.one(),) * m
+        reference = max(
+            f.gauss_lognorm(RadiusVector(tuple(LogRadius(c) for c in combo) + disc))
+            for combo in product((lam, Fraction(0)), repeat=n)
+        )
+        assert f.sup_vertex_lognorm(LogRadius(lam)) == reference
 
 
 class TestSpecialize:

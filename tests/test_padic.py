@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nabla_radius.padic import (
-    DISC_CENTER,
     NORM_ONE,
     NORM_ZERO,
     LogNorm,
@@ -14,8 +13,6 @@ from nabla_radius.padic import (
     check_prime,
     fraction_valuation,
     int_valuation,
-    lognorm_max,
-    lognorm_min,
     parse_fraction,
 )
 
@@ -102,35 +99,6 @@ class TestPAdicRational:
         assert not PAdicRational(Fraction(1, 3), p).is_unit
         assert PAdicRational(Fraction(2, 5), 3).is_unit
 
-    def test_arithmetic(self):
-        p = 5
-        a = PAdicRational(Fraction(3, 2), p)
-        b = PAdicRational(Fraction(1, 4), p)
-        assert (a + b).value == Fraction(7, 4)
-        assert (a - b).value == Fraction(5, 4)
-        assert (a * b).value == Fraction(3, 8)
-        assert (a / b).value == Fraction(6)
-        assert (-a).value == Fraction(-3, 2)
-        assert (a ** 2).value == Fraction(9, 4)
-        assert (a ** -1).value == Fraction(2, 3)
-        assert (2 * a).value == Fraction(3)
-        assert (1 - a).value == Fraction(-1, 2)
-
-    def test_division_by_zero(self):
-        p = 3
-        with pytest.raises(ZeroDivisionError):
-            PAdicRational.one(p) / PAdicRational.zero(p)
-        with pytest.raises(ZeroDivisionError):
-            PAdicRational.zero(p) ** -2
-
-    def test_prime_mismatch_raises(self):
-        a = PAdicRational(Fraction(1), 3)
-        b = PAdicRational(Fraction(1), 5)
-        with pytest.raises(PrimeError):
-            a + b
-        with pytest.raises(PrimeError):
-            a * b
-
     @given(x=rationals, p=prime_st)
     def test_lognorm_matches_valuation(self, x, p):
         a = PAdicRational(x, p)
@@ -144,7 +112,8 @@ class TestPAdicRational:
     def test_norm_is_multiplicative(self, x, y, p):
         a = PAdicRational(x, p)
         b = PAdicRational(y, p)
-        assert (a * b).lognorm() == LogNorm(a.lognorm().exponent + b.lognorm().exponent)
+        product = PAdicRational(x * y, p)
+        assert product.lognorm() == LogNorm(a.lognorm().exponent + b.lognorm().exponent)
 
 
 class TestLogNorm:
@@ -166,8 +135,8 @@ class TestLogNorm:
     def test_helpers(self):
         a = LogNorm(Fraction(2))
         b = LogNorm(Fraction(1, 7))
-        assert lognorm_max(a, b) == b
-        assert lognorm_min([a, b, NORM_ONE]) == a
+        assert max(a, b) == b
+        assert min([a, b, NORM_ONE]) == a
 
     def test_parse_round_trip(self):
         for text in ["0", "1/2", "-3", "inf"]:
@@ -188,7 +157,7 @@ class TestLogNorm:
 class TestLogRadius:
     def test_center_and_one(self):
         assert LogRadius.center().is_center
-        assert LogRadius.center() == DISC_CENTER
+        assert LogRadius.center() == LogRadius(None)
         assert LogRadius.one().exponent == 0
         assert LogRadius.from_exponent(Fraction(1, 2)).exponent_str() == "1/2"
 

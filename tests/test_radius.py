@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nabla_radius.connection import DepthCapError, NotIntegrableError, iterated_matrices
+from nabla_radius import radius
+from nabla_radius.connection import DepthCapError, NotIntegrableError, iter_deriv_matrices
 from nabla_radius.corpus import (
     constant_annulus_module,
+    corpus_by_label,
     exponential_module,
     exponential_two_var_module,
     falling_factorial_valuation,
@@ -19,6 +22,7 @@ from nabla_radius.padic import NORM_ONE, LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
     Verdict,
+    deriv_ladder,
     factorial_valuation,
     intrinsic_radius,
     oc_ir_test,
@@ -39,6 +43,37 @@ def test_spectral_base_exponent():
 def test_factorial_valuation_against_factorial(s, p):
     expected = 0 if s < 2 else int_valuation(math.factorial(s), p)
     assert factorial_valuation(s, p) == expected
+
+
+def counting_ladder(monkeypatch):
+    """Record every matrix the walk pulls from the recursion."""
+    pulled = []
+    original = radius.iter_deriv_matrices
+
+    def counting(module, direction):
+        for G in original(module, direction):
+            pulled.append(G)
+            yield G
+
+    monkeypatch.setattr(radius, "iter_deriv_matrices", counting)
+    return pulled
+
+
+class TestDerivLadder:
+    def test_stops_right_after_first_vanishing_matrix(self, monkeypatch):
+        # t^3-twist at p = 5: G_s = 3(3-1)...(3-s+1) / t^s vanishes from s = 4.
+        pulled = counting_ladder(monkeypatch)
+        module = corpus_by_label()["power-int3-p5"].descriptor.module
+        walk = list(deriv_ladder(module, 0, 16))
+        assert [s for s, _ in walk] == [1, 2, 3, 4]
+        assert walk[-1][1].is_zero and not walk[-2][1].is_zero
+        assert len(pulled) == 5  # G_0 .. G_4, nothing past the first zero
+
+    def test_bounded_by_depth(self, monkeypatch):
+        pulled = counting_ladder(monkeypatch)
+        walk = list(deriv_ladder(exponential_module(3), 0, 7))
+        assert [s for s, _ in walk] == list(range(1, 8))
+        assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
 
 
 class TestIntrinsicRadius:
@@ -143,7 +178,7 @@ class TestIntrinsicRadius:
         depth = 12
         report = intrinsic_radius(module, rho, depth=depth, window=Fraction(1, 2))
         d = report.directions[0]
-        seq = iterated_matrices(module, 0, depth)
+        seq = list(islice(iter_deriv_matrices(module, 0), depth + 1))
         for offset, est in enumerate(d.estimates):
             s = d.window_start + offset
             w = seq[s].gauss_lognorm(rho).exponent
