@@ -11,6 +11,7 @@ norm, i.e. the smallest such exponent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -28,6 +29,9 @@ from .padic import (
 
 ExponentVector = Tuple[int, ...]
 CoefficientLike = Union[PAdicRational, Fraction, int]
+
+# The exact coefficient spelling in term records: "num" or "num/den".
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class SignatureError(ValueError):
@@ -100,7 +104,7 @@ class LaurentPoly:
                 raise SignatureError(
                     f"exponent vector {key} has length {len(key)}, expected {dims}"
                 )
-            if any(not isinstance(j, int) for j in key):
+            if any(not isinstance(j, int) or isinstance(j, bool) for j in key):
                 raise SignatureError(f"exponents must be integers: {key}")
             for l in range(nvars_annulus, dims):
                 if key[l] < 0:
@@ -129,12 +133,16 @@ class LaurentPoly:
 
     @classmethod
     def _new(cls, prime: int, n: int, m: int, terms: dict[ExponentVector, Fraction]) -> "LaurentPoly":
-        """Internal fast path: trusted keys, drops zero coefficients."""
+        """Internal fast path that takes ownership of `terms` as is.
+
+        The caller guarantees valid keys and nonzero Fraction values; the
+        ring operations drop cancelled sums before they get here.
+        """
         obj = object.__new__(cls)
         object.__setattr__(obj, "prime", prime)
         object.__setattr__(obj, "nvars_annulus", n)
         object.__setattr__(obj, "nvars_disc", m)
-        object.__setattr__(obj, "_terms", {k: v for k, v in terms.items() if v != 0})
+        object.__setattr__(obj, "_terms", terms)
         return obj
 
     @classmethod
@@ -315,27 +323,29 @@ class LaurentPoly:
             raise SignatureError(
                 f"radius vector has {len(radii)} entries, expected {self.nvars}"
             )
-        exps = [r.exponent for r in radii.entries]
-        for l in range(self.nvars_annulus):
-            if exps[l] is None:
-                raise ValueError("annulus radii must be strictly positive")
-        best: Optional[Fraction] = None
+        centers: list[int] = []  # disc slots at radius 0
+        weighted: list[tuple[int, Fraction]] = []  # slots with radius < 1
+        for l, radius in enumerate(radii.entries):
+            r = radius.exponent
+            if r is None:
+                if l < self.nvars_annulus:
+                    raise ValueError("annulus radii must be strictly positive")
+                centers.append(l)
+            elif r:
+                weighted.append((l, r))
+        prime = self.prime
+        best: Optional[Fraction | int] = None
         for key, coeff in self._terms.items():
-            acc: Fraction | int = fraction_valuation(coeff, self.prime)  # type: ignore[assignment]
-            dead = False
-            for l, j in enumerate(key):
-                if j == 0:
-                    continue
-                r = exps[l]
-                if r is None:
-                    dead = True  # disc center kills t_l**j for j > 0
-                    break
-                acc = acc + j * r
-            if dead:
+            # Disc exponents are >= 0, so a nonzero one at a center is t_l**j, j > 0.
+            if centers and any(key[l] for l in centers):
                 continue
-            accf = Fraction(acc)
-            if best is None or accf < best:
-                best = accf
+            w = fraction_valuation(coeff, prime)
+            for l, r in weighted:
+                j = key[l]
+                if j:
+                    w += j * r
+            if best is None or w < best:
+                best = w
         return NORM_ZERO if best is None else LogNorm(best)
 
     def sup_vertex_lognorm(self, lam: LogRadius) -> LogNorm:
@@ -350,9 +360,12 @@ class LaurentPoly:
             raise ValueError("inner radius must be strictly positive")
         L = lam.exponent
         n = self.nvars_annulus
-        best: Optional[Fraction] = None
+        best: Optional[Fraction | int] = None
         for key, coeff in self._terms.items():
-            w = fraction_valuation(coeff, self.prime) + L * sum(j for j in key[:n] if j < 0)
+            w = fraction_valuation(coeff, self.prime)
+            neg = sum(j for j in key[:n] if j < 0)
+            if neg:
+                w += L * neg
             if best is None or w < best:
                 best = w
         return NORM_ZERO if best is None else LogNorm(best)
@@ -412,11 +425,20 @@ class LaurentPoly:
 
     @classmethod
     def from_records(cls, prime: int, n: int, m: int, records: Iterable[Mapping]) -> "LaurentPoly":
+        """Inverse of `to_records`: each record has exactly the keys "exps"
+        (a list of integers) and "coeff" (an exact "num/den" or "num")."""
         terms: list[tuple[ExponentVector, Fraction]] = []
         for rec in records:
+            if not isinstance(rec, Mapping):
+                raise SignatureError(f"malformed term record {rec!r}")
+            unknown = set(rec) - {"exps", "coeff"}
+            if unknown:
+                raise SignatureError(f"unknown term fields: {sorted(unknown)}")
             exps = rec.get("exps")
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
                 raise SignatureError(f"malformed term record {rec!r}")
+            if not _COEFF_RE.fullmatch(coeff):
+                raise SignatureError(f"coefficient {coeff!r} is not of the form num/den")
             terms.append((tuple(exps), parse_fraction(coeff)))
         return cls(prime, n, m, terms)

@@ -19,36 +19,87 @@ class PrimeError(ValueError):
     """The modulus of a p-adic value must be a prime number >= 2."""
 
 
+# psi_13 (Sorenson and Webster, 2015): the least strong pseudoprime to the
+# first 13 prime bases.  Miller-Rabin with those bases is exact below it.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 @lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
-    """Validate that p is a prime integer >= 2 and return it."""
+    """Validate that p is a prime integer >= 2 and return it.
+
+    Deterministic Miller-Rabin with the first 13 prime bases; primes at
+    or above PRIME_BOUND, where that test is no longer exact, are refused.
+    """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise PrimeError(f"not a prime: {p!r}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_BOUND:
+        raise PrimeError(f"{p} is at or above the bound {PRIME_BOUND} of the primality test")
+    for a in _MR_BASES:
+        if p % a == 0:
+            if p == a:
+                return p
             raise PrimeError(f"not a prime: {p}")
-        d += 1
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise PrimeError(f"not a prime: {p}")
     return p
 
 
 def int_valuation(k: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer.
+
+    Divides out p, p^2, p^4, ... while each successive power divides k,
+    then the same powers again from the largest down, so a valuation v
+    costs O(log v) bignum divisions rather than v.
+    """
     if k == 0:
         raise ValueError("the valuation of integer zero is +infinity")
-    v = 0
-    k = abs(k)
-    while k % p == 0:
-        k //= p
-        v += 1
+    if k % p:
+        return 0
+    k = abs(k) // p
+    v = 1
+    powers = [p]
+    while True:
+        q, r = divmod(k, powers[-1])
+        if r:
+            break
+        k = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    # The part of v left in k is below 2**(len(powers) - 1).
+    for i in range(len(powers) - 2, -1, -1):
+        q, r = divmod(k, powers[i])
+        if not r:
+            k = q
+            v += 1 << i
     return v
 
 
 def fraction_valuation(x: Fraction, p: int) -> Optional[int]:
-    """p-adic valuation of an exact rational; None encodes +infinity."""
-    if x == 0:
+    """p-adic valuation of an exact rational; None encodes +infinity.
+
+    A Fraction is kept in lowest terms, so p divides at most one of its
+    numerator and denominator: the denominator is looked at only when the
+    numerator is a p-adic unit.
+    """
+    num = x.numerator
+    if num == 0:
         return None
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+    v = int_valuation(num, p)
+    return v if v else -int_valuation(x.denominator, p)
 
 
 def parse_fraction(text: str) -> Fraction:

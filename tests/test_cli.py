@@ -112,6 +112,35 @@ class TestValidate:
         assert code == 1
         assert doc["status"] == "schema-error"
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"exps": [True], "coeff": "1"},
+            {"exps": [-1], "coeff": "1", "zzz": 5},
+            {"exps": [-1], "coeff": "1e3"},
+            {"exps": [-1], "coeff": "1_000"},
+            {"exps": [-1], "coeff": "0.5"},
+        ],
+        ids=["bool-exponent", "unknown-key", "1e3", "1_000", "0.5"],
+    )
+    def test_non_canonical_term_refused(self, capsys, tmp_path, term):
+        bad = tmp_path / "bad.json"
+        doc = {"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[term]]]]}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+
+    def test_prime_beyond_bound_refused(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        doc = {"prime": 2**89 - 1, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]]}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert report["status"] == "schema-error"
+        assert "bound" in report["error"]
+
 
 class TestIr:
     def test_report(self, capsys, dwork_path):

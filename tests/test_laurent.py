@@ -65,6 +65,12 @@ class TestConstruction:
         with pytest.raises(SignatureError):
             LaurentPoly(3, 1, 0, {(Fraction(1, 2),): 1})
 
+    def test_rejects_boolean_exponents(self):
+        # True == 1 would otherwise be stored, and serialized, as `true`.
+        for key in ((True,), (False,), (1, True)):
+            with pytest.raises(SignatureError, match="integers"):
+                LaurentPoly(3, len(key), 0, {key: 1})
+
     def test_rejects_coefficient_prime_mismatch(self):
         with pytest.raises(SignatureError):
             LaurentPoly(3, 1, 0, {(0,): PAdicRational(Fraction(1), 5)})
@@ -124,6 +130,44 @@ class TestRingOps:
         assert f * (g + h) == f * g + f * h
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
+
+
+def assert_no_zero_terms(f: LaurentPoly) -> None:
+    assert all(v != 0 for v in f.terms.values()), f
+
+
+class TestNoZeroCoefficients:
+    """The ring operations build results through the trusted `_new`, which
+    stores its terms as given: no operation may hand it a zero."""
+
+    @given(f=polys(1, 1, prime=3), g=polys(1, 1, prime=3), i=st.integers(0, 1))
+    def test_ring_ops_and_partial(self, f, g, i):
+        for h in (f + g, f - g, f * g, f - f, -f, f + (-f), f.partial(i), f * Fraction(1, 3)):
+            assert_no_zero_terms(h)
+        assert (f - f).is_zero
+        # Sums that cancel only part of the terms.
+        assert_no_zero_terms((f + g) - g)
+        assert_no_zero_terms(f * g - g * f)
+        assert (f * g - g * f).is_zero
+
+    @given(
+        f=polys(2, 0, prime=3),
+        c=st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-4, 5)]),
+    )
+    def test_specialize(self, f, c):
+        pt = (PAdicRational(c, 3),)
+        for direction in (0, 1):
+            assert_no_zero_terms(f.specialize(direction, pt))
+
+    def test_specialize_cancellation(self):
+        # t1 * t2 - 2 t1 at t2 = 2 cancels to zero.
+        f = LaurentPoly(3, 2, 0, {(1, 1): 1, (1, 0): -2})
+        g = f.specialize(0, (PAdicRational(Fraction(2), 3),))
+        assert g.is_zero
+
+    def test_partial_of_constants_is_empty(self):
+        f = LaurentPoly(3, 1, 1, {(0, 0): 5, (0, 2): 1})
+        assert f.partial(0).is_zero
 
 
 class TestPartial:
@@ -200,6 +244,24 @@ class TestGaussNorm:
                 assert s == max(a, b)
 
         run()
+
+    @given(data=st.data(), n=st.integers(0, 3), m=st.integers(0, 2))
+    @settings(max_examples=150)
+    def test_matches_per_term_reference(self, data, n, m):
+        if n + m == 0:
+            n = 1
+        f = data.draw(polys(n, m))
+        rho = data.draw(radii(n, m))
+        exps = [r.exponent for r in rho.entries]
+        # Reference: the smallest term exponent v(a_J) + sum_l J_l r_l, where
+        # a disc center kills every term with a positive exponent there.
+        term_exps = [
+            Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps) if r is not None)
+            for key, c in f.terms.items()
+            if all(r is not None or j == 0 for j, r in zip(key, exps))
+        ]
+        expected = LogNorm(min(term_exps)) if term_exps else NORM_ZERO
+        assert f.gauss_lognorm(rho) == expected
 
     @given(f=polys(1, 0, prime=3))
     @settings(max_examples=60)
@@ -306,6 +368,26 @@ class TestRecords:
     def test_malformed_record(self):
         with pytest.raises(SignatureError):
             LaurentPoly.from_records(3, 1, 0, [{"exps": [0], "coeff": 7}])
+        with pytest.raises(SignatureError):
+            LaurentPoly.from_records(3, 1, 0, [[[0], "1"]])
+
+    def test_unknown_record_fields_rejected(self):
+        with pytest.raises(SignatureError, match="zzz"):
+            LaurentPoly.from_records(3, 1, 0, [{"exps": [0], "coeff": "1", "zzz": 5}])
+
+    @pytest.mark.parametrize(
+        "coeff", ["1e3", "1_000", "0.5", " 1", "1/2 ", "+1", "1/-2", "-", "1/", "\u0663", ""]
+    )
+    def test_coefficient_must_be_num_over_den(self, coeff):
+        with pytest.raises(SignatureError, match="num/den"):
+            LaurentPoly.from_records(3, 1, 0, [{"exps": [0], "coeff": coeff}])
+
+    def test_accepted_coefficient_spellings(self):
+        recs = [{"exps": [0], "coeff": "-12/8"}, {"exps": [1], "coeff": "007"}]
+        f = LaurentPoly.from_records(3, 1, 0, recs)
+        assert f == LaurentPoly(3, 1, 0, {(0,): Fraction(-3, 2), (1,): 7})
+        with pytest.raises(ValueError):
+            LaurentPoly.from_records(3, 1, 0, [{"exps": [0], "coeff": "1/0"}])
 
     @given(f=polys(1, 1, prime=5))
     def test_round_trip_random(self, f):

@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nabla_radius.padic import (
     NORM_ONE,
     NORM_ZERO,
+    PRIME_BOUND,
     LogNorm,
     LogRadius,
     PAdicRational,
@@ -34,6 +36,79 @@ def test_check_prime_accepts_primes():
 def test_check_prime_rejects(bad):
     with pytest.raises(PrimeError):
         check_prime(bad)
+
+
+def test_check_prime_is_fast_on_large_primes():
+    # Trial division needed ~10**7.5 steps for this 15-digit prime.
+    start = time.perf_counter()
+    for p in (2, 3, 999999999999989):
+        assert check_prime.__wrapped__(p) == p
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        3215031751,  # 151 * 751 * 28351: strong pseudoprime to bases 2, 3, 5, 7
+        999999999999989 * 1000000007,
+        341550071728321,  # strong pseudoprime to bases 2..17
+    ],
+)
+def test_check_prime_rejects_strong_pseudoprimes_and_semiprimes(composite):
+    with pytest.raises(PrimeError, match="not a prime"):
+        check_prime(composite)
+
+
+def test_check_prime_refuses_above_the_deterministic_bound():
+    with pytest.raises(PrimeError, match=str(PRIME_BOUND)):
+        check_prime(PRIME_BOUND)
+    with pytest.raises(PrimeError, match=str(PRIME_BOUND)):
+        check_prime(2**89 - 1)  # a Mersenne prime, but beyond the bound
+
+
+def test_check_prime_matches_trial_division():
+    for k in range(2, 3000):
+        is_prime = all(k % d for d in range(2, int(k**0.5) + 1))
+        if is_prime:
+            assert check_prime.__wrapped__(k) == k
+        else:
+            with pytest.raises(PrimeError):
+                check_prime.__wrapped__(k)
+
+
+def loop_valuation(k: int, p: int) -> int:
+    """Reference: strip one factor of p at a time."""
+    v = 0
+    k = abs(k)
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+@given(
+    k=st.integers(min_value=1, max_value=10**40),
+    sign=st.sampled_from([1, -1]),
+    e=st.integers(min_value=0, max_value=600),
+    p=st.sampled_from([2, 3, 5, 7, 10007]),
+)
+@settings(max_examples=300)
+def test_int_valuation_matches_loop_reference(k, sign, e, p):
+    n = sign * k * p**e
+    assert int_valuation(n, p) == loop_valuation(n, p)
+
+
+@given(
+    num=st.integers(min_value=-(10**30), max_value=10**30).filter(lambda k: k != 0),
+    den=st.integers(min_value=1, max_value=10**30),
+    e=st.integers(min_value=-300, max_value=300),
+    p=st.sampled_from([2, 3, 5, 7, 10007]),
+)
+@settings(max_examples=300)
+def test_fraction_valuation_matches_loop_reference(num, den, e, p):
+    x = Fraction(num, den) * Fraction(p) ** e
+    reference = loop_valuation(x.numerator, p) - loop_valuation(x.denominator, p)
+    assert fraction_valuation(x, p) == reference
 
 
 def test_int_valuation_small_cases():
