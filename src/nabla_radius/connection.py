@@ -13,6 +13,7 @@ direction-i operator sends the basis column e_a to column a of G_{i,s}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly, LogNorm, LogRadius, RadiusVector, SignatureError
@@ -216,6 +217,11 @@ class ConnectionModule:
     def dims(self) -> int:
         return self.nvars_annulus + self.nvars_disc
 
+    @cached_property
+    def _violation(self) -> Optional["IntegrabilityViolation"]:
+        # the module is immutable, so `require_integrable` checks it once
+        return integrability_check(self)
+
 
 def curvature(module: ConnectionModule, i: int, j: int) -> PolyMatrix:
     """d_i(N_j) - d_j(N_i) + [N_i, N_j] for a direction pair (0-based)."""
@@ -235,7 +241,11 @@ def integrability_check(module: ConnectionModule) -> Optional[IntegrabilityViola
 
 
 def require_integrable(module: ConnectionModule) -> None:
-    violation = integrability_check(module)
+    """Raise NotIntegrableError unless every curvature vanishes.
+
+    The check runs once per module object; later calls reuse its result.
+    """
+    violation = module._violation
     if violation is not None:
         raise NotIntegrableError(
             f"curvature in directions ({violation.i}, {violation.j}) is nonzero"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -131,13 +132,25 @@ def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
     ).hexdigest()
 
 
-def load_module_descriptor(path: str) -> ModuleDescriptor:
+def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
-    return parse_module_descriptor(doc)
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError:
+        # json.load raises a plain ValueError for an integer literal longer
+        # than the interpreter's int/str conversion limit
+        raise DescriptorError(
+            f"invalid JSON in {path}: an integer literal has more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def load_module_descriptor(path: str) -> ModuleDescriptor:
+    return parse_module_descriptor(_read_json(path))
 
 
 def save_module_descriptor(descriptor: ModuleDescriptor, path: str) -> None:
@@ -172,9 +185,4 @@ def parse_poly_descriptor(doc: Any) -> tuple[LaurentPoly, Optional[str]]:
 
 
 def load_poly_descriptor(path: str) -> tuple[LaurentPoly, Optional[str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
-    return parse_poly_descriptor(doc)
+    return parse_poly_descriptor(_read_json(path))

@@ -12,6 +12,7 @@ norm, i.e. the smallest such exponent.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -32,6 +33,13 @@ CoefficientLike = Union[PAdicRational, Fraction, int]
 
 # The exact coefficient spelling in term records: "num" or "num/den".
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _excerpt(text: str) -> str:
+    """repr of text, cut after 24 characters so that an error stays one short line."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:24]!r}... ({len(text)} characters)"
 
 
 class SignatureError(ValueError):
@@ -439,6 +447,15 @@ class LaurentPoly:
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
                 raise SignatureError(f"malformed term record {rec!r}")
             if not _COEFF_RE.fullmatch(coeff):
-                raise SignatureError(f"coefficient {coeff!r} is not of the form num/den")
+                raise SignatureError(
+                    f"coefficient {_excerpt(coeff)} is not of the form num/den"
+                )
+            digits = max(len(part) for part in coeff.lstrip("-").split("/"))
+            limit = sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise SignatureError(
+                    f"coefficient {_excerpt(coeff)} has an integer of {digits} digits,"
+                    f" more than the limit of {limit}"
+                )
             terms.append((tuple(exps), parse_fraction(coeff)))
         return cls(prime, n, m, terms)

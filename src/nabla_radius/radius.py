@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .connection import (
     DEFAULT_DEPTH_CAP,
@@ -304,14 +304,53 @@ class TaylorReport:
         }
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _fold_levels(
+    per_direction: Sequence[Sequence[Optional[Fraction]]], j_bound: int
+) -> Tuple[list[Optional[Fraction]], list[Optional[Tuple[int, ...]]]]:
+    """Level minima min_{|j| = k} sum_l e_l(j_l) for k <= j_bound, with argmins.
+
+    A (min,+) fold of the per-direction sequences, from the last direction
+    back: suffix[k] is the least sum over j_l + ... + j_{d-1} = k, and the
+    back-pointer is the smallest head j_l that reaches it (heads scanned in
+    ascending order, replaced only on a strict improvement).  Walking the
+    back-pointers therefore gives the lexicographically first minimiser.
+    None (an exact zero) is +infinity: it absorbs sums and loses every min.
+    """
+    suffix = list(per_direction[-1][: j_bound + 1])
+    backs: list[list[Optional[int]]] = []
+    for seq in reversed(per_direction[:-1]):
+        folded: list[Optional[Fraction]] = []
+        back: list[Optional[int]] = []
+        for k in range(j_bound + 1):
+            best: Optional[Fraction] = None
+            best_head: Optional[int] = None
+            for head in range(k + 1):
+                e, rest = seq[head], suffix[k - head]
+                if e is None or rest is None:
+                    continue
+                total = e + rest
+                if best is None or total < best:
+                    best, best_head = total, head
+            folded.append(best)
+            back.append(best_head)
+        suffix = folded
+        backs.append(back)
+    backs.reverse()
+    argmins: list[Optional[Tuple[int, ...]]] = []
+    for k, best in enumerate(suffix):
+        if best is None:
+            argmins.append(None)
+            continue
+        j = []
+        remaining = k
+        for back in backs:
+            head = back[remaining]
+            assert head is not None
+            j.append(head)
+            remaining -= head
+        j.append(remaining)
+        argmins.append(tuple(j))
+    return suffix, argmins
 
 
 def taylor_probe(
@@ -322,12 +361,16 @@ def taylor_probe(
 ) -> TaylorReport:
     """Probe the decay of ||(1/j!) * D^j e_a|| * eta^|j| for |j| <= j_bound.
 
-    Multi-index values are bounded by products of single-direction terms,
-    with norms taken as sup norms over the subannulus with inner radius
-    lam.  The probe passes when every level minimum beyond j_bound/2 stays
-    strictly below 1 (positive exponent) with no net loss across the tail;
-    it fails with a witness index when some tail value exceeds 1 and the
-    tail trends downward; anything else is inconclusive.
+    A multi-index j is scored by the product of its single-direction terms,
+    e_1(j_1) + ... + e_d(j_d) on the log scale, with norms taken as sup
+    norms over the subannulus with inner radius lam.  The product is a
+    heuristic: only the axis terms are exact, and Leibniz cross-terms make
+    it neither the exact mixed norm nor an upper bound on it (ROADMAP item
+    3(a)).  Each level score is the least product over |j| = k, found by
+    `_fold_levels`.  The probe passes when every level minimum beyond
+    j_bound/2 stays strictly below 1 (positive exponent) with no net loss
+    across the tail; it fails with a witness index when some tail value
+    exceeds 1 and the tail trends downward; anything else is inconclusive.
     """
     if j_bound < 8:
         raise ValueError("multi-index bound must be at least 8")
@@ -355,27 +398,8 @@ def taylor_probe(
         exps.extend(None for _ in range(len(exps), j_bound + 1))
         per_direction.append(exps)
 
-    level_minima: list[tuple[int, Optional[Fraction]]] = []
-    level_argmin: dict[int, Tuple[int, ...]] = {}
-    for k in range(j_bound + 1):
-        best: Optional[Fraction] = None
-        best_j: Optional[Tuple[int, ...]] = None
-        for j in _compositions(k, dims):
-            total: Optional[Fraction] = Fraction(0)
-            for l, jl in enumerate(j):
-                e = per_direction[l][jl]
-                if e is None:
-                    total = None
-                    break
-                total += e
-            if total is None:
-                continue
-            if best is None or total < best:
-                best = total
-                best_j = j
-        level_minima.append((k, best))
-        if best_j is not None:
-            level_argmin[k] = best_j
+    minima, argmins = _fold_levels(per_direction, j_bound)
+    level_minima = list(enumerate(minima))
 
     tail = [(k, e) for k, e in level_minima if k > j_bound // 2]
     finite_tail = [(k, e) for k, e in tail if e is not None]
@@ -391,7 +415,7 @@ def taylor_probe(
         outcome, witness = ProbeOutcome.PASS, None
     elif finite_tail and min(e for _, e in finite_tail) < 0 and _cmp_key(last_e) <= _cmp_key(first_e):
         worst_k = min(finite_tail, key=lambda ke: ke[1])[0]
-        outcome, witness = ProbeOutcome.FAIL, level_argmin[worst_k]
+        outcome, witness = ProbeOutcome.FAIL, argmins[worst_k]
     else:
         outcome, witness = ProbeOutcome.INCONCLUSIVE, None
     return TaylorReport(

@@ -142,6 +142,52 @@ class TestValidate:
         assert "bound" in report["error"]
 
 
+
+BIG = "7" * 5001  # past the interpreter's default 4300-digit int/str limit
+OVERSIZED = {
+    "prime": '{"prime": %s, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]]}' % BIG,
+    "exponent": '{"prime": 3, "n": 1, "m": 0, "rank": 1,'
+                ' "matrices": [[[[{"exps": [%s], "coeff": "1"}]]]]}' % BIG,
+    "coefficient": '{"prime": 3, "n": 1, "m": 0, "rank": 1,'
+                   ' "matrices": [[[[{"exps": [-1], "coeff": "1/%s"}]]]]}' % BIG,
+}
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("where", sorted(OVERSIZED))
+    def test_validate_reports_schema_error(self, capsys, tmp_path, where):
+        bad = tmp_path / "big.json"
+        bad.write_text(OVERSIZED[where], encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+        assert "digits" in report["error"]
+        assert "7" * 30 not in report["error"]  # the literal is not echoed back
+
+    @pytest.mark.parametrize("where", sorted(OVERSIZED))
+    def test_analysis_exits_with_one_line(self, capsys, tmp_path, where):
+        bad = tmp_path / "big.json"
+        bad.write_text(OVERSIZED[where], encoding="utf-8")
+        code, out, err = run(capsys, ["oc", "--depth", "16", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and err.count("\n") == 1
+        assert "digits" in err and "7" * 30 not in err
+
+    def test_poly_descriptor(self, capsys, tmp_path):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"prime": %s, "terms": []}' % BIG, encoding="utf-8")
+        code, _, err = run(capsys, ["techlemma", str(bad), "--alpha", "1", "--beta", "1/2"])
+        assert code == 1 and "digits" in err and "7" * 30 not in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"label": "\xe9"}')
+        code, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert report["status"] == "schema-error" and "UTF-8" in report["error"]
+
+
 class TestIr:
     def test_report(self, capsys, dwork_path):
         code, doc, _ = run_json(capsys, ["ir", dwork_path, "--depth", "16"])

@@ -102,8 +102,9 @@ class TestIntegrability:
         violation = integrability_check(module)
         assert violation is not None
         assert (violation.i, violation.j) == (0, 1)
-        with pytest.raises(NotIntegrableError):
-            require_integrable(module)
+        for _ in range(2):  # the second call answers from the first one's result
+            with pytest.raises(NotIntegrableError):
+                require_integrable(module)
 
     def test_commuting_diagonal_matrices_pass(self):
         p = 3

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+from nabla_radius import connection
 from nabla_radius.connection import (
     DEFAULT_DEPTH_CAP,
     ConnectionModule,
@@ -216,3 +217,18 @@ class TestCurveWitnessSearch:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             curve_witness_search(exponential_two_var_module(3), depth=12, trials=0, seed=0)
+
+    def test_integrability_is_checked_once_per_module(self, monkeypatch):
+        # Every trial fails (see above), so the search compares 8 points;
+        # the check oc_ir_test made on the module answers all of them.
+        calls = []
+        original = connection.integrability_check
+
+        def counting(module):
+            calls.append(module)
+            return original(module)
+
+        monkeypatch.setattr(connection, "integrability_check", counting)
+        report = curve_witness_search(fermat_module(), depth=12, trials=8, seed=3)
+        assert report.witness is None
+        assert len(calls) == 1

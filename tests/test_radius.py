@@ -21,6 +21,7 @@ from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import NORM_ONE, LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
+    _fold_levels,
     Verdict,
     deriv_ladder,
     factorial_valuation,
@@ -311,3 +312,77 @@ class TestTaylorProbe:
             expected = k * h - factorial_valuation(k, 3)
             assert e == expected
         assert report.outcome is ProbeOutcome.PASS
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def enumerated_levels(per_direction, j_bound):
+    """Reference: every multi-index of every level, in order; None entries
+    are exact zeros and drop the index, and the first strict minimum wins."""
+    minima, argmins = [], []
+    for k in range(j_bound + 1):
+        best = best_j = None
+        for j in compositions(k, len(per_direction)):
+            values = [per_direction[l][jl] for l, jl in enumerate(j)]
+            if any(e is None for e in values):
+                continue
+            total = sum(values, Fraction(0))
+            if best is None or total < best:
+                best, best_j = total, j
+        minima.append(best)
+        argmins.append(best_j)
+    return minima, argmins
+
+
+# small numerators over denominators 1..3 make equal sums across indices common
+tie_prone_value = st.one_of(
+    st.none(),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+
+
+@st.composite
+def direction_sequences(draw):
+    j_bound = draw(st.integers(0, 10))
+    dims = draw(st.integers(1, 4))
+    seq = st.lists(tie_prone_value, min_size=j_bound + 1, max_size=j_bound + 1)
+    return [draw(seq) for _ in range(dims)], j_bound
+
+
+class TestFoldLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(direction_sequences())
+    def test_fold_equals_enumeration(self, case):
+        per_direction, j_bound = case
+        assert _fold_levels(per_direction, j_bound) == enumerated_levels(per_direction, j_bound)
+
+    def test_ties_keep_the_lexicographically_first_index(self):
+        flat = [[Fraction(0)] * 3 for _ in range(3)]
+        minima, argmins = _fold_levels(flat, 2)
+        assert minima == [0, 0, 0]
+        assert argmins == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+
+    def test_exact_zeros_drop_indices(self):
+        minima, argmins = _fold_levels([[Fraction(1), None], [None, Fraction(2)]], 1)
+        assert minima == [None, 3]
+        assert argmins == [None, (0, 1)]
+
+    def test_wide_and_deep_without_enumeration(self):
+        # 6 directions at J = 200: C(206, 6) ~ 1e11 multi-indices to enumerate.
+        # Direction l has slope 1/(l + 1), the last one vanishes past s = 0, so
+        # level k is cheapest all on direction 4: k/5 at (0, 0, 0, 0, k, 0).
+        J = 200
+        per_direction = [[Fraction(s, l + 1) for s in range(J + 1)] for l in range(5)]
+        per_direction.append([Fraction(0)] + [None] * J)
+        minima, argmins = _fold_levels(per_direction, J)
+        assert minima == [Fraction(k, 5) for k in range(J + 1)]
+        assert argmins == [(0, 0, 0, 0, k, 0) for k in range(J + 1)]
