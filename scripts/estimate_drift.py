@@ -38,7 +38,7 @@ def main() -> int:
             break
         est = max(Fraction(0), base - Fraction(w, s))
         report = intrinsic_radius(module, RadiusVector.ones(1), depth=max(s, 8))
-        point = report.directions[0].point_estimate.exponent
+        point = report.directions[0].point_estimate
         print(f"{s:>5} {w:>5} {str(Fraction(w, s)):>10} {str(est):>10} {str(point):>12}")
     return 0
 

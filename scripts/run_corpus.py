@@ -48,14 +48,14 @@ def main() -> int:
         elif expected.get("oc") == "negative":
             ok &= verdict.verdict.value == "NOT_OVERCONVERGENT_EVIDENCE"
             ok &= verdict.witness_direction == expected.get("witness_direction")
-            ok &= verdict.report.ir_estimate.exponent_str() == expected.get("ir_exponent")
+            ok &= str(verdict.report.ir_estimate) == expected.get("ir_exponent")
         failures += not ok
 
         wit = "-" if verdict.witness_direction is None else str(verdict.witness_direction)
         print(
             f"{entry.label:<18} {module.prime:>2} {module.dims:>4} {module.rank:>4} "
             f"{verdict.verdict.value:<28} {wit:>3} "
-            f"{verdict.report.ir_estimate.exponent_str():>7} "
+            f"{str(verdict.report.ir_estimate):>7} "
             f"{probe.outcome.value:<13} {'yes' if ok else 'NO':<3} ({elapsed:.2f}s)"
         )
     if failures:

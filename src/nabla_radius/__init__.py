@@ -1,10 +1,12 @@
 """Exact radius-of-convergence analysis for connections on p-adic polyannuli.
 
-Scalars are rationals tagged with a prime; norms and radii live on a log
-scale as exact ``Fraction`` exponents of ``p``.  On top of that sit Laurent
-polynomials with rho-Gauss norms, matrix connections with the iterated
-derivative recursion, windowed intrinsic-radius estimates, overconvergence
-verdicts, curve specializations, and a dominant-term interval lemma.
+Scalars are plain ``int``/``Fraction`` values with the prime passed
+alongside; norms and radii live on a log scale as exact ``Fraction``
+exponents of ``p`` (a norm of None is the zero norm).  On top of that sit
+Laurent polynomials with rho-Gauss norms, matrix connections with the
+iterated derivative recursion, windowed intrinsic-radius estimates,
+overconvergence verdicts, curve specializations, and a dominant-term
+interval lemma.
 """
 
 from .connection import (
@@ -34,7 +36,6 @@ from .corpus import (
 from .curves import (
     CurveWitness,
     CutCheckReport,
-    UnitPoint,
     curve_witness_search,
     generic_equality_check,
     sample_unit_point,
@@ -63,11 +64,7 @@ from .newton import (
     unit_certificate_check,
 )
 from .padic import (
-    NORM_ONE,
-    NORM_ZERO,
-    LogNorm,
     LogRadius,
-    PAdicRational,
     PrimeError,
     check_prime,
     fraction_valuation,
@@ -92,8 +89,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DEPTH_CAP",
-    "NORM_ONE",
-    "NORM_ZERO",
     "AlignedInterval",
     "ConnectionModule",
     "CorpusEntry",
@@ -106,12 +101,10 @@ __all__ = [
     "DominantTerm",
     "IntegrabilityViolation",
     "LaurentPoly",
-    "LogNorm",
     "LogRadius",
     "ModuleDescriptor",
     "NotIntegrableError",
     "OcVerdict",
-    "PAdicRational",
     "PolyMatrix",
     "PrimeError",
     "ProbeOutcome",
@@ -120,7 +113,6 @@ __all__ = [
     "SignatureError",
     "TaylorReport",
     "UnitCheck",
-    "UnitPoint",
     "Verdict",
     "build_corpus",
     "canonical_json",

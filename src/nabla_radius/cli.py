@@ -18,7 +18,7 @@ from typing import Optional
 
 from .connection import NotIntegrableError, integrability_check
 from .corpus import build_corpus, corpus_by_label
-from .curves import UnitPoint, curve_witness_search, specialize
+from .curves import curve_witness_search, specialize
 from .descriptor import (
     DescriptorError,
     ModuleDescriptor,
@@ -29,7 +29,7 @@ from .descriptor import (
 )
 from .laurent import RadiusVector
 from .newton import AlignedInterval, dominant_term, shrink_interval, unit_certificate_check
-from .padic import LogRadius, PAdicRational, parse_fraction
+from .padic import LogRadius, parse_fraction
 from .radius import ProbeOutcome, Verdict, intrinsic_radius, oc_ir_test, taylor_probe
 
 SCHEMA = "nabla-radius/1"
@@ -84,17 +84,14 @@ def _load(path: str) -> tuple[ModuleDescriptor, dict]:
     return descriptor, envelope
 
 
-def _point(text: str, prime: int) -> UnitPoint:
+def _point(text: str) -> tuple[Fraction, ...]:
     coords = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise CliError("empty coordinate in --point")
-        coords.append(PAdicRational(_parse_fraction_arg(token, "coordinate"), prime))
-    try:
-        return UnitPoint(tuple(coords))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        coords.append(_parse_fraction_arg(token, "coordinate"))
+    return tuple(coords)
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
@@ -114,14 +111,15 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
     report.update(envelope)
     violation = integrability_check(descriptor.module)
     if violation is not None:
+        try:
+            curvature = violation.curvature.to_records()
+        except ValueError:
+            # a coefficient past the interpreter's int/str digit limit
+            curvature = None
         report.update(
             {
                 "status": "non-integrable",
-                "violation": {
-                    "i": violation.i,
-                    "j": violation.j,
-                    "curvature": violation.curvature.to_records(),
-                },
+                "violation": {"i": violation.i, "j": violation.j, "curvature": curvature},
             }
         )
         return report, EXIT_NOT_INTEGRABLE
@@ -198,7 +196,7 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
         raise CliError(
             f"direction {args.direction} out of range for a module with {module.dims} variables"
         )
-    point = _point(args.point, module.prime)
+    point = _point(args.point)
     curve = specialize(module, args.direction, point)
     label = descriptor.label
     curve_label = f"{label}-curve-t{args.direction}" if label else None
@@ -209,7 +207,7 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
         **envelope,
         "parameters": {
             "direction": args.direction,
-            "point": point.coordinate_strs(),
+            "point": [str(c) for c in point],
         },
         "module": module_descriptor_to_dict(curve_descriptor),
     }

@@ -13,11 +13,12 @@ direction-i operator sends the basis column e_a to column a of G_{i,s}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .laurent import LaurentPoly, LogNorm, LogRadius, RadiusVector, SignatureError
-from .padic import NORM_ZERO, PAdicRational
+from .laurent import LaurentPoly, RadiusVector, SignatureError
+from .padic import LogRadius
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -28,6 +29,13 @@ class NotIntegrableError(ValueError):
 
 class DepthCapError(ValueError):
     """Raised when a requested depth exceeds DEFAULT_DEPTH_CAP."""
+
+
+def _least_exponent(exponents: Iterable[Optional[Fraction]]) -> Optional[Fraction]:
+    """The largest of some norms, i.e. their smallest exponent; None (the
+    zero norm) loses to every finite exponent and is kept only if all are None."""
+    finite = [w for w in exponents if w is not None]
+    return min(finite) if finite else None
 
 
 class PolyMatrix:
@@ -145,26 +153,19 @@ class PolyMatrix:
             for row in self.rows
         ))
 
-    def gauss_lognorm(self, radii: RadiusVector) -> LogNorm:
-        """Largest entry Gauss norm; the zero norm for the zero matrix."""
-        best = NORM_ZERO
-        for row in self.rows:
-            for entry in row:
-                norm = entry.gauss_lognorm(radii)
-                if best < norm:
-                    best = norm
-        return best
+    def gauss_lognorm(self, radii: RadiusVector) -> Optional[Fraction]:
+        """Largest entry Gauss norm exponent; None for the zero matrix."""
+        return _least_exponent(
+            entry.gauss_lognorm(radii) for row in self.rows for entry in row
+        )
 
-    def sup_vertex_lognorm(self, lam: LogRadius) -> LogNorm:
-        best = NORM_ZERO
-        for row in self.rows:
-            for entry in row:
-                norm = entry.sup_vertex_lognorm(lam)
-                if best < norm:
-                    best = norm
-        return best
+    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
+        """Largest entry sup norm exponent over the subannulus; None for zero."""
+        return _least_exponent(
+            entry.sup_vertex_lognorm(lam) for row in self.rows for entry in row
+        )
 
-    def specialize(self, direction: int, coords: Sequence[PAdicRational]) -> "PolyMatrix":
+    def specialize(self, direction: int, coords: Sequence[Fraction]) -> "PolyMatrix":
         return PolyMatrix(tuple(
             tuple(entry.specialize(direction, coords) for entry in row)
             for row in self.rows

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .connection import (
     DEFAULT_DEPTH_CAP,
@@ -23,41 +23,38 @@ from .connection import (
     require_integrable,
 )
 from .laurent import RadiusVector
-from .padic import LogNorm, LogRadius, PAdicRational, fraction_valuation
+from .padic import LogRadius, fraction_valuation
 from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    """Coordinates for every variable except the kept one, in variable
-    order; each coordinate must be a unit (valuation exactly 0)."""
+def _unit_point(
+    module: ConnectionModule, point: Sequence[Fraction | int]
+) -> Tuple[Fraction, ...]:
+    """Check a point of the curve functions against the module: one exact
+    int or Fraction per variable except the kept one, in variable order,
+    each a p-adic unit (valuation exactly 0).  Returns it as Fractions."""
+    coords = []
+    for c in point:
+        if type(c) is not Fraction and type(c) is not int:
+            raise TypeError(
+                f"unit point coordinates must be int or Fraction, not {type(c).__name__}"
+            )
+        c = Fraction(c)
+        if fraction_valuation(c, module.prime) != 0:
+            raise ValueError(f"coordinate {c} is not a unit")
+        coords.append(c)
+    if len(coords) != module.dims - 1:
+        raise ValueError(f"expected {module.dims - 1} coordinates, got {len(coords)}")
+    return tuple(coords)
 
-    coordinates: Tuple[PAdicRational, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coordinates", tuple(self.coordinates))
-        for c in self.coordinates:
-            if not isinstance(c, PAdicRational):
-                raise TypeError("unit point coordinates must be PAdicRational")
-            if not c.is_unit:
-                raise ValueError(f"coordinate {c} is not a unit")
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-    def coordinate_strs(self) -> list[str]:
-        return [str(c) for c in self.coordinates]
-
-
-def specialize(module: ConnectionModule, direction: int, point: UnitPoint) -> ConnectionModule:
+def specialize(
+    module: ConnectionModule, direction: int, point: Sequence[Fraction | int]
+) -> ConnectionModule:
     """One-variable module obtained by fixing all other variables at `point`."""
     if not 0 <= direction < module.dims:
         raise IndexError(f"direction {direction} out of range")
-    if len(point) != module.dims - 1:
-        raise ValueError(
-            f"expected {module.dims - 1} coordinates, got {len(point)}"
-        )
-    N = module.matrices[direction].specialize(direction, point.coordinates)
+    N = module.matrices[direction].specialize(direction, _unit_point(module, point))
     if direction < module.nvars_annulus:
         n, m = 1, 0
     else:
@@ -74,7 +71,7 @@ def specialize(module: ConnectionModule, direction: int, point: UnitPoint) -> Co
 def generic_equality_check(
     module: ConnectionModule,
     direction: int,
-    point: UnitPoint,
+    point: Sequence[Fraction | int],
     depth: int,
     rho: LogRadius,
 ) -> Optional[int]:
@@ -91,12 +88,13 @@ def generic_equality_check(
         raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
     if rho.is_center:
         raise ValueError("comparison radius must be strictly positive")
+    coords = _unit_point(module, point)
     require_integrable(module)
     multi = RadiusVector.single(module.dims, direction, rho)
     single = RadiusVector((rho,))
     for s, G in deriv_ladder(module, direction, depth):
         full = G.gauss_lognorm(multi)
-        evaluated = G.specialize(direction, point.coordinates).gauss_lognorm(single)
+        evaluated = G.specialize(direction, coords).gauss_lognorm(single)
         if full != evaluated:
             return s
     return None
@@ -108,7 +106,7 @@ def sample_unit_point(
     count: int,
     num_range: int = 9,
     den_range: int = 9,
-) -> UnitPoint:
+) -> Tuple[Fraction, ...]:
     """Draw `count` unit coordinates with small random numerator/denominator."""
     coords = []
     for _ in range(count):
@@ -119,9 +117,9 @@ def sample_unit_point(
                 continue
             x = Fraction(num, den)
             if fraction_valuation(x, prime) == 0:
-                coords.append(PAdicRational(x, prime))
+                coords.append(x)
                 break
-    return UnitPoint(tuple(coords))
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -129,16 +127,16 @@ class CurveWitness:
     """A unit point whose coordinate curve reproduces the full-module radius."""
 
     direction: int
-    point: UnitPoint
-    ir_full: LogNorm
-    ir_curve: LogNorm
+    point: Tuple[Fraction, ...]
+    ir_full: Fraction
+    ir_curve: Fraction
 
     def to_json_dict(self) -> dict:
         return {
             "direction": self.direction,
-            "point": self.point.coordinate_strs(),
-            "ir_full_exponent": self.ir_full.exponent_str(),
-            "ir_curve_exponent": self.ir_curve.exponent_str(),
+            "point": [str(c) for c in self.point],
+            "ir_full_exponent": str(self.ir_full),
+            "ir_curve_exponent": str(self.ir_curve),
         }
 
 

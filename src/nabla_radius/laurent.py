@@ -6,7 +6,8 @@ A polynomial lives on a product of ``nvars_annulus`` annulus variables
 coefficients; zero coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
-norm, i.e. the smallest such exponent.
+norm, i.e. the smallest such exponent.  Norms are returned as that exact
+``Fraction`` exponent, with None for the zero norm.
 """
 
 from __future__ import annotations
@@ -16,20 +17,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .padic import (
-    LogNorm,
-    LogRadius,
-    NORM_ZERO,
-    PAdicRational,
-    check_prime,
-    fraction_valuation,
-    parse_fraction,
-)
+from .padic import LogRadius, check_prime, fraction_valuation, parse_fraction
 
 ExponentVector = Tuple[int, ...]
-CoefficientLike = Union[PAdicRational, Fraction, int]
 
 # The exact coefficient spelling in term records: "num" or "num/den".
 _COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -60,7 +52,7 @@ class RadiusVector:
         return cls(tuple(LogRadius.one() for _ in range(dims)))
 
     @classmethod
-    def from_exponents(cls, exponents: Iterable[Union[Fraction, int, None]]) -> "RadiusVector":
+    def from_exponents(cls, exponents: Iterable[Fraction | int | None]) -> "RadiusVector":
         return cls(tuple(
             LogRadius.center() if e is None else LogRadius(Fraction(e))
             for e in exponents
@@ -95,7 +87,7 @@ class LaurentPoly:
         prime: int,
         nvars_annulus: int,
         nvars_disc: int,
-        terms: Mapping[ExponentVector, CoefficientLike] | Iterable[tuple[ExponentVector, CoefficientLike]] = (),
+        terms: Mapping[ExponentVector, Fraction | int] | Iterable[tuple[ExponentVector, Fraction | int]] = (),
     ) -> None:
         check_prime(prime)
         if nvars_annulus < 0 or nvars_disc < 0:
@@ -119,14 +111,7 @@ class LaurentPoly:
                     raise SignatureError(
                         f"disc variable {l} cannot have negative exponent in {key}"
                     )
-            if isinstance(coeff, PAdicRational):
-                if coeff.prime != prime:
-                    raise SignatureError(
-                        f"coefficient prime {coeff.prime} != polynomial prime {prime}"
-                    )
-                value = coeff.value
-            else:
-                value = Fraction(coeff)
+            value = Fraction(coeff)
             if value == 0:
                 continue
             if key in clean:
@@ -158,7 +143,7 @@ class LaurentPoly:
         return cls(prime, n, m, ())
 
     @classmethod
-    def constant(cls, prime: int, n: int, m: int, value: CoefficientLike) -> "LaurentPoly":
+    def constant(cls, prime: int, n: int, m: int, value: Fraction | int) -> "LaurentPoly":
         return cls(prime, n, m, {(0,) * (n + m): value})
 
     @classmethod
@@ -166,7 +151,7 @@ class LaurentPoly:
         return cls.constant(prime, n, m, 1)
 
     @classmethod
-    def monomial(cls, prime: int, n: int, m: int, exps: Sequence[int], coeff: CoefficientLike) -> "LaurentPoly":
+    def monomial(cls, prime: int, n: int, m: int, exps: Sequence[int], coeff: Fraction | int) -> "LaurentPoly":
         return cls(prime, n, m, {tuple(exps): coeff})
 
     @classmethod
@@ -189,8 +174,8 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, exps: Sequence[int]) -> PAdicRational:
-        return PAdicRational(self._terms.get(tuple(exps), Fraction(0)), self.prime)
+    def coefficient(self, exps: Sequence[int]) -> Fraction:
+        return self._terms.get(tuple(exps), Fraction(0))
 
     def _check_signature(self, other: "LaurentPoly") -> None:
         if (
@@ -257,11 +242,7 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def scalar_mul(self, scalar: CoefficientLike) -> "LaurentPoly":
-        if isinstance(scalar, PAdicRational):
-            if scalar.prime != self.prime:
-                raise SignatureError("scalar prime mismatch")
-            scalar = scalar.value
+    def scalar_mul(self, scalar: Fraction | int) -> "LaurentPoly":
         c = Fraction(scalar)
         if c == 0:
             return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {})
@@ -273,7 +254,7 @@ class LaurentPoly:
         )
 
     def __mul__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, (PAdicRational, Fraction, int)):
+        if isinstance(other, (Fraction, int)):
             return self.scalar_mul(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -295,7 +276,7 @@ class LaurentPoly:
         return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
 
     def __rmul__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, (PAdicRational, Fraction, int)):
+        if isinstance(other, (Fraction, int)):
             return self.scalar_mul(other)
         return NotImplemented
 
@@ -324,9 +305,10 @@ class LaurentPoly:
 
     # -- norms ---------------------------------------------------------------
 
-    def gauss_lognorm(self, radii: RadiusVector) -> LogNorm:
-        """rho-Gauss norm.  Annulus radii must be positive; a disc radius
-        of zero silences every term with a positive exponent there."""
+    def gauss_lognorm(self, radii: RadiusVector) -> Optional[Fraction]:
+        """rho-Gauss norm exponent, None for the zero norm.  Annulus radii
+        must be positive; a disc radius of zero silences every term with a
+        positive exponent there."""
         if len(radii) != self.nvars:
             raise SignatureError(
                 f"radius vector has {len(radii)} entries, expected {self.nvars}"
@@ -354,11 +336,11 @@ class LaurentPoly:
                     w += j * r
             if best is None or w < best:
                 best = w
-        return NORM_ZERO if best is None else LogNorm(best)
+        return None if best is None else Fraction(best)
 
-    def sup_vertex_lognorm(self, lam: LogRadius) -> LogNorm:
-        """Sup norm over the subannulus with inner radius lam: the largest
-        Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m.
+    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
+        """Sup norm exponent over the subannulus with inner radius lam: the
+        largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m.
 
         Each term is largest at the corner that puts lam on its negative
         annulus exponents and 1 everywhere else, so the exponent is the
@@ -376,13 +358,16 @@ class LaurentPoly:
                 w += L * neg
             if best is None or w < best:
                 best = w
-        return NORM_ZERO if best is None else LogNorm(best)
+        return None if best is None else Fraction(best)
 
     # -- substitution -----------------------------------------------------
 
-    def specialize(self, direction: int, coords: Sequence[PAdicRational]) -> "LaurentPoly":
-        """Substitute unit scalars for every variable except `direction`,
-        producing a one-variable polynomial in that variable."""
+    def specialize(self, direction: int, coords: Sequence[Fraction]) -> "LaurentPoly":
+        """Substitute scalars for every variable except `direction`, in
+        variable order, producing a one-variable polynomial in that variable.
+
+        The coordinates are not checked to be units: `curves` does that
+        once per point before it specializes a module."""
         if not 0 <= direction < self.nvars:
             raise IndexError(f"direction {direction} out of range")
         others = [l for l in range(self.nvars) if l != direction]
@@ -390,15 +375,7 @@ class LaurentPoly:
             raise SignatureError(
                 f"expected {len(others)} coordinates, got {len(coords)}"
             )
-        values: list[Fraction] = []
-        for c in coords:
-            if not isinstance(c, PAdicRational):
-                raise TypeError("specialization points must be PAdicRational units")
-            if c.prime != self.prime:
-                raise SignatureError("coordinate prime mismatch")
-            if not c.is_unit:
-                raise ValueError(f"coordinate {c} is not a unit (valuation != 0)")
-            values.append(c.value)
+        values = [Fraction(c) for c in coords]  # int ** -j would be a float
         acc: dict[ExponentVector, Fraction] = {}
         for key, coeff in self._terms.items():
             c = coeff

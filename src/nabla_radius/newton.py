@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .laurent import LaurentPoly, RadiusVector, SignatureError
-from .padic import LogNorm, LogRadius, fraction_valuation
+from .padic import LogRadius, fraction_valuation
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
     return out
 
 
-def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> LogNorm:
-    """Sup of |a| over the interval: nonpositive degrees peak at alpha,
-    nonnegative degrees at beta."""
+def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> Fraction:
+    """Exponent of the sup of |a| over the interval: nonpositive degrees
+    peak at alpha, nonnegative degrees at beta.  `a` must be nonzero."""
     lines = _line_data(a)
     ra, rb = interval.r_alpha, interval.r_beta
     best: Optional[Fraction] = None
@@ -89,7 +89,7 @@ def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> LogNorm:
             if best is None or e < best:
                 best = e
     assert best is not None
-    return LogNorm(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
     """Degrees attaining the sup at each endpoint, and the selected n0:
     the largest attaining degree <= 0 if any, else the smallest >= 0."""
     lines = _line_data(a)
-    sup = sup_norm_on_interval(a, interval).exponent
+    sup = sup_norm_on_interval(a, interval)
     ra, rb = interval.r_alpha, interval.r_beta
     A = frozenset(n for n, v in lines.items() if n <= 0 and v + n * ra == sup)
     B = frozenset(n for n, v in lines.items() if n >= 0 and v + n * rb == sup)
@@ -125,14 +125,14 @@ class DominanceCertificate:
 
     n0: int
     interval: AlignedInterval
-    sup_norm: LogNorm
+    sup_norm: Fraction
     margin: Optional[Fraction]
 
     def to_json_dict(self) -> dict:
         return {
             "n0": self.n0,
             "interval": self.interval.to_json_dict(),
-            "sup_exponent": self.sup_norm.exponent_str(),
+            "sup_exponent": str(self.sup_norm),
             "margin": "inf" if self.margin is None else str(self.margin),
         }
 
@@ -231,7 +231,7 @@ def unit_certificate_check(
         1,
         0,
         {
-            (n - n0,): coeff / c0.value
+            (n - n0,): coeff / c0
             for (n,), coeff in a.terms.items()
             if n != n0
         },
@@ -247,10 +247,10 @@ def unit_certificate_check(
     sampled = tuple(LogRadius(r) for r in grid)
     for radius in sampled:
         rho = RadiusVector((radius,))
-        f_exp = f.gauss_lognorm(rho).exponent
+        f_exp = f.gauss_lognorm(rho)
         if f_exp is not None and f_exp <= 0:
             return UnitCheck(False, radius, sampled)
-        a_exp = a.gauss_lognorm(rho).exponent
+        a_exp = a.gauss_lognorm(rho)
         if a_exp != v0 + n0 * radius.exponent:
             return UnitCheck(False, radius, sampled)
     return UnitCheck(True, None, sampled)

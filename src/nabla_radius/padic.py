@@ -1,18 +1,19 @@
 """Exact scalar arithmetic for p-adic analysis on the log scale.
 
-Everything here is exact.  Scalars are arbitrary-precision rationals tagged
-with a prime p, valuations are integers (with None standing in for the
-+infinity valuation of zero), and multiplicative quantities of the form
-p**(-w) -- norms and radii -- are stored by their rational exponent w.
-No floating point is used anywhere in the package.
+Everything here is exact.  Scalars are plain ``int``/``Fraction`` values;
+the prime p is passed alongside them.  Valuations are integers (with None
+standing in for the +infinity valuation of zero), and multiplicative
+quantities of the form p**(-w) are stored by their rational exponent w:
+a norm is an ``Optional[Fraction]`` (None for the zero norm) and a radius
+is a ``LogRadius``.  No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Optional
 
 
 class PrimeError(ValueError):
@@ -111,110 +112,6 @@ def parse_fraction(text: str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PAdicRational:
-    """An exact rational number viewed inside the p-adic field Q_p.
-
-    The prime only matters for valuations and norms; arithmetic is done
-    on the bare ``Fraction`` value.
-    """
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.prime)
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    @classmethod
-    def from_str(cls, text: str, prime: int) -> "PAdicRational":
-        return cls(parse_fraction(text), prime)
-
-    @classmethod
-    def zero(cls, prime: int) -> "PAdicRational":
-        return cls(Fraction(0), prime)
-
-    @classmethod
-    def one(cls, prime: int) -> "PAdicRational":
-        return cls(Fraction(1), prime)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @property
-    def is_unit(self) -> bool:
-        """True when |x| = 1, i.e. the valuation is exactly 0."""
-        return self.value != 0 and self.valuation() == 0
-
-    def valuation(self) -> Optional[int]:
-        """Exact p-adic valuation; None encodes +infinity (zero only)."""
-        return fraction_valuation(self.value, self.prime)
-
-    def lognorm(self) -> "LogNorm":
-        v = self.valuation()
-        return NORM_ZERO if v is None else LogNorm(Fraction(v))
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class LogNorm:
-    """A norm value p**(-exponent), stored by its exact exponent.
-
-    exponent None encodes the zero norm (exponent +infinity).  Ordering
-    compares norm magnitudes, so ``max`` picks the largest norm, which is
-    the smallest exponent.  Multiplication adds exponents.
-    """
-
-    exponent: Optional[Fraction]
-
-    def __post_init__(self) -> None:
-        if self.exponent is not None and not isinstance(self.exponent, Fraction):
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
-
-    @classmethod
-    def from_exponent(cls, w: Union[Fraction, int]) -> "LogNorm":
-        return cls(Fraction(w))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    def __mul__(self, other: "LogNorm") -> "LogNorm":
-        if not isinstance(other, LogNorm):
-            return NotImplemented
-        if self.exponent is None or other.exponent is None:
-            return NORM_ZERO
-        return LogNorm(self.exponent + other.exponent)
-
-    def __lt__(self, other: "LogNorm") -> bool:
-        if not isinstance(other, LogNorm):
-            return NotImplemented
-        if self.exponent is None:
-            return other.exponent is not None
-        if other.exponent is None:
-            return False
-        return self.exponent > other.exponent
-
-    def exponent_str(self) -> str:
-        return "inf" if self.exponent is None else str(self.exponent)
-
-    @classmethod
-    def parse(cls, text: str) -> "LogNorm":
-        text = text.strip()
-        if text == "inf":
-            return NORM_ZERO
-        return cls(parse_fraction(text))
-
-
-NORM_ONE = LogNorm(Fraction(0))
-NORM_ZERO = LogNorm(None)
-
-
-@dataclass(frozen=True)
 class LogRadius:
     """A radius p**(-exponent) with rational exponent >= 0.
 
@@ -241,10 +138,6 @@ class LogRadius:
     @classmethod
     def center(cls) -> "LogRadius":
         return cls(None)
-
-    @classmethod
-    def from_exponent(cls, r: Union[Fraction, int]) -> "LogRadius":
-        return cls(Fraction(r))
 
     @property
     def is_center(self) -> bool:

@@ -30,7 +30,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import RadiusVector
-from .padic import LogNorm, LogRadius, NORM_ONE
+from .padic import LogRadius
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -52,12 +52,13 @@ def factorial_valuation(s: int, prime: int) -> int:
 
 @dataclass(frozen=True)
 class DirectionRadius:
-    """Windowed intrinsic-radius estimates for a single direction."""
+    """Windowed intrinsic-radius estimates for a single direction, as
+    exponents of p (0 is radius 1)."""
 
     direction: int
     window_start: int
-    estimates: Tuple[LogNorm, ...]
-    point_estimate: LogNorm
+    estimates: Tuple[Fraction, ...]
+    point_estimate: Fraction
     stability: Fraction
     exact: bool
     vanished_at: Optional[int]
@@ -66,8 +67,8 @@ class DirectionRadius:
         return {
             "direction": self.direction,
             "window_start": self.window_start,
-            "window_estimates": [e.exponent_str() for e in self.estimates],
-            "point_estimate": self.point_estimate.exponent_str(),
+            "window_estimates": [str(e) for e in self.estimates],
+            "point_estimate": str(self.point_estimate),
             "stability": str(self.stability),
             "exact": self.exact,
             "vanished_at": self.vanished_at,
@@ -83,7 +84,7 @@ class RadiusReport:
     depth: int
     window: Fraction
     directions: Tuple[DirectionRadius, ...]
-    ir_estimate: LogNorm
+    ir_estimate: Fraction
     exact_flag: bool
 
     def to_json_dict(self) -> dict:
@@ -92,7 +93,7 @@ class RadiusReport:
             "depth": self.depth,
             "window": str(self.window),
             "directions": [d.to_json_dict() for d in self.directions],
-            "ir_exponent": self.ir_estimate.exponent_str(),
+            "ir_exponent": str(self.ir_estimate),
             "exact": self.exact_flag,
         }
 
@@ -134,14 +135,14 @@ def _direction_radius(
             return DirectionRadius(
                 direction=direction,
                 window_start=s,
-                estimates=(NORM_ONE,),
-                point_estimate=NORM_ONE,
+                estimates=(Fraction(0),),
+                point_estimate=Fraction(0),
                 stability=Fraction(0),
                 exact=True,
                 vanished_at=s,
             )
         if s >= start:
-            w = G.gauss_lognorm(rho).exponent
+            w = G.gauss_lognorm(rho)
             assert w is not None
             est = base - r_i - w / s
             estimates.append(est if est > 0 else Fraction(0))
@@ -149,8 +150,8 @@ def _direction_radius(
     return DirectionRadius(
         direction=direction,
         window_start=start,
-        estimates=tuple(LogNorm(e) for e in estimates),
-        point_estimate=LogNorm(point),
+        estimates=tuple(estimates),
+        point_estimate=point,
         stability=point - min(estimates),
         exact=False,
         vanished_at=None,
@@ -181,7 +182,8 @@ def intrinsic_radius(
         _direction_radius(module, i, rho, depth, window)
         for i in range(module.dims)
     )
-    ir = min(d.point_estimate for d in directions)
+    # the smallest radius, i.e. the largest exponent
+    ir = max(d.point_estimate for d in directions)
     exact_flag = all(d.exact for d in directions)
     return RadiusReport(
         prime=module.prime,
@@ -238,21 +240,20 @@ def oc_ir_test(
     for d in report.directions:
         if d.exact:
             continue
-        exps = [e.exponent for e in d.estimates]
-        if max(exps) <= tol:
+        if max(d.estimates) <= tol:
             continue
-        if min(exps) >= tol and d.stability <= tol:
+        if min(d.estimates) >= tol and d.stability <= tol:
             negative.append(d)
         else:
             undecided.append(d)
     if negative:
-        witness = max(negative, key=lambda d: (d.point_estimate.exponent, -d.direction))
+        witness = max(negative, key=lambda d: (d.point_estimate, -d.direction))
         return OcVerdict(
             Verdict.NOT_OVERCONVERGENT_EVIDENCE,
             witness.direction,
             (
                 f"direction {witness.direction} is stably below 1: window exponents"
-                f" >= {min(e.exponent for e in witness.estimates)} with spread"
+                f" >= {min(witness.estimates)} with spread"
                 f" {witness.stability} <= tol {tol}"
             ),
             report,
@@ -392,7 +393,7 @@ def taylor_probe(
         for s, G in deriv_ladder(module, l, j_bound):
             if G.is_zero:
                 break
-            w = G.sup_vertex_lognorm(lam).exponent
+            w = G.sup_vertex_lognorm(lam)
             assert w is not None
             exps.append(w - factorial_valuation(s, p) + s * h)
         exps.extend(None for _ in range(len(exps), j_bound + 1))

@@ -85,7 +85,7 @@ def test_criterion_1_trivial_modules_are_exactly_one():
                 trivial_module(3, n, m, rank), RadiusVector.ones(n + m), depth=8
             )
             assert report.exact_flag, (n, m, rank)
-            assert report.ir_estimate.exponent == 0, (n, m, rank)
+            assert report.ir_estimate == 0, (n, m, rank)
             assert all(d.vanished_at == 1 for d in report.directions)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -101,7 +101,7 @@ def test_criterion_2_exponential_module_radius_and_probes():
         report = intrinsic_radius(module, R1, depth=200, window=Fraction(1))
         d = report.directions[0]
         assert len(d.estimates) == 200
-        assert all(e.exponent == base for e in d.estimates), p
+        assert all(e == base for e in d.estimates), p
         assert d.stability == 0 and not d.exact
 
         verdict = oc_ir_test(module, depth=200, window=Fraction(1))
@@ -133,8 +133,8 @@ def test_criterion_3_power_modules_exact_and_drifting():
     for offset, est in enumerate(d.estimates):
         s = d.window_start + offset
         w = falling_factorial_valuation(a, s, p)
-        assert est.exponent == max(Fraction(0), Fraction(1, 2) - Fraction(w, s)), s
-    worst = max(e.exponent for e in d.estimates)
+        assert est == max(Fraction(0), Fraction(1, 2) - Fraction(w, s)), s
+    worst = max(d.estimates)
     assert worst < Fraction(1, 50), worst
     print(f"criterion 3 (power modules: integer case exact at depth 4, half case "
           f"within 1/50 of 1 by depth 200, worst {worst}): PASS")
@@ -147,12 +147,16 @@ def test_criterion_4_norm_laws_on_random_inputs():
             f = _random_poly(rng, 3, n, m, 5)
             g = _random_poly(rng, 3, n, m, 5)
             rho = _random_radii(rng, n, m)
+            # exponents: None is the zero norm, a smaller exponent a larger norm
             nf, ng = f.gauss_lognorm(rho), g.gauss_lognorm(rho)
-            assert (f * g).gauss_lognorm(rho) == nf * ng
+            product = None if nf is None or ng is None else nf + ng
+            assert (f * g).gauss_lognorm(rho) == product
             ns = (f + g).gauss_lognorm(rho)
-            assert not (max(nf, ng) < ns)
+            finite = [w for w in (nf, ng) if w is not None]
+            larger = min(finite) if finite else None
+            assert ns is None or (larger is not None and ns >= larger)
             if nf != ng:
-                assert ns == max(nf, ng)
+                assert ns == larger
     # Concavity of the norm exponent in the radius exponent, one variable.
     for _ in range(500):
         f = _random_poly(rng, 3, 1, 0, 6)
@@ -163,7 +167,7 @@ def test_criterion_4_norm_laws_on_random_inputs():
         mid = (r1 + r2) / 2
 
         def w(r):
-            return f.gauss_lognorm(RadiusVector((LogRadius(r),))).exponent
+            return f.gauss_lognorm(RadiusVector((LogRadius(r),)))
 
         assert 2 * w(mid) >= w(r1) + w(r2)
     print("criterion 4 (norm laws: multiplicative + ultrametric with equality "
@@ -193,19 +197,19 @@ def test_criterion_5_dominance_certificates_verify():
 
         # dense-grid oracle for the sup norm: the grid includes both
         # endpoints, and concavity pins the minimum exponent there.
-        sup = sup_norm_on_interval(a, interval).exponent
+        sup = sup_norm_on_interval(a, interval)
         grid_min = min(
             a.gauss_lognorm(
                 RadiusVector((LogRadius(
                     interval.r_beta + (interval.r_alpha - interval.r_beta) * Fraction(k, 32)
                 ),))
-            ).exponent
+            )
             for k in range(33)
         )
         assert grid_min == sup
 
         d = dominant_term(a, interval)
-        v0 = fraction_valuation(a.coefficient((d.n0,)).value, prime)
+        v0 = fraction_valuation(a.coefficient((d.n0,)), prime)
         attained = []
         if d.n0 <= 0:
             attained.append(v0 + d.n0 * interval.r_alpha)
@@ -234,7 +238,7 @@ def test_criterion_6_specialization_naturality_exact():
             full = list(islice(iter_deriv_matrices(module, direction), 51))
             reduced = list(islice(iter_deriv_matrices(curve, 0), 51))
             for s in range(51):
-                assert full[s].specialize(direction, point.coordinates) == reduced[s], (
+                assert full[s].specialize(direction, point) == reduced[s], (
                     k, direction, s,
                 )
     print("criterion 6 (specialization naturality exact to depth 50 on 100 "
@@ -256,7 +260,7 @@ def test_criterion_7_curve_witness_reproduces_full_radius():
     w = report.witness
     assert w is not None
     assert w.ir_curve == w.ir_full
-    assert w.ir_curve.exponent == Fraction(1, 2)
+    assert w.ir_curve == Fraction(1, 2)
     curve = specialize(module, w.direction, w.point)
     assert w.ir_curve == intrinsic_radius(curve, R1, depth=50).ir_estimate
     print(f"criterion 7 (curve witnesses: {passes}/10 generic points agree to "
@@ -274,7 +278,7 @@ def test_criterion_8_verdicts_and_probes_agree_on_corpus():
         else:
             assert verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE, entry.label
             assert verdict.witness_direction == expected["witness_direction"]
-            assert verdict.report.ir_estimate.exponent_str() == expected["ir_exponent"]
+            assert str(verdict.report.ir_estimate) == expected["ir_exponent"]
 
         probe = taylor_probe(
             module,
@@ -303,7 +307,7 @@ def test_criterion_9_constant_twist_grid_closed_form():
                 )
                 d = report.directions[0]
                 expected = max(Fraction(0), spectral_base_exponent(p) - r - v)
-                assert d.point_estimate.exponent == expected, (p, v, r)
+                assert d.point_estimate == expected, (p, v, r)
                 assert d.stability == 0, (p, v, r)
     print("criterion 9 (constant-twist closed form max(0, 1/(p-1) - r - v) on "
           "the 9-point radius grid, p in {2,3,5}, v in {-1,0,1}, spread 0): PASS")

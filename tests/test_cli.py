@@ -180,6 +180,21 @@ class TestOversizedIntegers:
         code, _, err = run(capsys, ["techlemma", str(bad), "--alpha", "1", "--beta", "1/2"])
         assert code == 1 and "digits" in err and "7" * 30 not in err
 
+    def test_non_integrable_curvature_too_long_to_print(self, capsys, tmp_path):
+        # [N_1, N_2] holds c**2, a 6000-digit coefficient that str() refuses.
+        c = [{"exps": [0, 0], "coeff": "7" * 3000}]
+        doc = {"prime": 3, "n": 2, "m": 0, "rank": 2,
+               "matrices": [[[[], c], [[], []]], [[[], []], [c, []]]]}
+        path = tmp_path / "curved.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 2 and err == ""
+        assert report["status"] == "non-integrable"
+        assert report["violation"] == {"i": 0, "j": 1, "curvature": None}
+        code, out, err = run(capsys, ["oc", "--depth", "16", str(path)])
+        assert code == 2 and out == ""
+        assert err == "nabla-radius: curvature in directions (0, 1) is nonzero\n"
+
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"label": "\xe9"}')

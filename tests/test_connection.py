@@ -23,7 +23,7 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
-from nabla_radius.padic import LogRadius, PAdicRational
+from nabla_radius.padic import LogRadius
 from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
 
 
@@ -77,14 +77,14 @@ class TestPolyMatrix:
         p = 3
         A = PolyMatrix.from_scalar_rows(p, 1, 0, [[Fraction(3), Fraction(1, 9)],
                                                   [Fraction(1), Fraction(27)]])
-        assert A.gauss_lognorm(RadiusVector.ones(1)).exponent == Fraction(-2)
-        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm(RadiusVector.ones(1)).is_zero
+        assert A.gauss_lognorm(RadiusVector.ones(1)) == Fraction(-2)
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm(RadiusVector.ones(1)) is None
 
     def test_specialize_entrywise(self):
         p = 3
         t2 = LaurentPoly.variable(p, 2, 0, 1)
         A = PolyMatrix([[t2]])
-        B = A.specialize(0, (PAdicRational(Fraction(2), p),))
+        B = A.specialize(0, (Fraction(2),))
         assert B.rows[0][0] == LaurentPoly.constant(p, 1, 0, 2)
 
 
@@ -173,7 +173,7 @@ class TestIteratedDerivatives:
         for s in range(41):
             w = falling_factorial_valuation(a, s, p)
             got = seq[s].gauss_lognorm(RadiusVector.ones(1))
-            assert got.exponent == w
+            assert got == w
 
     def test_recursion_invariant(self):
         # G_{s+1} = d(G_s) + N G_s, checked directly on a two-var module.

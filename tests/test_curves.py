@@ -16,19 +16,15 @@ from nabla_radius.connection import (
 )
 from nabla_radius.corpus import exponential_two_var_module, trivial_module
 from nabla_radius.curves import (
-    UnitPoint,
+    _unit_point,
     curve_witness_search,
     generic_equality_check,
     sample_unit_point,
     specialize,
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
-from nabla_radius.padic import LogRadius, PAdicRational
+from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import Verdict, intrinsic_radius
-
-
-def unit(value, p=3):
-    return PAdicRational(Fraction(value), p)
 
 
 def curve_radius(module, witness, depth):
@@ -63,24 +59,32 @@ def fermat_module(p=3):
 
 
 class TestUnitPoint:
+    """A unit point is a tuple of Fractions, checked against the module once."""
+
     def test_accepts_units(self):
-        pt = UnitPoint((unit(Fraction(2, 5)), unit(-1)))
-        assert pt.coordinate_strs() == ["2/5", "-1"]
-        assert len(pt) == 2
+        module = trivial_module(3, 2, 1, 1)
+        pt = _unit_point(module, (Fraction(2, 5), -1))
+        assert pt == (Fraction(2, 5), Fraction(-1))
+        assert all(type(c) is Fraction for c in pt)
 
     def test_rejects_non_units(self):
-        with pytest.raises(ValueError):
-            UnitPoint((unit(3),))
-        with pytest.raises(ValueError):
-            UnitPoint((unit(Fraction(1, 3)),))
-        with pytest.raises(TypeError):
-            UnitPoint((Fraction(1),))  # type: ignore[arg-type]
+        module = exponential_two_var_module(3)
+        for bad in (3, Fraction(1, 3), Fraction(0)):
+            with pytest.raises(ValueError, match="not a unit"):
+                specialize(module, 0, (bad,))
+            with pytest.raises(ValueError, match="not a unit"):
+                generic_equality_check(module, 0, (bad,), depth=5, rho=LogRadius.one())
+        for bad in (1.0, True, "1"):
+            with pytest.raises(TypeError):
+                specialize(module, 0, (bad,))
+            with pytest.raises(TypeError):
+                generic_equality_check(module, 0, (bad,), depth=5, rho=LogRadius.one())
 
 
 class TestSpecialize:
     def test_shapes_and_retained_matrix(self):
         module = exponential_two_var_module(3)
-        pt = UnitPoint((unit(2),))
+        pt = (Fraction(2),)
         curve0 = specialize(module, 0, pt)
         assert (curve0.nvars_annulus, curve0.nvars_disc, curve0.rank) == (1, 0, 1)
         assert len(curve0.matrices) == 1
@@ -90,9 +94,9 @@ class TestSpecialize:
     def test_wrong_arity(self):
         module = exponential_two_var_module(3)
         with pytest.raises(ValueError):
-            specialize(module, 0, UnitPoint((unit(1), unit(1))))
+            specialize(module, 0, (Fraction(1), Fraction(1)))
         with pytest.raises(IndexError):
-            specialize(module, 2, UnitPoint((unit(1),)))
+            specialize(module, 2, (Fraction(1),))
 
     def test_disc_direction_keeps_disc_signature(self):
         # phi = t * u on one annulus and one disc variable.
@@ -100,7 +104,7 @@ class TestSpecialize:
         phi = LaurentPoly(p, 1, 1, {(1, 1): 1})
         module = potential_module(p, phi)
         assert integrability_check(module) is None
-        curve = specialize(module, 1, UnitPoint((unit(2),)))
+        curve = specialize(module, 1, (Fraction(2),))
         assert (curve.nvars_annulus, curve.nvars_disc) == (0, 1)
         assert curve.matrices[0] == PolyMatrix.from_scalar_rows(p, 0, 1, [[2]])
 
@@ -108,42 +112,42 @@ class TestSpecialize:
     def test_naturality_exact(self, direction):
         # Specializing the matrices commutes with the derivative recursion.
         module = shifted_module()
-        pt = UnitPoint((unit(Fraction(5, 2)),))
+        pt = (Fraction(Fraction(5, 2)),)
         curve = specialize(module, direction, pt)
         full = list(islice(iter_deriv_matrices(module, direction), 13))
         reduced = list(islice(iter_deriv_matrices(curve, 0), 13))
         for s in range(13):
-            assert full[s].specialize(direction, pt.coordinates) == reduced[s]
+            assert full[s].specialize(direction, pt) == reduced[s]
 
 
 class TestGenericEquality:
     def test_holds_at_generic_point(self):
         # (c - 1) is a unit for c = 2, so every power keeps norm 1.
         assert generic_equality_check(
-            shifted_module(), 0, UnitPoint((unit(2),)), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(2),), depth=10, rho=LogRadius.one()
         ) is None
 
     def test_fails_on_valuation_drop(self):
         # c = 4 gives c - 1 = 3, so the evaluated norm drops at s = 1.
         assert generic_equality_check(
-            shifted_module(), 0, UnitPoint((unit(4),)), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(4),), depth=10, rho=LogRadius.one()
         ) == 1
 
     def test_fails_at_exact_zero(self):
         # c = 1 evaluates t2 - 1 to zero: the norm collapses entirely.
         assert generic_equality_check(
-            shifted_module(), 0, UnitPoint((unit(1),)), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(1),), depth=10, rho=LogRadius.one()
         ) == 1
 
     def test_vanishing_sequence_agrees_everywhere(self):
         module = exponential_two_var_module(3)
         assert generic_equality_check(
-            module, 1, UnitPoint((unit(2),)), depth=10, rho=LogRadius.one()
+            module, 1, (Fraction(2),), depth=10, rho=LogRadius.one()
         ) is None
 
     def test_input_validation(self):
         module = exponential_two_var_module(3)
-        pt = UnitPoint((unit(2),))
+        pt = (Fraction(2),)
         with pytest.raises(ValueError):
             generic_equality_check(module, 0, pt, depth=0, rho=LogRadius.one())
         with pytest.raises(ValueError):
@@ -161,7 +165,7 @@ class TestGenericEquality:
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
         )
         with pytest.raises(NotIntegrableError):
-            generic_equality_check(bad, 0, UnitPoint((unit(2),)), depth=5, rho=LogRadius.one())
+            generic_equality_check(bad, 0, (Fraction(2),), depth=5, rho=LogRadius.one())
 
 
 class TestSampleUnitPoint:
@@ -170,12 +174,11 @@ class TestSampleUnitPoint:
         b = sample_unit_point(random.Random(11), 3, 4)
         assert a == b
         assert len(a) == 4
-        assert all(c.is_unit for c in a.coordinates)
+        assert all(type(c) is Fraction and fraction_valuation(c, 3) == 0 for c in a)
 
     def test_respects_prime(self):
         pt = sample_unit_point(random.Random(0), 2, 8)
-        assert all(c.value.numerator % 2 != 0 and c.value.denominator % 2 != 0
-                   for c in pt.coordinates)
+        assert all(c.numerator % 2 != 0 and c.denominator % 2 != 0 for c in pt)
 
 
 class TestCurveWitnessSearch:
@@ -187,7 +190,7 @@ class TestCurveWitnessSearch:
         assert w is not None
         assert w.direction == 0
         assert w.ir_curve == w.ir_full
-        assert w.ir_curve.exponent == Fraction(1, 2)
+        assert w.ir_curve == Fraction(1, 2)
         assert w.ir_curve == curve_radius(module, w, 24)
 
     def test_deterministic_in_seed(self):

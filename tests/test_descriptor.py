@@ -149,8 +149,8 @@ class TestPolyDescriptor:
              "label": "p-plus-t"}
         )
         assert label == "p-plus-t"
-        assert poly.coefficient((0,)).value == 2
-        assert poly.coefficient((1,)).value == 1
+        assert poly.coefficient((0,)) == 2
+        assert poly.coefficient((1,)) == 1
 
     def test_errors(self):
         with pytest.raises(DescriptorError):

@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nabla_radius.connection import PolyMatrix, _least_exponent
+from nabla_radius.laurent import LaurentPoly, RadiusVector
 from nabla_radius.padic import (
-    NORM_ONE,
-    NORM_ZERO,
     PRIME_BOUND,
-    LogNorm,
     LogRadius,
-    PAdicRational,
     PrimeError,
     check_prime,
     fraction_valuation,
@@ -159,74 +157,86 @@ def test_parse_fraction():
 
 
 class TestPAdicRational:
+    """Rationals viewed in Q_p: plain Fractions, with the prime passed to
+    `fraction_valuation` alongside them."""
+
     def test_construction_and_str(self):
-        x = PAdicRational(Fraction(3, 4), 5)
-        assert str(x) == "3/4"
-        assert PAdicRational.from_str("-2/7", 3).value == Fraction(-2, 7)
+        assert str(Fraction(3, 4)) == "3/4"
+        assert parse_fraction("-2/7") == Fraction(-2, 7)
+        # the prime is checked where it is stored, on the polynomial
         with pytest.raises(PrimeError):
-            PAdicRational(Fraction(1), 6)
+            LaurentPoly.constant(6, 1, 0, Fraction(1))
 
     def test_zero_one_flags(self):
         p = 3
-        assert PAdicRational.zero(p).is_zero
-        assert PAdicRational.one(p).is_unit
-        assert not PAdicRational(Fraction(3), p).is_unit
-        assert not PAdicRational(Fraction(1, 3), p).is_unit
-        assert PAdicRational(Fraction(2, 5), 3).is_unit
+        assert fraction_valuation(Fraction(0), p) is None
+        assert fraction_valuation(Fraction(1), p) == 0
+        assert fraction_valuation(Fraction(3), p) == 1
+        assert fraction_valuation(Fraction(1, 3), p) == -1
+        assert fraction_valuation(Fraction(2, 5), p) == 0
 
     @given(x=rationals, p=prime_st)
     def test_lognorm_matches_valuation(self, x, p):
-        a = PAdicRational(x, p)
-        n = a.lognorm()
+        # The norm of a scalar is the Gauss norm of the constant polynomial.
+        w = LaurentPoly.constant(p, 1, 0, x).gauss_lognorm(RadiusVector.ones(1))
         if x == 0:
-            assert n is NORM_ZERO
+            assert w is None
         else:
-            assert n.exponent == fraction_valuation(x, p)
+            assert type(w) is Fraction
+            assert w == fraction_valuation(x, p)
 
     @given(x=nonzero_rationals, y=nonzero_rationals, p=prime_st)
     def test_norm_is_multiplicative(self, x, y, p):
-        a = PAdicRational(x, p)
-        b = PAdicRational(y, p)
-        product = PAdicRational(x * y, p)
-        assert product.lognorm() == LogNorm(a.lognorm().exponent + b.lognorm().exponent)
+        def norm(c):
+            return LaurentPoly.constant(p, 1, 0, c).gauss_lognorm(RadiusVector.ones(1))
+
+        assert norm(x * y) == norm(x) + norm(y)
 
 
 class TestLogNorm:
+    """Norms p**(-w) are held as their exponent w: an Optional[Fraction],
+    with None for the zero norm.  A larger norm is a smaller exponent."""
+
     def test_ordering_by_magnitude(self):
-        # p**-1 < p**0: larger exponent means smaller norm.
-        small = LogNorm(Fraction(1))
-        assert small < NORM_ONE
-        assert NORM_ZERO < small
-        assert max(NORM_ZERO, small, NORM_ONE) == NORM_ONE
-        assert min(NORM_ZERO, small, NORM_ONE) == NORM_ZERO
+        # p**-1 < p**0: the matrix norm is the entry with the least exponent,
+        # and the zero norm loses to every nonzero one.
+        p = 3
+        M = PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3], [1, 0]])
+        assert M.gauss_lognorm(RadiusVector.ones(1)) == 0
+        assert PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3]] * 2).gauss_lognorm(
+            RadiusVector.ones(1)
+        ) == 1
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm(RadiusVector.ones(1)) is None
+        assert PolyMatrix.zeros(p, 1, 0, 2).sup_vertex_lognorm(LogRadius.one()) is None
 
     def test_multiplication(self):
-        a = LogNorm(Fraction(1, 2))
-        b = LogNorm(Fraction(1, 3))
-        assert (a * b).exponent == Fraction(5, 6)
-        assert (a * NORM_ZERO).is_zero
-        assert (NORM_ZERO * NORM_ZERO).is_zero
+        # At radius 3**(-1/6): |t**3| has exponent 1/2, |t**2| 1/3, |t**5| 5/6.
+        rho = RadiusVector((LogRadius(Fraction(1, 6)),))
+        a = LaurentPoly.monomial(3, 1, 0, (3,), 1)
+        b = LaurentPoly.monomial(3, 1, 0, (2,), 1)
+        assert a.gauss_lognorm(rho) == Fraction(1, 2)
+        assert b.gauss_lognorm(rho) == Fraction(1, 3)
+        assert (a * b).gauss_lognorm(rho) == Fraction(5, 6)
+        zero = LaurentPoly.zero(3, 1, 0)
+        assert (a * zero).gauss_lognorm(rho) is None
+        assert (zero * zero).gauss_lognorm(rho) is None
 
     def test_helpers(self):
-        a = LogNorm(Fraction(2))
-        b = LogNorm(Fraction(1, 7))
-        assert max(a, b) == b
-        assert min([a, b, NORM_ONE]) == a
-
-    def test_parse_round_trip(self):
-        for text in ["0", "1/2", "-3", "inf"]:
-            assert LogNorm.parse(text).exponent_str() == text
+        assert _least_exponent([Fraction(2), Fraction(1, 7)]) == Fraction(1, 7)
+        assert _least_exponent([Fraction(2), None, Fraction(0)]) == 0
+        assert _least_exponent([None, None]) is None
+        assert _least_exponent([]) is None
 
     @given(
         w=st.lists(
             st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60),
             min_size=2,
             max_size=6,
-        )
+        ),
+        zeros=st.integers(0, 3),
     )
-    def test_max_is_min_exponent(self, w):
-        norms = [LogNorm(e) for e in w]
-        assert max(norms).exponent == min(w)
+    def test_max_is_min_exponent(self, w, zeros):
+        assert _least_exponent(w + [None] * zeros) == min(w)
 
 
 class TestLogRadius:
@@ -234,7 +244,9 @@ class TestLogRadius:
         assert LogRadius.center().is_center
         assert LogRadius.center() == LogRadius(None)
         assert LogRadius.one().exponent == 0
-        assert LogRadius.from_exponent(Fraction(1, 2)).exponent_str() == "1/2"
+        assert LogRadius(Fraction(1, 2)).exponent_str() == "1/2"
+        # the constructor coerces an int exponent
+        assert type(LogRadius(2).exponent) is Fraction
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from nabla_radius.corpus import (
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
 from nabla_radius.connection import ConnectionModule, PolyMatrix
-from nabla_radius.padic import NORM_ONE, LogRadius, int_valuation
+from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
     _fold_levels,
@@ -103,7 +103,7 @@ class TestIntrinsicRadius:
 
     def test_trivial_module_exact_radius_one(self):
         report = intrinsic_radius(trivial_module(3, 2, 1, 2), RadiusVector.ones(3), depth=8)
-        assert report.ir_estimate == NORM_ONE
+        assert report.ir_estimate == 0
         assert report.exact_flag
         for d in report.directions:
             assert d.exact and d.vanished_at == 1
@@ -114,16 +114,16 @@ class TestIntrinsicRadius:
         report = intrinsic_radius(exponential_module(p), R1, depth=48, window=Fraction(1))
         d = report.directions[0]
         assert len(d.estimates) == 48
-        assert all(e.exponent == spectral_base_exponent(p) for e in d.estimates)
+        assert all(e == spectral_base_exponent(p) for e in d.estimates)
         assert d.stability == 0
         assert not d.exact
-        assert report.ir_estimate.exponent == spectral_base_exponent(p)
+        assert report.ir_estimate == spectral_base_exponent(p)
 
     def test_integer_power_vanishes_to_exact_one(self):
         report = intrinsic_radius(power_module(5, Fraction(3)), R1, depth=16)
         d = report.directions[0]
         assert d.exact and d.vanished_at == 4
-        assert d.point_estimate == NORM_ONE
+        assert d.point_estimate == 0
         assert report.exact_flag
 
     def test_fractional_power_estimates_match_oracle(self):
@@ -139,9 +139,9 @@ class TestIntrinsicRadius:
             s = d.window_start + offset
             w = falling_factorial_valuation(a, s, p)
             expected = max(Fraction(0), Fraction(1, 2) - Fraction(w, s))
-            assert est.exponent == expected
-        assert d.point_estimate.exponent == Fraction(1, 88)
-        assert max(e.exponent for e in d.estimates) < Fraction(1, 50)
+            assert est == expected
+        assert d.point_estimate == Fraction(1, 88)
+        assert max(d.estimates) < Fraction(1, 50)
 
     def test_constant_module_closed_form(self):
         # N = [c]: estimate exponent is max(0, 1/(p-1) - r - v(c)), constant in s.
@@ -155,16 +155,16 @@ class TestIntrinsicRadius:
             rho = RadiusVector((LogRadius(r),))
             report = intrinsic_radius(constant_annulus_module(3, c), rho, depth=12)
             d = report.directions[0]
-            assert d.point_estimate.exponent == expected
+            assert d.point_estimate == expected
             assert d.stability == 0
 
     def test_two_var_takes_min_over_directions(self):
         # Direction 0 estimates 1/2; direction 1 vanishes exactly.
         report = intrinsic_radius(exponential_two_var_module(3), RadiusVector.ones(2), depth=16)
         d0, d1 = report.directions
-        assert d0.point_estimate.exponent == Fraction(1, 2)
+        assert d0.point_estimate == Fraction(1, 2)
         assert d1.exact and d1.vanished_at == 1
-        assert report.ir_estimate.exponent == Fraction(1, 2)
+        assert report.ir_estimate == Fraction(1, 2)
         assert not report.exact_flag
 
     def test_window_start_rule(self):
@@ -182,9 +182,9 @@ class TestIntrinsicRadius:
         seq = list(islice(iter_deriv_matrices(module, 0), depth + 1))
         for offset, est in enumerate(d.estimates):
             s = d.window_start + offset
-            w = seq[s].gauss_lognorm(rho).exponent
+            w = seq[s].gauss_lognorm(rho)
             raw = Fraction(1, 2) - Fraction(1, 3) - Fraction(w, s)
-            assert est.exponent == max(Fraction(0), raw)
+            assert est == max(Fraction(0), raw)
 
 
 class TestOcVerdict:
@@ -193,7 +193,7 @@ class TestOcVerdict:
         v = oc_ir_test(exponential_module(p), depth=24)
         assert v.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
         assert v.witness_direction == 0
-        assert v.report.ir_estimate.exponent == spectral_base_exponent(p)
+        assert v.report.ir_estimate == spectral_base_exponent(p)
 
     def test_trivial_is_positive_evidence(self):
         v = oc_ir_test(trivial_module(3, 1, 1, 2), depth=8)
@@ -229,7 +229,7 @@ class TestOcVerdict:
         module = constant_annulus_module(3, Fraction(2))
         v = oc_ir_test(module, depth=12, tol=Fraction(1, 4))
         assert v.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
-        assert v.report.directions[0].point_estimate.exponent == Fraction(1, 2)
+        assert v.report.directions[0].point_estimate == Fraction(1, 2)
 
 
 class TestTaylorProbe:

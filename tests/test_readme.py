@@ -1,0 +1,38 @@
+"""The README's Python usage block runs and prints what it documents."""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (expression in the block, value documented next to it, expected value)
+DOCUMENTED = [
+    ("report.ir_estimate", "Fraction(1, 2)", Fraction(1, 2)),
+    ("[d.point_estimate for d in report.directions]", "[1/2, 1/2]",
+     [Fraction(1, 2), Fraction(1, 2)]),
+    ("verdict.verdict.value, verdict.witness_direction",
+     "('NOT_OVERCONVERGENT_EVIDENCE', 0)", ("NOT_OVERCONVERGENT_EVIDENCE", 0)),
+]
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_usage_block_runs_and_matches_its_comments():
+    blocks = python_blocks()
+    assert len(blocks) == 1
+    block = blocks[0]
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    lines = block.splitlines()
+    for expression, documented, expected in DOCUMENTED:
+        i = next(k for k, line in enumerate(lines) if line.split("#")[0].strip() == expression)
+        # the value is documented on the expression's line or the next one
+        assert documented in lines[i] + lines[i + 1], expression
+        value = eval(expression, namespace)
+        assert value == expected, expression
+    assert type(namespace["report"].ir_estimate) is Fraction
