@@ -4,7 +4,8 @@ Scalars are plain ``int``/``Fraction`` values with the prime passed
 alongside; norms and radii live on a log scale as exact ``Fraction``
 exponents of ``p`` (a norm of None is the zero norm).  On top of that sit
 Laurent polynomials with rho-Gauss norms, matrix connections with the
-iterated derivative recursion, windowed intrinsic-radius estimates,
+iterated derivative recursion (run on integer numerators over a power of
+one common denominator), windowed intrinsic-radius estimates,
 overconvergence verdicts, curve specializations, and a dominant-term
 interval lemma.
 """
@@ -19,6 +20,7 @@ from .connection import (
     curvature,
     integrability_check,
     iter_deriv_matrices,
+    ladder_denominator,
     require_integrable,
 )
 from .corpus import (
@@ -133,6 +135,7 @@ __all__ = [
     "integrability_check",
     "intrinsic_radius",
     "iter_deriv_matrices",
+    "ladder_denominator",
     "load_module_descriptor",
     "load_poly_descriptor",
     "module_descriptor_to_dict",

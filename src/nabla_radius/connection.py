@@ -8,10 +8,15 @@ is the vanishing of every curvature
 The iterated single-direction matrices satisfy G_{i,0} = identity and
 G_{i,s+1} = d_i(G_{i,s}) + N_i G_{i,s}, so that the s-th power of the
 direction-i operator sends the basis column e_a to column a of G_{i,s}.
+They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
+common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
+    H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
+has int coefficients throughout, so no step pays for a Fraction gcd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,7 +66,8 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, prime: int, n: int, m: int, size: int) -> "PolyMatrix":
-        one = LaurentPoly.one(prime, n, m)
+        # an int 1, so that the derivative ladder starts on int coefficients
+        one = LaurentPoly._new(prime, n, m, {(0,) * (n + m): 1})
         zero = LaurentPoly.zero(prime, n, m)
         return cls(tuple(
             tuple(one if i == j else zero for j in range(size))
@@ -253,15 +259,48 @@ def require_integrable(module: ConnectionModule) -> None:
         )
 
 
-def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
-    """Yield G_{direction,0} = identity, G_{direction,1}, ... indefinitely.
-
-    Callers bound the iteration; integrability is not re-checked here.
-    """
+def ladder_denominator(module: ConnectionModule, direction: int) -> int:
+    """The least common denominator c of the coefficients of N_direction,
+    the least c > 0 for which c * N_direction has int coefficients."""
     if not 0 <= direction < module.dims:
         raise IndexError(f"direction {direction} out of range")
-    N = module.matrices[direction]
-    G = PolyMatrix.identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
+    c = 1
+    for row in module.matrices[direction].rows:
+        for entry in row:
+            for v in entry.terms.values():
+                c = math.lcm(c, v.denominator)
+    return c
+
+
+def _times(A: PolyMatrix, c: int) -> PolyMatrix:
+    """c * A with int coefficients; every denominator of A must divide c."""
+    p, n, m = A.prime, A.nvars_annulus, A.nvars_disc
+    return PolyMatrix(tuple(
+        tuple(
+            LaurentPoly._new(p, n, m, {
+                k: v.numerator * (c // v.denominator) for k, v in entry.terms.items()
+            })
+            for entry in row
+        )
+        for row in A.rows
+    ))
+
+
+def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
+    """Yield H_0 = identity, H_1, ... indefinitely, where H_s = c**s G_s
+    for c = ladder_denominator(module, direction).
+
+    The recursion H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps
+    every coefficient an int.  A caller that needs G_s itself divides by
+    c**s; a norm exponent of G_s is that of H_s minus s * v_p(c).  Callers
+    bound the iteration; integrability is not re-checked here.
+    """
+    c = ladder_denominator(module, direction)
+    M = _times(module.matrices[direction], c)
+    H = PolyMatrix.identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
     while True:
-        yield G
-        G = G.partial(direction) + (N @ G)
+        yield H
+        dH = H.partial(direction)
+        if c != 1:
+            dH = _times(dH, c)
+        H = dH + (M @ H)

@@ -23,7 +23,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import RadiusVector
-from .padic import LogRadius, fraction_valuation
+from .padic import LogRadius, check_exact, fraction_valuation
 from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 
 
@@ -35,10 +35,7 @@ def _unit_point(
     each a p-adic unit (valuation exactly 0).  Returns it as Fractions."""
     coords = []
     for c in point:
-        if type(c) is not Fraction and type(c) is not int:
-            raise TypeError(
-                f"unit point coordinates must be int or Fraction, not {type(c).__name__}"
-            )
+        check_exact(c, "unit point coordinates")
         c = Fraction(c)
         if fraction_valuation(c, module.prime) != 0:
             raise ValueError(f"coordinate {c} is not a unit")
@@ -92,9 +89,10 @@ def generic_equality_check(
     require_integrable(module)
     multi = RadiusVector.single(module.dims, direction, rho)
     single = RadiusVector((rho,))
-    for s, G in deriv_ladder(module, direction, depth):
-        full = G.gauss_lognorm(multi)
-        evaluated = G.specialize(direction, coords).gauss_lognorm(single)
+    # G_s and its evaluation both divide by c**s: compare the numerators H_s.
+    for s, H, _ in deriv_ladder(module, direction, depth):
+        full = H.gauss_lognorm(multi)
+        evaluated = H.specialize(direction, coords).gauss_lognorm(single)
         if full != evaluated:
             return s
     return None

@@ -3,7 +3,10 @@
 A polynomial lives on a product of ``nvars_annulus`` annulus variables
 (integer exponents of either sign) and ``nvars_disc`` disc variables
 (exponents >= 0).  Terms map exponent vectors to exact rational
-coefficients; zero coefficients are never stored.  The rho-Gauss norm of
+coefficients, each stored as a nonzero ``int`` or ``Fraction``: the
+constructor stores ``Fraction``s, and the ring operations keep ``int``
+coefficients ``int``, which the derivative ladder relies on.  Zero
+coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
 norm, i.e. the smallest such exponent.  Norms are returned as that exact
@@ -19,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .padic import LogRadius, check_prime, fraction_valuation, parse_fraction
+from .padic import LogRadius, check_exact, check_prime, fraction_valuation, parse_fraction
 
 ExponentVector = Tuple[int, ...]
 
@@ -54,7 +57,7 @@ class RadiusVector:
     @classmethod
     def from_exponents(cls, exponents: Iterable[Fraction | int | None]) -> "RadiusVector":
         return cls(tuple(
-            LogRadius.center() if e is None else LogRadius(Fraction(e))
+            LogRadius.center() if e is None else LogRadius(e)
             for e in exponents
         ))
 
@@ -111,6 +114,7 @@ class LaurentPoly:
                     raise SignatureError(
                         f"disc variable {l} cannot have negative exponent in {key}"
                     )
+            check_exact(coeff, "coefficients")
             value = Fraction(coeff)
             if value == 0:
                 continue
@@ -125,11 +129,12 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def _new(cls, prime: int, n: int, m: int, terms: dict[ExponentVector, Fraction]) -> "LaurentPoly":
+    def _new(cls, prime: int, n: int, m: int, terms: dict[ExponentVector, Fraction | int]) -> "LaurentPoly":
         """Internal fast path that takes ownership of `terms` as is.
 
-        The caller guarantees valid keys and nonzero Fraction values; the
-        ring operations drop cancelled sums before they get here.
+        The caller guarantees valid keys and nonzero int or Fraction
+        values; the ring operations drop cancelled sums before they get
+        here.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "prime", prime)
@@ -167,7 +172,7 @@ class LaurentPoly:
         return self.nvars_annulus + self.nvars_disc
 
     @property
-    def terms(self) -> Mapping[ExponentVector, Fraction]:
+    def terms(self) -> Mapping[ExponentVector, Fraction | int]:
         return MappingProxyType(self._terms)
 
     @property
@@ -175,7 +180,7 @@ class LaurentPoly:
         return not self._terms
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._terms.get(tuple(exps), 0))
 
     def _check_signature(self, other: "LaurentPoly") -> None:
         if (
@@ -243,6 +248,7 @@ class LaurentPoly:
         return self + (-other)
 
     def scalar_mul(self, scalar: Fraction | int) -> "LaurentPoly":
+        check_exact(scalar, "scalar factors")
         c = Fraction(scalar)
         if c == 0:
             return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {})
@@ -259,7 +265,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_signature(other)
-        acc: dict[ExponentVector, Fraction] = {}
+        acc: dict[ExponentVector, Fraction | int] = {}
         for k1, v1 in self._terms.items():
             for k2, v2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
@@ -280,21 +286,13 @@ class LaurentPoly:
             return self.scalar_mul(other)
         return NotImplemented
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers of polynomials are not supported")
-        result = LaurentPoly.one(self.prime, self.nvars_annulus, self.nvars_disc)
-        for _ in range(k):
-            result = result * self
-        return result
-
     # -- calculus ----------------------------------------------------------
 
     def partial(self, direction: int) -> "LaurentPoly":
         """Coordinate derivative d/dt_direction (0-based direction index)."""
         if not 0 <= direction < self.nvars:
             raise IndexError(f"direction {direction} out of range")
-        acc: dict[ExponentVector, Fraction] = {}
+        acc: dict[ExponentVector, Fraction | int] = {}
         for key, v in self._terms.items():
             j = key[direction]
             if j == 0:
@@ -376,7 +374,7 @@ class LaurentPoly:
                 f"expected {len(others)} coordinates, got {len(coords)}"
             )
         values = [Fraction(c) for c in coords]  # int ** -j would be a float
-        acc: dict[ExponentVector, Fraction] = {}
+        acc: dict[ExponentVector, Fraction | int] = {}
         for key, coeff in self._terms.items():
             c = coeff
             for l, cl in zip(others, values):

@@ -42,7 +42,7 @@ class AlignedInterval:
 
     @classmethod
     def from_exponents(cls, r_alpha: Fraction, r_beta: Fraction) -> "AlignedInterval":
-        return cls(LogRadius(Fraction(r_alpha)), LogRadius(Fraction(r_beta)))
+        return cls(LogRadius(r_alpha), LogRadius(r_beta))
 
     @property
     def r_alpha(self) -> Fraction:

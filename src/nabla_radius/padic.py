@@ -59,6 +59,13 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_exact(value: object, what: str) -> None:
+    """Refuse anything but an exact int or Fraction: a float would enter as
+    its binary expansion, and a bool is an int only by accident."""
+    if type(value) is not Fraction and type(value) is not int:
+        raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
+
+
 def int_valuation(k: int, p: int) -> int:
     """p-adic valuation of a nonzero integer.
 
@@ -125,7 +132,8 @@ class LogRadius:
         if self.exponent is None:
             return
         e = self.exponent
-        if not isinstance(e, Fraction):
+        check_exact(e, "radius exponents")
+        if type(e) is int:
             e = Fraction(e)
             object.__setattr__(self, "exponent", e)
         if e < 0:

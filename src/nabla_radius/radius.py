@@ -27,10 +27,11 @@ from .connection import (
     DepthCapError,
     PolyMatrix,
     iter_deriv_matrices,
+    ladder_denominator,
     require_integrable,
 )
 from .laurent import RadiusVector
-from .padic import LogRadius
+from .padic import LogRadius, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -100,18 +101,23 @@ class RadiusReport:
 
 def deriv_ladder(
     module: ConnectionModule, direction: int, depth: int
-) -> Iterator[Tuple[int, PolyMatrix]]:
-    """Yield (s, G_{direction,s}) for s = 1..depth, streaming the recursion.
+) -> Iterator[Tuple[int, PolyMatrix, int]]:
+    """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
 
-    The walk stops right after the first G_s that vanishes: every later
-    one vanishes too, since G_{s+1} = d(G_s) + N G_s.
+    H_s = c**s G_{direction,s} is the int-coefficient numerator that
+    `iter_deriv_matrices` computes, c = ladder_denominator(module,
+    direction).  Every Gauss or sup norm exponent of G_s is that of H_s
+    minus the shift s * v_p(c); a comparison of two norms of the same H_s
+    needs no shift.  The walk stops right after the first H_s that
+    vanishes: every later one vanishes too, since G_{s+1} = d(G_s) + N G_s.
     """
+    step = int_valuation(ladder_denominator(module, direction), module.prime)
     ladder = iter_deriv_matrices(module, direction)
-    next(ladder)  # G_0 is the identity
+    next(ladder)  # H_0 is the identity
     for s in range(1, depth + 1):
-        G = next(ladder)
-        yield s, G
-        if G.is_zero:
+        H = next(ladder)
+        yield s, H, s * step
+        if H.is_zero:
             return
 
 
@@ -130,8 +136,8 @@ def _direction_radius(
     r_i = rho[direction].exponent
     start = _window_start(depth, window)
     estimates: list[Fraction] = []
-    for s, G in deriv_ladder(module, direction, depth):
-        if G.is_zero:
+    for s, H, shift in deriv_ladder(module, direction, depth):
+        if H.is_zero:
             return DirectionRadius(
                 direction=direction,
                 window_start=s,
@@ -142,9 +148,9 @@ def _direction_radius(
                 vanished_at=s,
             )
         if s >= start:
-            w = G.gauss_lognorm(rho)
+            w = H.gauss_lognorm(rho)
             assert w is not None
-            est = base - r_i - w / s
+            est = base - r_i - (w - shift) / s
             estimates.append(est if est > 0 else Fraction(0))
     point = max(estimates)
     return DirectionRadius(
@@ -390,12 +396,12 @@ def taylor_probe(
     per_direction: list[list[Optional[Fraction]]] = []
     for l in range(dims):
         exps: list[Optional[Fraction]] = [Fraction(0)]
-        for s, G in deriv_ladder(module, l, j_bound):
-            if G.is_zero:
+        for s, H, shift in deriv_ladder(module, l, j_bound):
+            if H.is_zero:
                 break
-            w = G.sup_vertex_lognorm(lam)
+            w = H.sup_vertex_lognorm(lam)
             assert w is not None
-            exps.append(w - factorial_valuation(s, p) + s * h)
+            exps.append(w - shift - factorial_valuation(s, p) + s * h)
         exps.extend(None for _ in range(len(exps), j_bound + 1))
         per_direction.append(exps)
 

@@ -13,6 +13,7 @@ from nabla_radius.connection import (
     curvature,
     integrability_check,
     iter_deriv_matrices,
+    ladder_denominator,
     require_integrable,
 )
 from nabla_radius.corpus import (
@@ -23,7 +24,7 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius.laurent import LaurentPoly, RadiusVector
-from nabla_radius.padic import LogRadius
+from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
 
 
@@ -31,9 +32,28 @@ def scalar(p, n, m, value):
     return LaurentPoly.constant(p, n, m, value)
 
 
+def scaled(A, factor):
+    """factor * A, entry by entry."""
+    return PolyMatrix(tuple(tuple(e.scalar_mul(factor) for e in row) for row in A.rows))
+
+
 def ladder(module, direction, depth):
-    """G_0 .. G_depth of the derivative recursion in one direction."""
-    return list(islice(iter_deriv_matrices(module, direction), depth + 1))
+    """G_0 .. G_depth of the derivative recursion in one direction: the
+    ladder's numerators H_s divided by c**s."""
+    c = ladder_denominator(module, direction)
+    numerators = islice(iter_deriv_matrices(module, direction), depth + 1)
+    return [scaled(H, Fraction(1, c ** s)) for s, H in enumerate(numerators)]
+
+
+def reference_ladder(module, direction, depth):
+    """G_0 .. G_depth by the plain recursion G_{s+1} = d(G_s) + N G_s."""
+    N = module.matrices[direction]
+    G = PolyMatrix.identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
+    seq = [G]
+    for _ in range(depth):
+        G = G.partial(direction) + N @ G
+        seq.append(G)
+    return seq
 
 
 class TestPolyMatrix:
@@ -218,9 +238,21 @@ class TestIteratedDerivatives:
         gen = iter_deriv_matrices(module, 0)
         walk = list(deriv_ladder(module, 0, 5))
         assert next(gen) == PolyMatrix.identity(3, 1, 0, 1)
-        assert [s for s, _ in walk] == [1, 2, 3, 4, 5]
-        for _, G in walk:
-            assert next(gen) == G
+        assert [s for s, _, _ in walk] == [1, 2, 3, 4, 5]
+        assert [shift for _, _, shift in walk] == [0] * 5  # c = 2, a 3-adic unit
+        for _, H, _ in walk:
+            assert next(gen) == H
+
+    def test_shift_is_s_times_the_denominator_valuation(self):
+        # N = [a/t] with a = 1/6 at p = 3: c = 6 and v_3(c) = 1.
+        module = power_module(3, Fraction(1, 6))
+        assert ladder_denominator(module, 0) == 6
+        walk = list(deriv_ladder(module, 0, 6))
+        assert [shift for _, _, shift in walk] == [1, 2, 3, 4, 5, 6]
+        seq = ladder(module, 0, 6)
+        for s, H, shift in walk:
+            w = H.gauss_lognorm(RadiusVector.ones(1))
+            assert w - shift == seq[s].gauss_lognorm(RadiusVector.ones(1))
 
     @given(
         e1=st.integers(-3, 3).filter(bool),
@@ -241,3 +273,75 @@ class TestIteratedDerivatives:
         N = module.matrices[0]
         for s in range(4):
             assert seq[s + 1] == seq[s].partial(0) + N @ seq[s]
+
+
+_EXPONENTS = st.sampled_from([-2, -1, 1, 2])
+_C_ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def fractional_modules(draw):
+    """Integrable modules N_i = d_i(phi) C on one annulus and one disc
+    variable.  phi's first monomial has a coefficient whose denominator is
+    divisible by p and by another prime q; its exponents are +-1 or +-2
+    and p, q > 2, so d_i keeps both primes in every direction."""
+    p, q = draw(st.sampled_from([(3, 5), (3, 7), (5, 3), (5, 7)]))
+    num = draw(st.integers(-20, 20).filter(lambda k: k % p and k % q))
+    den = p ** draw(st.integers(1, 2)) * q
+    terms = {(draw(_EXPONENTS), draw(st.integers(1, 2))): Fraction(num, den)}
+    key = (draw(_EXPONENTS), draw(st.integers(0, 3)))
+    if draw(st.booleans()) and key not in terms:
+        terms[key] = draw(st.integers(-4, 4))
+    phi = LaurentPoly(p, 1, 1, terms)
+    rank = draw(st.sampled_from([1, 2]))
+    C = [[1]] if rank == 1 else [[1, draw(_C_ENTRIES)], [draw(_C_ENTRIES), draw(_C_ENTRIES)]]
+    matrices = tuple(
+        PolyMatrix(tuple(
+            tuple(phi.partial(i).scalar_mul(C[r][c]) for c in range(rank))
+            for r in range(rank)
+        ))
+        for i in range(2)
+    )
+    return ConnectionModule(prime=p, nvars_annulus=1, nvars_disc=1, rank=rank, matrices=matrices)
+
+
+class TestIntegerLadder:
+    @given(module=fractional_modules())
+    @settings(max_examples=30, deadline=None)
+    def test_numerators_over_c_power_match_the_fraction_recursion(self, module):
+        assert integrability_check(module) is None
+        for i in range(module.dims):
+            c = ladder_denominator(module, i)
+            assert c % module.prime == 0 and c // module.prime ** int_valuation(c, module.prime) > 1
+            numerators = list(islice(iter_deriv_matrices(module, i), 13))
+            for s, (H, G) in enumerate(zip(numerators, reference_ladder(module, i, 12))):
+                assert scaled(H, Fraction(1, c ** s)) == G, (i, s)
+                for row in H.rows:
+                    for entry in row:
+                        assert all(type(v) is int for v in entry.terms.values()), (i, s)
+
+    def test_denominator_is_one_on_an_integral_module(self):
+        # Integer values stored as Fractions still have denominator 1.
+        for module in (exponential_two_var_module(3), power_module(5, Fraction(3))):
+            assert all(ladder_denominator(module, i) == 1 for i in range(module.dims))
+            H = list(islice(iter_deriv_matrices(module, 0), 4))
+            assert H == reference_ladder(module, 0, 3)
+
+    def test_coefficient_of_an_int_term_is_a_fraction(self):
+        one = PolyMatrix.identity(3, 1, 0, 1).rows[0][0]
+        assert type(one.terms[(0,)]) is int
+        for exps, value in (((0,), 1), ((1,), 0)):
+            assert one.coefficient(exps) == value
+            assert type(one.coefficient(exps)) is Fraction
+
+    def test_denominator_is_the_lcm_over_every_entry(self):
+        p = 3
+        module = ConnectionModule(
+            prime=p, nvars_annulus=1, nvars_disc=0, rank=2,
+            matrices=(PolyMatrix.from_scalar_rows(
+                p, 1, 0, [[Fraction(1, 6), 0], [Fraction(5, 4), Fraction(2, 9)]]
+            ),),
+        )
+        assert ladder_denominator(module, 0) == 36
+        with pytest.raises(IndexError):
+            ladder_denominator(module, 1)

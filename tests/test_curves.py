@@ -13,6 +13,7 @@ from nabla_radius.connection import (
     PolyMatrix,
     integrability_check,
     iter_deriv_matrices,
+    ladder_denominator,
 )
 from nabla_radius.corpus import exponential_two_var_module, trivial_module
 from nabla_radius.curves import (
@@ -25,6 +26,15 @@ from nabla_radius.curves import (
 from nabla_radius.laurent import LaurentPoly, RadiusVector
 from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import Verdict, intrinsic_radius
+
+
+def g_ladder(module, direction, depth):
+    """G_0 .. G_depth: the ladder's numerators H_s divided by c**s."""
+    c = ladder_denominator(module, direction)
+    return [
+        PolyMatrix(tuple(tuple(e.scalar_mul(Fraction(1, c ** s)) for e in row) for row in H.rows))
+        for s, H in enumerate(islice(iter_deriv_matrices(module, direction), depth + 1))
+    ]
 
 
 def curve_radius(module, witness, depth):
@@ -114,8 +124,8 @@ class TestSpecialize:
         module = shifted_module()
         pt = (Fraction(Fraction(5, 2)),)
         curve = specialize(module, direction, pt)
-        full = list(islice(iter_deriv_matrices(module, direction), 13))
-        reduced = list(islice(iter_deriv_matrices(curve, 0), 13))
+        full = g_ladder(module, direction, 12)
+        reduced = g_ladder(curve, 0, 12)
         for s in range(13):
             assert full[s].specialize(direction, pt) == reduced[s]
 

@@ -3,8 +3,10 @@
 Each case runs ``cli.main`` in-process and compares its exit code, the
 sha256 of its stdout and its stderr with values recorded before the
 scalar and norm wrappers were removed, so a refactor that changes a
-single report byte fails here.  Depths are small so that the whole file
-runs in a few seconds.
+single report byte fails here.  The `oc`, `taylor` and `cutcheck` cases
+on the two ``FRACTIONAL`` modules were recorded before the derivative
+ladder moved to integer numerators over a common denominator.  Depths
+are small so that the whole file runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -23,6 +25,45 @@ DEPTH = "16"
 # A one-variable polynomial 2 + t over Q_2 (the `techlemma` fixture of test_cli).
 POLY = {"prime": 2, "label": "p-plus-t",
         "terms": [{"exps": [0], "coeff": "2"}, {"exps": [1], "coeff": "1"}]}
+
+
+def _term(exps: list[int], coeff: str) -> dict:
+    return {"exps": exps, "coeff": coeff}
+
+
+# Integrable modules over Q_3 whose connection matrices have denominators
+# divisible by 3 and by 2, so the derivative ladder runs over a common
+# denominator c with v_3(c) > 0 in every direction.  No corpus entry does.
+FRACTIONAL = {
+    # N_i = d_i(phi) for phi = 5/18 t1^-2 t2 + 1/6 t1 t2^-1 (rank 1, two annuli).
+    "frac-potential-p3": {
+        "prime": 3, "n": 2, "m": 0, "rank": 1, "label": "frac-potential-p3",
+        "matrices": [
+            [[[_term([-3, 1], "-5/9"), _term([0, -1], "1/6")]]],
+            [[[_term([-2, 0], "5/18"), _term([1, -2], "-1/6")]]],
+        ],
+    },
+    # N_i = d_i(phi) C for phi = 1/6 t1^-1 t2^2 + 9/4 t1 t2^3 and
+    # C = [[1, 1/2], [1/3, 1]] (rank 2, one annulus and one disc variable);
+    # its window estimates differ, so the verdict rests on a nonzero spread.
+    "frac-twist-rk2-p3": {
+        "prime": 3, "n": 1, "m": 1, "rank": 2, "label": "frac-twist-rk2-p3",
+        "matrices": [
+            [
+                [[_term([-2, 2], "-1/6"), _term([0, 3], "9/4")],
+                 [_term([-2, 2], "-1/12"), _term([0, 3], "9/8")]],
+                [[_term([-2, 2], "-1/18"), _term([0, 3], "3/4")],
+                 [_term([-2, 2], "-1/6"), _term([0, 3], "9/4")]],
+            ],
+            [
+                [[_term([-1, 1], "1/3"), _term([1, 2], "27/4")],
+                 [_term([-1, 1], "1/6"), _term([1, 2], "27/8")]],
+                [[_term([-1, 1], "1/9"), _term([1, 2], "9/4")],
+                 [_term([-1, 1], "1/3"), _term([1, 2], "27/4")]],
+            ],
+        ],
+    },
+}
 
 
 def _cases() -> list[tuple[str, str, list[str]]]:
@@ -50,6 +91,14 @@ def _cases() -> list[tuple[str, str, list[str]]]:
                     f"specialize-t{direction}/{label}", label,
                     ["specialize", "--direction", str(direction), f"--point={point}"],
                 ))
+    for label in FRACTIONAL:
+        cases += [
+            (f"oc/{label}", label, ["oc", "--depth", "40"]),
+            (f"taylor/{label}", label,
+             ["taylor", "--eta", "1/4", "--lambda", "1/2", "--depth", DEPTH]),
+            (f"cutcheck/{label}", label,
+             ["cutcheck", "--depth", DEPTH, "--trials", "3", "--seed", "0"]),
+        ]
     cases += [
         ("specialize-non-unit/exp-two-var-p3", "exp-two-var-p3",
          ["specialize", "--direction", "0", "--point", "3"]),
@@ -122,6 +171,12 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'cutcheck/exp-two-var-p3': (3, '9d9512ee7d5c88d3ac2dbf49a7a10298d3510d3a97cd3bc42f77e4f74ab8cba3', ''),
     'specialize-t0/exp-two-var-p3': (0, '6dea721c585111bf2feca108cb68f1795e7b59894f46a4f97a8a10c8455f3f68', ''),
     'specialize-t1/exp-two-var-p3': (0, '4cc62a5e5f2b8cdaf8741d8b09d1868bfda751198123418f303b47f4da94b44d', ''),
+    'oc/frac-potential-p3': (3, '1c0b41a88460629b6630d6a78acc72ccbd1e377e2b95278f3bfaff288518787e', ''),
+    'taylor/frac-potential-p3': (3, '8a11911c6598a206ee83fc8afb9735e1a4d6e52b60311d059a2f4fe4df9e4e5c', ''),
+    'cutcheck/frac-potential-p3': (3, 'aff2e33547ed2da996926c664c60beb3fc42da5a216729a646ec334dbf005eb5', ''),
+    'oc/frac-twist-rk2-p3': (3, 'd1a21db88578aa0fb0969b261e2729a3bca5acaa66d10d306b1a5eaab0c81551', ''),
+    'taylor/frac-twist-rk2-p3': (3, '3141ad69e935be60e090dacf78947baf4fd5e95d52db59178d4dc0ad2846e313', ''),
+    'cutcheck/frac-twist-rk2-p3': (3, 'c7053554d19ab1729af920b6f4c6f42e1064265d3093770fbe8a2b5286035fc5', ''),
     'specialize-non-unit/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 3 is not a unit\n'),
     'specialize-non-unit-den/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 1/3 is not a unit\n'),
     'specialize-count/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: expected 1 coordinates, got 2\n'),
@@ -140,7 +195,11 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case_id,label,argv", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes_are_pinned(capsys, tmp_path, case_id, label, argv):
-    if label is not None:
+    if label in FRACTIONAL:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(FRACTIONAL[label]), encoding="utf-8")
+        argv = [argv[0], str(path), *argv[1:]]
+    elif label is not None:
         path = tmp_path / f"{label}.json"
         entry = {e.label: e for e in build_corpus()}[label]
         save_module_descriptor(entry.descriptor, str(path))

@@ -71,6 +71,14 @@ class TestConstruction:
             with pytest.raises(SignatureError, match="integers"):
                 LaurentPoly(3, len(key), 0, {key: 1})
 
+    def test_rejects_float_and_bool_coefficients(self):
+        # 0.1 would enter as 3602879701896397/36028797018963968.
+        for coeff in (0.1, 1.0, True, False):
+            with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+                LaurentPoly(3, 1, 0, {(0,): coeff})
+            with pytest.raises(TypeError):
+                LaurentPoly.constant(3, 1, 0, coeff)
+
     def test_drops_zero_terms(self):
         f = LaurentPoly(3, 1, 0, {(0,): 0, (2,): 1})
         assert list(f.terms) == [(2,)]
@@ -111,9 +119,20 @@ class TestRingOps:
         f = LaurentPoly(3, 1, 0, {(1,): Fraction(1, 2)})
         assert (2 * f) == LaurentPoly(3, 1, 0, {(1,): 1})
         assert f * Fraction(0) == LaurentPoly.zero(3, 1, 0)
-        assert f ** 3 == LaurentPoly(3, 1, 0, {(3,): Fraction(1, 8)})
-        with pytest.raises(ValueError):
-            f ** -1
+        assert f * f * f == LaurentPoly(3, 1, 0, {(3,): Fraction(1, 8)})
+        for k in (3, -1):  # powers are not defined; products are spelled out
+            with pytest.raises(TypeError):
+                f ** k
+
+    def test_scalar_mul_rejects_float_and_bool(self):
+        f = LaurentPoly(3, 1, 0, {(1,): Fraction(1, 2)})
+        for scalar in (0.1, 2.0, True, False):
+            with pytest.raises(TypeError, match="scalar factors must be int or Fraction"):
+                f.scalar_mul(scalar)
+            with pytest.raises(TypeError):
+                f * scalar
+            with pytest.raises(TypeError):
+                scalar * f
 
     def test_signature_mismatch(self):
         f = LaurentPoly.one(3, 1, 0)

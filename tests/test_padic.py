@@ -252,6 +252,13 @@ class TestLogRadius:
         with pytest.raises(ValueError):
             LogRadius(Fraction(-1, 2))
 
+    def test_rejects_float_and_bool_exponents(self):
+        for e in (0.1, 0.5, True, False):
+            with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
+                LogRadius(e)
+            with pytest.raises(TypeError):
+                RadiusVector.from_exponents([e])
+
     def test_parse_round_trip(self):
         for text in ["0", "7/3", "center"]:
             assert LogRadius.parse(text).exponent_str() == text

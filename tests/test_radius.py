@@ -66,14 +66,14 @@ class TestDerivLadder:
         pulled = counting_ladder(monkeypatch)
         module = corpus_by_label()["power-int3-p5"].descriptor.module
         walk = list(deriv_ladder(module, 0, 16))
-        assert [s for s, _ in walk] == [1, 2, 3, 4]
+        assert [s for s, _, _ in walk] == [1, 2, 3, 4]
         assert walk[-1][1].is_zero and not walk[-2][1].is_zero
         assert len(pulled) == 5  # G_0 .. G_4, nothing past the first zero
 
     def test_bounded_by_depth(self, monkeypatch):
         pulled = counting_ladder(monkeypatch)
         walk = list(deriv_ladder(exponential_module(3), 0, 7))
-        assert [s for s, _ in walk] == list(range(1, 8))
+        assert [s for s, _, _ in walk] == list(range(1, 8))
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
 
 
