@@ -13,7 +13,7 @@ import argparse
 from fractions import Fraction
 
 from nabla_radius.corpus import falling_factorial_valuation, power_module
-from nabla_radius.laurent import RadiusVector
+from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, spectral_base_exponent
 
 
@@ -37,7 +37,7 @@ def main() -> int:
             print(f"{s:>5} {'inf':>5}   derivative vanished; radius exactly 1")
             break
         est = max(Fraction(0), base - Fraction(w, s))
-        report = intrinsic_radius(module, RadiusVector.ones(1), depth=max(s, 8))
+        report = intrinsic_radius(module, (LogRadius.one(),), depth=max(s, 8))
         point = report.directions[0].point_estimate
         print(f"{s:>5} {w:>5} {str(Fraction(w, s)):>10} {str(est):>10} {str(point):>12}")
     return 0

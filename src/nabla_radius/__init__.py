@@ -2,7 +2,9 @@
 
 Scalars are plain ``int``/``Fraction`` values with the prime passed
 alongside; norms and radii live on a log scale as exact ``Fraction``
-exponents of ``p`` (a norm of None is the zero norm).  On top of that sit
+exponents of ``p`` (a norm of None is the zero norm).  A radius is a
+``LogRadius``, whose exponent is >= 0, and a radius vector is a plain
+tuple of them, one per variable, annulus radii first.  On top of that sit
 Laurent polynomials with rho-Gauss norms, matrix connections with the
 iterated derivative recursion (run on integer numerators over a power of
 one common denominator), windowed intrinsic-radius estimates,
@@ -54,7 +56,7 @@ from .descriptor import (
     parse_module_descriptor,
     save_module_descriptor,
 )
-from .laurent import LaurentPoly, RadiusVector, SignatureError
+from .laurent import LaurentPoly, SignatureError
 from .newton import (
     AlignedInterval,
     DominanceCertificate,
@@ -111,7 +113,6 @@ __all__ = [
     "PrimeError",
     "ProbeOutcome",
     "RadiusReport",
-    "RadiusVector",
     "SignatureError",
     "TaylorReport",
     "UnitCheck",

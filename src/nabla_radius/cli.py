@@ -27,7 +27,6 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .laurent import RadiusVector
 from .newton import AlignedInterval, dominant_term, shrink_interval, unit_certificate_check
 from .padic import LogRadius, parse_fraction
 from .radius import ProbeOutcome, Verdict, intrinsic_radius, oc_ir_test, taylor_probe
@@ -39,6 +38,16 @@ EXIT_INVALID = 1
 EXIT_NOT_INTEGRABLE = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
+
+# Exit code of each oc/cutcheck verdict and taylor outcome.
+EXIT_CODES = {
+    Verdict.OVERCONVERGENT_EVIDENCE: EXIT_OK,
+    Verdict.NOT_OVERCONVERGENT_EVIDENCE: EXIT_NEGATIVE,
+    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    ProbeOutcome.PASS: EXIT_OK,
+    ProbeOutcome.FAIL: EXIT_NEGATIVE,
+    ProbeOutcome.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
 
 
 class CliError(Exception):
@@ -58,12 +67,15 @@ def _parse_radius_arg(text: str, what: str) -> LogRadius:
     try:
         return LogRadius.parse(text)
     except ValueError:
-        raise CliError(f"invalid {what}: {text!r}") from None
+        raise CliError(
+            f"invalid {what}: {text!r} (radii must be positive: give the exponent"
+            f" e >= 0 of p**(-e) as num/den)"
+        ) from None
 
 
-def _radius_vector(tokens: Optional[list[str]], dims: int) -> RadiusVector:
+def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[LogRadius, ...]:
     if not tokens:
-        return RadiusVector.ones(dims)
+        return (LogRadius.one(),) * dims
     entries = [_parse_radius_arg(t, "radius exponent") for t in tokens]
     if len(entries) == 1:
         entries = entries * dims
@@ -71,7 +83,7 @@ def _radius_vector(tokens: Optional[list[str]], dims: int) -> RadiusVector:
         raise CliError(
             f"got {len(tokens)} radius values for a module with {dims} variables"
         )
-    return RadiusVector(tuple(entries))
+    return tuple(entries)
 
 
 def _load(path: str) -> tuple[ModuleDescriptor, dict]:
@@ -140,7 +152,7 @@ def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
         "parameters": {
             "depth": args.depth,
             "window": str(window),
-            "radius": rho.exponent_strs(),
+            "radius": [str(r.exponent) for r in rho],
         },
         **report.to_json_dict(),
     }
@@ -163,11 +175,7 @@ def cmd_oc(args: argparse.Namespace) -> tuple[dict, int]:
         },
         **verdict.to_json_dict(),
     }
-    if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
-        return doc, EXIT_NEGATIVE
-    if verdict.verdict is Verdict.INCONCLUSIVE:
-        return doc, EXIT_INCONCLUSIVE
-    return doc, EXIT_OK
+    return doc, EXIT_CODES[verdict.verdict]
 
 
 def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
@@ -182,11 +190,7 @@ def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
         "parameters": {"bound": args.depth},
         **report.to_json_dict(),
     }
-    if report.outcome is ProbeOutcome.FAIL:
-        return doc, EXIT_NEGATIVE
-    if report.outcome is ProbeOutcome.INCONCLUSIVE:
-        return doc, EXIT_INCONCLUSIVE
-    return doc, EXIT_OK
+    return doc, EXIT_CODES[report.outcome]
 
 
 def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
@@ -239,28 +243,17 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
         },
         **report.to_json_dict(),
     }
-    verdict = report.verdict.verdict
-    if verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
-        return doc, EXIT_NEGATIVE
-    if verdict is Verdict.INCONCLUSIVE:
-        return doc, EXIT_INCONCLUSIVE
-    return doc, EXIT_OK
+    return doc, EXIT_CODES[report.verdict.verdict]
 
 
 def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
-    try:
-        poly, label = load_poly_descriptor(args.poly)
-    except (DescriptorError, OSError) as exc:
-        raise CliError(str(exc)) from None
+    poly, label = load_poly_descriptor(args.poly)
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")
-    try:
-        interval = AlignedInterval.from_exponents(r_alpha, r_beta)
-        result = dominant_term(poly, interval)
-        certificate = shrink_interval(poly, interval)
-        check = unit_certificate_check(poly, certificate, args.samples)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    interval = AlignedInterval.from_exponents(r_alpha, r_beta)
+    result = dominant_term(poly, interval)
+    certificate = shrink_interval(poly, interval)
+    check = unit_certificate_check(poly, certificate, args.samples)
     doc = {
         "schema": SCHEMA,
         "command": "techlemma",
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--window", default="1/4")
     p.add_argument("--radius", action="append", metavar="EXP",
-                   help="radius exponent num/den or 'center'; repeat per variable")
+                   help="radius exponent num/den; repeat per variable")
 
     p = add("oc", cmd_oc, "overconvergence verdict at the unit polyradius")
     p.add_argument("descriptor")
@@ -374,16 +367,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"nabla-radius: {exc}", file=sys.stderr)
         return exc.code
-    except DescriptorError as exc:
-        print(f"nabla-radius: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except NotIntegrableError as exc:
         print(f"nabla-radius: {exc}", file=sys.stderr)
         return EXIT_NOT_INTEGRABLE
-    except OSError as exc:
-        print(f"nabla-radius: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"nabla-radius: {exc}", file=sys.stderr)
         return EXIT_INVALID
     json.dump(report, sys.stdout, sort_keys=True, indent=2)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .laurent import LaurentPoly, RadiusVector, SignatureError
+from .laurent import LaurentPoly, SignatureError
 from .padic import LogRadius
 
 DEFAULT_DEPTH_CAP = 512
@@ -159,7 +159,7 @@ class PolyMatrix:
             for row in self.rows
         ))
 
-    def gauss_lognorm(self, radii: RadiusVector) -> Optional[Fraction]:
+    def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
         """Largest entry Gauss norm exponent; None for the zero matrix."""
         return _least_exponent(
             entry.gauss_lognorm(radii) for row in self.rows for entry in row

@@ -22,9 +22,11 @@ from .connection import (
     DepthCapError,
     require_integrable,
 )
-from .laurent import RadiusVector
 from .padic import LogRadius, check_exact, fraction_valuation
 from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
+
+# Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
+SAMPLE_RANGE = 9
 
 
 def _unit_point(
@@ -70,25 +72,21 @@ def generic_equality_check(
     direction: int,
     point: Sequence[Fraction | int],
     depth: int,
-    rho: LogRadius,
 ) -> Optional[int]:
-    """Compare |G_{i,s}(point)| against |G_{i,s}| for s <= depth.
+    """Compare |G_{i,s}(point)| against |G_{i,s}| for s <= depth, both at
+    the unit radius.
 
-    The multi-variable norm is taken at radius rho in the kept direction
-    and 1 elsewhere; the evaluated norm at radius rho alone.  Returns the
-    first depth where they differ (the evaluated norm can only be
-    smaller), or None when all agree.
+    Returns the first depth where they differ (the evaluated norm can only
+    be smaller), or None when all agree.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > DEFAULT_DEPTH_CAP:
         raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
-    if rho.is_center:
-        raise ValueError("comparison radius must be strictly positive")
     coords = _unit_point(module, point)
     require_integrable(module)
-    multi = RadiusVector.single(module.dims, direction, rho)
-    single = RadiusVector((rho,))
+    multi = (LogRadius.one(),) * module.dims
+    single = (LogRadius.one(),)
     # G_s and its evaluation both divide by c**s: compare the numerators H_s.
     for s, H, _ in deriv_ladder(module, direction, depth):
         full = H.gauss_lognorm(multi)
@@ -102,15 +100,13 @@ def sample_unit_point(
     rng: random.Random,
     prime: int,
     count: int,
-    num_range: int = 9,
-    den_range: int = 9,
 ) -> Tuple[Fraction, ...]:
-    """Draw `count` unit coordinates with small random numerator/denominator."""
+    """Draw `count` unit coordinates num/den with |num|, den <= SAMPLE_RANGE."""
     coords = []
     for _ in range(count):
         while True:
-            num = rng.randint(-num_range, num_range)
-            den = rng.randint(1, den_range)
+            num = rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
+            den = rng.randint(1, SAMPLE_RANGE)
             if num == 0:
                 continue
             x = Fraction(num, den)
@@ -163,8 +159,6 @@ def curve_witness_search(
     seed: int,
     tol: Fraction = Fraction(1, 20),
     window: Fraction = Fraction(1, 4),
-    num_range: int = 9,
-    den_range: int = 9,
 ) -> CutCheckReport:
     """Search seeded random unit points for a curve witness.
 
@@ -187,12 +181,9 @@ def curve_witness_search(
     direction = verdict.witness_direction
     assert direction is not None
     rng = random.Random(seed)
-    points = [
-        sample_unit_point(rng, module.prime, module.dims - 1, num_range, den_range)
-        for _ in range(trials)
-    ]
+    points = [sample_unit_point(rng, module.prime, module.dims - 1) for _ in range(trials)]
     for point in points:
-        if generic_equality_check(module, direction, point, depth, LogRadius.one()) is not None:
+        if generic_equality_check(module, direction, point, depth) is not None:
             continue
         witness = CurveWitness(
             direction=direction,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -39,45 +38,6 @@ def _excerpt(text: str) -> str:
 
 class SignatureError(ValueError):
     """Two operands live on polyannuli of different shapes."""
-
-
-@dataclass(frozen=True)
-class RadiusVector:
-    """One radius per variable, annulus radii first."""
-
-    entries: Tuple[LogRadius, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @classmethod
-    def ones(cls, dims: int) -> "RadiusVector":
-        return cls(tuple(LogRadius.one() for _ in range(dims)))
-
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[Fraction | int | None]) -> "RadiusVector":
-        return cls(tuple(
-            LogRadius.center() if e is None else LogRadius(e)
-            for e in exponents
-        ))
-
-    @classmethod
-    def single(cls, dims: int, index: int, radius: LogRadius) -> "RadiusVector":
-        """All-ones vector with one slot replaced."""
-        if not 0 <= index < dims:
-            raise IndexError(f"direction {index} out of range for {dims} variables")
-        entries = [LogRadius.one()] * dims
-        entries[index] = radius
-        return cls(tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> LogRadius:
-        return self.entries[i]
-
-    def exponent_strs(self) -> list[str]:
-        return [e.exponent_str() for e in self.entries]
 
 
 class LaurentPoly:
@@ -303,30 +263,18 @@ class LaurentPoly:
 
     # -- norms ---------------------------------------------------------------
 
-    def gauss_lognorm(self, radii: RadiusVector) -> Optional[Fraction]:
-        """rho-Gauss norm exponent, None for the zero norm.  Annulus radii
-        must be positive; a disc radius of zero silences every term with a
-        positive exponent there."""
+    def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
+        """rho-Gauss norm exponent at one radius per variable, annulus radii
+        first; None for the zero norm."""
         if len(radii) != self.nvars:
             raise SignatureError(
                 f"radius vector has {len(radii)} entries, expected {self.nvars}"
             )
-        centers: list[int] = []  # disc slots at radius 0
-        weighted: list[tuple[int, Fraction]] = []  # slots with radius < 1
-        for l, radius in enumerate(radii.entries):
-            r = radius.exponent
-            if r is None:
-                if l < self.nvars_annulus:
-                    raise ValueError("annulus radii must be strictly positive")
-                centers.append(l)
-            elif r:
-                weighted.append((l, r))
+        # slots with radius < 1
+        weighted = [(l, radius.exponent) for l, radius in enumerate(radii) if radius.exponent]
         prime = self.prime
         best: Optional[Fraction | int] = None
         for key, coeff in self._terms.items():
-            # Disc exponents are >= 0, so a nonzero one at a center is t_l**j, j > 0.
-            if centers and any(key[l] for l in centers):
-                continue
             w = fraction_valuation(coeff, prime)
             for l, r in weighted:
                 j = key[l]
@@ -344,8 +292,6 @@ class LaurentPoly:
         annulus exponents and 1 everywhere else, so the exponent is the
         min over terms of v(a_J) + lam * sum(J_l for J_l < 0).
         """
-        if lam.is_center:
-            raise ValueError("inner radius must be strictly positive")
         L = lam.exponent
         n = self.nvars_annulus
         best: Optional[Fraction | int] = None

@@ -5,7 +5,8 @@ the prime p is passed alongside them.  Valuations are integers (with None
 standing in for the +infinity valuation of zero), and multiplicative
 quantities of the form p**(-w) are stored by their rational exponent w:
 a norm is an ``Optional[Fraction]`` (None for the zero norm) and a radius
-is a ``LogRadius``.  No floating point is used anywhere in the package.
+in (0, 1] is a ``LogRadius``, an exponent >= 0.  No floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -120,17 +121,11 @@ def parse_fraction(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class LogRadius:
-    """A radius p**(-exponent) with rational exponent >= 0.
+    """A radius p**(-exponent) in (0, 1]: an exact rational exponent >= 0."""
 
-    The distinguished exponent None encodes radius 0 (the center of a
-    disc variable); annulus variables never take it.
-    """
-
-    exponent: Optional[Fraction]
+    exponent: Fraction
 
     def __post_init__(self) -> None:
-        if self.exponent is None:
-            return
         e = self.exponent
         check_exact(e, "radius exponents")
         if type(e) is int:
@@ -144,19 +139,5 @@ class LogRadius:
         return cls(Fraction(0))
 
     @classmethod
-    def center(cls) -> "LogRadius":
-        return cls(None)
-
-    @property
-    def is_center(self) -> bool:
-        return self.exponent is None
-
-    def exponent_str(self) -> str:
-        return "center" if self.exponent is None else str(self.exponent)
-
-    @classmethod
     def parse(cls, text: str) -> "LogRadius":
-        text = text.strip()
-        if text == "center":
-            return cls.center()
         return cls(parse_fraction(text))

@@ -30,7 +30,6 @@ from .connection import (
     ladder_denominator,
     require_integrable,
 )
-from .laurent import RadiusVector
 from .padic import LogRadius, int_valuation
 
 
@@ -81,7 +80,7 @@ class RadiusReport:
     """Full intrinsic-radius report at one radius vector."""
 
     prime: int
-    rho: RadiusVector
+    rho: Tuple[LogRadius, ...]
     depth: int
     window: Fraction
     directions: Tuple[DirectionRadius, ...]
@@ -90,7 +89,7 @@ class RadiusReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rho": self.rho.exponent_strs(),
+            "rho": [str(r.exponent) for r in self.rho],
             "depth": self.depth,
             "window": str(self.window),
             "directions": [d.to_json_dict() for d in self.directions],
@@ -128,7 +127,7 @@ def _window_start(depth: int, window: Fraction) -> int:
 def _direction_radius(
     module: ConnectionModule,
     direction: int,
-    rho: RadiusVector,
+    rho: Tuple[LogRadius, ...],
     depth: int,
     window: Fraction,
 ) -> DirectionRadius:
@@ -166,11 +165,12 @@ def _direction_radius(
 
 def intrinsic_radius(
     module: ConnectionModule,
-    rho: RadiusVector,
+    rho: Tuple[LogRadius, ...],
     depth: int,
     window: Fraction = Fraction(1, 4),
 ) -> RadiusReport:
-    """Windowed intrinsic-radius estimates in every direction at radii rho."""
+    """Windowed intrinsic-radius estimates in every direction at radii rho,
+    one per variable, annulus radii first."""
     if depth < 8:
         raise ValueError("depth must be at least 8")
     if depth > DEFAULT_DEPTH_CAP:
@@ -180,9 +180,6 @@ def intrinsic_radius(
         raise ValueError("window must lie in (0, 1]")
     if len(rho) != module.dims:
         raise ValueError(f"radius vector has {len(rho)} entries, expected {module.dims}")
-    for entry in rho.entries:
-        if entry.is_center:
-            raise ValueError("intrinsic radius requires strictly positive radii")
     require_integrable(module)
     directions = tuple(
         _direction_radius(module, i, rho, depth, window)
@@ -240,7 +237,7 @@ def oc_ir_test(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = intrinsic_radius(module, RadiusVector.ones(module.dims), depth, window)
+    report = intrinsic_radius(module, (LogRadius.one(),) * module.dims, depth, window)
     negative: list[DirectionRadius] = []
     undecided: list[DirectionRadius] = []
     for d in report.directions:
@@ -301,8 +298,8 @@ class TaylorReport:
         return {
             "outcome": self.outcome.value,
             "witness": list(self.witness) if self.witness is not None else None,
-            "eta_exponent": self.eta.exponent_str(),
-            "lambda_exponent": self.lam.exponent_str(),
+            "eta_exponent": str(self.eta.exponent),
+            "lambda_exponent": str(self.lam.exponent),
             "bound": self.j_bound,
             "levels": [
                 {"total": k, "min_exponent": "inf" if e is None else str(e)}
@@ -373,7 +370,7 @@ def taylor_probe(
     norms over the subannulus with inner radius lam.  The product is a
     heuristic: only the axis terms are exact, and Leibniz cross-terms make
     it neither the exact mixed norm nor an upper bound on it (ROADMAP item
-    3(a)).  Each level score is the least product over |j| = k, found by
+    4).  Each level score is the least product over |j| = k, found by
     `_fold_levels`.  The probe passes when every level minimum beyond
     j_bound/2 stays strictly below 1 (positive exponent) with no net loss
     across the tail; it fails with a witness index when some tail value
@@ -383,10 +380,8 @@ def taylor_probe(
         raise ValueError("multi-index bound must be at least 8")
     if j_bound > DEFAULT_DEPTH_CAP:
         raise DepthCapError(f"bound {j_bound} exceeds cap {DEFAULT_DEPTH_CAP}")
-    if eta.is_center or eta.exponent is None or eta.exponent <= 0:
+    if eta.exponent <= 0:
         raise ValueError("eta must satisfy 0 < eta < 1 (positive exponent)")
-    if lam.is_center:
-        raise ValueError("lambda must be strictly positive")
     require_integrable(module)
     p = module.prime
     h = eta.exponent

@@ -32,7 +32,7 @@ from nabla_radius.curves import (
     sample_unit_point,
     specialize,
 )
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.newton import (
     AlignedInterval,
     dominant_term,
@@ -50,7 +50,7 @@ from nabla_radius.radius import (
     taylor_probe,
 )
 
-R1 = RadiusVector.ones(1)
+R1 = (LogRadius.one(),)
 
 
 def g_ladder(module, direction, depth):
@@ -81,13 +81,7 @@ def _random_poly(rng, prime, n, m, max_terms):
 
 
 def _random_radii(rng, n, m):
-    entries = [LogRadius(abs(_random_fraction(rng, 0, 12, 6))) for _ in range(n)]
-    entries += [
-        LogRadius.center() if rng.random() < 0.25
-        else LogRadius(abs(_random_fraction(rng, 0, 12, 6)))
-        for _ in range(m)
-    ]
-    return RadiusVector(tuple(entries))
+    return tuple(LogRadius(abs(_random_fraction(rng, 0, 12, 6))) for _ in range(n + m))
 
 
 def test_criterion_1_trivial_modules_are_exactly_one():
@@ -96,7 +90,7 @@ def test_criterion_1_trivial_modules_are_exactly_one():
     for n, m in shapes:
         for rank in (1, 2, 3):
             report = intrinsic_radius(
-                trivial_module(3, n, m, rank), RadiusVector.ones(n + m), depth=8
+                trivial_module(3, n, m, rank), (LogRadius.one(),) * (n + m), depth=8
             )
             assert report.exact_flag, (n, m, rank)
             assert report.ir_estimate == 0, (n, m, rank)
@@ -181,7 +175,7 @@ def test_criterion_4_norm_laws_on_random_inputs():
         mid = (r1 + r2) / 2
 
         def w(r):
-            return f.gauss_lognorm(RadiusVector((LogRadius(r),)))
+            return f.gauss_lognorm((LogRadius(r),))
 
         assert 2 * w(mid) >= w(r1) + w(r2)
     print("criterion 4 (norm laws: multiplicative + ultrametric with equality "
@@ -214,9 +208,9 @@ def test_criterion_5_dominance_certificates_verify():
         sup = sup_norm_on_interval(a, interval)
         grid_min = min(
             a.gauss_lognorm(
-                RadiusVector((LogRadius(
+                (LogRadius(
                     interval.r_beta + (interval.r_alpha - interval.r_beta) * Fraction(k, 32)
-                ),))
+                ),)
             )
             for k in range(33)
         )
@@ -265,7 +259,7 @@ def test_criterion_7_curve_witness_reproduces_full_radius():
     passes = 0
     for _ in range(10):
         point = sample_unit_point(rng, 3, 1)
-        if generic_equality_check(module, 0, point, depth=50, rho=LogRadius.one()) is None:
+        if generic_equality_check(module, 0, point, depth=50) is None:
             passes += 1
     assert passes >= 9, passes
 
@@ -317,7 +311,7 @@ def test_criterion_9_constant_twist_grid_closed_form():
             module = constant_annulus_module(p, c)
             for r in grid:
                 report = intrinsic_radius(
-                    module, RadiusVector((LogRadius(r),)), depth=12
+                    module, (LogRadius(r),), depth=12
                 )
                 d = report.directions[0]
                 expected = max(Fraction(0), spectral_base_exponent(p) - r - v)

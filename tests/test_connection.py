@@ -23,7 +23,7 @@ from nabla_radius.corpus import (
     power_module,
     trivial_module,
 )
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
 
@@ -97,8 +97,8 @@ class TestPolyMatrix:
         p = 3
         A = PolyMatrix.from_scalar_rows(p, 1, 0, [[Fraction(3), Fraction(1, 9)],
                                                   [Fraction(1), Fraction(27)]])
-        assert A.gauss_lognorm(RadiusVector.ones(1)) == Fraction(-2)
-        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm(RadiusVector.ones(1)) is None
+        assert A.gauss_lognorm((LogRadius.one(),)) == Fraction(-2)
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((LogRadius.one(),)) is None
 
     def test_specialize_entrywise(self):
         p = 3
@@ -192,7 +192,7 @@ class TestIteratedDerivatives:
         seq = ladder(module, 0, 40)
         for s in range(41):
             w = falling_factorial_valuation(a, s, p)
-            got = seq[s].gauss_lognorm(RadiusVector.ones(1))
+            got = seq[s].gauss_lognorm((LogRadius.one(),))
             assert got == w
 
     def test_recursion_invariant(self):
@@ -217,8 +217,8 @@ class TestIteratedDerivatives:
         module = exponential_module(3)
         assert len(ladder(module, 0, 600)) == 601
         with pytest.raises(DepthCapError):
-            intrinsic_radius(module, RadiusVector.ones(1), DEFAULT_DEPTH_CAP + 1)
-        report = intrinsic_radius(module, RadiusVector.ones(1), DEFAULT_DEPTH_CAP)
+            intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP + 1)
+        report = intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP)
         assert report.depth == DEFAULT_DEPTH_CAP
 
     def test_non_integrable_rejected(self):
@@ -251,8 +251,8 @@ class TestIteratedDerivatives:
         assert [shift for _, _, shift in walk] == [1, 2, 3, 4, 5, 6]
         seq = ladder(module, 0, 6)
         for s, H, shift in walk:
-            w = H.gauss_lognorm(RadiusVector.ones(1))
-            assert w - shift == seq[s].gauss_lognorm(RadiusVector.ones(1))
+            w = H.gauss_lognorm((LogRadius.one(),))
+            assert w - shift == seq[s].gauss_lognorm((LogRadius.one(),))
 
     @given(
         e1=st.integers(-3, 3).filter(bool),

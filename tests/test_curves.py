@@ -23,7 +23,7 @@ from nabla_radius.curves import (
     sample_unit_point,
     specialize,
 )
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import Verdict, intrinsic_radius
 
@@ -40,7 +40,7 @@ def g_ladder(module, direction, depth):
 def curve_radius(module, witness, depth):
     """The witness curve's radius, computed by its own recursion."""
     curve = specialize(module, witness.direction, witness.point)
-    return intrinsic_radius(curve, RadiusVector.ones(1), depth).ir_estimate
+    return intrinsic_radius(curve, (LogRadius.one(),), depth).ir_estimate
 
 
 def potential_module(p, phi):
@@ -83,12 +83,12 @@ class TestUnitPoint:
             with pytest.raises(ValueError, match="not a unit"):
                 specialize(module, 0, (bad,))
             with pytest.raises(ValueError, match="not a unit"):
-                generic_equality_check(module, 0, (bad,), depth=5, rho=LogRadius.one())
+                generic_equality_check(module, 0, (bad,), depth=5)
         for bad in (1.0, True, "1"):
             with pytest.raises(TypeError):
                 specialize(module, 0, (bad,))
             with pytest.raises(TypeError):
-                generic_equality_check(module, 0, (bad,), depth=5, rho=LogRadius.one())
+                generic_equality_check(module, 0, (bad,), depth=5)
 
 
 class TestSpecialize:
@@ -134,38 +134,34 @@ class TestGenericEquality:
     def test_holds_at_generic_point(self):
         # (c - 1) is a unit for c = 2, so every power keeps norm 1.
         assert generic_equality_check(
-            shifted_module(), 0, (Fraction(2),), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(2),), depth=10
         ) is None
 
     def test_fails_on_valuation_drop(self):
         # c = 4 gives c - 1 = 3, so the evaluated norm drops at s = 1.
         assert generic_equality_check(
-            shifted_module(), 0, (Fraction(4),), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(4),), depth=10
         ) == 1
 
     def test_fails_at_exact_zero(self):
         # c = 1 evaluates t2 - 1 to zero: the norm collapses entirely.
         assert generic_equality_check(
-            shifted_module(), 0, (Fraction(1),), depth=10, rho=LogRadius.one()
+            shifted_module(), 0, (Fraction(1),), depth=10
         ) == 1
 
     def test_vanishing_sequence_agrees_everywhere(self):
         module = exponential_two_var_module(3)
         assert generic_equality_check(
-            module, 1, (Fraction(2),), depth=10, rho=LogRadius.one()
+            module, 1, (Fraction(2),), depth=10
         ) is None
 
     def test_input_validation(self):
         module = exponential_two_var_module(3)
         pt = (Fraction(2),)
         with pytest.raises(ValueError):
-            generic_equality_check(module, 0, pt, depth=0, rho=LogRadius.one())
-        with pytest.raises(ValueError):
-            generic_equality_check(module, 0, pt, depth=5, rho=LogRadius.center())
+            generic_equality_check(module, 0, pt, depth=0)
         with pytest.raises(DepthCapError):
-            generic_equality_check(
-                module, 0, pt, depth=DEFAULT_DEPTH_CAP + 1, rho=LogRadius.one()
-            )
+            generic_equality_check(module, 0, pt, depth=DEFAULT_DEPTH_CAP + 1)
 
     def test_non_integrable_rejected(self):
         p = 3
@@ -175,7 +171,7 @@ class TestGenericEquality:
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
         )
         with pytest.raises(NotIntegrableError):
-            generic_equality_check(bad, 0, (Fraction(2),), depth=5, rho=LogRadius.one())
+            generic_equality_check(bad, 0, (Fraction(2),), depth=5)
 
 
 class TestSampleUnitPoint:

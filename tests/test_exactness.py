@@ -21,7 +21,7 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius.curves import curve_witness_search, generic_equality_check, specialize
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.newton import AlignedInterval, shrink_interval, sup_norm_on_interval
 from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, taylor_probe
@@ -38,10 +38,10 @@ MODULES = {
 
 def test_gauss_norm_at_unit_radius_is_a_fraction():
     f = LaurentPoly(3, 2, 0, {(1, -2): 9, (0, 3): Fraction(1, 3)})
-    w = f.gauss_lognorm(RadiusVector.ones(2))
+    w = f.gauss_lognorm((LogRadius.one(),) * 2)
     assert w == -1 and type(w) is Fraction
     M = PolyMatrix([[f, f], [f, LaurentPoly.zero(3, 2, 0)]])
-    assert type(M.gauss_lognorm(RadiusVector.ones(2))) is Fraction
+    assert type(M.gauss_lognorm((LogRadius.one(),) * 2)) is Fraction
 
 
 def test_sup_norm_without_negative_exponents_is_a_fraction():
@@ -54,7 +54,7 @@ def test_sup_norm_without_negative_exponents_is_a_fraction():
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_radius_estimates_at_unit_radius_are_fractions(name):
     module = MODULES[name]
-    report = intrinsic_radius(module, RadiusVector.ones(module.dims), depth=16)
+    report = intrinsic_radius(module, (LogRadius.one(),) * module.dims, depth=16)
     assert type(report.ir_estimate) is Fraction
     for d in report.directions:
         assert type(d.point_estimate) is Fraction
@@ -89,4 +89,4 @@ def test_float_and_bool_coordinates_are_refused(bad):
     with pytest.raises(TypeError):
         specialize(module, 0, (bad,))
     with pytest.raises(TypeError):
-        generic_equality_check(module, 0, (bad,), depth=4, rho=LogRadius.one())
+        generic_equality_check(module, 0, (bad,), depth=4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabla_radius.connection import _least_exponent
-from nabla_radius.laurent import LaurentPoly, RadiusVector, SignatureError
+from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.padic import LogRadius, fraction_valuation
 
 PRIMES = [2, 3, 5, 7]
@@ -26,15 +26,9 @@ def polys(draw, n, m, prime=None, max_terms=6):
 
 
 @st.composite
-def radii(draw, n, m, allow_center=True):
+def radii(draw, n, m):
     pos = st.fractions(min_value=Fraction(0), max_value=Fraction(3), max_denominator=12)
-    entries = [LogRadius(draw(pos)) for _ in range(n)]
-    for _ in range(m):
-        if allow_center and draw(st.booleans()):
-            entries.append(LogRadius.center())
-        else:
-            entries.append(LogRadius(draw(pos)))
-    return RadiusVector(tuple(entries))
+    return tuple(LogRadius(draw(pos)) for _ in range(n + m))
 
 
 SIGNATURES = [(1, 0), (2, 0), (1, 1), (0, 2)]
@@ -213,31 +207,18 @@ class TestGaussNorm:
     def test_tie_between_terms(self):
         # p=3: |3 t**2| = 3**-1, |(1/3) t**-1| = 3**1 at rho = 1.
         f = LaurentPoly(3, 1, 0, {(2,): Fraction(3), (-1,): Fraction(1, 3)})
-        assert f.gauss_lognorm(RadiusVector.ones(1)) == Fraction(-1)
+        assert f.gauss_lognorm((LogRadius.one(),)) == Fraction(-1)
         # rho = 3**-1: min(1 + 2*1, -1 + (-1)*1) = -2.
-        rho = RadiusVector((LogRadius(Fraction(1)),))
+        rho = (LogRadius(Fraction(1)),)
         assert f.gauss_lognorm(rho) == Fraction(-2)
 
     def test_zero_polynomial_has_zero_norm(self):
-        assert LaurentPoly.zero(3, 1, 0).gauss_lognorm(RadiusVector.ones(1)) is None
-
-    def test_disc_center_kills_positive_exponents(self):
-        # f = u + 3 on the disc: at the center only the constant survives.
-        f = LaurentPoly(3, 0, 1, {(1,): 1, (0,): 3})
-        center = RadiusVector((LogRadius.center(),))
-        assert f.gauss_lognorm(center) == Fraction(1)
-        u_only = LaurentPoly(3, 0, 1, {(1,): 1})
-        assert u_only.gauss_lognorm(center) is None
-
-    def test_annulus_center_rejected(self):
-        f = LaurentPoly.one(3, 1, 0)
-        with pytest.raises(ValueError):
-            f.gauss_lognorm(RadiusVector((LogRadius.center(),)))
+        assert LaurentPoly.zero(3, 1, 0).gauss_lognorm((LogRadius.one(),)) is None
 
     def test_wrong_arity_rejected(self):
         f = LaurentPoly.one(3, 2, 0)
         with pytest.raises(SignatureError):
-            f.gauss_lognorm(RadiusVector.ones(1))
+            f.gauss_lognorm((LogRadius.one(),))
 
     @pytest.mark.parametrize("n,m", SIGNATURES)
     def test_multiplicative_random(self, n, m):
@@ -273,13 +254,11 @@ class TestGaussNorm:
             n = 1
         f = data.draw(polys(n, m))
         rho = data.draw(radii(n, m))
-        exps = [r.exponent for r in rho.entries]
-        # Reference: the smallest term exponent v(a_J) + sum_l J_l r_l, where
-        # a disc center kills every term with a positive exponent there.
+        exps = [r.exponent for r in rho]
+        # Reference: the smallest term exponent v(a_J) + sum_l J_l r_l.
         term_exps = [
-            Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps) if r is not None)
+            Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps))
             for key, c in f.terms.items()
-            if all(r is not None or j == 0 for j, r in zip(key, exps))
         ]
         expected = min(term_exps) if term_exps else None
         assert f.gauss_lognorm(rho) == expected
@@ -294,7 +273,7 @@ class TestGaussNorm:
         mid = (r1 + r2) / 2
 
         def w(r):
-            return f.gauss_lognorm(RadiusVector((LogRadius(r),)))
+            return f.gauss_lognorm((LogRadius(r),))
 
         assert w(mid) >= Fraction(w(r1) + w(r2), 2)
 
@@ -323,7 +302,7 @@ class TestSupVertexNorm:
         grid = sorted({Fraction(0), lam, lam / 2, lam * Fraction(3, 4)})
         for r1 in grid:
             for r2 in grid:
-                rho = RadiusVector((LogRadius(r1), LogRadius(r2), LogRadius.one()))
+                rho = (LogRadius(r1), LogRadius(r2), LogRadius.one())
                 assert norm_at_most(f.gauss_lognorm(rho), sup)
 
     @given(
@@ -338,7 +317,7 @@ class TestSupVertexNorm:
         f = data.draw(polys(n, m))
         disc = (LogRadius.one(),) * m
         reference = _least_exponent(
-            f.gauss_lognorm(RadiusVector(tuple(LogRadius(c) for c in combo) + disc))
+            f.gauss_lognorm(tuple(LogRadius(c) for c in combo) + disc)
             for combo in product((lam, Fraction(0)), repeat=n)
         )
         assert f.sup_vertex_lognorm(LogRadius(lam)) == reference

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabla_radius.connection import PolyMatrix, _least_exponent
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import (
     PRIME_BOUND,
     LogRadius,
@@ -178,7 +178,7 @@ class TestPAdicRational:
     @given(x=rationals, p=prime_st)
     def test_lognorm_matches_valuation(self, x, p):
         # The norm of a scalar is the Gauss norm of the constant polynomial.
-        w = LaurentPoly.constant(p, 1, 0, x).gauss_lognorm(RadiusVector.ones(1))
+        w = LaurentPoly.constant(p, 1, 0, x).gauss_lognorm((LogRadius.one(),))
         if x == 0:
             assert w is None
         else:
@@ -188,7 +188,7 @@ class TestPAdicRational:
     @given(x=nonzero_rationals, y=nonzero_rationals, p=prime_st)
     def test_norm_is_multiplicative(self, x, y, p):
         def norm(c):
-            return LaurentPoly.constant(p, 1, 0, c).gauss_lognorm(RadiusVector.ones(1))
+            return LaurentPoly.constant(p, 1, 0, c).gauss_lognorm((LogRadius.one(),))
 
         assert norm(x * y) == norm(x) + norm(y)
 
@@ -202,16 +202,16 @@ class TestLogNorm:
         # and the zero norm loses to every nonzero one.
         p = 3
         M = PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3], [1, 0]])
-        assert M.gauss_lognorm(RadiusVector.ones(1)) == 0
+        assert M.gauss_lognorm((LogRadius.one(),)) == 0
         assert PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3]] * 2).gauss_lognorm(
-            RadiusVector.ones(1)
+            (LogRadius.one(),)
         ) == 1
-        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm(RadiusVector.ones(1)) is None
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((LogRadius.one(),)) is None
         assert PolyMatrix.zeros(p, 1, 0, 2).sup_vertex_lognorm(LogRadius.one()) is None
 
     def test_multiplication(self):
         # At radius 3**(-1/6): |t**3| has exponent 1/2, |t**2| 1/3, |t**5| 5/6.
-        rho = RadiusVector((LogRadius(Fraction(1, 6)),))
+        rho = (LogRadius(Fraction(1, 6)),)
         a = LaurentPoly.monomial(3, 1, 0, (3,), 1)
         b = LaurentPoly.monomial(3, 1, 0, (2,), 1)
         assert a.gauss_lognorm(rho) == Fraction(1, 2)
@@ -241,10 +241,13 @@ class TestLogNorm:
 
 class TestLogRadius:
     def test_center_and_one(self):
-        assert LogRadius.center().is_center
-        assert LogRadius.center() == LogRadius(None)
+        # A radius is positive: there is no center (radius 0) value.
+        with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
+            LogRadius(None)
+        with pytest.raises(ValueError, match="malformed rational 'center'"):
+            LogRadius.parse("center")
         assert LogRadius.one().exponent == 0
-        assert LogRadius(Fraction(1, 2)).exponent_str() == "1/2"
+        assert str(LogRadius(Fraction(1, 2)).exponent) == "1/2"
         # the constructor coerces an int exponent
         assert type(LogRadius(2).exponent) is Fraction
 
@@ -256,9 +259,7 @@ class TestLogRadius:
         for e in (0.1, 0.5, True, False):
             with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
                 LogRadius(e)
-            with pytest.raises(TypeError):
-                RadiusVector.from_exponents([e])
 
     def test_parse_round_trip(self):
-        for text in ["0", "7/3", "center"]:
-            assert LogRadius.parse(text).exponent_str() == text
+        for text in ["0", "7/3"]:
+            assert str(LogRadius.parse(text).exponent) == text

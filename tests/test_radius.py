@@ -16,7 +16,7 @@ from nabla_radius.corpus import (
     power_module,
     trivial_module,
 )
-from nabla_radius.laurent import LaurentPoly, RadiusVector
+from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import (
@@ -31,7 +31,7 @@ from nabla_radius.radius import (
     taylor_probe,
 )
 
-R1 = RadiusVector.ones(1)
+R1 = (LogRadius.one(),)
 
 
 def test_spectral_base_exponent():
@@ -87,9 +87,9 @@ class TestIntrinsicRadius:
         with pytest.raises(ValueError):
             intrinsic_radius(module, R1, depth=16, window=Fraction(0))
         with pytest.raises(ValueError):
-            intrinsic_radius(module, RadiusVector.ones(2), depth=16)
-        with pytest.raises(ValueError):
-            intrinsic_radius(module, RadiusVector((LogRadius.center(),)), depth=16)
+            intrinsic_radius(module, (LogRadius.one(),) * 2, depth=16)
+        with pytest.raises(TypeError):
+            intrinsic_radius(module, (LogRadius(None),), depth=16)
 
     def test_non_integrable_rejected(self):
         p = 3
@@ -99,10 +99,10 @@ class TestIntrinsicRadius:
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
         )
         with pytest.raises(NotIntegrableError):
-            intrinsic_radius(bad, RadiusVector.ones(2), depth=16)
+            intrinsic_radius(bad, (LogRadius.one(),) * 2, depth=16)
 
     def test_trivial_module_exact_radius_one(self):
-        report = intrinsic_radius(trivial_module(3, 2, 1, 2), RadiusVector.ones(3), depth=8)
+        report = intrinsic_radius(trivial_module(3, 2, 1, 2), (LogRadius.one(),) * 3, depth=8)
         assert report.ir_estimate == 0
         assert report.exact_flag
         for d in report.directions:
@@ -152,7 +152,7 @@ class TestIntrinsicRadius:
             (Fraction(2), Fraction(1, 4), Fraction(1, 4)),
         ]
         for c, r, expected in cases:
-            rho = RadiusVector((LogRadius(r),))
+            rho = (LogRadius(r),)
             report = intrinsic_radius(constant_annulus_module(3, c), rho, depth=12)
             d = report.directions[0]
             assert d.point_estimate == expected
@@ -160,7 +160,7 @@ class TestIntrinsicRadius:
 
     def test_two_var_takes_min_over_directions(self):
         # Direction 0 estimates 1/2; direction 1 vanishes exactly.
-        report = intrinsic_radius(exponential_two_var_module(3), RadiusVector.ones(2), depth=16)
+        report = intrinsic_radius(exponential_two_var_module(3), (LogRadius.one(),) * 2, depth=16)
         d0, d1 = report.directions
         assert d0.point_estimate == Fraction(1, 2)
         assert d1.exact and d1.vanished_at == 1
@@ -175,7 +175,7 @@ class TestIntrinsicRadius:
     def test_estimates_agree_with_direct_norms(self):
         # Cross-check the windowed formula against the matrices themselves.
         module = power_module(3, Fraction(1, 2))
-        rho = RadiusVector((LogRadius(Fraction(1, 3)),))
+        rho = (LogRadius(Fraction(1, 3)),)
         depth = 12
         report = intrinsic_radius(module, rho, depth=depth, window=Fraction(1, 2))
         d = report.directions[0]
@@ -242,10 +242,10 @@ class TestTaylorProbe:
             taylor_probe(module, eta, LogRadius.one(), 600)
         with pytest.raises(ValueError):
             taylor_probe(module, LogRadius.one(), LogRadius.one(), 12)  # eta = 1
-        with pytest.raises(ValueError):
-            taylor_probe(module, LogRadius.center(), LogRadius.one(), 12)
-        with pytest.raises(ValueError):
-            taylor_probe(module, eta, LogRadius.center(), 12)
+        with pytest.raises(TypeError):
+            taylor_probe(module, LogRadius(None), LogRadius.one(), 12)
+        with pytest.raises(TypeError):
+            taylor_probe(module, eta, LogRadius(None), 12)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_exponential_fail_and_pass_thresholds(self, p):

@@ -1,10 +1,14 @@
-"""The README's Python usage block runs and prints what it documents."""
+"""The README's Python usage block runs and prints what it documents, and
+the package exports every name it lists and the block imports."""
 
 from __future__ import annotations
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import nabla_radius
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +40,20 @@ def test_usage_block_runs_and_matches_its_comments():
         value = eval(expression, namespace)
         assert value == expected, expression
     assert type(namespace["report"].ir_estimate) is Fraction
+
+
+def test_every_exported_name_resolves():
+    names = nabla_radius.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(nabla_radius, name)] == []
+
+
+def test_usage_block_imports_only_exported_names():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(python_blocks()[0]))
+        if isinstance(node, ast.ImportFrom) and node.module == "nabla_radius"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in nabla_radius.__all__] == []
