@@ -9,8 +9,11 @@ coefficients ``int``, which the derivative ladder relies on.  Zero
 coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
-norm, i.e. the smallest such exponent.  Norms are returned as that exact
-``Fraction`` exponent, with None for the zero norm.
+norm, i.e. the smallest such exponent.  Terms of equal weight
+sum_l J_l * r_l share one valuation, that of the gcd of their
+coefficients, so the norm is taken as the least v(gcd) + weight over
+weight classes.  Norms are returned as that exact ``Fraction`` exponent,
+with None for the zero norm.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -228,7 +233,7 @@ class LaurentPoly:
         acc: dict[ExponentVector, Fraction | int] = {}
         for k1, v1 in self._terms.items():
             for k2, v2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
+                key = tuple(map(add, k1, k2))
                 prod = v1 * v2
                 w = acc.get(key)
                 if w is None:
@@ -265,21 +270,36 @@ class LaurentPoly:
 
     def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
         """rho-Gauss norm exponent at one radius per variable, annulus radii
-        first; None for the zero norm."""
+        first; None for the zero norm.
+
+        Terms of equal weight sum_l J_l r_l form a class, and the least
+        v(a_J) over a class is the valuation of the gcd of its
+        coefficients (gcd of the numerators over lcm of the denominators).
+        The norm is the least v(gcd) + weight over the classes: one
+        valuation per class, and one per polynomial at the unit radius.
+        """
         if len(radii) != self.nvars:
             raise SignatureError(
                 f"radius vector has {len(radii)} entries, expected {self.nvars}"
             )
         # slots with radius < 1
         weighted = [(l, radius.exponent) for l, radius in enumerate(radii) if radius.exponent]
-        prime = self.prime
-        best: Optional[Fraction | int] = None
+        classes: dict[Fraction | int, list[Fraction | int]] = {}
         for key, coeff in self._terms.items():
-            w = fraction_valuation(coeff, prime)
+            w = 0
             for l, r in weighted:
                 j = key[l]
                 if j:
                     w += j * r
+            classes.setdefault(w, []).append(coeff)
+        best: Optional[Fraction | int] = None
+        for w, coeffs in classes.items():
+            # Each coefficient is in lowest terms, so p divides at most one
+            # of its numerator and denominator, and the valuation of this
+            # quotient is the least v(a_J) of the class.
+            num = gcd(*[c.numerator for c in coeffs])
+            den = lcm(*[c.denominator for c in coeffs])
+            w += fraction_valuation(Fraction(num, den), self.prime)
             if best is None or w < best:
                 best = w
         return None if best is None else Fraction(best)
@@ -326,7 +346,7 @@ class LaurentPoly:
             for l, cl in zip(others, values):
                 j = key[l]
                 if j:
-                    c = c * cl ** j
+                    c = cl ** j * c  # Fraction first: an int c skips Fraction's reverse operator
             k = (key[direction],)
             w = acc.get(k)
             if w is None:

@@ -23,8 +23,9 @@ from nabla_radius.corpus import (
     power_module,
     trivial_module,
 )
+from nabla_radius import laurent
 from nabla_radius.laurent import LaurentPoly
-from nabla_radius.padic import LogRadius, int_valuation
+from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
 from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
 
 
@@ -99,6 +100,27 @@ class TestPolyMatrix:
                                                   [Fraction(1), Fraction(27)]])
         assert A.gauss_lognorm((LogRadius.one(),)) == Fraction(-2)
         assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((LogRadius.one(),)) is None
+
+    def test_unit_radius_norm_takes_one_valuation_per_nonzero_entry(self, monkeypatch):
+        p = 3
+        t = LaurentPoly.variable(p, 1, 0, 0)
+        corner = LaurentPoly(p, 1, 0, {(-1,): Fraction(2, 9), (0,): 1})
+        N = PolyMatrix([[t + scalar(p, 1, 0, Fraction(1, 3)), LaurentPoly.zero(p, 1, 0)],
+                        [t * t * Fraction(5, 4), corner]])
+        module = ConnectionModule(prime=p, nvars_annulus=1, nvars_disc=0, rank=2, matrices=(N,))
+        H = next(islice(iter_deriv_matrices(module, 0), 6, None))
+        entries = [e for row in H.rows for e in row if not e.is_zero]
+        assert len(entries) == 3 and all(len(e.terms) > 1 for e in entries)
+        expected = min(fraction_valuation(c, p) for e in entries for c in e.terms.values())
+        calls = []
+
+        def counting(x, prime):
+            calls.append(x)
+            return fraction_valuation(x, prime)
+
+        monkeypatch.setattr(laurent, "fraction_valuation", counting)
+        assert H.gauss_lognorm((LogRadius.one(),)) == expected
+        assert len(calls) == len(entries)
 
     def test_specialize_entrywise(self):
         p = 3

@@ -5,8 +5,9 @@ sha256 of its stdout and its stderr with values recorded before the
 scalar and norm wrappers were removed, so a refactor that changes a
 single report byte fails here.  The `oc`, `taylor` and `cutcheck` cases
 on the two ``FRACTIONAL`` modules were recorded before the derivative
-ladder moved to integer numerators over a common denominator.  Depths
-are small so that the whole file runs in a few seconds.
+ladder moved to integer numerators over a common denominator, and the
+``ir-two-radii`` cases before Gauss norms took one valuation per weight
+class.  Depths are small so that the whole file runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def _cases() -> list[tuple[str, str, list[str]]]:
             (f"cutcheck/{label}", label,
              ["cutcheck", "--depth", DEPTH, "--trials", "3", "--seed", "0"]),
         ]
+    # Two different radii put terms of mixed exponents into one weight class.
+    for label in ("frac-potential-p3", "exp-two-var-p3"):
+        cases.append((f"ir-two-radii/{label}", label,
+                      ["ir", "--depth", "40", "--radius", "1/3", "--radius", "1/7"]))
     cases += [
         ("specialize-non-unit/exp-two-var-p3", "exp-two-var-p3",
          ["specialize", "--direction", "0", "--point", "3"]),
@@ -177,6 +182,8 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'oc/frac-twist-rk2-p3': (3, 'd1a21db88578aa0fb0969b261e2729a3bca5acaa66d10d306b1a5eaab0c81551', ''),
     'taylor/frac-twist-rk2-p3': (3, '3141ad69e935be60e090dacf78947baf4fd5e95d52db59178d4dc0ad2846e313', ''),
     'cutcheck/frac-twist-rk2-p3': (3, 'c7053554d19ab1729af920b6f4c6f42e1064265d3093770fbe8a2b5286035fc5', ''),
+    'ir-two-radii/frac-potential-p3': (0, '1866d1c249cc40506aed392ef0e5ee1ee7391fe7272291fcc06fc3318c70fa71', ''),
+    'ir-two-radii/exp-two-var-p3': (0, 'f1455252a9a421f78124a0627eb8946c9ad6f076b7243ce97f8a26183ec81b38', ''),
     'specialize-non-unit/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 3 is not a unit\n'),
     'specialize-non-unit-den/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 1/3 is not a unit\n'),
     'specialize-count/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: expected 1 coordinates, got 2\n'),

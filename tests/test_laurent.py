@@ -31,6 +31,44 @@ def radii(draw, n, m):
     return tuple(LogRadius(draw(pos)) for _ in range(n + m))
 
 
+@st.composite
+def ladder_polys(draw, n, m, p, kind):
+    """Polynomials built by `LaurentPoly._new`, as the derivative ladder
+    builds them: int values +-u*p**e with e <= 600 ("int"), Fractions
+    +-u/(p**k * q) with k >= 1 ("fraction"), or a mix of both ("mixed")."""
+    ann = st.integers(min_value=-2, max_value=2)
+    disc = st.integers(min_value=0, max_value=2)
+    keys = draw(st.lists(st.tuples(*([ann] * n + [disc] * m)), unique=True, max_size=10))
+    terms = {}
+    for key in keys:
+        sign = draw(st.sampled_from([1, -1]))
+        u = draw(st.integers(min_value=1, max_value=2 ** 64))
+        if kind == "int" or (kind == "mixed" and draw(st.booleans())):
+            terms[key] = sign * u * p ** draw(st.integers(min_value=0, max_value=600))
+        else:
+            k = draw(st.integers(min_value=1, max_value=5))
+            q = draw(st.integers(min_value=1, max_value=60))
+            terms[key] = Fraction(sign * u, p ** k * q)
+    return LaurentPoly._new(p, n, m, terms)
+
+
+@st.composite
+def class_radii(draw, n, m):
+    """Radius vectors from a few small exponents, so that weights collide."""
+    pos = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+    return tuple(LogRadius(draw(pos)) for _ in range(n + m))
+
+
+def per_term_lognorm(f: LaurentPoly, rho) -> Fraction | None:
+    """Reference norm: the smallest term exponent v(a_J) + sum_l J_l r_l."""
+    exps = [r.exponent for r in rho]
+    term_exps = [
+        Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps))
+        for key, c in f.terms.items()
+    ]
+    return min(term_exps) if term_exps else None
+
+
 SIGNATURES = [(1, 0), (2, 0), (1, 1), (0, 2)]
 
 
@@ -254,14 +292,19 @@ class TestGaussNorm:
             n = 1
         f = data.draw(polys(n, m))
         rho = data.draw(radii(n, m))
-        exps = [r.exponent for r in rho]
-        # Reference: the smallest term exponent v(a_J) + sum_l J_l r_l.
-        term_exps = [
-            Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps))
-            for key, c in f.terms.items()
-        ]
-        expected = min(term_exps) if term_exps else None
-        assert f.gauss_lognorm(rho) == expected
+        assert f.gauss_lognorm(rho) == per_term_lognorm(f, rho)
+
+    @given(data=st.data(), n=st.integers(0, 2), m=st.integers(0, 2),
+           p=st.sampled_from([2, 3, 5]), kind=st.sampled_from(["int", "fraction", "mixed"]))
+    @settings(max_examples=200, deadline=None)
+    def test_weight_classes_match_per_term_reference(self, data, n, m, p, kind):
+        """Ladder-like coefficients, with radii that put several terms in
+        one weight class (all of them at the unit radius)."""
+        if n + m == 0:
+            n = 1
+        f = data.draw(ladder_polys(n, m, p, kind))
+        rho = data.draw(class_radii(n, m))
+        assert f.gauss_lognorm(rho) == per_term_lognorm(f, rho)
 
     @given(f=polys(1, 0, prime=3))
     @settings(max_examples=60)
