@@ -17,12 +17,7 @@ from nabla_radius.radius import oc_ir_test, taylor_probe
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--min-depth", type=int, default=8,
-        help="floor for the recursion depth used by the radius test (default 8)",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     header = f"{'label':<18} {'p':>2} {'dims':>4} {'rank':>4} {'verdict':<28} {'wit':>3} {'ir_exp':>7} {'probe':<13} {'ok':<3}"
     print(header)
@@ -31,9 +26,8 @@ def main() -> int:
     for entry in build_corpus():
         module = entry.descriptor.module
         expected = entry.descriptor.expected or {}
-        depth = max(entry.taylor_bound, args.min_depth)
         started = time.monotonic()
-        verdict = oc_ir_test(module, depth=depth)
+        verdict = oc_ir_test(module, depth=entry.taylor_bound)
         probe = taylor_probe(
             module,
             LogRadius(entry.taylor_eta),

@@ -50,24 +50,18 @@ EXIT_CODES = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _parse_fraction_arg(text: str, what: str) -> Fraction:
     try:
         return parse_fraction(text)
     except ValueError:
-        raise CliError(f"invalid {what}: {text!r}") from None
+        raise ValueError(f"invalid {what}: {text!r}") from None
 
 
 def _parse_radius_arg(text: str, what: str) -> LogRadius:
     try:
         return LogRadius.parse(text)
     except ValueError:
-        raise CliError(
+        raise ValueError(
             f"invalid {what}: {text!r} (radii must be positive: give the exponent"
             f" e >= 0 of p**(-e) as num/den)"
         ) from None
@@ -80,7 +74,7 @@ def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[LogRadius, .
     if len(entries) == 1:
         entries = entries * dims
     if len(entries) != dims:
-        raise CliError(
+        raise ValueError(
             f"got {len(tokens)} radius values for a module with {dims} variables"
         )
     return tuple(entries)
@@ -101,7 +95,7 @@ def _point(text: str) -> tuple[Fraction, ...]:
     for token in text.split(","):
         token = token.strip()
         if not token:
-            raise CliError("empty coordinate in --point")
+            raise ValueError("empty coordinate in --point")
         coords.append(_parse_fraction_arg(token, "coordinate"))
     return tuple(coords)
 
@@ -197,7 +191,7 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
     descriptor, envelope = _load(args.descriptor)
     module = descriptor.module
     if not 0 <= args.direction < module.dims:
-        raise CliError(
+        raise ValueError(
             f"direction {args.direction} out of range for a module with {module.dims} variables"
         )
     point = _point(args.point)
@@ -274,7 +268,7 @@ def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
     if args.dump:
         entry = corpus_by_label().get(args.dump)
         if entry is None:
-            raise CliError(f"unknown corpus label {args.dump!r}")
+            raise ValueError(f"unknown corpus label {args.dump!r}")
         return module_descriptor_to_dict(entry.descriptor), EXIT_OK
     entries = []
     for entry in build_corpus():
@@ -364,9 +358,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         report, code = args.handler(args)
-    except CliError as exc:
-        print(f"nabla-radius: {exc}", file=sys.stderr)
-        return exc.code
     except NotIntegrableError as exc:
         print(f"nabla-radius: {exc}", file=sys.stderr)
         return EXIT_NOT_INTEGRABLE

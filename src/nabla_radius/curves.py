@@ -54,14 +54,10 @@ def specialize(
     if not 0 <= direction < module.dims:
         raise IndexError(f"direction {direction} out of range")
     N = module.matrices[direction].specialize(direction, _unit_point(module, point))
-    if direction < module.nvars_annulus:
-        n, m = 1, 0
-    else:
-        n, m = 0, 1
     return ConnectionModule(
         prime=module.prime,
-        nvars_annulus=n,
-        nvars_disc=m,
+        nvars_annulus=N.nvars_annulus,
+        nvars_disc=N.nvars_disc,
         rank=module.rank,
         matrices=(N,),
     )
@@ -164,9 +160,9 @@ def curve_witness_search(
 
     Runs the unit-radius verdict first; only a NOT_OVERCONVERGENT_EVIDENCE
     outcome is worth witnessing.  Points are drawn deterministically from
-    the seed and tested in order; the first one passing the generic
-    equality check at radius 1 wins.  Finding no witness is a legal
-    outcome and is reported as such.
+    the seed, each one when it is tried; the first one passing the generic
+    equality check at radius 1 wins, and no point past it is drawn.
+    Finding no witness is a legal outcome and is reported as such.
 
     A passing point needs no second recursion on its curve: the curve's
     G_s are the specialized G_s, and the check has just confirmed that
@@ -176,20 +172,19 @@ def curve_witness_search(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     verdict = oc_ir_test(module, depth, tol, window)
-    if verdict.verdict is not Verdict.NOT_OVERCONVERGENT_EVIDENCE:
-        return CutCheckReport(verdict, None, depth, trials, seed)
-    direction = verdict.witness_direction
-    assert direction is not None
-    rng = random.Random(seed)
-    points = [sample_unit_point(rng, module.prime, module.dims - 1) for _ in range(trials)]
-    for point in points:
-        if generic_equality_check(module, direction, point, depth) is not None:
-            continue
-        witness = CurveWitness(
-            direction=direction,
-            point=point,
-            ir_full=verdict.report.ir_estimate,
-            ir_curve=verdict.report.directions[direction].point_estimate,
-        )
-        return CutCheckReport(verdict, witness, depth, trials, seed)
-    return CutCheckReport(verdict, None, depth, trials, seed)
+    witness: Optional[CurveWitness] = None
+    if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
+        direction = verdict.witness_direction
+        assert direction is not None
+        rng = random.Random(seed)
+        for _ in range(trials):
+            point = sample_unit_point(rng, module.prime, module.dims - 1)
+            if generic_equality_check(module, direction, point, depth) is None:
+                witness = CurveWitness(
+                    direction=direction,
+                    point=point,
+                    ir_full=verdict.report.ir_estimate,
+                    ir_curve=verdict.report.directions[direction].point_estimate,
+                )
+                break
+    return CutCheckReport(verdict, witness, depth, trials, seed)

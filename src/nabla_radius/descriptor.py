@@ -81,7 +81,7 @@ def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
                     )
                 try:
                     row.append(LaurentPoly.from_records(prime, n, m, entry_doc))
-                except (SignatureError, ValueError) as exc:
+                except ValueError as exc:
                     raise DescriptorError(
                         f"matrix {d} entry ({r},{c}): {exc}"
                     ) from None
@@ -179,7 +179,7 @@ def parse_poly_descriptor(doc: Any) -> tuple[LaurentPoly, Optional[str]]:
         raise DescriptorError("'label' must be a string")
     try:
         poly = LaurentPoly.from_records(prime, 1, 0, terms)
-    except (SignatureError, ValueError) as exc:
+    except ValueError as exc:
         raise DescriptorError(str(exc)) from None
     return poly, label
 

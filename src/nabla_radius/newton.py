@@ -6,10 +6,13 @@ r_alpha >= r_beta > 0 (radius p**(-r)).  Each term contributes the line
 l_n(r) = v(a_n) + n*r on the log scale; the sup norm of a over I is the
 smallest line value at the appropriate endpoint, and there is always a
 term index n0 whose line can be made strictly smallest on a closed
-subinterval I' of positive length.  The certificate records n0, I' and a
-strictness margin; `unit_certificate_check` re-verifies it through Gauss
-norms, certifying a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is
-a unit there with |a| = |a_{n0}| * rho^{n0}.
+subinterval I' of positive length.  Each public function builds the line
+table once (`_line_data`), and one pass over it (`_dominance`) gives the
+sup and the dominant term; `shrink_interval` cuts the window from the
+same table.  The certificate records n0, I' and a strictness margin;
+`unit_certificate_check` re-verifies it through Gauss norms, certifying
+a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is a unit there with
+|a| = |a_{n0}| * rho^{n0}.
 """
 
 from __future__ import annotations
@@ -71,25 +74,6 @@ def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
     return out
 
 
-def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> Fraction:
-    """Exponent of the sup of |a| over the interval: nonpositive degrees
-    peak at alpha, nonnegative degrees at beta.  `a` must be nonzero."""
-    lines = _line_data(a)
-    ra, rb = interval.r_alpha, interval.r_beta
-    best: Optional[Fraction] = None
-    for n, v in lines.items():
-        if n <= 0:
-            e = v + n * ra
-            if best is None or e < best:
-                best = e
-        if n >= 0:
-            e = v + n * rb
-            if best is None or e < best:
-                best = e
-    assert best is not None
-    return best
-
-
 @dataclass(frozen=True)
 class DominantTerm:
     A: FrozenSet[int]
@@ -97,20 +81,31 @@ class DominantTerm:
     n0: int
 
 
-def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
-    """Degrees attaining the sup at each endpoint, and the selected n0:
-    the largest attaining degree <= 0 if any, else the smallest >= 0."""
-    lines = _line_data(a)
-    sup = sup_norm_on_interval(a, interval)
+def _dominance(
+    lines: dict[int, Fraction], interval: AlignedInterval
+) -> Tuple[Fraction, DominantTerm]:
+    """One pass over the term lines v(a_n) + n*r: nonpositive degrees peak
+    at alpha and nonnegative ones at beta.  Returns the sup exponent over
+    the interval and the degrees attaining it at each endpoint, with the
+    selected n0: the largest attaining degree <= 0 if any, else the
+    smallest >= 0."""
     ra, rb = interval.r_alpha, interval.r_beta
-    A = frozenset(n for n, v in lines.items() if n <= 0 and v + n * ra == sup)
-    B = frozenset(n for n, v in lines.items() if n >= 0 and v + n * rb == sup)
-    if A:
-        n0 = max(A)
-    else:
-        assert B, "the sup must be attained at an endpoint"
-        n0 = min(B)
-    return DominantTerm(A=A, B=B, n0=n0)
+    at_alpha = {n: v + n * ra for n, v in lines.items() if n <= 0}
+    at_beta = {n: v + n * rb for n, v in lines.items() if n >= 0}
+    sup = min([*at_alpha.values(), *at_beta.values()])
+    A = frozenset(n for n, e in at_alpha.items() if e == sup)
+    B = frozenset(n for n, e in at_beta.items() if e == sup)
+    return sup, DominantTerm(A=A, B=B, n0=max(A) if A else min(B))
+
+
+def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> Fraction:
+    """Exponent of the sup of |a| over the interval.  `a` must be nonzero."""
+    return _dominance(_line_data(a), interval)[0]
+
+
+def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
+    """Degrees attaining the sup at each endpoint, and the selected n0."""
+    return _dominance(_line_data(a), interval)[1]
 
 
 @dataclass(frozen=True)
@@ -143,8 +138,8 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
     midpoint of the feasible exponent range, closed sides are kept.
     """
     lines = _line_data(a)
-    sup = sup_norm_on_interval(a, interval)
-    n0 = dominant_term(a, interval).n0
+    sup, dominant = _dominance(lines, interval)
+    n0 = dominant.n0
     v0 = lines[n0]
     ra, rb = interval.r_alpha, interval.r_beta
 

@@ -79,7 +79,6 @@ class DirectionRadius:
 class RadiusReport:
     """Full intrinsic-radius report at one radius vector."""
 
-    prime: int
     rho: Tuple[LogRadius, ...]
     depth: int
     window: Fraction
@@ -135,17 +134,12 @@ def _direction_radius(
     r_i = rho[direction].exponent
     start = _window_start(depth, window)
     estimates: list[Fraction] = []
+    vanished_at: Optional[int] = None
     for s, H, shift in deriv_ladder(module, direction, depth):
         if H.is_zero:
-            return DirectionRadius(
-                direction=direction,
-                window_start=s,
-                estimates=(Fraction(0),),
-                point_estimate=Fraction(0),
-                stability=Fraction(0),
-                exact=True,
-                vanished_at=s,
-            )
+            # exactly radius 1: the window is the vanishing depth alone
+            start, estimates, vanished_at = s, [Fraction(0)], s
+            break
         if s >= start:
             w = H.gauss_lognorm(rho)
             assert w is not None
@@ -158,8 +152,8 @@ def _direction_radius(
         estimates=tuple(estimates),
         point_estimate=point,
         stability=point - min(estimates),
-        exact=False,
-        vanished_at=None,
+        exact=vanished_at is not None,
+        vanished_at=vanished_at,
     )
 
 
@@ -189,7 +183,6 @@ def intrinsic_radius(
     ir = max(d.point_estimate for d in directions)
     exact_flag = all(d.exact for d in directions)
     return RadiusReport(
-        prime=module.prime,
         rho=rho,
         depth=depth,
         window=window,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nabla_radius import newton
 from nabla_radius.cli import main
 from nabla_radius.corpus import (
     exponential_module,
@@ -385,6 +386,20 @@ class TestTechlemma:
         assert doc["certificate"]["margin"] == "1/4"
         assert doc["unit_check"]["ok"] is True
         assert len(doc["unit_check"]["samples"]) == 20
+
+    def test_builds_the_line_table_at_most_three_times(self, capsys, monkeypatch, poly_path):
+        # one table each for the dominant term, the certificate and its check
+        calls = []
+        original = newton._line_data
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(newton, "_line_data", counting)
+        code, _, _ = run(capsys, ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2"])
+        assert code == 0
+        assert len(calls) <= 3
 
     def test_degenerate_tie(self, capsys, tmp_path):
         path = tmp_path / "tie.json"

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from nabla_radius import connection
+from nabla_radius import connection, curves
 from nabla_radius.connection import (
     DEFAULT_DEPTH_CAP,
     ConnectionModule,
@@ -15,7 +15,7 @@ from nabla_radius.connection import (
     iter_deriv_matrices,
     ladder_denominator,
 )
-from nabla_radius.corpus import exponential_two_var_module, trivial_module
+from nabla_radius.corpus import corpus_by_label, exponential_two_var_module, trivial_module
 from nabla_radius.curves import (
     _unit_point,
     curve_witness_search,
@@ -209,6 +209,21 @@ class TestCurveWitnessSearch:
         assert c.witness is not None
         for report in (a, c):
             assert report.witness.ir_curve == curve_radius(module, report.witness, 24)
+
+    def test_draws_only_the_points_it_tries(self, monkeypatch):
+        draws = []
+        original = curves.sample_unit_point
+
+        def counting(*args):
+            draws.append(original(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(curves, "sample_unit_point", counting)
+        module = corpus_by_label()["exp-two-var-p3"].descriptor.module
+        report = curve_witness_search(module, depth=16, trials=10, seed=0)
+        assert report.witness is not None
+        assert report.witness.point == (Fraction(-8, 5),)
+        assert draws == [report.witness.point]
 
     def test_positive_verdict_skips_search(self):
         report = curve_witness_search(trivial_module(3, 2, 0, 1), depth=8, trials=3, seed=0)

@@ -126,6 +126,16 @@ class TestIntrinsicRadius:
         assert d.point_estimate == 0
         assert report.exact_flag
 
+    def test_vanishing_after_the_window_opens(self):
+        # t^6-twist at p = 7: the window opens at s = 6 and G_7 vanishes, so
+        # the exact-one result replaces the estimate G_6 gave.
+        report = intrinsic_radius(power_module(7, 6), R1, depth=8)
+        d = report.directions[0]
+        assert d.window_start == 7
+        assert d.estimates == (0,)
+        assert d.vanished_at == 7
+        assert d.exact and d.point_estimate == 0 and d.stability == 0
+
     def test_fractional_power_estimates_match_oracle(self):
         # G_s = (1/2)(1/2 - 1)...(1/2 - s + 1) t**-s; window estimates are
         # max(0, 1/2 - w_s/s) with w_s the falling-factorial valuation.
