@@ -199,6 +199,14 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
     label = descriptor.label
     curve_label = f"{label}-curve-t{args.direction}" if label else None
     curve_descriptor = ModuleDescriptor(module=curve, label=curve_label)
+    try:
+        curve_doc = module_descriptor_to_dict(curve_descriptor)
+    except ValueError:
+        # str() of a coefficient past the interpreter's int/str digit limit
+        raise ValueError(
+            "specialize: a coefficient of the curve has more digits than"
+            f" the limit of {sys.get_int_max_str_digits()}"
+        ) from None
     doc = {
         "schema": SCHEMA,
         "command": "specialize",
@@ -207,7 +215,7 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
             "direction": args.direction,
             "point": [str(c) for c in point],
         },
-        "module": module_descriptor_to_dict(curve_descriptor),
+        "module": curve_doc,
     }
     return doc, EXIT_OK
 

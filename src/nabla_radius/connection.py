@@ -12,6 +12,12 @@ They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
 common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
     H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
 has int coefficients throughout, so no step pays for a Fraction gcd.
+Each term of H_{i,s+1} sits at a key of H_{i,s} moved by one shift of
+S = {-e_i} + {exponents of M_i}.  A step translates the union support of
+H_{i,s} by every shift once, into a per-step table, and then builds each
+entry in one accumulation over that table; it makes no temporary
+LaurentPoly and calls none of the ring operations, which the curvature
+(the integrability check) still uses.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly, SignatureError
@@ -272,35 +279,56 @@ def ladder_denominator(module: ConnectionModule, direction: int) -> int:
     return c
 
 
-def _times(A: PolyMatrix, c: int) -> PolyMatrix:
-    """c * A with int coefficients; every denominator of A must divide c."""
-    p, n, m = A.prime, A.nvars_annulus, A.nvars_disc
-    return PolyMatrix(tuple(
-        tuple(
-            LaurentPoly._new(p, n, m, {
-                k: v.numerator * (c // v.denominator) for k, v in entry.terms.items()
-            })
-            for entry in row
-        )
-        for row in A.rows
-    ))
-
-
 def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
     """Yield H_0 = identity, H_1, ... indefinitely, where H_s = c**s G_s
     for c = ladder_denominator(module, direction).
 
     The recursion H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps
-    every coefficient an int.  A caller that needs G_s itself divides by
-    c**s; a norm exponent of G_s is that of H_s minus s * v_p(c).  Callers
-    bound the iteration; integrability is not re-checked here.
+    every coefficient an int.  Every term of H_{s+1} sits at a key of H_s
+    moved by one shift of S = {-e_direction} + {exponents of M}, so each
+    step first translates the union support of H_s by every shift once,
+    then builds each entry in one dict: c J_d a_J at J - e_d, and v1 v2
+    at K + J for each term v1 t^K of M[i][k] and v2 t^J of H_s[k][j].
+    Sums that cancel are dropped once, at the end of the entry.
+
+    A caller that needs G_s itself divides by c**s; a norm exponent of G_s
+    is that of H_s minus s * v_p(c).  Callers bound the iteration;
+    integrability is not re-checked here.
     """
     c = ladder_denominator(module, direction)
-    M = _times(module.matrices[direction], c)
-    H = PolyMatrix.identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
+    p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
+    # M = c N as (shift, int) pairs per entry
+    M = [
+        [
+            [(K, v.numerator * (c // v.denominator)) for K, v in entry.terms.items()]
+            for entry in row
+        ]
+        for row in module.matrices[direction].rows
+    ]
+    down = tuple(-1 if l == direction else 0 for l in range(n + m))
+    shifts = {down}.union(K for row in M for entry in row for K, _ in entry)
+    H = PolyMatrix.identity(p, n, m, rank)
     while True:
         yield H
-        dH = H.partial(direction)
-        if c != 1:
-            dH = _times(dH, c)
-        H = dH + (M @ H)
+        terms = [[entry._terms for entry in row] for row in H.rows]
+        support = set().union(*(entry for row in terms for entry in row))
+        moved = {K: {J: tuple(map(add, J, K)) for J in support} for K in shifts}
+        lower = moved[down]
+        out = []
+        for i in range(rank):
+            row = []
+            for j in range(rank):
+                acc = {
+                    lower[J]: c * J[direction] * a
+                    for J, a in terms[i][j].items() if J[direction]
+                }
+                for k in range(rank):
+                    right = terms[k][j]
+                    for K, v1 in M[i][k]:
+                        table = moved[K]
+                        for J, v2 in right.items():
+                            key = table[J]
+                            acc[key] = acc.get(key, 0) + v1 * v2
+                row.append(LaurentPoly._new(p, n, m, {J: a for J, a in acc.items() if a}))
+            out.append(tuple(row))
+        H = PolyMatrix(tuple(out))

@@ -196,6 +196,28 @@ class TestOversizedIntegers:
         assert code == 2 and out == ""
         assert err == "nabla-radius: curvature in directions (0, 1) is nonzero\n"
 
+    def test_specialized_curve_too_long_to_print(self, capsys, tmp_path):
+        # Potential t0 * t1**15000: at t1 = 2 the curve's N_0 is 2**15000,
+        # an integer of 4516 digits that str() refuses.
+        p, e = 3, 15000
+        module = ConnectionModule(p, 2, 0, 1, (
+            PolyMatrix([[LaurentPoly(p, 2, 0, {(0, e): 1})]]),
+            PolyMatrix([[LaurentPoly(p, 2, 0, {(1, e - 1): e})]]),
+        ))
+        path = tmp_path / "steep.json"
+        save_module_descriptor(ModuleDescriptor(module=module, label="steep"), str(path))
+        code, out, err = run(capsys, ["specialize", "--direction", "0", "--point", "2", str(path)])
+        assert code == 1 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            "nabla-radius: specialize: a coefficient of the curve has more digits"
+            f" than the limit of {limit}\n"
+        )
+        # the other curve, N_1 = e * 2 * t1**(e-1), still prints
+        code, report, err = run_json(capsys, ["specialize", "--direction", "1", "--point", "2", str(path)])
+        assert code == 0 and err == ""
+        assert report["module"]["matrices"] == [[[[{"exps": [e - 1], "coeff": str(2 * e)}]]]]
+
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"label": "\xe9"}')

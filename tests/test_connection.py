@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import islice
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from nabla_radius.corpus import (
     exponential_two_var_module,
     falling_factorial_valuation,
     power_module,
+    random_integrable_module,
     trivial_module,
 )
 from nabla_radius import laurent
@@ -44,6 +46,24 @@ def ladder(module, direction, depth):
     c = ladder_denominator(module, direction)
     numerators = islice(iter_deriv_matrices(module, direction), depth + 1)
     return [scaled(H, Fraction(1, c ** s)) for s, H in enumerate(numerators)]
+
+
+def potential_module(p, n, m, terms, C):
+    """d + d(phi) C: N_i = d_i(phi) C for phi = sum of terms and a constant
+    matrix C.  Every pair of these matrices commutes and d_i d_j phi is
+    symmetric, so the module is integrable."""
+    phi = LaurentPoly(p, n, m, terms)
+    rank = len(C)
+    return ConnectionModule(
+        prime=p, nvars_annulus=n, nvars_disc=m, rank=rank,
+        matrices=tuple(
+            PolyMatrix(tuple(
+                tuple(phi.partial(i).scalar_mul(C[r][k]) for k in range(rank))
+                for r in range(rank)
+            ))
+            for i in range(n + m)
+        ),
+    )
 
 
 def reference_ladder(module, direction, depth):
@@ -314,17 +334,47 @@ def fractional_modules(draw):
     key = (draw(_EXPONENTS), draw(st.integers(0, 3)))
     if draw(st.booleans()) and key not in terms:
         terms[key] = draw(st.integers(-4, 4))
-    phi = LaurentPoly(p, 1, 1, terms)
     rank = draw(st.sampled_from([1, 2]))
     C = [[1]] if rank == 1 else [[1, draw(_C_ENTRIES)], [draw(_C_ENTRIES), draw(_C_ENTRIES)]]
-    matrices = tuple(
-        PolyMatrix(tuple(
-            tuple(phi.partial(i).scalar_mul(C[r][c]) for c in range(rank))
-            for r in range(rank)
-        ))
-        for i in range(2)
-    )
-    return ConnectionModule(prime=p, nvars_annulus=1, nvars_disc=1, rank=rank, matrices=matrices)
+    return potential_module(p, 1, 1, terms, C)
+
+
+# u v^T with v . u = 0, so its square vanishes: in M H_1 = c**2 (d phi)**2 C**2
+# every product of the step cancels.
+_NILPOTENT = [[1, 1, 1], [-1, -1, -1], [0, 0, 0]]
+_SMALL_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 4)])
+
+
+@st.composite
+def wide_modules(draw):
+    """Rank-3 modules d + d(phi) C on two annulus and one disc variable.
+    phi has two or three monomials; the first has p or p**2 in its
+    denominator and exponents of absolute value 1 or 2 (below p) in every
+    variable, so v_p(c) > 0 in every direction.  C is the nilpotent matrix
+    above or a small integer matrix, so that products collide and cancel."""
+    p = draw(st.sampled_from([3, 5]))
+    num = draw(st.integers(-20, 20).filter(lambda k: k % p))
+    first = (draw(_EXPONENTS), draw(_EXPONENTS), draw(st.integers(1, 2)))
+    terms = {first: Fraction(num, p ** draw(st.integers(1, 2)))}
+    monomial = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2))
+    for key in draw(st.lists(monomial, min_size=1, max_size=2, unique=True)):
+        terms.setdefault(key, draw(_SMALL_COEFFS))
+    if draw(st.booleans()):
+        C = _NILPOTENT
+    else:
+        row = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+        C = draw(st.lists(row, min_size=3, max_size=3).filter(lambda C: any(map(any, C))))
+    return potential_module(p, 2, 1, terms, C)
+
+
+def assert_integral_entries(H, n):
+    """Every stored coefficient of H is a nonzero int, and every disc
+    exponent (after the first n annulus slots) is >= 0."""
+    for row in H.rows:
+        for entry in row:
+            for J, v in entry.terms.items():
+                assert type(v) is int and v != 0, (J, v)
+                assert all(j >= 0 for j in J[n:]), J
 
 
 class TestIntegerLadder:
@@ -338,9 +388,36 @@ class TestIntegerLadder:
             numerators = list(islice(iter_deriv_matrices(module, i), 13))
             for s, (H, G) in enumerate(zip(numerators, reference_ladder(module, i, 12))):
                 assert scaled(H, Fraction(1, c ** s)) == G, (i, s)
-                for row in H.rows:
-                    for entry in row:
-                        assert all(type(v) is int for v in entry.terms.values()), (i, s)
+                assert_integral_entries(H, module.nvars_annulus)
+
+    @given(module=wide_modules())
+    @settings(max_examples=25, deadline=None)
+    def test_rank_three_in_every_direction_matches_the_fraction_recursion(self, module):
+        assert integrability_check(module) is None
+        for i in range(module.dims):  # the last direction is the disc variable
+            c = ladder_denominator(module, i)
+            assert int_valuation(c, module.prime) > 0
+            numerators = list(islice(iter_deriv_matrices(module, i), 9))
+            for s, (H, G) in enumerate(zip(numerators, reference_ladder(module, i, 8))):
+                assert scaled(H, Fraction(1, c ** s)) == G, (i, s)
+                assert_integral_entries(H, module.nvars_annulus)
+
+    def test_products_that_cancel_leave_no_term(self):
+        # With C**2 = 0, H_2 = c d(H_1) + M H_1 = c**2 d^2(phi) C: every
+        # product of M H_1 cancels.
+        p = 3
+        terms = {(1, -2, 1): Fraction(2, 9), (-1, 0, 2): 1, (2, 1, 0): -3}
+        module = potential_module(p, 2, 1, terms, _NILPOTENT)
+        phi = LaurentPoly(p, 2, 1, terms)
+        for i in range(3):
+            c = ladder_denominator(module, i)
+            assert c == 9
+            H2 = next(islice(iter_deriv_matrices(module, i), 2, None))
+            d2 = phi.partial(i).partial(i).scalar_mul(c * c)
+            assert H2 == PolyMatrix(tuple(
+                tuple(d2.scalar_mul(x) for x in row) for row in _NILPOTENT
+            ))
+            assert_integral_entries(H2, 2)
 
     def test_denominator_is_one_on_an_integral_module(self):
         # Integer values stored as Fractions still have denominator 1.
@@ -367,3 +444,56 @@ class TestIntegerLadder:
         assert ladder_denominator(module, 0) == 36
         with pytest.raises(IndexError):
             ladder_denominator(module, 1)
+
+
+def benchmark_anchor_modules():
+    """The anchor modules of the benchmark workloads, rebuilt from the
+    public API: oc-deep, cutcheck-dense and taylor-wide."""
+    p = 3
+    return {
+        "oc-deep": random_integrable_module(Random(7), p, 2),
+        "cutcheck-dense": potential_module(
+            p, 2, 0, {(-2, -2): Fraction(-2, 3), (1, 1): Fraction(1, 3)}, [[-1, 2], [2, 1]]
+        ),
+        "taylor-wide": potential_module(p, 4, 0, {(-1, -2, 1, 2): 1}, [[1]]),
+    }
+
+
+RING_OPERATIONS = (
+    (LaurentPoly, "__mul__"),
+    (LaurentPoly, "__add__"),
+    (LaurentPoly, "partial"),
+    (PolyMatrix, "__matmul__"),
+    (PolyMatrix, "__add__"),
+)
+
+
+def count_calls(monkeypatch, operations):
+    """Patch each (class, method) with a counting wrapper; return the counts."""
+    counts = {}
+    for cls, name in operations:
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+
+        def counting(*args, _method=getattr(cls, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+class TestLadderStep:
+    def test_the_step_does_no_generic_ring_operation(self, monkeypatch):
+        module = random_integrable_module(Random(7), 3, 2)
+        counts = count_calls(monkeypatch, RING_OPERATIONS)
+        walk = list(islice(iter_deriv_matrices(module, 0), 21))
+        assert counts == dict.fromkeys(counts, 0)
+        assert not walk[20].is_zero
+
+    @pytest.mark.parametrize("name", ["oc-deep", "cutcheck-dense", "taylor-wide"])
+    def test_the_curvature_still_uses_the_ring_operations(self, monkeypatch, name):
+        module = benchmark_anchor_modules()[name]
+        counts = count_calls(monkeypatch, RING_OPERATIONS[:4])
+        assert integrability_check(module) is None
+        assert all(counts.values()), counts
