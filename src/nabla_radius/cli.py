@@ -27,7 +27,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .newton import AlignedInterval, dominant_term, shrink_interval, unit_certificate_check
+from .newton import AlignedInterval, shrink_interval, unit_certificate_check
 from .padic import LogRadius, parse_fraction
 from .radius import ProbeOutcome, Verdict, intrinsic_radius, oc_ir_test, taylor_probe
 
@@ -253,8 +253,8 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")
     interval = AlignedInterval.from_exponents(r_alpha, r_beta)
-    result = dominant_term(poly, interval)
     certificate = shrink_interval(poly, interval)
+    dominant = certificate.dominant
     check = unit_certificate_check(poly, certificate, args.samples)
     doc = {
         "schema": SCHEMA,
@@ -265,7 +265,7 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
             "beta_exponent": str(r_beta),
             "samples": args.samples,
         },
-        "dominant": {"A": sorted(result.A), "B": sorted(result.B), "n0": result.n0},
+        "dominant": {"A": sorted(dominant.A), "B": sorted(dominant.B), "n0": dominant.n0},
         "certificate": certificate.to_json_dict(),
         "unit_check": check.to_json_dict(),
     }

@@ -6,7 +6,10 @@ the evaluations of the originals (substitution commutes exactly with the
 derivative recursion in the kept direction).  Gauss norms can only drop
 under evaluation, and on a generic unit point they do not drop at all;
 `curve_witness_search` hunts for such a point to tie a one-variable
-non-overconvergence witness back to the full module.
+non-overconvergence witness back to the full module.  Since no entry's
+norm can rise under evaluation, `generic_equality_check` specializes only
+the entries that attain the matrix norm, and stops at the first one that
+keeps it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .connection import (
     DEFAULT_DEPTH_CAP,
     ConnectionModule,
     DepthCapError,
+    _least_exponent,
     require_integrable,
 )
 from .padic import LogRadius, check_exact, fraction_valuation
@@ -74,6 +78,13 @@ def generic_equality_check(
 
     Returns the first depth where they differ (the evaluated norm can only
     be smaller), or None when all agree.
+
+    The comparison is entrywise.  Evaluating at a unit point never raises
+    a Gauss norm, so every entry e has w(e(point)) >= w(e) >= full, where
+    w is the norm exponent and full the least w(e) over the matrix.  The
+    evaluated matrix therefore keeps the norm exactly when some entry with
+    w(e) == full keeps it, and only those entries are specialized, until
+    the first one that does.  A zero matrix keeps its (zero) norm.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -85,9 +96,12 @@ def generic_equality_check(
     single = (LogRadius.one(),)
     # G_s and its evaluation both divide by c**s: compare the numerators H_s.
     for s, H, _ in deriv_ladder(module, direction, depth):
-        full = H.gauss_lognorm(multi)
-        evaluated = H.specialize(direction, coords).gauss_lognorm(single)
-        if full != evaluated:
+        norms = [(e, e.gauss_lognorm(multi)) for row in H.rows for e in row]
+        full = _least_exponent(w for _, w in norms)
+        if full is not None and not any(
+            e.specialize(direction, coords).gauss_lognorm(single) == full
+            for e, w in norms if w == full
+        ):
             return s
     return None
 

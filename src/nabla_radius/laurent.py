@@ -330,6 +330,14 @@ class LaurentPoly:
         """Substitute scalars for every variable except `direction`, in
         variable order, producing a one-variable polynomial in that variable.
 
+        All terms share one denominator: the lcm of the coefficient
+        denominators times d_l**P_l * n_l**Q_l for each coordinate n_l/d_l,
+        where P_l and Q_l are the largest positive and negative exponents
+        of slot l.  Over it, a term a t^J contributes the integer
+        a * prod_l n_l**(Q_l + j_l) * d_l**(P_l - j_l), with one power
+        taken per distinct exponent of a slot.  Each output coefficient is
+        one integer sum, and one Fraction at the end.
+
         The coordinates are not checked to be units: `curves` does that
         once per point before it specializes a module."""
         if not 0 <= direction < self.nvars:
@@ -339,29 +347,31 @@ class LaurentPoly:
             raise SignatureError(
                 f"expected {len(others)} coordinates, got {len(coords)}"
             )
-        values = [Fraction(c) for c in coords]  # int ** -j would be a float
-        acc: dict[ExponentVector, Fraction | int] = {}
-        for key, coeff in self._terms.items():
-            c = coeff
-            for l, cl in zip(others, values):
-                j = key[l]
-                if j:
-                    c = cl ** j * c  # Fraction first: an int c skips Fraction's reverse operator
-            k = (key[direction],)
-            w = acc.get(k)
-            if w is None:
-                acc[k] = c
-            else:
-                s = w + c
-                if s == 0:
-                    del acc[k]
-                else:
-                    acc[k] = s
         if direction < self.nvars_annulus:
             n, m = 1, 0
         else:
             n, m = 0, 1
-        return LaurentPoly._new(self.prime, n, m, acc)
+        terms = self._terms
+        lcd = lcm(*[a.denominator for a in terms.values()])
+        den = lcd
+        weights = []  # (slot, {exponent: integer weight})
+        for l, c in zip(others, coords):
+            c = Fraction(c)
+            num_l, den_l = c.numerator, c.denominator
+            exps = {key[l] for key in terms}
+            top, bottom = max(exps | {0}), -min(exps | {0})
+            den *= den_l ** top * num_l ** bottom
+            weights.append((l, {j: num_l ** (bottom + j) * den_l ** (top - j) for j in exps}))
+        acc: dict[ExponentVector, int] = {}
+        for key, a in terms.items():
+            x = a.numerator * (lcd // a.denominator)
+            for l, table in weights:
+                x *= table[key[l]]
+            k = (key[direction],)
+            acc[k] = acc.get(k, 0) + x
+        return LaurentPoly._new(
+            self.prime, n, m, {k: Fraction(x, den) for k, x in acc.items() if x}
+        )
 
     # -- serialization ------------------------------------------------------
 

@@ -7,10 +7,12 @@ l_n(r) = v(a_n) + n*r on the log scale; the sup norm of a over I is the
 smallest line value at the appropriate endpoint, and there is always a
 term index n0 whose line can be made strictly smallest on a closed
 subinterval I' of positive length.  Each public function builds the line
-table once (`_line_data`), and one pass over it (`_dominance`) gives the
-sup and the dominant term; `shrink_interval` cuts the window from the
-same table.  The certificate records n0, I' and a strictness margin;
-`unit_certificate_check` re-verifies it through Gauss norms, certifying
+table at most once (`_line_data`), and one pass over it (`_dominance`)
+gives the sup and the dominant term; `shrink_interval` cuts the window
+from the same table.  The certificate records the dominant term (the
+degrees attaining the sup, and n0), I' and a strictness margin, so one
+table serves a whole run; `unit_certificate_check` needs no table, only
+v(a_{n0}), and re-verifies the certificate through Gauss norms, certifying
 a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is a unit there with
 |a| = |a_{n0}| * rho^{n0}.
 """
@@ -60,10 +62,14 @@ class AlignedInterval:
         }
 
 
-def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
-    """Map term degree -> coefficient valuation, for one-variable input."""
+def _check_one_variable(a: LaurentPoly) -> None:
     if a.nvars_annulus != 1 or a.nvars_disc != 0:
         raise SignatureError("expected a one-variable Laurent polynomial")
+
+
+def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
+    """Map term degree -> coefficient valuation, for one-variable input."""
+    _check_one_variable(a)
     if a.is_zero:
         raise ValueError("the zero polynomial has no dominant term")
     out: dict[int, Fraction] = {}
@@ -112,14 +118,19 @@ def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
 class DominanceCertificate:
     """Strict dominance of term n0 on the subinterval, with margin.
 
-    margin is the smallest exponent gap between any other term line and
-    the n0 line at the endpoints of the subinterval; None encodes an
+    dominant is the term selection over the original interval, n0 among
+    it; margin is the smallest exponent gap between any other term line
+    and the n0 line at the endpoints of the subinterval; None encodes an
     infinite margin (monomials)."""
 
-    n0: int
+    dominant: DominantTerm
     interval: AlignedInterval
     sup_norm: Fraction
     margin: Optional[Fraction]
+
+    @property
+    def n0(self) -> int:
+        return self.dominant.n0
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,7 +191,7 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
                 margin = gap
     if margin is not None and margin <= 0:
         raise ValueError("internal error: dominance margin is not positive")
-    return DominanceCertificate(n0=n0, interval=sub, sup_norm=sup, margin=margin)
+    return DominanceCertificate(dominant=dominant, interval=sub, sup_norm=sup, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -210,13 +221,14 @@ def unit_certificate_check(
     f = sum_{n != n0} (a_n / a_{n0}) t^{n - n0} must have norm < 1
     (positive exponent) and |a| must equal |a_{n0}| * rho^{n0}.  The
     first radius violating either condition is returned as a
-    counterexample.
+    counterexample.  Only n0 and the interval are read from the
+    certificate, and no line table is built: v(a_{n0}) is one valuation.
     """
     if samples < 1:
         raise ValueError("need at least one sample radius")
-    lines = _line_data(a)
+    _check_one_variable(a)
     n0 = certificate.n0
-    if n0 not in lines:
+    if (n0,) not in a.terms:
         raise ValueError(f"certificate names absent term {n0}")
     c0 = a.coefficient((n0,))
     f = LaurentPoly(
@@ -229,7 +241,7 @@ def unit_certificate_check(
             if n != n0
         },
     )
-    v0 = lines[n0]
+    v0 = fraction_valuation(c0, a.prime)
     hi = certificate.interval.r_alpha
     lo = certificate.interval.r_beta
     if samples == 1 or hi == lo:

@@ -15,7 +15,12 @@ from nabla_radius.connection import (
     iter_deriv_matrices,
     ladder_denominator,
 )
-from nabla_radius.corpus import corpus_by_label, exponential_two_var_module, trivial_module
+from nabla_radius.corpus import (
+    corpus_by_label,
+    exponential_two_var_module,
+    random_integrable_module,
+    trivial_module,
+)
 from nabla_radius.curves import (
     _unit_point,
     curve_witness_search,
@@ -25,7 +30,7 @@ from nabla_radius.curves import (
 )
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation
-from nabla_radius.radius import Verdict, intrinsic_radius
+from nabla_radius.radius import Verdict, deriv_ladder, intrinsic_radius
 
 
 def g_ladder(module, direction, depth):
@@ -35,6 +40,17 @@ def g_ladder(module, direction, depth):
         PolyMatrix(tuple(tuple(e.scalar_mul(Fraction(1, c ** s)) for e in row) for row in H.rows))
         for s, H in enumerate(islice(iter_deriv_matrices(module, direction), depth + 1))
     ]
+
+
+def full_matrix_check(module, direction, point, depth):
+    """Reference check: the first s <= depth at which the whole matrix H_s
+    and its evaluation H_s(point) differ in unit-radius norm, else None."""
+    multi = (LogRadius.one(),) * module.dims
+    single = (LogRadius.one(),)
+    for s, H, _ in deriv_ladder(module, direction, depth):
+        if H.gauss_lognorm(multi) != H.specialize(direction, point).gauss_lognorm(single):
+            return s
+    return None
 
 
 def curve_radius(module, witness, depth):
@@ -66,6 +82,18 @@ def shifted_module(p=3):
 def fermat_module(p=3):
     phi = LaurentPoly(p, 2, 0, {(1, 2): 1, (1, 0): -1})
     return potential_module(p, phi)
+
+
+# diag(t2 - 1, t2) in direction 0: at t2 = 4 the first entry's norm drops
+# (4 - 1 = 3) and the second's does not, so the matrix keeps its norm.
+def split_module(p=3):
+    parts = (shifted_module(p), potential_module(p, LaurentPoly(p, 2, 0, {(1, 1): 1})))
+    zero = LaurentPoly.zero(p, 2, 0)
+    mats = tuple(
+        PolyMatrix([[A.rows[0][0], zero], [zero, B.rows[0][0]]])
+        for A, B in zip(*(part.matrices for part in parts))
+    )
+    return ConnectionModule(prime=p, nvars_annulus=2, nvars_disc=0, rank=2, matrices=mats)
 
 
 class TestUnitPoint:
@@ -149,6 +177,11 @@ class TestGenericEquality:
             shifted_module(), 0, (Fraction(1),), depth=10
         ) == 1
 
+    def test_one_entry_keeping_the_norm_suffices(self):
+        module = split_module()
+        assert full_matrix_check(module, 0, (Fraction(4),), 10) is None
+        assert generic_equality_check(module, 0, (Fraction(4),), depth=10) is None
+
     def test_vanishing_sequence_agrees_everywhere(self):
         module = exponential_two_var_module(3)
         assert generic_equality_check(
@@ -172,6 +205,49 @@ class TestGenericEquality:
         )
         with pytest.raises(NotIntegrableError):
             generic_equality_check(bad, 0, (Fraction(2),), depth=5)
+
+
+class TestGenericEqualityMatchesFullMatrix:
+    """The entrywise check gives the first differing depth of the
+    full-matrix comparison, while specializing fewer entries."""
+
+    def test_same_answer_as_the_full_matrix(self):
+        rng = random.Random(2024)
+        modules = [random_integrable_module(rng, 3, rank) for rank in (1, 2) for _ in range(4)]
+        modules += [exponential_two_var_module(3), shifted_module(), fermat_module(), split_module()]
+        outcomes = []
+        for module in modules:
+            for direction in (0, 1):
+                for _ in range(3):
+                    point = sample_unit_point(rng, 3, 1)
+                    expected = full_matrix_check(module, direction, point, 16)
+                    assert generic_equality_check(module, direction, point, 16) == expected, (
+                        module, direction, point,
+                    )
+                    outcomes.append(expected)
+        assert None in outcomes
+        assert any(s is not None for s in outcomes)
+
+    def test_specializes_fewer_entries_than_the_whole_matrix(self, monkeypatch):
+        # Every entry of H_1 .. H_16 is nonzero and the point passes, so the
+        # full-matrix comparison specializes all rank**2 entries per depth.
+        module = random_integrable_module(random.Random(7), 3, 2)
+        point = (Fraction(2),)
+        depth = 16
+        assert all(
+            not e.is_zero
+            for _, H, _ in deriv_ladder(module, 0, depth) for row in H.rows for e in row
+        )
+        calls = []
+        original = LaurentPoly.specialize
+
+        def counting(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(LaurentPoly, "specialize", counting)
+        assert generic_equality_check(module, 0, point, depth) is None
+        assert depth <= len(calls) < module.rank ** 2 * depth
 
 
 class TestSampleUnitPoint:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -86,6 +87,57 @@ def evaluate(f: LaurentPoly, coords) -> Fraction:
             v *= Fraction(c) ** j
         total += v
     return total
+
+
+def per_term_specialize(f: LaurentPoly, direction: int, coords) -> dict:
+    """Reference substitution: each term times its coordinate powers, in
+    Fractions, summed term by term into the kept exponent."""
+    others = [l for l in range(f.nvars) if l != direction]
+    acc: dict = {}
+    for key, coeff in f.terms.items():
+        c = Fraction(coeff)
+        for l, cl in zip(others, coords):
+            c *= Fraction(cl) ** key[l]
+        k = (key[direction],)
+        acc[k] = acc.get(k, 0) + c
+    return {k: v for k, v in acc.items() if v}
+
+
+@st.composite
+def specialize_cases(draw):
+    """(f, direction, coords): f on 1 to 4 variables with int or Fraction
+    coefficients (denominators may be divisible by p), exponents of both
+    signs, and nonzero coordinates of either sign, int or Fraction."""
+    p = draw(st.sampled_from(PRIMES))
+    n, m = draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 3), (4, 0)]))
+    ann = st.integers(min_value=-5, max_value=5)
+    disc = st.integers(min_value=0, max_value=5)
+    keys = draw(st.lists(st.tuples(*([ann] * n + [disc] * m)), unique=True, max_size=10))
+    nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool)
+    fraction = st.builds(
+        Fraction, nonzero, st.sampled_from([1, 2, p, p ** 3, 7 * p ** 2, 360])
+    )
+    terms = {key: draw(st.one_of(nonzero, fraction)) for key in keys}
+    direction = draw(st.integers(min_value=0, max_value=n + m - 1))
+    small = st.integers(min_value=-12, max_value=12).filter(bool)
+    coord = st.one_of(small, st.builds(Fraction, small, st.integers(min_value=1, max_value=12)))
+    coords = tuple(draw(coord) for _ in range(n + m - 1))
+    if coords and draw(st.booleans()):
+        # Add some terms a t^J once more as -a c_l**-k t^(J + k e_l), which
+        # specializes to -a t^J, so that output coefficients cancel.
+        i = draw(st.integers(min_value=0, max_value=len(coords) - 1))
+        l = [l for l in range(n + m) if l != direction][i]
+        k = draw(st.integers(min_value=1, max_value=3))
+        for key, a in list(terms.items()):
+            if not draw(st.booleans()):
+                continue
+            moved = key[:l] + (key[l] + k,) + key[l + 1:]
+            total = terms.get(moved, 0) - a / Fraction(coords[i]) ** k
+            if total:
+                terms[moved] = total
+            else:
+                terms.pop(moved, None)
+    return LaurentPoly._new(p, n, m, terms), direction, coords
 
 
 class TestConstruction:
@@ -392,6 +444,31 @@ class TestSpecialize:
         g = f.specialize(1, (Fraction(2),))
         assert g.nvars_annulus == 0 and g.nvars_disc == 1
         assert g == LaurentPoly(3, 0, 1, {(1,): 4})
+
+    @given(case=specialize_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_term_reference(self, case):
+        f, direction, coords = case
+        g = f.specialize(direction, coords)
+        assert (g.nvars_annulus, g.nvars_disc) == (
+            (1, 0) if direction < f.nvars_annulus else (0, 1)
+        )
+        assert dict(g.terms) == per_term_specialize(f, direction, coords)
+        assert_no_zero_terms(g)
+        assert all(type(v) in (int, Fraction) for v in g.terms.values())
+
+    def test_huge_exponent_takes_one_power(self):
+        # A power table over 0..15000 would hold thousands of bignums, some
+        # 15000 bits long; one power per distinct exponent holds one.
+        f = LaurentPoly(3, 2, 0, {(1, 15000): 1})
+        tracemalloc.start()
+        try:
+            g = f.specialize(0, (2,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == LaurentPoly(3, 1, 0, {(1,): 2 ** 15000})
+        assert peak < 100_000, peak
 
     @given(
         f=polys(2, 0, prime=3),

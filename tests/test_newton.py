@@ -7,6 +7,7 @@ from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.newton import (
     AlignedInterval,
     DominanceCertificate,
+    DominantTerm,
     dominant_term,
     shrink_interval,
     sup_norm_on_interval,
@@ -188,6 +189,7 @@ class TestShrinkInterval:
         assert I.r_beta <= cert.interval.r_beta <= cert.interval.r_alpha <= I.r_alpha
         assert cert.margin is None or cert.margin > 0
         assert cert.sup_norm == sup_norm_on_interval(a, I)
+        assert cert.dominant == dominant_term(a, I)
         check = unit_certificate_check(a, cert, samples=12)
         assert check.ok, check.counterexample
 
@@ -197,7 +199,7 @@ class TestUnitCheck:
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
         good = shrink_interval(a, AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2)))
         bad = DominanceCertificate(
-            n0=0,
+            dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
             interval=good.interval,
             sup_norm=good.sup_norm,
             margin=good.margin,
@@ -209,8 +211,10 @@ class TestUnitCheck:
     def test_absent_term_rejected(self):
         a = poly(2, {(0,): Fraction(1)})
         cert = shrink_interval(a, AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2)))
-        fake = DominanceCertificate(n0=3, interval=cert.interval,
-                                    sup_norm=cert.sup_norm, margin=None)
+        fake = DominanceCertificate(
+            dominant=DominantTerm(A=frozenset(), B=frozenset({3}), n0=3),
+            interval=cert.interval, sup_norm=cert.sup_norm, margin=None,
+        )
         with pytest.raises(ValueError):
             unit_certificate_check(a, fake)
 
