@@ -185,6 +185,8 @@ def curve_witness_search(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > DEFAULT_DEPTH_CAP:
+        raise ValueError(f"trials {trials} exceeds cap {DEFAULT_DEPTH_CAP}")
     verdict = oc_ir_test(module, depth, tol, window)
     witness: Optional[CurveWitness] = None
     if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:

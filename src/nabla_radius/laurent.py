@@ -9,10 +9,11 @@ coefficients ``int``, which the derivative ladder relies on.  Zero
 coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
-norm, i.e. the smallest such exponent.  Terms of equal weight
-sum_l J_l * r_l share one valuation, that of the gcd of their
-coefficients, so the norm is taken as the least v(gcd) + weight over
-weight classes.  Norms are returned as that exact ``Fraction`` exponent,
+norm, i.e. the smallest such exponent.  Gauss norms and sup norms over a
+subannulus are one kernel, the sup over a box of radii (a Gauss norm is
+a one-point box): weights are integers over the common denominator of
+the rates, terms of equal weight share one valuation, that of the gcd of
+their coefficients, and each norm is one exact ``Fraction`` exponent,
 with None for the zero norm.
 """
 
@@ -270,59 +271,51 @@ class LaurentPoly:
 
     def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
         """rho-Gauss norm exponent at one radius per variable, annulus radii
-        first; None for the zero norm.
-
-        Terms of equal weight sum_l J_l r_l form a class, and the least
-        v(a_J) over a class is the valuation of the gcd of its
-        coefficients (gcd of the numerators over lcm of the denominators).
-        The norm is the least v(gcd) + weight over the classes: one
-        valuation per class, and one per polynomial at the unit radius.
-        """
+        first; None for the zero norm.  The box with a single point."""
         if len(radii) != self.nvars:
             raise SignatureError(
                 f"radius vector has {len(radii)} entries, expected {self.nvars}"
             )
-        # slots with radius < 1
-        weighted = [(l, radius.exponent) for l, radius in enumerate(radii) if radius.exponent]
-        classes: dict[Fraction | int, list[Fraction | int]] = {}
+        rates = [radius.exponent for radius in radii]
+        return self._box_lognorm(rates, rates)
+
+    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
+        """Sup norm exponent over the subannulus with inner radius lam: the
+        largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m."""
+        inner = [lam.exponent] * self.nvars_annulus + [0] * self.nvars_disc
+        return self._box_lognorm(inner, [0] * self.nvars)
+
+    def _box_lognorm(self, inner: list[Fraction | int], outer: list[Fraction | int]) -> Optional[Fraction]:
+        """Sup norm exponent over the box p**-inner_l <= |t_l| <= p**-outer_l
+        of radii, None for the zero norm.  |f|_rho is log-convex, so a term
+        peaks at the corner with the inner rate on its negative exponents
+        and the outer rate elsewhere.  Terms of equal weight form a class,
+        which takes one valuation: that of the gcd of its coefficients."""
+        D = lcm(*[r.denominator for r in inner + outer])
+        # slots with a rate other than 0, rates as integers over D
+        slots = [
+            (l, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+            for l, (a, b) in enumerate(zip(inner, outer)) if a or b
+        ]
+        classes: dict[int, list[Fraction | int]] = {}
         for key, coeff in self._terms.items():
             w = 0
-            for l, r in weighted:
+            for l, a, b in slots:
                 j = key[l]
                 if j:
-                    w += j * r
+                    w += j * (a if j < 0 else b)
             classes.setdefault(w, []).append(coeff)
-        best: Optional[Fraction | int] = None
+        best: Optional[int] = None
         for w, coeffs in classes.items():
             # Each coefficient is in lowest terms, so p divides at most one
             # of its numerator and denominator, and the valuation of this
             # quotient is the least v(a_J) of the class.
             num = gcd(*[c.numerator for c in coeffs])
             den = lcm(*[c.denominator for c in coeffs])
-            w += fraction_valuation(Fraction(num, den), self.prime)
+            w += fraction_valuation(Fraction(num, den), self.prime) * D
             if best is None or w < best:
                 best = w
-        return None if best is None else Fraction(best)
-
-    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
-        """Sup norm exponent over the subannulus with inner radius lam: the
-        largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m.
-
-        Each term is largest at the corner that puts lam on its negative
-        annulus exponents and 1 everywhere else, so the exponent is the
-        min over terms of v(a_J) + lam * sum(J_l for J_l < 0).
-        """
-        L = lam.exponent
-        n = self.nvars_annulus
-        best: Optional[Fraction | int] = None
-        for key, coeff in self._terms.items():
-            w = fraction_valuation(coeff, self.prime)
-            neg = sum(j for j in key[:n] if j < 0)
-            if neg:
-                w += L * neg
-            if best is None or w < best:
-                best = w
-        return None if best is None else Fraction(best)
+        return None if best is None else Fraction(best, D)
 
     # -- substitution -----------------------------------------------------
 

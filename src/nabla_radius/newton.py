@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
+from .connection import DEFAULT_DEPTH_CAP
 from .laurent import LaurentPoly, SignatureError
 from .padic import LogRadius, fraction_valuation
 
@@ -226,6 +227,8 @@ def unit_certificate_check(
     """
     if samples < 1:
         raise ValueError("need at least one sample radius")
+    if samples > DEFAULT_DEPTH_CAP:
+        raise ValueError(f"samples {samples} exceeds cap {DEFAULT_DEPTH_CAP}")
     _check_one_variable(a)
     n0 = certificate.n0
     if (n0,) not in a.terms:

@@ -362,12 +362,13 @@ def taylor_probe(
     e_1(j_1) + ... + e_d(j_d) on the log scale, with norms taken as sup
     norms over the subannulus with inner radius lam.  The product is a
     heuristic: only the axis terms are exact, and Leibniz cross-terms make
-    it neither the exact mixed norm nor an upper bound on it (ROADMAP item
-    4).  Each level score is the least product over |j| = k, found by
-    `_fold_levels`.  The probe passes when every level minimum beyond
-    j_bound/2 stays strictly below 1 (positive exponent) with no net loss
-    across the tail; it fails with a witness index when some tail value
-    exceeds 1 and the tail trends downward; anything else is inconclusive.
+    it neither the exact mixed norm nor an upper bound on it (ROADMAP,
+    "Sound Taylor verdicts").  Each level score is the least product over
+    |j| = k, found by `_fold_levels`.  The probe passes when every level
+    minimum beyond j_bound/2 stays strictly below 1 (positive exponent) with
+    no net loss across the tail; it fails with a witness index when some
+    tail value exceeds 1 and the tail trends downward; anything else is
+    inconclusive.
     """
     if j_bound < 8:
         raise ValueError("multi-index bound must be at least 8")

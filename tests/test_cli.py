@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nabla_radius import newton
+from nabla_radius import curves, newton
 from nabla_radius.cli import main
 from nabla_radius.corpus import (
     exponential_module,
@@ -393,6 +393,21 @@ class TestCutcheck:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_trials_capped_before_any_work(self, capsys, monkeypatch, two_var_path):
+        code, doc, _ = run_json(
+            capsys, ["cutcheck", two_var_path, "--depth", "24", "--trials", "512"]
+        )
+        assert code == 3 and doc["trials"] == 512
+
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("the verdict ran before the trial count was checked")
+
+        monkeypatch.setattr(curves, "oc_ir_test", no_verdict)
+        code, out, err = run(capsys, ["cutcheck", two_var_path, "--depth", "24",
+                                      "--trials", "513"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "trials 513 exceeds cap 512" in err
+
 
 class TestTechlemma:
     def test_certificate(self, capsys, poly_path):
@@ -423,6 +438,14 @@ class TestTechlemma:
         code, _, _ = run(capsys, ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_samples_capped(self, capsys, poly_path):
+        argv = ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2", "--samples"]
+        code, doc, _ = run_json(capsys, argv + ["512"])
+        assert code == 0 and len(doc["unit_check"]["samples"]) == 512
+        code, out, err = run(capsys, argv + ["513"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "samples 513 exceeds cap 512" in err
 
     def test_degenerate_tie(self, capsys, tmp_path):
         path = tmp_path / "tie.json"

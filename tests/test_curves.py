@@ -317,6 +317,8 @@ class TestCurveWitnessSearch:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             curve_witness_search(exponential_two_var_module(3), depth=12, trials=0, seed=0)
+        with pytest.raises(ValueError, match="exceeds cap 512"):
+            curve_witness_search(exponential_two_var_module(3), depth=12, trials=513, seed=0)
 
     def test_integrability_is_checked_once_per_module(self, monkeypatch):
         # Every trial fails (see above), so the search compares 8 points;

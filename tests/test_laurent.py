@@ -381,6 +381,10 @@ class TestSupVertexNorm:
         f = LaurentPoly(3, 1, 0, {(-1,): 1, (1,): 1})
         lam = LogRadius(Fraction(1))
         assert f.sup_vertex_lognorm(lam) == Fraction(-1)
+        # Both terms weigh -1/2 at lam = 1/2; v(9) = 2 comes first, but the
+        # norm takes v(gcd(9, 3)) = 1.
+        f = LaurentPoly(3, 2, 0, {(-1, 1): 9, (-1, 0): 3})
+        assert f.sup_vertex_lognorm(LogRadius(Fraction(1, 2))) == Fraction(1, 2)
 
     def test_unit_annulus_single_vertex(self):
         f = LaurentPoly(3, 1, 0, {(-2,): Fraction(1, 3)})
@@ -404,15 +408,25 @@ class TestSupVertexNorm:
         data=st.data(),
         n=st.integers(1, 4),
         m=st.integers(0, 2),
-        lam=st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=8),
+        lam=st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+            st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=8),
+        ),
+        kind=st.sampled_from(["polys", "int", "fraction", "mixed"]),
     )
-    @settings(max_examples=100)
-    def test_matches_corner_enumeration(self, data, n, m, lam):
-        # Reference: the largest Gauss norm over all 2^n corners {lam, 1}^n x {1}^m.
-        f = data.draw(polys(n, m))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_corner_enumeration(self, data, n, m, lam, kind):
+        """Reference: the largest per-term norm over all 2^n corners
+        {lam, 1}^n x {1}^m.  Ladder-like coefficients with exponents in
+        [-2, 2] put several terms in one weight class (all of them at
+        lam = 0)."""
+        if kind == "polys":
+            f = data.draw(polys(n, m))
+        else:
+            f = data.draw(ladder_polys(n, m, data.draw(st.sampled_from([2, 3, 5])), kind))
         disc = (LogRadius.one(),) * m
         reference = _least_exponent(
-            f.gauss_lognorm(tuple(LogRadius(c) for c in combo) + disc)
+            per_term_lognorm(f, tuple(LogRadius(c) for c in combo) + disc)
             for combo in product((lam, Fraction(0)), repeat=n)
         )
         assert f.sup_vertex_lognorm(LogRadius(lam)) == reference

@@ -223,6 +223,8 @@ class TestUnitCheck:
         cert = shrink_interval(a, AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2)))
         with pytest.raises(ValueError):
             unit_certificate_check(a, cert, samples=0)
+        with pytest.raises(ValueError, match="exceeds cap 512"):
+            unit_certificate_check(a, cert, samples=513)
         single = unit_certificate_check(a, cert, samples=1)
         assert single.ok and len(single.sampled) == 1
 
