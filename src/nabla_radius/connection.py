@@ -17,13 +17,15 @@ S = {-e_i} + {exponents of M_i}.  A step translates the union support of
 H_{i,s} by every shift once, into a per-step table, and then builds each
 entry in one accumulation over that table; it makes no temporary
 LaurentPoly and calls none of the ring operations, which the curvature
-(the integrability check) still uses.
+(the integrability check) still uses.  The step is linear over Z, so it
+also runs modulo p**K: a module copy whose internal `_ladder_precision`
+is K yields H_{i,s} mod p**K, each coefficient its symmetric residue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -206,6 +208,10 @@ class ConnectionModule:
     nvars_disc: int
     rank: int
     matrices: Tuple[PolyMatrix, ...]
+    # Internal: K for a copy on which `iter_deriv_matrices` walks modulo
+    # p**K.  It is not part of the module: repr, equality and descriptors
+    # leave it out.
+    _ladder_precision: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -291,6 +297,13 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     at K + J for each term v1 t^K of M[i][k] and v2 t^J of H_s[k][j].
     Sums that cancel are dropped once, at the end of the entry.
 
+    On a module whose `_ladder_precision` is K, every coefficient is
+    replaced by its symmetric residue mod q = p**K, the one in
+    (-q/2, q/2], and the step yields H_s mod p**K.  A kept coefficient
+    has the valuation of the exact one and never more bits; a term whose
+    coefficient is divisible by p**K is dropped, so a zero matrix here
+    does not prove H_s = 0.
+
     A caller that needs G_s itself divides by c**s; a norm exponent of G_s
     is that of H_s minus s * v_p(c).  Callers bound the iteration;
     integrability is not re-checked here.
@@ -307,6 +320,9 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     ]
     down = tuple(-1 if l == direction else 0 for l in range(n + m))
     shifts = {down}.union(K for row in M for entry in row for K, _ in entry)
+    precision = module._ladder_precision
+    q = None if precision is None else p ** precision
+    half = 0 if q is None else q // 2
     H = PolyMatrix.identity(p, n, m, rank)
     while True:
         yield H
@@ -329,6 +345,10 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
                         for J, v2 in right.items():
                             key = table[J]
                             acc[key] = acc.get(key, 0) + v1 * v2
-                row.append(LaurentPoly._new(p, n, m, {J: a for J, a in acc.items() if a}))
+                if q is None:
+                    acc = {J: a for J, a in acc.items() if a}
+                else:
+                    acc = {J: r - q if r > half else r for J, a in acc.items() if (r := a % q)}
+                row.append(LaurentPoly._new(p, n, m, acc))
             out.append(tuple(row))
         H = PolyMatrix(tuple(out))

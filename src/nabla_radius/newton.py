@@ -211,6 +211,14 @@ class UnitCheck:
         }
 
 
+def check_sample_count(samples: int) -> None:
+    """Refuse a sample count outside 1..DEFAULT_DEPTH_CAP, before any work."""
+    if samples < 1:
+        raise ValueError("need at least one sample radius")
+    if samples > DEFAULT_DEPTH_CAP:
+        raise ValueError(f"samples {samples} exceeds cap {DEFAULT_DEPTH_CAP}")
+
+
 def unit_certificate_check(
     a: LaurentPoly,
     certificate: DominanceCertificate,
@@ -225,10 +233,7 @@ def unit_certificate_check(
     counterexample.  Only n0 and the interval are read from the
     certificate, and no line table is built: v(a_{n0}) is one valuation.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample radius")
-    if samples > DEFAULT_DEPTH_CAP:
-        raise ValueError(f"samples {samples} exceeds cap {DEFAULT_DEPTH_CAP}")
+    check_sample_count(samples)
     _check_one_variable(a)
     n0 = certificate.n0
     if (n0,) not in a.terms:

@@ -16,7 +16,7 @@ exactly 1 and is flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -104,10 +104,11 @@ def deriv_ladder(
 
     H_s = c**s G_{direction,s} is the int-coefficient numerator that
     `iter_deriv_matrices` computes, c = ladder_denominator(module,
-    direction).  Every Gauss or sup norm exponent of G_s is that of H_s
-    minus the shift s * v_p(c); a comparison of two norms of the same H_s
-    needs no shift.  The walk stops right after the first H_s that
-    vanishes: every later one vanishes too, since G_{s+1} = d(G_s) + N G_s.
+    direction), reduced mod p**K on a module copy that carries K.  Every
+    Gauss or sup norm exponent of G_s is that of H_s minus the shift
+    s * v_p(c); a comparison of two norms of the same H_s needs no shift.
+    The walk stops right after the first H_s that vanishes: every later
+    one vanishes too, since G_{s+1} = d(G_s) + N G_s.
     """
     step = int_valuation(ladder_denominator(module, direction), module.prime)
     ladder = iter_deriv_matrices(module, direction)
@@ -123,6 +124,62 @@ def _window_start(depth: int, window: Fraction) -> int:
     return max(1, math.ceil((1 - window) * depth))
 
 
+def _clip_precision(
+    module: ConnectionModule,
+    direction: int,
+    rho: Tuple[LogRadius, ...],
+    depth: int,
+) -> int:
+    """K such that walking H_s mod p**K leaves every clipped window
+    estimate of `_direction_radius` unchanged for s <= depth:
+
+        K = ceil(depth * max(0, v_p(c) + 1/(p-1) - r_i - mu)) + 1.
+
+    The estimate at depth s is max(0, (T_s - w_s) / s) with
+    T_s = s * (v_p(c) + 1/(p-1) - r_i), so w_s matters only below T_s.
+    Every key J of H_s is a sum of s shifts of S = {-e_i} + {exponents of
+    c N_i}, so its weight sum_l J_l r_l is at least s * mu, mu the least
+    weight of a shift.  A term dropped as divisible by p**K therefore has
+    a norm exponent of at least K + s * mu >= T_s, and every kept term has
+    its exact valuation: w_s mod p**K equals w_s below T_s and stays at
+    least T_s above it.
+    """
+    rates = [r.exponent for r in rho]
+    r_i = rates[direction]
+    mu = min(
+        [-r_i] + [
+            sum(j * r for j, r in zip(J, rates))
+            for row in module.matrices[direction].rows for entry in row for J in entry.terms
+        ]
+    )
+    step = int_valuation(ladder_denominator(module, direction), module.prime)
+    slope = step + spectral_base_exponent(module.prime) - r_i - mu
+    return math.ceil(depth * max(Fraction(0), slope)) + 1
+
+
+def _window_estimates(
+    module: ConnectionModule,
+    direction: int,
+    rho: Tuple[LogRadius, ...],
+    depth: int,
+    start: int,
+) -> Tuple[list[Fraction], Optional[int]]:
+    """The clipped estimates for s = start..depth, and the first s at which
+    the walked H_s is zero (None if none is)."""
+    base = spectral_base_exponent(module.prime)
+    r_i = rho[direction].exponent
+    estimates: list[Fraction] = []
+    for s, H, shift in deriv_ladder(module, direction, depth):
+        if H.is_zero:
+            return estimates, s
+        if s >= start:
+            w = H.gauss_lognorm(rho)
+            assert w is not None
+            est = base - r_i - (w - shift) / s
+            estimates.append(est if est > 0 else Fraction(0))
+    return estimates, None
+
+
 def _direction_radius(
     module: ConnectionModule,
     direction: int,
@@ -130,21 +187,19 @@ def _direction_radius(
     depth: int,
     window: Fraction,
 ) -> DirectionRadius:
-    base = spectral_base_exponent(module.prime)
-    r_i = rho[direction].exponent
+    """Window estimates from the ladder walked mod p**K, K from
+    `_clip_precision`.  A reduced ladder that reaches zero does not prove
+    H_s = 0, so the direction is then walked again exactly, and only that
+    walk can set `exact` and `vanished_at`."""
     start = _window_start(depth, window)
-    estimates: list[Fraction] = []
-    vanished_at: Optional[int] = None
-    for s, H, shift in deriv_ladder(module, direction, depth):
-        if H.is_zero:
-            # exactly radius 1: the window is the vanishing depth alone
-            start, estimates, vanished_at = s, [Fraction(0)], s
-            break
-        if s >= start:
-            w = H.gauss_lognorm(rho)
-            assert w is not None
-            est = base - r_i - (w - shift) / s
-            estimates.append(est if est > 0 else Fraction(0))
+    K = _clip_precision(module, direction, rho, depth)
+    reduced = replace(module, _ladder_precision=K)
+    estimates, vanished_at = _window_estimates(reduced, direction, rho, depth, start)
+    if vanished_at is not None:
+        estimates, vanished_at = _window_estimates(module, direction, rho, depth, start)
+    if vanished_at is not None:
+        # exactly radius 1: the window is the vanishing depth alone
+        start, estimates = vanished_at, [Fraction(0)]
     point = max(estimates)
     return DirectionRadius(
         direction=direction,

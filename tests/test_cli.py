@@ -439,13 +439,22 @@ class TestTechlemma:
         assert code == 0
         assert len(calls) == 1
 
-    def test_samples_capped(self, capsys, poly_path):
+    def test_samples_capped(self, capsys, monkeypatch, poly_path):
         argv = ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2", "--samples"]
         code, doc, _ = run_json(capsys, argv + ["512"])
         assert code == 0 and len(doc["unit_check"]["samples"]) == 512
+        calls = []
+        original = newton._line_data
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(newton, "_line_data", counting)
         code, out, err = run(capsys, argv + ["513"])
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "samples 513 exceeds cap 512" in err
+        assert calls == []  # refused before the line table is built
 
     def test_degenerate_tie(self, capsys, tmp_path):
         path = tmp_path / "tie.json"

@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from nabla_radius.corpus import (
     exponential_two_var_module,
     falling_factorial_valuation,
     power_module,
+    random_integrable_module,
     trivial_module,
 )
 from nabla_radius.laurent import LaurentPoly
@@ -21,6 +24,7 @@ from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
+    _clip_precision,
     _fold_levels,
     Verdict,
     deriv_ladder,
@@ -195,6 +199,93 @@ class TestIntrinsicRadius:
             w = seq[s].gauss_lognorm(rho)
             raw = Fraction(1, 2) - Fraction(1, 3) - Fraction(w, s)
             assert est == max(Fraction(0), raw)
+
+
+def exact_walk_report(module, rho, depth):
+    """intrinsic_radius with every ladder walked in exact arithmetic."""
+    original = radius.iter_deriv_matrices
+
+    def exact(module, direction):
+        return original(replace(module, _ladder_precision=None), direction)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "iter_deriv_matrices", exact)
+        return intrinsic_radius(module, rho, depth)
+
+
+def recording_walks(monkeypatch):
+    """Record the precision of every module the ladder is walked on."""
+    precisions = []
+    original = radius.iter_deriv_matrices
+
+    def recording(module, direction):
+        precisions.append(module._ladder_precision)
+        return original(module, direction)
+
+    monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
+    return precisions
+
+
+class TestReducedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5]),
+        rank=st.integers(1, 2),
+        rates=st.lists(
+            st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 2)]),
+            min_size=2, max_size=2,
+        ),
+        depth=st.integers(8, 60),
+    )
+    def test_report_equals_exact_walk(self, seed, p, rank, rates, depth):
+        module = random_integrable_module(Random(seed), p, rank)
+        rho = tuple(LogRadius(r) for r in rates)
+        assert intrinsic_radius(module, rho, depth) == exact_walk_report(module, rho, depth)
+
+    def test_zero_mod_p_k_falls_back_to_exact_walk(self, monkeypatch):
+        # N = 3**100: H_s = 3**(100 s) is nonzero but divisible by p**K.
+        precisions = recording_walks(monkeypatch)
+        module = constant_annulus_module(3, Fraction(3**100))
+        report = intrinsic_radius(module, R1, depth=12)
+        assert precisions == [7, None]  # K = ceil(12 * 1/2) + 1, then exact
+        d = report.directions[0]
+        assert not d.exact and d.vanished_at is None
+        assert d.estimates == (0,) * 4 and not report.exact_flag
+
+    def test_zero_connection_vanishes_at_one(self, monkeypatch):
+        precisions = recording_walks(monkeypatch)
+        report = intrinsic_radius(trivial_module(3, 1, 0, 2), R1, depth=8)
+        assert precisions == [5, None]
+        d = report.directions[0]
+        assert d.exact and d.vanished_at == 1 and report.exact_flag
+
+    def test_nonzero_walk_is_never_repeated(self, monkeypatch):
+        precisions = recording_walks(monkeypatch)
+        intrinsic_radius(exponential_module(3), R1, depth=16)
+        assert precisions == [_clip_precision(exponential_module(3), 0, R1, 16)]
+
+    def test_reduction_never_enlarges_a_coefficient(self):
+        # Negative coefficients are common here; a residue in [0, p**K)
+        # would turn a small -a into p**K - a.
+        module = random_integrable_module(Random(7), 3, 2)
+        rho = (LogRadius.one(),) * 2
+        for direction in range(2):
+            K = _clip_precision(module, direction, rho, 40)
+            q = 3**K
+            reduced = deriv_ladder(replace(module, _ladder_precision=K), direction, 40)
+            exact = deriv_ladder(module, direction, 40)
+            wide = negative = 0
+            for (s, H, _), (_, E, _) in zip(reduced, exact):
+                for row, exact_row in zip(H.rows, E.rows):
+                    for entry, exact_entry in zip(row, exact_row):
+                        for J, a in entry.terms.items():
+                            b = exact_entry.terms[J]
+                            assert (a - b) % q == 0
+                            assert a.bit_length() <= b.bit_length()
+                            negative += a < 0
+                        wide += any(abs(b) >= q for b in exact_entry.terms.values())
+            assert wide and negative
 
 
 class TestOcVerdict:
