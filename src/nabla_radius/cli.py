@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .connection import NotIntegrableError, integrability_check
+from .connection import NotIntegrableError, check_count, integrability_check
 from .corpus import build_corpus, corpus_by_label
 from .curves import curve_witness_search, specialize
 from .descriptor import (
@@ -27,7 +27,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .newton import AlignedInterval, check_sample_count, shrink_interval, unit_certificate_check
+from .newton import AlignedInterval, shrink_interval, unit_certificate_check
 from .padic import LogRadius, parse_fraction
 from .radius import ProbeOutcome, Verdict, intrinsic_radius, oc_ir_test, taylor_probe
 
@@ -249,7 +249,7 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
-    check_sample_count(args.samples)
+    check_count("samples", args.samples, 1)
     poly, label = load_poly_descriptor(args.poly)
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")

@@ -42,7 +42,16 @@ class NotIntegrableError(ValueError):
 
 
 class DepthCapError(ValueError):
-    """Raised when a requested depth exceeds DEFAULT_DEPTH_CAP."""
+    """Raised when a requested depth, bound or count exceeds DEFAULT_DEPTH_CAP."""
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """Refuse a depth, multi-index bound, trial or sample count outside
+    least..DEFAULT_DEPTH_CAP, before any work."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if value > DEFAULT_DEPTH_CAP:
+        raise DepthCapError(f"{name} {value} exceeds cap {DEFAULT_DEPTH_CAP}")
 
 
 def _least_exponent(exponents: Iterable[Optional[Fraction]]) -> Optional[Fraction]:

@@ -9,7 +9,9 @@ under evaluation, and on a generic unit point they do not drop at all;
 non-overconvergence witness back to the full module.  Since no entry's
 norm can rise under evaluation, `generic_equality_check` specializes only
 the entries that attain the matrix norm, and stops at the first one that
-keeps it.
+keeps it.  It walks the ladder modulo the same p**K as the unit-radius
+verdict, through `radius.deriv_ladder`, so the witness walk replays the
+verdict walk in the same precision.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .connection import (
-    DEFAULT_DEPTH_CAP,
-    ConnectionModule,
-    DepthCapError,
-    _least_exponent,
-    require_integrable,
-)
+from .connection import ConnectionModule, _least_exponent, check_count, require_integrable
 from .padic import LogRadius, check_exact, fraction_valuation
 from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 
@@ -85,17 +81,22 @@ def generic_equality_check(
     evaluated matrix therefore keeps the norm exactly when some entry with
     w(e) == full keeps it, and only those entries are specialized, until
     the first one that does.  A zero matrix keeps its (zero) norm.
+
+    The ladder is walked mod p**K at the unit radius, K as for the verdict
+    at this depth.  That is exact for any K.  A kept coefficient has its
+    exact valuation, below K, and a dropped one a valuation of at least K,
+    so a nonzero H_s mod p**K has the exact norm full < K on the same
+    entries.  The point's coordinates are units, so specializing commutes
+    with reduction mod p**K, and an entry keeps the norm full exactly when
+    its reduction does.  Only an exact zero H_s is a zero matrix here.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > DEFAULT_DEPTH_CAP:
-        raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
+    check_count("depth", depth, 1)
     coords = _unit_point(module, point)
     require_integrable(module)
     multi = (LogRadius.one(),) * module.dims
     single = (LogRadius.one(),)
     # G_s and its evaluation both divide by c**s: compare the numerators H_s.
-    for s, H, _ in deriv_ladder(module, direction, depth):
+    for s, H, _ in deriv_ladder(module, direction, depth, multi):
         norms = [(e, e.gauss_lognorm(multi)) for row in H.rows for e in row]
         full = _least_exponent(w for _, w in norms)
         if full is not None and not any(
@@ -183,10 +184,7 @@ def curve_witness_search(
     their unit-radius norms equal the full ones at every depth, so the
     curve's radius is the witness direction's point estimate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > DEFAULT_DEPTH_CAP:
-        raise ValueError(f"trials {trials} exceeds cap {DEFAULT_DEPTH_CAP}")
+    check_count("trials", trials, 1)
     verdict = oc_ir_test(module, depth, tol, window)
     witness: Optional[CurveWitness] = None
     if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:

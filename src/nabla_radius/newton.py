@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .connection import DEFAULT_DEPTH_CAP
+from .connection import check_count
 from .laurent import LaurentPoly, SignatureError
 from .padic import LogRadius, fraction_valuation
 
@@ -211,14 +211,6 @@ class UnitCheck:
         }
 
 
-def check_sample_count(samples: int) -> None:
-    """Refuse a sample count outside 1..DEFAULT_DEPTH_CAP, before any work."""
-    if samples < 1:
-        raise ValueError("need at least one sample radius")
-    if samples > DEFAULT_DEPTH_CAP:
-        raise ValueError(f"samples {samples} exceeds cap {DEFAULT_DEPTH_CAP}")
-
-
 def unit_certificate_check(
     a: LaurentPoly,
     certificate: DominanceCertificate,
@@ -233,7 +225,7 @@ def unit_certificate_check(
     counterexample.  Only n0 and the interval are read from the
     certificate, and no line table is built: v(a_{n0}) is one valuation.
     """
-    check_sample_count(samples)
+    check_count("samples", samples, 1)
     _check_one_variable(a)
     n0 = certificate.n0
     if (n0,) not in a.terms:

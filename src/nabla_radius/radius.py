@@ -11,6 +11,11 @@ estimates, where w_s is the Gauss-norm exponent of G_{i,s}.  The liminf
 is approximated by the worst (largest-exponent) estimate over a trailing
 window of depths; when some G_{i,s} vanishes identically the direction is
 exactly 1 and is flagged as such.
+
+`deriv_ladder` is the one walk of the recursion and owns its precision
+(mod p**K, or exact).  `intrinsic_radius` walks each direction once,
+`curves.generic_equality_check` replays the unit-radius walk, and
+`taylor_probe` walks exactly.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .connection import (
-    DEFAULT_DEPTH_CAP,
     ConnectionModule,
-    DepthCapError,
     PolyMatrix,
+    check_count,
     iter_deriv_matrices,
     ladder_denominator,
     require_integrable,
@@ -53,15 +58,25 @@ def factorial_valuation(s: int, prime: int) -> int:
 @dataclass(frozen=True)
 class DirectionRadius:
     """Windowed intrinsic-radius estimates for a single direction, as
-    exponents of p (0 is radius 1)."""
+    exponents of p (0 is radius 1).  When G_s vanished at `vanished_at`
+    the window is that depth alone, with the estimate 0."""
 
     direction: int
     window_start: int
     estimates: Tuple[Fraction, ...]
-    point_estimate: Fraction
-    stability: Fraction
-    exact: bool
     vanished_at: Optional[int]
+
+    @property
+    def point_estimate(self) -> Fraction:
+        return max(self.estimates)
+
+    @property
+    def stability(self) -> Fraction:
+        return self.point_estimate - min(self.estimates)
+
+    @property
+    def exact(self) -> bool:
+        return self.vanished_at is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,8 +98,15 @@ class RadiusReport:
     depth: int
     window: Fraction
     directions: Tuple[DirectionRadius, ...]
-    ir_estimate: Fraction
-    exact_flag: bool
+
+    @property
+    def ir_estimate(self) -> Fraction:
+        # the smallest radius, i.e. the largest exponent
+        return max(d.point_estimate for d in self.directions)
+
+    @property
+    def exact_flag(self) -> bool:
+        return all(d.exact for d in self.directions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,31 +119,8 @@ class RadiusReport:
         }
 
 
-def deriv_ladder(
-    module: ConnectionModule, direction: int, depth: int
-) -> Iterator[Tuple[int, PolyMatrix, int]]:
-    """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
-
-    H_s = c**s G_{direction,s} is the int-coefficient numerator that
-    `iter_deriv_matrices` computes, c = ladder_denominator(module,
-    direction), reduced mod p**K on a module copy that carries K.  Every
-    Gauss or sup norm exponent of G_s is that of H_s minus the shift
-    s * v_p(c); a comparison of two norms of the same H_s needs no shift.
-    The walk stops right after the first H_s that vanishes: every later
-    one vanishes too, since G_{s+1} = d(G_s) + N G_s.
-    """
-    step = int_valuation(ladder_denominator(module, direction), module.prime)
-    ladder = iter_deriv_matrices(module, direction)
-    next(ladder)  # H_0 is the identity
-    for s in range(1, depth + 1):
-        H = next(ladder)
-        yield s, H, s * step
-        if H.is_zero:
-            return
-
-
-def _window_start(depth: int, window: Fraction) -> int:
-    return max(1, math.ceil((1 - window) * depth))
+# Above this many bits p**K is not built and the ladder is walked exactly.
+_PRECISION_BITS_CAP = 2**16
 
 
 def _clip_precision(
@@ -129,9 +128,10 @@ def _clip_precision(
     direction: int,
     rho: Tuple[LogRadius, ...],
     depth: int,
-) -> int:
+) -> Optional[int]:
     """K such that walking H_s mod p**K leaves every clipped window
-    estimate of `_direction_radius` unchanged for s <= depth:
+    estimate at rho unchanged for s <= depth, or None (walk exactly) when
+    p**K would pass _PRECISION_BITS_CAP bits:
 
         K = ceil(depth * max(0, v_p(c) + 1/(p-1) - r_i - mu)) + 1.
 
@@ -142,7 +142,8 @@ def _clip_precision(
     weight of a shift.  A term dropped as divisible by p**K therefore has
     a norm exponent of at least K + s * mu >= T_s, and every kept term has
     its exact valuation: w_s mod p**K equals w_s below T_s and stays at
-    least T_s above it.
+    least T_s above it.  K grows with depth * |mu|, so a huge exponent
+    would ask for a huge p**K; the exact walk gives the same estimates.
     """
     rates = [r.exponent for r in rho]
     r_i = rates[direction]
@@ -154,30 +155,49 @@ def _clip_precision(
     )
     step = int_valuation(ladder_denominator(module, direction), module.prime)
     slope = step + spectral_base_exponent(module.prime) - r_i - mu
-    return math.ceil(depth * max(Fraction(0), slope)) + 1
+    K = math.ceil(depth * max(Fraction(0), slope)) + 1
+    return None if K * module.prime.bit_length() > _PRECISION_BITS_CAP else K
 
 
-def _window_estimates(
+def deriv_ladder(
     module: ConnectionModule,
     direction: int,
-    rho: Tuple[LogRadius, ...],
     depth: int,
-    start: int,
-) -> Tuple[list[Fraction], Optional[int]]:
-    """The clipped estimates for s = start..depth, and the first s at which
-    the walked H_s is zero (None if none is)."""
-    base = spectral_base_exponent(module.prime)
-    r_i = rho[direction].exponent
-    estimates: list[Fraction] = []
-    for s, H, shift in deriv_ladder(module, direction, depth):
+    rho: Optional[Tuple[LogRadius, ...]] = None,
+) -> Iterator[Tuple[int, PolyMatrix, int]]:
+    """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
+
+    H_s = c**s G_{direction,s} is the int-coefficient numerator that
+    `iter_deriv_matrices` computes, c = ladder_denominator(module,
+    direction).  Every Gauss or sup norm exponent of G_s is that of H_s
+    minus the shift s * v_p(c); a comparison of two norms of the same H_s
+    needs no shift.
+
+    With a radius vector rho, the walk runs mod p**K on a module copy that
+    carries K = `_clip_precision(module, direction, rho, depth)`; without
+    one it is exact.  A zero mod p**K does not prove H_s = 0, so at the
+    first reduced zero the walk restarts exactly and goes on exactly from
+    that depth.  Only an exact zero ends the walk, right after it: every
+    later H_s vanishes too, since G_{s+1} = d(G_s) + N G_s.
+    """
+    step = int_valuation(ladder_denominator(module, direction), module.prime)
+    K = None if rho is None else _clip_precision(module, direction, rho, depth)
+    walked = module if K is None else replace(module, _ladder_precision=K)
+    ladder = iter_deriv_matrices(walked, direction)
+    next(ladder)  # H_0 is the identity
+    for s in range(1, depth + 1):
+        H = next(ladder)
+        if H.is_zero and K is not None:
+            K = None
+            ladder = iter_deriv_matrices(module, direction)
+            H = next(islice(ladder, s, None))
+        yield s, H, s * step
         if H.is_zero:
-            return estimates, s
-        if s >= start:
-            w = H.gauss_lognorm(rho)
-            assert w is not None
-            est = base - r_i - (w - shift) / s
-            estimates.append(est if est > 0 else Fraction(0))
-    return estimates, None
+            return
+
+
+def _window_start(depth: int, window: Fraction) -> int:
+    return max(1, math.ceil((1 - window) * depth))
 
 
 def _direction_radius(
@@ -187,29 +207,21 @@ def _direction_radius(
     depth: int,
     window: Fraction,
 ) -> DirectionRadius:
-    """Window estimates from the ladder walked mod p**K, K from
-    `_clip_precision`.  A reduced ladder that reaches zero does not prove
-    H_s = 0, so the direction is then walked again exactly, and only that
-    walk can set `exact` and `vanished_at`."""
+    """Clipped window estimates from one walk of the ladder at rho."""
     start = _window_start(depth, window)
-    K = _clip_precision(module, direction, rho, depth)
-    reduced = replace(module, _ladder_precision=K)
-    estimates, vanished_at = _window_estimates(reduced, direction, rho, depth, start)
-    if vanished_at is not None:
-        estimates, vanished_at = _window_estimates(module, direction, rho, depth, start)
-    if vanished_at is not None:
-        # exactly radius 1: the window is the vanishing depth alone
-        start, estimates = vanished_at, [Fraction(0)]
-    point = max(estimates)
-    return DirectionRadius(
-        direction=direction,
-        window_start=start,
-        estimates=tuple(estimates),
-        point_estimate=point,
-        stability=point - min(estimates),
-        exact=vanished_at is not None,
-        vanished_at=vanished_at,
-    )
+    base = spectral_base_exponent(module.prime)
+    r_i = rho[direction].exponent
+    estimates: list[Fraction] = []
+    for s, H, shift in deriv_ladder(module, direction, depth, rho):
+        if H.is_zero:
+            # exactly radius 1: the window is the vanishing depth alone
+            return DirectionRadius(direction, s, (Fraction(0),), s)
+        if s >= start:
+            w = H.gauss_lognorm(rho)
+            assert w is not None
+            est = base - r_i - (w - shift) / s
+            estimates.append(est if est > 0 else Fraction(0))
+    return DirectionRadius(direction, start, tuple(estimates), None)
 
 
 def intrinsic_radius(
@@ -220,10 +232,7 @@ def intrinsic_radius(
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
     one per variable, annulus radii first."""
-    if depth < 8:
-        raise ValueError("depth must be at least 8")
-    if depth > DEFAULT_DEPTH_CAP:
-        raise DepthCapError(f"depth {depth} exceeds cap {DEFAULT_DEPTH_CAP}")
+    check_count("depth", depth, 8)
     window = Fraction(window)
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
@@ -234,17 +243,7 @@ def intrinsic_radius(
         _direction_radius(module, i, rho, depth, window)
         for i in range(module.dims)
     )
-    # the smallest radius, i.e. the largest exponent
-    ir = max(d.point_estimate for d in directions)
-    exact_flag = all(d.exact for d in directions)
-    return RadiusReport(
-        rho=rho,
-        depth=depth,
-        window=window,
-        directions=directions,
-        ir_estimate=ir,
-        exact_flag=exact_flag,
-    )
+    return RadiusReport(rho=rho, depth=depth, window=window, directions=directions)
 
 
 class Verdict(str, Enum):
@@ -362,47 +361,31 @@ def _fold_levels(
     """Level minima min_{|j| = k} sum_l e_l(j_l) for k <= j_bound, with argmins.
 
     A (min,+) fold of the per-direction sequences, from the last direction
-    back: suffix[k] is the least sum over j_l + ... + j_{d-1} = k, and the
-    back-pointer is the smallest head j_l that reaches it (heads scanned in
-    ascending order, replaced only on a strict improvement).  Walking the
-    back-pointers therefore gives the lexicographically first minimiser.
-    None (an exact zero) is +infinity: it absorbs sums and loses every min.
+    back: suffix[k] is the least sum over j_l + ... + j_{d-1} = k, carried
+    with its lexicographically first minimiser.  Heads are scanned in
+    ascending order and replace the best only on a strict improvement, so
+    the smallest head wins a tie, followed by the first minimiser of the
+    rest.  None (an exact zero) is +infinity: it absorbs sums and loses
+    every min.
     """
-    suffix = list(per_direction[-1][: j_bound + 1])
-    backs: list[list[Optional[int]]] = []
+    suffix: list[Tuple[Optional[Fraction], Optional[Tuple[int, ...]]]] = [
+        (e, None if e is None else (k,)) for k, e in enumerate(per_direction[-1][: j_bound + 1])
+    ]
     for seq in reversed(per_direction[:-1]):
-        folded: list[Optional[Fraction]] = []
-        back: list[Optional[int]] = []
+        folded = []
         for k in range(j_bound + 1):
             best: Optional[Fraction] = None
-            best_head: Optional[int] = None
+            best_j: Optional[Tuple[int, ...]] = None
             for head in range(k + 1):
-                e, rest = seq[head], suffix[k - head]
+                e, (rest, rest_j) = seq[head], suffix[k - head]
                 if e is None or rest is None:
                     continue
                 total = e + rest
                 if best is None or total < best:
-                    best, best_head = total, head
-            folded.append(best)
-            back.append(best_head)
+                    best, best_j = total, (head,) + rest_j
+            folded.append((best, best_j))
         suffix = folded
-        backs.append(back)
-    backs.reverse()
-    argmins: list[Optional[Tuple[int, ...]]] = []
-    for k, best in enumerate(suffix):
-        if best is None:
-            argmins.append(None)
-            continue
-        j = []
-        remaining = k
-        for back in backs:
-            head = back[remaining]
-            assert head is not None
-            j.append(head)
-            remaining -= head
-        j.append(remaining)
-        argmins.append(tuple(j))
-    return suffix, argmins
+    return [e for e, _ in suffix], [j for _, j in suffix]
 
 
 def taylor_probe(
@@ -425,10 +408,7 @@ def taylor_probe(
     tail value exceeds 1 and the tail trends downward; anything else is
     inconclusive.
     """
-    if j_bound < 8:
-        raise ValueError("multi-index bound must be at least 8")
-    if j_bound > DEFAULT_DEPTH_CAP:
-        raise DepthCapError(f"bound {j_bound} exceeds cap {DEFAULT_DEPTH_CAP}")
+    check_count("bound", j_bound, 8)
     if eta.exponent <= 0:
         raise ValueError("eta must satisfy 0 < eta < 1 (positive exponent)")
     require_integrable(module)

@@ -11,6 +11,7 @@ from nabla_radius.connection import (
     DepthCapError,
     NotIntegrableError,
     PolyMatrix,
+    check_count,
     curvature,
     integrability_check,
     iter_deriv_matrices,
@@ -262,6 +263,15 @@ class TestIteratedDerivatives:
             intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP + 1)
         report = intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP)
         assert report.depth == DEFAULT_DEPTH_CAP
+
+    def test_one_bounded_count_check(self):
+        check_count("trials", 1, 1)
+        check_count("trials", DEFAULT_DEPTH_CAP, 1)
+        with pytest.raises(ValueError, match="^bound must be at least 8$") as below:
+            check_count("bound", 7, 8)
+        assert below.type is ValueError
+        with pytest.raises(DepthCapError, match="^samples 513 exceeds cap 512$"):
+            check_count("samples", DEFAULT_DEPTH_CAP + 1, 1)
 
     def test_non_integrable_rejected(self):
         p = 3

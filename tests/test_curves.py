@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nabla_radius import connection, curves
+from nabla_radius import connection, curves, radius
 from nabla_radius.connection import (
     DEFAULT_DEPTH_CAP,
     ConnectionModule,
@@ -21,6 +23,7 @@ from nabla_radius.corpus import (
     random_integrable_module,
     trivial_module,
 )
+from nabla_radius.descriptor import parse_module_descriptor
 from nabla_radius.curves import (
     _unit_point,
     curve_witness_search,
@@ -31,6 +34,8 @@ from nabla_radius.curves import (
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import Verdict, deriv_ladder, intrinsic_radius
+from test_golden_reports import FRACTIONAL
+from test_radius import exact_walk, recording_walks
 
 
 def g_ladder(module, direction, depth):
@@ -248,6 +253,65 @@ class TestGenericEqualityMatchesFullMatrix:
         monkeypatch.setattr(LaurentPoly, "specialize", counting)
         assert generic_equality_check(module, 0, point, depth) is None
         assert depth <= len(calls) < module.rank ** 2 * depth
+
+
+FRACTIONAL_MODULES = [parse_module_descriptor(doc).module for doc in FRACTIONAL.values()]
+
+
+@st.composite
+def seeded_modules(draw):
+    """A seeded `random_integrable_module`, one of the golden files'
+    modules whose ladders run over a denominator c with v_3(c) > 0, or a
+    fixture above on which some unit points drop the norm."""
+    fractional = draw(st.sampled_from([None, *FRACTIONAL_MODULES]))
+    if fractional is not None:
+        return fractional
+    p = draw(st.sampled_from([2, 3, 5]))
+    fixture = draw(st.sampled_from([None, shifted_module, fermat_module, split_module]))
+    if fixture is not None:
+        # p**k N stays integrable, and every H_s (s >= 1) is divisible by
+        # p**k, so k = 30 sends walks with K <= 30 to the exact restart
+        scale = p ** draw(st.sampled_from([0, 3, 30]))
+        module = fixture(p)
+        return replace(module, matrices=tuple(
+            PolyMatrix([[e.scalar_mul(scale) for e in row] for row in N.rows])
+            for N in module.matrices
+        ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_integrable_module(random.Random(seed), p, draw(st.integers(1, 2)))
+
+
+class TestReducedWitnessWalk:
+    """The check walks H_s mod p**K, K from the unit-radius verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        module=seeded_modules(),
+        direction=st.integers(0, 1),
+        point_seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(4, 40),
+    )
+    def test_same_result_as_the_exact_walk(self, module, direction, point_seed, depth):
+        point = sample_unit_point(random.Random(point_seed), module.prime, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            precisions = recording_walks(mp)
+            reduced = generic_equality_check(module, direction, point, depth)
+        assert precisions[0] is not None
+        assert reduced == exact_walk(generic_equality_check, module, direction, point, depth)
+
+    def test_zero_mod_p_k_goes_on_exactly(self, monkeypatch):
+        # N_1 = 3**100: H_s = 3**(100 s) is nonzero but vanishes mod p**K.
+        p = 3
+        module = ConnectionModule(
+            prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
+            matrices=(
+                PolyMatrix([[LaurentPoly.constant(p, 2, 0, 3**100)]]),
+                PolyMatrix([[LaurentPoly.zero(p, 2, 0)]]),
+            ),
+        )
+        precisions = recording_walks(monkeypatch)
+        assert generic_equality_check(module, 0, (Fraction(2),), depth=12) is None
+        assert precisions == [7, None]  # K = ceil(12 * 1/2) + 1, then exact
 
 
 class TestSampleUnitPoint:

@@ -64,6 +64,31 @@ def counting_ladder(monkeypatch):
     return pulled
 
 
+def exact_walk(fn, *args):
+    """fn(*args) with every ladder walked in exact arithmetic."""
+    original = radius.iter_deriv_matrices
+
+    def exact(module, direction):
+        return original(replace(module, _ladder_precision=None), direction)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "iter_deriv_matrices", exact)
+        return fn(*args)
+
+
+def recording_walks(monkeypatch):
+    """Record the precision of every module the ladder is walked on."""
+    precisions = []
+    original = radius.iter_deriv_matrices
+
+    def recording(module, direction):
+        precisions.append(module._ladder_precision)
+        return original(module, direction)
+
+    monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
+    return precisions
+
+
 class TestDerivLadder:
     def test_stops_right_after_first_vanishing_matrix(self, monkeypatch):
         # t^3-twist at p = 5: G_s = 3(3-1)...(3-s+1) / t^s vanishes from s = 4.
@@ -79,6 +104,19 @@ class TestDerivLadder:
         walk = list(deriv_ladder(exponential_module(3), 0, 7))
         assert [s for s, _, _ in walk] == list(range(1, 8))
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
+
+    def test_goes_on_exactly_after_a_zero_mod_p_k(self, monkeypatch):
+        # N = 81 + 3**20 t, walked at K = ceil(12 * 1/2) + 1 = 7: H_1 is 81
+        # mod p**K, and H_2 = 3**20 + 3**8 + 2 * 3**24 t + 3**40 t**2 is zero
+        # mod p**K, so from s = 2 on the walk is the exact one.
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81, (1,): 3**20})]]),))
+        exact = [H for _, H, _ in deriv_ladder(module, 0, 12)]
+        precisions = recording_walks(monkeypatch)
+        walk = [H for _, H, _ in deriv_ladder(module, 0, 12, R1)]
+        assert precisions == [7, None]
+        assert walk[0] == PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81})]]) != exact[0]
+        assert walk[1:] == exact[1:]
+        assert len(walk) == 12 and not any(H.is_zero for H in walk)
 
 
 class TestIntrinsicRadius:
@@ -201,31 +239,6 @@ class TestIntrinsicRadius:
             assert est == max(Fraction(0), raw)
 
 
-def exact_walk_report(module, rho, depth):
-    """intrinsic_radius with every ladder walked in exact arithmetic."""
-    original = radius.iter_deriv_matrices
-
-    def exact(module, direction):
-        return original(replace(module, _ladder_precision=None), direction)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "iter_deriv_matrices", exact)
-        return intrinsic_radius(module, rho, depth)
-
-
-def recording_walks(monkeypatch):
-    """Record the precision of every module the ladder is walked on."""
-    precisions = []
-    original = radius.iter_deriv_matrices
-
-    def recording(module, direction):
-        precisions.append(module._ladder_precision)
-        return original(module, direction)
-
-    monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
-    return precisions
-
-
 class TestReducedWalk:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,7 +254,7 @@ class TestReducedWalk:
     def test_report_equals_exact_walk(self, seed, p, rank, rates, depth):
         module = random_integrable_module(Random(seed), p, rank)
         rho = tuple(LogRadius(r) for r in rates)
-        assert intrinsic_radius(module, rho, depth) == exact_walk_report(module, rho, depth)
+        assert intrinsic_radius(module, rho, depth) == exact_walk(intrinsic_radius, module, rho, depth)
 
     def test_zero_mod_p_k_falls_back_to_exact_walk(self, monkeypatch):
         # N = 3**100: H_s = 3**(100 s) is nonzero but divisible by p**K.
@@ -260,6 +273,18 @@ class TestReducedWalk:
         d = report.directions[0]
         assert d.exact and d.vanished_at == 1 and report.exact_flag
 
+    def test_huge_precision_walks_exactly(self, monkeypatch):
+        # N = t**-(10**8) at r = 1: mu = -10**8, so K passes 10**8 and p**K
+        # would have more than 10**8 bits.  The walk is exact instead.
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(-10**8,): 1})]]),))
+        rho = (LogRadius(1),)
+        assert _clip_precision(module, 0, rho, 8) is None
+        precisions = recording_walks(monkeypatch)
+        report = intrinsic_radius(module, rho, 8)
+        assert precisions == [None]
+        assert report == exact_walk(intrinsic_radius, module, rho, 8)
+        assert report.ir_estimate == Fraction(2 * 10**8 - 1, 2)
+
     def test_nonzero_walk_is_never_repeated(self, monkeypatch):
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(exponential_module(3), R1, depth=16)
@@ -273,7 +298,7 @@ class TestReducedWalk:
         for direction in range(2):
             K = _clip_precision(module, direction, rho, 40)
             q = 3**K
-            reduced = deriv_ladder(replace(module, _ladder_precision=K), direction, 40)
+            reduced = deriv_ladder(module, direction, 40, rho)
             exact = deriv_ladder(module, direction, 40)
             wide = negative = 0
             for (s, H, _), (_, E, _) in zip(reduced, exact):
