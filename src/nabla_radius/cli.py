@@ -6,6 +6,10 @@ schema tag, the descriptor hash and all effective parameters, and are
 byte-identical across runs with identical inputs and seeds.  Exit codes:
 0 ok or positive evidence, 1 invalid input, 2 non-integrable module,
 3 negative evidence, 4 inconclusive.
+
+Each handler imports the analysis modules it runs (radius, curves, newton,
+corpus) itself, so a short command such as ``validate`` does not pay to
+load the rest of the package at start-up.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .connection import NotIntegrableError, check_count, integrability_check
-from .corpus import build_corpus, corpus_by_label
-from .curves import curve_witness_search, specialize
 from .descriptor import (
     DescriptorError,
     ModuleDescriptor,
@@ -27,9 +29,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .newton import AlignedInterval, shrink_interval, unit_certificate_check
 from .padic import LogRadius, parse_fraction
-from .radius import ProbeOutcome, Verdict, intrinsic_radius, oc_ir_test, taylor_probe
 
 SCHEMA = "nabla-radius/1"
 
@@ -39,14 +39,15 @@ EXIT_NOT_INTEGRABLE = 2
 EXIT_NEGATIVE = 3
 EXIT_INCONCLUSIVE = 4
 
-# Exit code of each oc/cutcheck verdict and taylor outcome.
+# Exit code of each oc/cutcheck verdict and taylor outcome, keyed by the
+# value of its radius.Verdict or radius.ProbeOutcome member.
 EXIT_CODES = {
-    Verdict.OVERCONVERGENT_EVIDENCE: EXIT_OK,
-    Verdict.NOT_OVERCONVERGENT_EVIDENCE: EXIT_NEGATIVE,
-    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    ProbeOutcome.PASS: EXIT_OK,
-    ProbeOutcome.FAIL: EXIT_NEGATIVE,
-    ProbeOutcome.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    "OVERCONVERGENT_EVIDENCE": EXIT_OK,
+    "NOT_OVERCONVERGENT_EVIDENCE": EXIT_NEGATIVE,
+    "INCONCLUSIVE": EXIT_INCONCLUSIVE,
+    "pass": EXIT_OK,
+    "fail": EXIT_NEGATIVE,
+    "inconclusive": EXIT_INCONCLUSIVE,
 }
 
 
@@ -134,6 +135,8 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
+    from .radius import intrinsic_radius
+
     descriptor, envelope = _load(args.descriptor)
     module = descriptor.module
     rho = _radius_vector(args.radius, module.dims)
@@ -154,6 +157,8 @@ def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_oc(args: argparse.Namespace) -> tuple[dict, int]:
+    from .radius import oc_ir_test
+
     descriptor, envelope = _load(args.descriptor)
     tol = _parse_fraction_arg(args.tol, "tol")
     window = _parse_fraction_arg(args.window, "window")
@@ -169,10 +174,12 @@ def cmd_oc(args: argparse.Namespace) -> tuple[dict, int]:
         },
         **verdict.to_json_dict(),
     }
-    return doc, EXIT_CODES[verdict.verdict]
+    return doc, EXIT_CODES[verdict.verdict.value]
 
 
 def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
+    from .radius import taylor_probe
+
     descriptor, envelope = _load(args.descriptor)
     eta = _parse_radius_arg(args.eta, "eta exponent")
     lam = _parse_radius_arg(getattr(args, "lam"), "lambda exponent")
@@ -184,10 +191,12 @@ def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
         "parameters": {"bound": args.depth},
         **report.to_json_dict(),
     }
-    return doc, EXIT_CODES[report.outcome]
+    return doc, EXIT_CODES[report.outcome.value]
 
 
 def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
+    from .curves import specialize
+
     descriptor, envelope = _load(args.descriptor)
     module = descriptor.module
     if not 0 <= args.direction < module.dims:
@@ -221,6 +230,8 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
+    from .curves import curve_witness_search
+
     descriptor, envelope = _load(args.descriptor)
     tol = _parse_fraction_arg(args.tol, "tol")
     window = _parse_fraction_arg(args.window, "window")
@@ -245,10 +256,12 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
         },
         **report.to_json_dict(),
     }
-    return doc, EXIT_CODES[report.verdict.verdict]
+    return doc, EXIT_CODES[report.verdict.verdict.value]
 
 
 def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
+    from .newton import AlignedInterval, shrink_interval, unit_certificate_check
+
     check_count("samples", args.samples, 1)
     poly, label = load_poly_descriptor(args.poly)
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
@@ -274,6 +287,8 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
+    from .corpus import build_corpus, corpus_by_label
+
     if args.dump:
         entry = corpus_by_label().get(args.dump)
         if entry is None:

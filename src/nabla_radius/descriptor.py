@@ -133,13 +133,19 @@ def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
 
 
 def _read_json(path: str) -> Any:
+    def refuse_constant(token: str) -> None:
+        # json.load accepts NaN, Infinity and -Infinity, which are not JSON
+        raise DescriptorError(f"invalid JSON in {path}: {token} is not a JSON value")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse_constant)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
+    except DescriptorError:
+        raise
     except ValueError:
         # json.load raises a plain ValueError for an integer literal longer
         # than the interpreter's int/str conversion limit

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nabla_radius
 from nabla_radius import curves, newton
-from nabla_radius.cli import main
+from nabla_radius.cli import EXIT_CODES, main
 from nabla_radius.corpus import (
     exponential_module,
     exponential_two_var_module,
@@ -20,6 +23,7 @@ from nabla_radius.descriptor import (
 )
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
+from nabla_radius.radius import ProbeOutcome, Verdict
 
 
 @pytest.fixture
@@ -224,6 +228,33 @@ class TestOversizedIntegers:
         code, report, _ = run_json(capsys, ["validate", str(bad)])
         assert code == 1
         assert report["status"] == "schema-error" and "UTF-8" in report["error"]
+
+
+class TestNonJsonConstants:
+    """json.load accepts NaN and +-Infinity; a descriptor may not hold them."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_validate_reports_schema_error(self, capsys, tmp_path, token):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
+                       ' "expected": {"ir": %s}}' % token, encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+        assert f"{token} is not a JSON value" in report["error"]
+        code, out, err = run(capsys, ["oc", "--depth", "16", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and err.count("\n") == 1
+        assert token in err
+
+    def test_poly_descriptor(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"prime": 3, "terms": [{"exps": [0], "coeff": "1"}], "label": NaN}',
+                       encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1", "--beta", "1/2"])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and "NaN is not a JSON value" in err
 
 
 class TestIr:
@@ -513,3 +544,55 @@ class TestHarness:
     def test_reports_end_with_newline(self, capsys, dwork_path):
         _, out, _ = run(capsys, ["validate", dwork_path])
         assert out.endswith("}\n")
+
+    def test_exit_codes_cover_every_verdict_and_outcome(self):
+        values = [member.value for member in (*Verdict, *ProbeOutcome)]
+        assert sorted(values) == sorted(EXIT_CODES)
+
+
+# Runs cli.main in a fresh interpreter; prints the exit code and the
+# nabla_radius submodules it loaded.
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from nabla_radius.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nabla_radius."))]))
+"""
+
+VALIDATE_SET = {"cli", "connection", "descriptor", "laurent", "padic"}
+
+
+class TestModulesLoaded:
+    """Each subcommand imports only the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, fixture, code, extra",
+        [
+            (["validate"], "dwork_path", 0, set()),
+            (["ir", "--depth", "8"], "dwork_path", 0, {"radius"}),
+            (["oc", "--depth", "8"], "dwork_path", 3, {"radius"}),
+            (["taylor", "--eta", "1/4", "--depth", "8"], "two_var_path", 3, {"radius"}),
+            (["specialize", "--direction", "0", "--point", "1"], "two_var_path", 0,
+             {"radius", "curves"}),
+            (["cutcheck", "--depth", "8"], "two_var_path", 3, {"radius", "curves"}),
+            (["techlemma", "--alpha", "1/2", "--beta", "1/4"], "poly_path", 0, {"newton"}),
+            (["corpus"], None, 0, {"corpus"}),
+        ],
+        ids=["validate", "ir", "oc", "taylor", "specialize", "cutcheck", "techlemma", "corpus"],
+    )
+    def test_subcommand_loads_only_its_modules(self, request, argv, fixture, code, extra):
+        args = [*argv, request.getfixturevalue(fixture)] if fixture else argv
+        src = str(Path(nabla_radius.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got_code, loaded = json.loads(proc.stdout)
+        assert got_code == code
+        assert set(loaded) == {f"nabla_radius.{m}" for m in VALIDATE_SET | extra}

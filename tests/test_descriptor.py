@@ -10,6 +10,7 @@ from nabla_radius.descriptor import (
     canonical_json,
     descriptor_sha256,
     load_module_descriptor,
+    load_poly_descriptor,
     module_descriptor_to_dict,
     parse_module_descriptor,
     parse_poly_descriptor,
@@ -140,6 +141,17 @@ class TestParseErrors:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DescriptorError, match="invalid JSON"):
             load_module_descriptor(str(path))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_refused(self, tmp_path, token):
+        path = tmp_path / "nan.json"
+        doc = dict(minimal_doc(), expected={"ir": "__token__"})
+        path.write_text(json.dumps(doc).replace('"__token__"', token), encoding="utf-8")
+        with pytest.raises(DescriptorError, match=f"invalid JSON.*{token} is not a JSON value"):
+            load_module_descriptor(str(path))
+        path.write_text('{"prime": 3, "terms": [], "label": %s}' % token, encoding="utf-8")
+        with pytest.raises(DescriptorError, match=f"{token} is not a JSON value"):
+            load_poly_descriptor(str(path))
 
 
 class TestPolyDescriptor:

@@ -4,9 +4,14 @@ the package exports every name it lists and the block imports."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import nabla_radius
 
@@ -46,6 +51,20 @@ def test_every_exported_name_resolves():
     names = nabla_radius.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(nabla_radius, name)] == []
+    namespace: dict = {}
+    exec("from nabla_radius import *", namespace)
+    assert [name for name in names if name not in namespace] == []
+    assert set(names) <= set(dir(nabla_radius))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nabla_radius.no_such_name
+    # names resolve on first use: a bare import loads no submodule
+    probe = ("import sys, nabla_radius\n"
+             "print(sorted(m for m in sys.modules if m.startswith('nabla_radius.')))")
+    src = str(Path(nabla_radius.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_usage_block_imports_only_exported_names():
