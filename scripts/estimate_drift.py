@@ -7,14 +7,38 @@ non-integer a their valuations w_s make the per-depth estimate exponent
 max(0, 1/(p-1) - w_s/s) sink toward 0 without ever reaching it.  This
 script prints sampled depths s together with w_s, the estimate exponent,
 and the windowed point estimate at that depth.
+
+The point estimate at a depth d is what `intrinsic_radius` reports at
+depth max(d, 8), its least depth.  All of them come from one walk of the
+recursion to the deepest depth a row reads: with window 1 that walk keeps
+the estimate at every depth, each one exact, and the point estimate at d
+is the largest of them over the default trailing window ending at d.
 """
 
 import argparse
 from fractions import Fraction
 
+from nabla_radius.connection import DEFAULT_DEPTH_CAP, DEFAULT_WINDOW, check_count
 from nabla_radius.corpus import falling_factorial_valuation, power_module
 from nabla_radius.padic import LogRadius
-from nabla_radius.radius import intrinsic_radius, spectral_base_exponent
+from nabla_radius.radius import (
+    DirectionRadius,
+    _window_start,
+    intrinsic_radius,
+    spectral_base_exponent,
+)
+
+# intrinsic_radius refuses a depth below this
+LEAST_DEPTH = 8
+
+
+def point_estimate(walk: DirectionRadius, depth: int) -> Fraction:
+    """The windowed point estimate at `depth` from a window-1 walk at least as deep."""
+    if walk.exact:
+        # only an integer a below LEAST_DEPTH vanishes within a walk, at
+        # depth a + 1 <= LEAST_DEPTH: every depth read is at or past it
+        return Fraction(0)
+    return max(walk.estimates[_window_start(depth, DEFAULT_WINDOW) - 1:depth])
 
 
 def main() -> int:
@@ -31,15 +55,25 @@ def main() -> int:
     base = spectral_base_exponent(args.prime)
     print(f"t^({args.a}) at p={args.prime}: base exponent 1/(p-1) = {base}")
     print(f"{'s':>5} {'w_s':>5} {'w_s/s':>10} {'estimate':>10} {'point@depth':>12}")
+    rows = []
+    vanished_at = None
     for s in range(args.step, args.depth + 1, args.step):
         w = falling_factorial_valuation(args.a, s, args.prime)
         if w is None:
-            print(f"{s:>5} {'inf':>5}   derivative vanished; radius exactly 1")
+            vanished_at = s
             break
+        rows.append((s, w))
+    if rows:
+        deepest = min(max(rows[-1][0], LEAST_DEPTH), DEFAULT_DEPTH_CAP)
+        walk = intrinsic_radius(module, (LogRadius.one(),), deepest, window=1).directions[0]
+    for s, w in rows:
+        depth = max(s, LEAST_DEPTH)
+        check_count("depth", depth, LEAST_DEPTH)  # past the cap, as intrinsic_radius refuses it
         est = max(Fraction(0), base - Fraction(w, s))
-        report = intrinsic_radius(module, (LogRadius.one(),), depth=max(s, 8))
-        point = report.directions[0].point_estimate
+        point = point_estimate(walk, depth)
         print(f"{s:>5} {w:>5} {str(Fraction(w, s)):>10} {str(est):>10} {str(point):>12}")
+    if vanished_at is not None:
+        print(f"{vanished_at:>5} {'inf':>5}   derivative vanished; radius exactly 1")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: descriptor ingestion and deterministic reports.
 
 Every subcommand reads an exact JSON descriptor, runs one of the library
-operations, and prints a single JSON report to stdout.  Reports embed the
-schema tag, the descriptor hash and all effective parameters, and are
-byte-identical across runs with identical inputs and seeds.  Exit codes:
-0 ok or positive evidence, 1 invalid input, 2 non-integrable module,
-3 negative evidence, 4 inconclusive.
+operations, and prints a single JSON report to stdout.  The analysis
+subcommands build it with one helper, `_report`: the schema tag, the
+command, the input's hash and label, all effective parameters, then the
+command's own fields.  Reports are byte-identical across runs with
+identical inputs and seeds.  Exit codes: 0 ok or positive evidence,
+1 invalid input, 2 non-integrable module, 3 negative evidence, 4 inconclusive.
 
 Each handler imports the analysis modules it runs (radius, curves, newton,
 corpus) itself, so a short command such as ``validate`` does not pay to
@@ -20,7 +21,14 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .connection import NotIntegrableError, check_count, integrability_check
+from .connection import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
+    NotIntegrableError,
+    check_count,
+    integrability_check,
+)
 from .descriptor import (
     DescriptorError,
     ModuleDescriptor,
@@ -82,16 +90,25 @@ def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[LogRadius, .
 
 
 def _load(path: str) -> tuple[ModuleDescriptor, dict]:
+    """A module descriptor and the envelope that names it in a report."""
     descriptor = load_module_descriptor(path)
     envelope = {
-        "schema": SCHEMA,
         "descriptor_sha256": descriptor_sha256(descriptor),
         "label": descriptor.label,
     }
     return descriptor, envelope
 
 
+def _report(command: str, envelope: dict, body: dict, **parameters) -> dict:
+    """The report of an analysis subcommand: schema tag, command, envelope,
+    the effective parameters by name, then the command's own fields."""
+    return {"schema": SCHEMA, "command": command, **envelope, "parameters": parameters, **body}
+
+
 def _point(text: str) -> tuple[Fraction, ...]:
+    # an empty value is the point of a one-variable module: no coordinates
+    if not text.strip():
+        return ()
     coords = []
     for token in text.split(","):
         token = token.strip()
@@ -142,17 +159,8 @@ def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
     rho = _radius_vector(args.radius, module.dims)
     window = _parse_fraction_arg(args.window, "window")
     report = intrinsic_radius(module, rho, args.depth, window)
-    doc = {
-        "schema": SCHEMA,
-        "command": "ir",
-        **envelope,
-        "parameters": {
-            "depth": args.depth,
-            "window": str(window),
-            "radius": [str(r.exponent) for r in rho],
-        },
-        **report.to_json_dict(),
-    }
+    doc = _report("ir", envelope, report.to_json_dict(), depth=args.depth, window=str(window),
+                  radius=[str(r.exponent) for r in rho])
     return doc, EXIT_OK
 
 
@@ -163,17 +171,8 @@ def cmd_oc(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _parse_fraction_arg(args.tol, "tol")
     window = _parse_fraction_arg(args.window, "window")
     verdict = oc_ir_test(descriptor.module, args.depth, tol, window)
-    doc = {
-        "schema": SCHEMA,
-        "command": "oc",
-        **envelope,
-        "parameters": {
-            "depth": args.depth,
-            "tol": str(tol),
-            "window": str(window),
-        },
-        **verdict.to_json_dict(),
-    }
+    doc = _report("oc", envelope, verdict.to_json_dict(),
+                  depth=args.depth, tol=str(tol), window=str(window))
     return doc, EXIT_CODES[verdict.verdict.value]
 
 
@@ -182,15 +181,9 @@ def cmd_taylor(args: argparse.Namespace) -> tuple[dict, int]:
 
     descriptor, envelope = _load(args.descriptor)
     eta = _parse_radius_arg(args.eta, "eta exponent")
-    lam = _parse_radius_arg(getattr(args, "lam"), "lambda exponent")
+    lam = _parse_radius_arg(args.lam, "lambda exponent")
     report = taylor_probe(descriptor.module, eta, lam, args.depth)
-    doc = {
-        "schema": SCHEMA,
-        "command": "taylor",
-        **envelope,
-        "parameters": {"bound": args.depth},
-        **report.to_json_dict(),
-    }
+    doc = _report("taylor", envelope, report.to_json_dict(), bound=args.depth)
     return doc, EXIT_CODES[report.outcome.value]
 
 
@@ -216,16 +209,8 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
             "specialize: a coefficient of the curve has more digits than"
             f" the limit of {sys.get_int_max_str_digits()}"
         ) from None
-    doc = {
-        "schema": SCHEMA,
-        "command": "specialize",
-        **envelope,
-        "parameters": {
-            "direction": args.direction,
-            "point": [str(c) for c in point],
-        },
-        "module": curve_doc,
-    }
+    doc = _report("specialize", envelope, {"module": curve_doc},
+                  direction=args.direction, point=[str(c) for c in point])
     return doc, EXIT_OK
 
 
@@ -243,19 +228,8 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
         tol=tol,
         window=window,
     )
-    doc = {
-        "schema": SCHEMA,
-        "command": "cutcheck",
-        **envelope,
-        "parameters": {
-            "depth": args.depth,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": str(tol),
-            "window": str(window),
-        },
-        **report.to_json_dict(),
-    }
+    doc = _report("cutcheck", envelope, report.to_json_dict(), depth=args.depth,
+                  trials=args.trials, seed=args.seed, tol=str(tol), window=str(window))
     return doc, EXIT_CODES[report.verdict.verdict.value]
 
 
@@ -270,19 +244,13 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
     certificate = shrink_interval(poly, interval)
     dominant = certificate.dominant
     check = unit_certificate_check(poly, certificate, args.samples)
-    doc = {
-        "schema": SCHEMA,
-        "command": "techlemma",
-        "label": label,
-        "parameters": {
-            "alpha_exponent": str(r_alpha),
-            "beta_exponent": str(r_beta),
-            "samples": args.samples,
-        },
+    body = {
         "dominant": {"A": sorted(dominant.A), "B": sorted(dominant.B), "n0": dominant.n0},
         "certificate": certificate.to_json_dict(),
         "unit_check": check.to_json_dict(),
     }
+    doc = _report("techlemma", {"label": label}, body, alpha_exponent=str(r_alpha),
+                  beta_exponent=str(r_beta), samples=args.samples)
     return doc, (EXIT_OK if check.ok else EXIT_NEGATIVE)
 
 
@@ -317,59 +285,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One option declaration, as argparse's add_argument takes it."""
+    return flags, options
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nabla-radius", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str, *arguments) -> None:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
 
-    p = add("validate", cmd_validate, "check descriptor schema and integrability")
-    p.add_argument("descriptor")
+    # options that several subcommands take
+    descriptor = _arg("descriptor")
+    depth = _arg("--depth", type=int, default=200)
+    tol = _arg("--tol", default=str(DEFAULT_TOL))
+    window = _arg("--window", default=str(DEFAULT_WINDOW))
 
-    p = add("ir", cmd_ir, "windowed intrinsic-radius estimates")
-    p.add_argument("descriptor")
-    p.add_argument("--depth", type=int, default=200)
-    p.add_argument("--window", default="1/4")
-    p.add_argument("--radius", action="append", metavar="EXP",
-                   help="radius exponent num/den; repeat per variable")
-
-    p = add("oc", cmd_oc, "overconvergence verdict at the unit polyradius")
-    p.add_argument("descriptor")
-    p.add_argument("--depth", type=int, default=200)
-    p.add_argument("--tol", default="1/20")
-    p.add_argument("--window", default="1/4")
-
-    p = add("taylor", cmd_taylor, "Taylor-term decay probe")
-    p.add_argument("descriptor")
-    p.add_argument("--eta", required=True, help="eta exponent num/den (0 < eta < 1)")
-    p.add_argument("--lambda", dest="lam", default="0",
-                   help="inner-radius exponent num/den (default 0, i.e. radius 1)")
-    p.add_argument("--depth", type=int, default=24, help="multi-index bound J")
-
-    p = add("specialize", cmd_specialize, "restrict to a coordinate curve")
-    p.add_argument("descriptor")
-    p.add_argument("--direction", type=int, required=True)
-    p.add_argument("--point", required=True, help="comma-separated unit coordinates")
-
-    p = add("cutcheck", cmd_cutcheck, "curve witness search")
-    p.add_argument("descriptor")
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", default="1/20")
-    p.add_argument("--window", default="1/4")
-
-    p = add("techlemma", cmd_techlemma, "dominant-term certificate on an interval")
-    p.add_argument("poly", help="one-variable polynomial descriptor path")
-    p.add_argument("--alpha", required=True, help="inner endpoint exponent num/den")
-    p.add_argument("--beta", required=True, help="outer endpoint exponent num/den")
-    p.add_argument("--samples", type=int, default=20)
-
-    p = add("corpus", cmd_corpus, "list or dump bundled example modules")
-    p.add_argument("--dump", metavar="LABEL", help="print one descriptor document")
+    add("validate", cmd_validate, "check descriptor schema and integrability", descriptor)
+    add("ir", cmd_ir, "windowed intrinsic-radius estimates", descriptor, depth, window,
+        _arg("--radius", action="append", metavar="EXP",
+             help="radius exponent num/den; repeat per variable"))
+    add("oc", cmd_oc, "overconvergence verdict at the unit polyradius",
+        descriptor, depth, tol, window)
+    add("taylor", cmd_taylor, "Taylor-term decay probe", descriptor,
+        _arg("--eta", required=True, help="eta exponent num/den (0 < eta < 1)"),
+        _arg("--lambda", dest="lam", default="0",
+             help="inner-radius exponent num/den (default 0, i.e. radius 1)"),
+        _arg("--depth", type=int, default=24, help="multi-index bound J"))
+    add("specialize", cmd_specialize, "restrict to a coordinate curve", descriptor,
+        _arg("--direction", type=int, required=True),
+        _arg("--point", required=True,
+             help="comma-separated unit coordinates; empty for a one-variable module"))
+    add("cutcheck", cmd_cutcheck, "curve witness search", descriptor,
+        _arg("--depth", type=int, default=64),
+        _arg("--trials", type=int, default=10),
+        _arg("--seed", type=int, default=0),
+        tol, window)
+    add("techlemma", cmd_techlemma, "dominant-term certificate on an interval",
+        _arg("poly", help="one-variable polynomial descriptor path"),
+        _arg("--alpha", required=True, help="inner endpoint exponent num/den"),
+        _arg("--beta", required=True, help="outer endpoint exponent num/den"),
+        _arg("--samples", type=int, default=DEFAULT_SAMPLES))
+    add("corpus", cmd_corpus, "list or dump bundled example modules",
+        _arg("--dump", metavar="LABEL", help="print one descriptor document"))
 
     return parser
 
@@ -382,12 +345,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         report, code = args.handler(args)
-    except NotIntegrableError as exc:
-        print(f"nabla-radius: {exc}", file=sys.stderr)
-        return EXIT_NOT_INTEGRABLE
     except (OSError, ValueError) as exc:
         print(f"nabla-radius: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NOT_INTEGRABLE if isinstance(exc, NotIntegrableError) else EXIT_INVALID
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
     return code

@@ -36,6 +36,12 @@ from .padic import LogRadius
 
 DEFAULT_DEPTH_CAP = 512
 
+# Defaults of the verdict tolerance, the trailing window (a fraction of the
+# depth) and the unit-check sample count, shared by the library and the CLI.
+DEFAULT_TOL = Fraction(1, 20)
+DEFAULT_WINDOW = Fraction(1, 4)
+DEFAULT_SAMPLES = 20
+
 
 class NotIntegrableError(ValueError):
     """Raised when an operation requires integrability and curvature is nonzero."""

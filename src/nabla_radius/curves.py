@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .connection import ConnectionModule, _least_exponent, check_count, require_integrable
+from .connection import (
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
+    ConnectionModule,
+    _least_exponent,
+    check_count,
+    require_integrable,
+)
 from .padic import LogRadius, check_exact, fraction_valuation
 from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 
@@ -168,8 +175,8 @@ def curve_witness_search(
     depth: int,
     trials: int,
     seed: int,
-    tol: Fraction = Fraction(1, 20),
-    window: Fraction = Fraction(1, 4),
+    tol: Fraction = DEFAULT_TOL,
+    window: Fraction = DEFAULT_WINDOW,
 ) -> CutCheckReport:
     """Search seeded random unit points for a curve witness.
 

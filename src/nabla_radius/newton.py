@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .connection import check_count
+from .connection import DEFAULT_SAMPLES, check_count
 from .laurent import LaurentPoly, SignatureError
 from .padic import LogRadius, fraction_valuation
 
@@ -214,7 +214,7 @@ class UnitCheck:
 def unit_certificate_check(
     a: LaurentPoly,
     certificate: DominanceCertificate,
-    samples: int = 20,
+    samples: int = DEFAULT_SAMPLES,
 ) -> UnitCheck:
     """Re-verify a dominance certificate through Gauss norms.
 

@@ -28,6 +28,8 @@ from itertools import islice
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .connection import (
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
     ConnectionModule,
     PolyMatrix,
     check_count,
@@ -228,7 +230,7 @@ def intrinsic_radius(
     module: ConnectionModule,
     rho: Tuple[LogRadius, ...],
     depth: int,
-    window: Fraction = Fraction(1, 4),
+    window: Fraction = DEFAULT_WINDOW,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
     one per variable, annulus radii first."""
@@ -271,8 +273,8 @@ class OcVerdict:
 def oc_ir_test(
     module: ConnectionModule,
     depth: int,
-    tol: Fraction = Fraction(1, 20),
-    window: Fraction = Fraction(1, 4),
+    tol: Fraction = DEFAULT_TOL,
+    window: Fraction = DEFAULT_WINDOW,
 ) -> OcVerdict:
     """Evidence for or against IR = 1 at the unit polyradius.
 

@@ -11,6 +11,7 @@ import nabla_radius
 from nabla_radius import curves, newton
 from nabla_radius.cli import EXIT_CODES, main
 from nabla_radius.corpus import (
+    corpus_by_label,
     exponential_module,
     exponential_two_var_module,
     power_module,
@@ -387,6 +388,30 @@ class TestSpecialize:
             capsys, ["specialize", two_var_path, "--direction", "0", "--point", "2,2"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("label", ["power-half-p3", "exp-disc-p3"])
+    def test_empty_point_on_one_variable_module(self, capsys, tmp_path, label):
+        descriptor = corpus_by_label()[label].descriptor
+        path = tmp_path / "one-var.json"
+        save_module_descriptor(descriptor, str(path))
+        code, doc, err = run_json(
+            capsys, ["specialize", str(path), "--direction", "0", "--point", ""]
+        )
+        assert code == 0 and err == ""
+        assert doc["parameters"] == {"direction": 0, "point": []}
+        curve = parse_module_descriptor(doc["module"])
+        assert curve.module == descriptor.module
+        assert curve.label == f"{label}-curve-t0"
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [("", "expected 1 coordinates, got 0"), (",", "empty coordinate in --point")],
+    )
+    def test_empty_point_on_two_variable_module(self, capsys, two_var_path, point, message):
+        code, out, err = run(
+            capsys, ["specialize", two_var_path, "--direction", "0", "--point", point]
+        )
+        assert (code, out, err) == (1, "", f"nabla-radius: {message}\n")
 
     @pytest.mark.parametrize("direction", ["5", "-1"])
     def test_direction_out_of_range(self, capsys, two_var_path, direction):

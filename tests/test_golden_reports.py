@@ -115,6 +115,9 @@ def _cases() -> list[tuple[str, str, list[str]]]:
          ["specialize", "--direction", "0", "--point", "2,"]),
         ("specialize-malformed/exp-two-var-p3", "exp-two-var-p3",
          ["specialize", "--direction", "0", "--point", "x"]),
+        # a one-variable module has no coordinate to fix: the point is empty
+        ("specialize-no-point/power-half-p3", "power-half-p3",
+         ["specialize", "--direction", "0", "--point", ""]),
         ("techlemma/p-plus-t", None,
          ["techlemma", "--alpha", "2", "--beta", "1/2"]),
         ("corpus", None, ["corpus"]),
@@ -189,6 +192,7 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'specialize-count/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: expected 1 coordinates, got 2\n'),
     'specialize-empty/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: empty coordinate in --point\n'),
     'specialize-malformed/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "nabla-radius: invalid coordinate: 'x'\n"),
+    'specialize-no-point/power-half-p3': (0, '86222b836441713772862d9eabe117ffdc754b8c1fe3e2dae838de12b94efa7b', ''),
     'techlemma/p-plus-t': (0, 'cbe6e8fc25cf4774d577908e119239a01b1e3e4ccd664e35c1f683fddcb425ca', ''),
     'corpus': (0, 'be24dbf291232e37de99e84ded36385df0fa58d1ebda8d6cb46286092c9c3bc5', ''),
 }

@@ -1,14 +1,23 @@
-"""Smoke tests for the command-line scripts under scripts/.
+"""Tests for the command-line scripts under scripts/.
 
 Each script runs in a subprocess against this checkout's sources, with
 arguments small enough for the normal test run, so that an API change the
-scripts depend on fails here instead of silently.
+scripts depend on fails here instead of silently.  The rows of
+`estimate_drift.py`, which reads every depth off one walk, are checked
+against a separate `intrinsic_radius` run at each sampled depth.
 """
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from nabla_radius.corpus import falling_factorial_valuation, power_module
+from nabla_radius.padic import LogRadius
+from nabla_radius.radius import intrinsic_radius, spectral_base_exponent
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +44,32 @@ def test_estimate_drift_prints_sampled_depths():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == ["10", "20", "30", "40"]
+
+
+@pytest.mark.parametrize(
+    "prime, a, depth, step",
+    [
+        (3, "1/2", "60", "6"),  # non-integer a; a step below 8 reads depth 8 first
+        (5, "2/3", "40", "10"),
+        (3, "12", "40", "3"),  # integer a: rows up to 12, then the vanishing row
+        (3, "5", "20", "2"),  # integer a below 8: each row's depth-8 walk vanishes
+    ],
+)
+def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
+    proc = run_script(
+        "estimate_drift.py", "--prime", str(prime), "--a", a, "--depth", depth, "--step", step
+    )
+    assert proc.returncode == 0, proc.stderr
+    module = power_module(prime, Fraction(a))
+    expected = []
+    for s in range(int(step), int(depth) + 1, int(step)):
+        w = falling_factorial_valuation(Fraction(a), s, prime)
+        if w is None:
+            expected.append([str(s), "inf", "derivative", "vanished;", "radius", "exactly", "1"])
+            break
+        report = intrinsic_radius(module, (LogRadius.one(),), depth=max(s, 8))
+        estimate = max(Fraction(0), spectral_base_exponent(prime) - Fraction(w, s))
+        expected.append([str(s), str(w), str(Fraction(w, s)), str(estimate),
+                         str(report.directions[0].point_estimate)])
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert rows == expected
