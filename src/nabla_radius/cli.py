@@ -22,11 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .connection import (
-    DEFAULT_SAMPLES,
     DEFAULT_TOL,
     DEFAULT_WINDOW,
     NotIntegrableError,
-    check_count,
     integrability_check,
 )
 from .descriptor import (
@@ -191,13 +189,8 @@ def cmd_specialize(args: argparse.Namespace) -> tuple[dict, int]:
     from .curves import specialize
 
     descriptor, envelope = _load(args.descriptor)
-    module = descriptor.module
-    if not 0 <= args.direction < module.dims:
-        raise ValueError(
-            f"direction {args.direction} out of range for a module with {module.dims} variables"
-        )
     point = _point(args.point)
-    curve = specialize(module, args.direction, point)
+    curve = specialize(descriptor.module, args.direction, point)
     label = descriptor.label
     curve_label = f"{label}-curve-t{args.direction}" if label else None
     curve_descriptor = ModuleDescriptor(module=curve, label=curve_label)
@@ -236,21 +229,20 @@ def cmd_cutcheck(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
     from .newton import AlignedInterval, shrink_interval, unit_certificate_check
 
-    check_count("samples", args.samples, 1)
     poly, label = load_poly_descriptor(args.poly)
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")
     interval = AlignedInterval.from_exponents(r_alpha, r_beta)
     certificate = shrink_interval(poly, interval)
     dominant = certificate.dominant
-    check = unit_certificate_check(poly, certificate, args.samples)
+    check = unit_certificate_check(poly, certificate)
     body = {
         "dominant": {"A": sorted(dominant.A), "B": sorted(dominant.B), "n0": dominant.n0},
         "certificate": certificate.to_json_dict(),
         "unit_check": check.to_json_dict(),
     }
     doc = _report("techlemma", {"label": label}, body, alpha_exponent=str(r_alpha),
-                  beta_exponent=str(r_beta), samples=args.samples)
+                  beta_exponent=str(r_beta))
     return doc, (EXIT_OK if check.ok else EXIT_NEGATIVE)
 
 
@@ -313,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("oc", cmd_oc, "overconvergence verdict at the unit polyradius",
         descriptor, depth, tol, window)
     add("taylor", cmd_taylor, "Taylor-term decay probe", descriptor,
-        _arg("--eta", required=True, help="eta exponent num/den (0 < eta < 1)"),
+        _arg("--eta", required=True, help="eta exponent num/den (> 0, i.e. radius < 1)"),
         _arg("--lambda", dest="lam", default="0",
              help="inner-radius exponent num/den (default 0, i.e. radius 1)"),
         _arg("--depth", type=int, default=24, help="multi-index bound J"))
@@ -329,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("techlemma", cmd_techlemma, "dominant-term certificate on an interval",
         _arg("poly", help="one-variable polynomial descriptor path"),
         _arg("--alpha", required=True, help="inner endpoint exponent num/den"),
-        _arg("--beta", required=True, help="outer endpoint exponent num/den"),
-        _arg("--samples", type=int, default=DEFAULT_SAMPLES))
+        _arg("--beta", required=True, help="outer endpoint exponent num/den"))
     add("corpus", cmd_corpus, "list or dump bundled example modules",
         _arg("--dump", metavar="LABEL", help="print one descriptor document"))
 

@@ -36,11 +36,10 @@ from .padic import LogRadius
 
 DEFAULT_DEPTH_CAP = 512
 
-# Defaults of the verdict tolerance, the trailing window (a fraction of the
-# depth) and the unit-check sample count, shared by the library and the CLI.
+# Defaults of the verdict tolerance and the trailing window (a fraction of
+# the depth), shared by the library and the CLI.
 DEFAULT_TOL = Fraction(1, 20)
 DEFAULT_WINDOW = Fraction(1, 4)
-DEFAULT_SAMPLES = 20
 
 
 class NotIntegrableError(ValueError):
@@ -52,7 +51,7 @@ class DepthCapError(ValueError):
 
 
 def check_count(name: str, value: int, least: int) -> None:
-    """Refuse a depth, multi-index bound, trial or sample count outside
+    """Refuse a depth, multi-index bound or trial count outside
     least..DEFAULT_DEPTH_CAP, before any work."""
     if value < least:
         raise ValueError(f"{name} must be at least {least}")

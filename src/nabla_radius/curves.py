@@ -36,6 +36,13 @@ from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
 SAMPLE_RANGE = 9
 
 
+def _check_direction(module: ConnectionModule, direction: int) -> None:
+    if not 0 <= direction < module.dims:
+        raise ValueError(
+            f"direction {direction} out of range for a module with {module.dims} variables"
+        )
+
+
 def _unit_point(
     module: ConnectionModule, point: Sequence[Fraction | int]
 ) -> Tuple[Fraction, ...]:
@@ -58,8 +65,7 @@ def specialize(
     module: ConnectionModule, direction: int, point: Sequence[Fraction | int]
 ) -> ConnectionModule:
     """One-variable module obtained by fixing all other variables at `point`."""
-    if not 0 <= direction < module.dims:
-        raise IndexError(f"direction {direction} out of range")
+    _check_direction(module, direction)
     N = module.matrices[direction].specialize(direction, _unit_point(module, point))
     return ConnectionModule(
         prime=module.prime,
@@ -98,6 +104,7 @@ def generic_equality_check(
     its reduction does.  Only an exact zero H_s is a zero matrix here.
     """
     check_count("depth", depth, 1)
+    _check_direction(module, direction)
     coords = _unit_point(module, point)
     require_integrable(module)
     multi = (LogRadius.one(),) * module.dims

@@ -4,8 +4,8 @@ A polynomial lives on a product of ``nvars_annulus`` annulus variables
 (integer exponents of either sign) and ``nvars_disc`` disc variables
 (exponents >= 0).  Terms map exponent vectors to exact rational
 coefficients, each stored as a nonzero ``int`` or ``Fraction``: the
-constructor stores ``Fraction``s, and the ring operations keep ``int``
-coefficients ``int``, which the derivative ladder relies on.  Zero
+constructor stores ``Fraction``s, and the derivative ladder builds its
+``int``-coefficient entries through the internal ``_new``.  Zero
 coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
@@ -99,8 +99,8 @@ class LaurentPoly:
         """Internal fast path that takes ownership of `terms` as is.
 
         The caller guarantees valid keys and nonzero int or Fraction
-        values; the ring operations drop cancelled sums before they get
-        here.
+        values; the ring operations and the derivative ladder drop
+        cancelled sums before they get here.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "prime", prime)

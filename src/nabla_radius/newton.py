@@ -12,7 +12,8 @@ gives the sup and the dominant term; `shrink_interval` cuts the window
 from the same table.  The certificate records the dominant term (the
 degrees attaining the sup, and n0), I' and a strictness margin, so one
 table serves a whole run; `unit_certificate_check` needs no table, only
-v(a_{n0}), and re-verifies the certificate through Gauss norms, certifying
+v(a_{n0}), and re-verifies the certificate through Gauss norms at the two
+endpoints of I', which decide the whole of I', certifying
 a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is a unit there with
 |a| = |a_{n0}| * rho^{n0}.
 """
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .connection import DEFAULT_SAMPLES, check_count
 from .laurent import LaurentPoly, SignatureError
 from .padic import LogRadius, fraction_valuation
 
@@ -197,9 +197,12 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
 
 @dataclass(frozen=True)
 class UnitCheck:
-    ok: bool
     counterexample: Optional[LogRadius]
     sampled: Tuple[LogRadius, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,21 +214,20 @@ class UnitCheck:
         }
 
 
-def unit_certificate_check(
-    a: LaurentPoly,
-    certificate: DominanceCertificate,
-    samples: int = DEFAULT_SAMPLES,
-) -> UnitCheck:
+def unit_certificate_check(a: LaurentPoly, certificate: DominanceCertificate) -> UnitCheck:
     """Re-verify a dominance certificate through Gauss norms.
 
-    At evenly spaced rational exponents across the certified interval,
+    At the certified interval's endpoints, beta and then alpha,
     f = sum_{n != n0} (a_n / a_{n0}) t^{n - n0} must have norm < 1
     (positive exponent) and |a| must equal |a_{n0}| * rho^{n0}.  The
-    first radius violating either condition is returned as a
-    counterexample.  Only n0 and the interval are read from the
+    first endpoint violating either condition is returned as a
+    counterexample.  The endpoints decide the whole interval: the norm
+    exponents min_n (v(a_n / a_{n0}) + (n - n0) r) and min_n (v(a_n) + n r)
+    are minima of lines in r, hence concave, and |a| never exceeds its n0
+    term, so each condition holds on the interval exactly when it holds
+    at both ends.  Only n0 and the interval are read from the
     certificate, and no line table is built: v(a_{n0}) is one valuation.
     """
-    check_count("samples", samples, 1)
     _check_one_variable(a)
     n0 = certificate.n0
     if (n0,) not in a.terms:
@@ -242,20 +244,15 @@ def unit_certificate_check(
         },
     )
     v0 = fraction_valuation(c0, a.prime)
-    hi = certificate.interval.r_alpha
-    lo = certificate.interval.r_beta
-    if samples == 1 or hi == lo:
-        grid = [lo]
-    else:
-        step = (hi - lo) / (samples - 1)
-        grid = [lo + k * step for k in range(samples)]
-    sampled = tuple(LogRadius(r) for r in grid)
-    for radius in sampled:
+    interval = certificate.interval
+    # beta, then alpha; a one-point interval has a single endpoint
+    ends = tuple(dict.fromkeys((interval.beta, interval.alpha)))
+    for radius in ends:
         rho = (radius,)
         f_exp = f.gauss_lognorm(rho)
         if f_exp is not None and f_exp <= 0:
-            return UnitCheck(False, radius, sampled)
+            return UnitCheck(radius, ends)
         a_exp = a.gauss_lognorm(rho)
         if a_exp != v0 + n0 * radius.exponent:
-            return UnitCheck(False, radius, sampled)
-    return UnitCheck(True, None, sampled)
+            return UnitCheck(radius, ends)
+    return UnitCheck(None, ends)

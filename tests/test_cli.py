@@ -478,7 +478,8 @@ class TestTechlemma:
         }
         assert doc["certificate"]["margin"] == "1/4"
         assert doc["unit_check"]["ok"] is True
-        assert len(doc["unit_check"]["samples"]) == 20
+        assert doc["unit_check"]["samples"] == ["1/2", "3/4"]
+        assert doc["parameters"] == {"alpha_exponent": "2", "beta_exponent": "1/2"}
 
     def test_builds_the_line_table_once(self, capsys, monkeypatch, poly_path):
         # the certificate carries its dominant term, and its check reads
@@ -495,22 +496,12 @@ class TestTechlemma:
         assert code == 0
         assert len(calls) == 1
 
-    def test_samples_capped(self, capsys, monkeypatch, poly_path):
-        argv = ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2", "--samples"]
-        code, doc, _ = run_json(capsys, argv + ["512"])
-        assert code == 0 and len(doc["unit_check"]["samples"]) == 512
-        calls = []
-        original = newton._line_data
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        monkeypatch.setattr(newton, "_line_data", counting)
-        code, out, err = run(capsys, argv + ["513"])
+    def test_samples_option_is_refused(self, capsys, poly_path):
+        # the unit check reads the two endpoints, so there is no count to set
+        code, out, err = run(capsys, ["techlemma", poly_path, "--alpha", "2", "--beta", "1/2",
+                                      "--samples", "20"])
         assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "samples 513 exceeds cap 512" in err
-        assert calls == []  # refused before the line table is built
+        assert "error: unrecognized arguments: --samples 20" in err
 
     def test_degenerate_tie(self, capsys, tmp_path):
         path = tmp_path / "tie.json"

@@ -138,8 +138,17 @@ class TestSpecialize:
         module = exponential_two_var_module(3)
         with pytest.raises(ValueError):
             specialize(module, 0, (Fraction(1), Fraction(1)))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^direction 2 out of range"):
             specialize(module, 2, (Fraction(1),))
+
+    @pytest.mark.parametrize("direction", [5, -1])
+    def test_direction_out_of_range_is_a_value_error(self, direction):
+        module = exponential_two_var_module(3)
+        message = f"^direction {direction} out of range for a module with 2 variables$"
+        with pytest.raises(ValueError, match=message):
+            specialize(module, direction, (Fraction(1),))
+        with pytest.raises(ValueError, match=message):
+            generic_equality_check(module, direction, (Fraction(1),), depth=5)
 
     def test_disc_direction_keeps_disc_signature(self):
         # phi = t * u on one annulus and one disc variable.

@@ -193,7 +193,7 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'specialize-empty/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: empty coordinate in --point\n'),
     'specialize-malformed/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "nabla-radius: invalid coordinate: 'x'\n"),
     'specialize-no-point/power-half-p3': (0, '86222b836441713772862d9eabe117ffdc754b8c1fe3e2dae838de12b94efa7b', ''),
-    'techlemma/p-plus-t': (0, 'cbe6e8fc25cf4774d577908e119239a01b1e3e4ccd664e35c1f683fddcb425ca', ''),
+    'techlemma/p-plus-t': (0, 'fc3434f38370af3f57736b388bfad9f1f3f36d8959b693b12f3a737764923d13', ''),
     'corpus': (0, 'be24dbf291232e37de99e84ded36385df0fa58d1ebda8d6cb46286092c9c3bc5', ''),
 }
 

@@ -190,7 +190,7 @@ class TestShrinkInterval:
         assert cert.margin is None or cert.margin > 0
         assert cert.sup_norm == sup_norm_on_interval(a, I)
         assert cert.dominant == dominant_term(a, I)
-        check = unit_certificate_check(a, cert, samples=12)
+        check = unit_certificate_check(a, cert)
         assert check.ok, check.counterexample
 
 
@@ -218,20 +218,55 @@ class TestUnitCheck:
         with pytest.raises(ValueError):
             unit_certificate_check(a, fake)
 
-    def test_sample_count_validation(self):
+    def test_checks_the_two_endpoints(self):
         a = poly(2, {(0,): Fraction(1)})
         cert = shrink_interval(a, AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2)))
-        with pytest.raises(ValueError):
-            unit_certificate_check(a, cert, samples=0)
-        with pytest.raises(ValueError, match="exceeds cap 512"):
-            unit_certificate_check(a, cert, samples=513)
-        single = unit_certificate_check(a, cert, samples=1)
-        assert single.ok and len(single.sampled) == 1
+        check = unit_certificate_check(a, cert)
+        assert check.ok
+        assert check.sampled == (cert.interval.beta, cert.interval.alpha)
 
     def test_degenerate_certified_interval_single_radius(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(3, 4), Fraction(3, 4))
         cert = shrink_interval(a, I)
-        check = unit_certificate_check(a, cert, samples=5)
+        check = unit_certificate_check(a, cert)
         assert check.ok
         assert len(check.sampled) == 1
+
+    def test_inner_endpoint_catches_what_the_outer_one_passes(self):
+        # 2/t + 1 over Q_2: the constant dominates at exponent 1/2, but the
+        # 2/t term takes over from exponent 1 on, so n0 = 0 is wrong at 2.
+        a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
+        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        bad = DominanceCertificate(
+            dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
+            interval=I, sup_norm=Fraction(0), margin=None,
+        )
+        check = unit_certificate_check(a, bad)
+        assert not check.ok
+        assert check.counterexample == I.alpha
+        assert check.to_json_dict() == {
+            "ok": False, "counterexample": "2", "samples": ["1/2", "2"],
+        }
+
+    @given(a=polys_st, I=intervals_st, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_endpoints_agree_with_a_dense_grid(self, a, I, data):
+        # any term may be named n0, so many certificates are wrong
+        n0 = data.draw(st.sampled_from(sorted(n for (n,) in a.terms)))
+        cert = DominanceCertificate(
+            dominant=DominantTerm(A=frozenset(), B=frozenset({n0}), n0=n0),
+            interval=I, sup_norm=Fraction(0), margin=None,
+        )
+        c0 = a.coefficient((n0,))
+        v0 = fraction_valuation(c0, a.prime)
+        f = poly(a.prime, {(n - n0,): c / c0 for (n,), c in a.terms.items() if n != n0})
+
+        def holds(r):
+            f_exp = f.gauss_lognorm((LogRadius(r),))
+            return ((f_exp is None or f_exp > 0)
+                    and a.gauss_lognorm((LogRadius(r),)) == v0 + n0 * r)
+
+        # 65 radii from beta to alpha, both endpoints included
+        grid = [I.r_beta + (I.r_alpha - I.r_beta) * Fraction(k, 64) for k in range(65)]
+        assert unit_certificate_check(a, cert).ok == all(holds(r) for r in grid)

@@ -4,7 +4,8 @@ Each script runs in a subprocess against this checkout's sources, with
 arguments small enough for the normal test run, so that an API change the
 scripts depend on fails here instead of silently.  The rows of
 `estimate_drift.py`, which reads every depth off one walk, are checked
-against a separate `intrinsic_radius` run at each sampled depth.
+against a separate `intrinsic_radius` run at each sampled depth, and its
+bad arguments must be refused before any row is printed.
 """
 
 import os
@@ -73,3 +74,19 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
                          str(report.directions[0].point_estimate)])
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert rows == expected
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--depth", "700", "--step", "100"], "--depth 700 reads depth 600, past the cap 512"),
+        (["--step", "0"], "--step must not be 0"),
+        (["--prime", "4"], "--prime: not a prime: 4"),
+        (["--a", "1/0"], "argument --a: malformed rational '1/0'"),
+    ],
+    ids=["depth-past-cap", "step-zero", "prime-4", "a-zero-denominator"],
+)
+def test_estimate_drift_refuses_bad_arguments_before_printing(args, message):
+    proc = run_script("estimate_drift.py", *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"estimate_drift.py: error: {message}"
