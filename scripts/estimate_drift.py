@@ -22,14 +22,12 @@ from nabla_radius.connection import DEFAULT_DEPTH_CAP, DEFAULT_WINDOW
 from nabla_radius.corpus import falling_factorial_valuation, power_module
 from nabla_radius.padic import LogRadius, PrimeError, check_prime, parse_fraction
 from nabla_radius.radius import (
+    LEAST_DEPTH,
     DirectionRadius,
     _window_start,
     intrinsic_radius,
     spectral_base_exponent,
 )
-
-# intrinsic_radius refuses a depth below this
-LEAST_DEPTH = 8
 
 
 def point_estimate(walk: DirectionRadius, depth: int) -> Fraction:

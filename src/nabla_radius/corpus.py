@@ -73,77 +73,55 @@ def falling_factorial_valuation(a: Fraction, s: int, prime: int) -> Optional[int
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    label: str
     descriptor: ModuleDescriptor
     # compatible Taylor probe parameters (exponents of eta and lambda)
     taylor_eta: Fraction
     taylor_lambda: Fraction
     taylor_bound: int
 
-
-def _entry(
-    label: str,
-    module: ConnectionModule,
-    expected: dict,
-    taylor_eta: Fraction,
-    taylor_lambda: Fraction,
-    taylor_bound: int,
-) -> CorpusEntry:
-    return CorpusEntry(
-        label=label,
-        descriptor=ModuleDescriptor(module=module, label=label, expected=expected),
-        taylor_eta=taylor_eta,
-        taylor_lambda=taylor_lambda,
-        taylor_bound=taylor_bound,
-    )
+    @property
+    def label(self) -> Optional[str]:
+        return self.descriptor.label
 
 
 def build_corpus() -> Tuple[CorpusEntry, ...]:
     entries: list[CorpusEntry] = []
-    entries.append(_entry(
-        "trivial-rk1",
-        trivial_module(3, 1, 0, 1),
-        {"oc": "positive", "ir_exponent": "0", "exact": True},
+    entries.append(CorpusEntry(
+        ModuleDescriptor(trivial_module(3, 1, 0, 1), "trivial-rk1",
+                         {"oc": "positive", "ir_exponent": "0", "exact": True}),
         Fraction(1, 4), Fraction(1, 8), 24,
     ))
-    entries.append(_entry(
-        "trivial-rk2-mixed",
-        trivial_module(5, 1, 1, 2),
-        {"oc": "positive", "ir_exponent": "0", "exact": True},
+    entries.append(CorpusEntry(
+        ModuleDescriptor(trivial_module(5, 1, 1, 2), "trivial-rk2-mixed",
+                         {"oc": "positive", "ir_exponent": "0", "exact": True}),
         Fraction(1, 4), Fraction(1, 8), 16,
     ))
     for p in (2, 3, 5):
-        entries.append(_entry(
-            f"exp-disc-p{p}",
-            exponential_module(p),
-            {
+        entries.append(CorpusEntry(
+            ModuleDescriptor(exponential_module(p), f"exp-disc-p{p}", {
                 "oc": "negative",
                 "ir_exponent": str(Fraction(1, p - 1)),
                 "witness_direction": 0,
-            },
+            }),
             # between the known radius and 1: probe must fail
             Fraction(1, 2 * (p - 1)), Fraction(1, 8), 24,
         ))
-    entries.append(_entry(
-        "power-int3-p5",
-        power_module(5, 3),
-        {"oc": "positive", "ir_exponent": "0", "exact": True, "vanishes_at": 4},
+    entries.append(CorpusEntry(
+        ModuleDescriptor(power_module(5, 3), "power-int3-p5",
+                         {"oc": "positive", "ir_exponent": "0", "exact": True, "vanishes_at": 4}),
         Fraction(1, 4), Fraction(1, 8), 24,
     ))
-    entries.append(_entry(
-        "power-half-p3",
-        power_module(3, Fraction(1, 2)),
-        {"oc": "positive", "ir_limit_exponent": "0"},
+    entries.append(CorpusEntry(
+        ModuleDescriptor(power_module(3, Fraction(1, 2)), "power-half-p3",
+                         {"oc": "positive", "ir_limit_exponent": "0"}),
         Fraction(1, 4), Fraction(1, 8), 200,
     ))
-    entries.append(_entry(
-        "exp-two-var-p3",
-        exponential_two_var_module(3),
-        {
+    entries.append(CorpusEntry(
+        ModuleDescriptor(exponential_two_var_module(3), "exp-two-var-p3", {
             "oc": "negative",
             "ir_exponent": "1/2",
             "witness_direction": 0,
-        },
+        }),
         Fraction(1, 4), Fraction(1, 8), 24,
     ))
     return tuple(entries)

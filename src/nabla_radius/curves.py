@@ -163,13 +163,12 @@ class CurveWitness:
 class CutCheckReport:
     verdict: OcVerdict
     witness: Optional[CurveWitness]
-    depth: int
     trials: int
     seed: int
 
     def to_json_dict(self) -> dict:
         return {
-            "depth": self.depth,
+            "depth": self.verdict.report.depth,
             "trials": self.trials,
             "seed": self.seed,
             "verdict": self.verdict.to_json_dict(),
@@ -215,4 +214,4 @@ def curve_witness_search(
                     ir_curve=verdict.report.directions[direction].point_estimate,
                 )
                 break
-    return CutCheckReport(verdict, witness, depth, trials, seed)
+    return CutCheckReport(verdict, witness, trials, seed)

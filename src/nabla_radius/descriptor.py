@@ -44,20 +44,31 @@ def _require_int(doc: Mapping, key: str) -> int:
     return value
 
 
-def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
+def _parse_header(doc: Any, document: str, kind: str, fields: set[str]) -> tuple[int, Optional[str]]:
+    """The prime and label of a module or polynomial document, after the
+    checks both kinds share; `document` and `kind` name it in messages."""
     if not isinstance(doc, Mapping):
-        raise DescriptorError("descriptor must be a JSON object")
-    unknown = set(doc) - {"prime", "n", "m", "rank", "matrices", "label", "expected"}
+        raise DescriptorError(f"{document} must be a JSON object")
+    unknown = set(doc) - fields
     if unknown:
-        raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
+        raise DescriptorError(f"unknown {kind} fields: {sorted(unknown)}")
     prime = _require_int(doc, "prime")
-    n = _require_int(doc, "n")
-    m = _require_int(doc, "m")
-    rank = _require_int(doc, "rank")
     try:
         check_prime(prime)
     except PrimeError as exc:
         raise DescriptorError(str(exc)) from None
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise DescriptorError("'label' must be a string")
+    return prime, label
+
+
+def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
+    fields = {"prime", "n", "m", "rank", "matrices", "label", "expected"}
+    prime, label = _parse_header(doc, "descriptor", "descriptor", fields)
+    n = _require_int(doc, "n")
+    m = _require_int(doc, "m")
+    rank = _require_int(doc, "rank")
     if n < 0 or m < 0 or n + m < 1:
         raise DescriptorError("need n >= 0, m >= 0 and n + m >= 1")
     if rank < 1:
@@ -87,9 +98,6 @@ def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
                     ) from None
             rows.append(tuple(row))
         matrices.append(PolyMatrix(tuple(rows)))
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise DescriptorError("'label' must be a string")
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, Mapping):
         raise DescriptorError("'expected' must be an object")
@@ -167,22 +175,12 @@ def save_module_descriptor(descriptor: ModuleDescriptor, path: str) -> None:
 
 def parse_poly_descriptor(doc: Any) -> tuple[LaurentPoly, Optional[str]]:
     """One-variable polynomial documents: {"prime": p, "terms": [...]}."""
-    if not isinstance(doc, Mapping):
-        raise DescriptorError("polynomial descriptor must be a JSON object")
-    unknown = set(doc) - {"prime", "terms", "label"}
-    if unknown:
-        raise DescriptorError(f"unknown polynomial fields: {sorted(unknown)}")
-    prime = _require_int(doc, "prime")
-    try:
-        check_prime(prime)
-    except PrimeError as exc:
-        raise DescriptorError(str(exc)) from None
+    prime, label = _parse_header(
+        doc, "polynomial descriptor", "polynomial", {"prime", "terms", "label"}
+    )
     terms = doc.get("terms")
     if not isinstance(terms, list):
         raise DescriptorError("'terms' must be a list")
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise DescriptorError("'label' must be a string")
     try:
         poly = LaurentPoly.from_records(prime, 1, 0, terms)
     except ValueError as exc:

@@ -226,6 +226,10 @@ def _direction_radius(
     return DirectionRadius(direction, start, tuple(estimates), None)
 
 
+# The least depth `intrinsic_radius` accepts.
+LEAST_DEPTH = 8
+
+
 def intrinsic_radius(
     module: ConnectionModule,
     rho: Tuple[LogRadius, ...],
@@ -234,7 +238,7 @@ def intrinsic_radius(
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
     one per variable, annulus radii first."""
-    check_count("depth", depth, 8)
+    check_count("depth", depth, LEAST_DEPTH)
     window = Fraction(window)
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
@@ -290,9 +294,8 @@ def oc_ir_test(
     negative: list[DirectionRadius] = []
     undecided: list[DirectionRadius] = []
     for d in report.directions:
-        if d.exact:
-            continue
-        if max(d.estimates) <= tol:
+        # an exact direction's window is (0,) and tol > 0, so it is positive here
+        if d.point_estimate <= tol:
             continue
         if min(d.estimates) >= tol and d.stability <= tol:
             negative.append(d)

@@ -154,6 +154,39 @@ class TestParseErrors:
             load_poly_descriptor(str(path))
 
 
+POLY_DOC = {"prime": 3, "terms": [{"exps": [0], "coeff": "2"}]}
+
+
+class TestSharedHeader:
+    @pytest.mark.parametrize("parse, doc, kind, name", [
+        (parse_module_descriptor, minimal_doc(), "descriptor", "descriptor"),
+        (parse_poly_descriptor, POLY_DOC, "polynomial descriptor", "polynomial"),
+    ])
+    def test_header_messages(self, parse, doc, kind, name):
+        faults = [
+            ([1, 2, 3], f"{kind} must be a JSON object"),
+            (dict(doc, radius="1/2"), f"unknown {name} fields: ['radius']"),
+            (dict(doc, prime=4), "not a prime: 4"),
+            (dict(doc, label=7), "'label' must be a string"),
+        ]
+        for bad, message in faults:
+            with pytest.raises(DescriptorError) as info:
+                parse(bad)
+            assert str(info.value) == message
+
+    def test_header_faults_come_first(self):
+        # the prime is tested before n is read, and the label before the
+        # matrices and the terms
+        doc = dict(minimal_doc(), prime=4, n="1")
+        with pytest.raises(DescriptorError, match="^not a prime: 4$"):
+            parse_module_descriptor(doc)
+        doc = dict(minimal_doc(), label=7, matrices=[])
+        with pytest.raises(DescriptorError, match="^'label' must be a string$"):
+            parse_module_descriptor(doc)
+        with pytest.raises(DescriptorError, match="^'label' must be a string$"):
+            parse_poly_descriptor({"prime": 3, "terms": {}, "label": 7})
+
+
 class TestPolyDescriptor:
     def test_parse(self):
         poly, label = parse_poly_descriptor(

@@ -11,6 +11,7 @@ from nabla_radius.newton import (
     dominant_term,
     shrink_interval,
     sup_norm_on_interval,
+    UnitCheck,
     unit_certificate_check,
 )
 from nabla_radius.padic import LogRadius, fraction_valuation
@@ -270,3 +271,38 @@ class TestUnitCheck:
         # 65 radii from beta to alpha, both endpoints included
         grid = [I.r_beta + (I.r_alpha - I.r_beta) * Fraction(k, 64) for k in range(65)]
         assert unit_certificate_check(a, cert).ok == all(holds(r) for r in grid)
+
+    @given(a=polys_st, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_norm_per_endpoint_matches_the_two_norm_check(self, a, data):
+        # any term may be named n0, so many certificates are wrong
+        n0 = data.draw(st.sampled_from(sorted(n for (n,) in a.terms)))
+        c0 = a.coefficient((n0,))
+        v0 = fraction_valuation(c0, a.prime)
+        f = poly(a.prime, {(n - n0,): c / c0 for (n,), c in a.terms.items() if n != n0})
+        # endpoints also where some term of f has norm exactly 1
+        ties = sorted({
+            Fraction(v0 - fraction_valuation(c, a.prime), n - n0)
+            for (n,), c in a.terms.items() if n != n0
+        })
+        ties = [r for r in ties if r > 0]
+        endpoint = st.one_of(exp_st, st.sampled_from(ties)) if ties else exp_st
+        r1, r2 = data.draw(endpoint), data.draw(endpoint)
+        I = AlignedInterval.from_exponents(max(r1, r2), min(r1, r2))
+        cert = DominanceCertificate(
+            dominant=DominantTerm(A=frozenset(), B=frozenset({n0}), n0=n0),
+            interval=I, sup_norm=Fraction(0), margin=None,
+        )
+
+        # the reference also asks |a| = |a_{n0}| rho^{n0} at each endpoint
+        def two_norm_check():
+            ends = tuple(dict.fromkeys((I.beta, I.alpha)))
+            for radius in ends:
+                f_exp = f.gauss_lognorm((radius,))
+                if f_exp is not None and f_exp <= 0:
+                    return UnitCheck(radius, ends)
+                if a.gauss_lognorm((radius,)) != v0 + n0 * radius.exponent:
+                    return UnitCheck(radius, ends)
+            return UnitCheck(None, ends)
+
+        assert unit_certificate_check(a, cert) == two_norm_check()

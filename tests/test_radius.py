@@ -349,6 +349,13 @@ class TestOcVerdict:
         with pytest.raises(ValueError):
             oc_ir_test(exponential_module(3), depth=16, tol=Fraction(0))
 
+    @pytest.mark.parametrize("label", ["trivial-rk2-mixed", "power-int3-p5"])
+    def test_exact_directions_are_positive_under_any_tol(self, label):
+        module = corpus_by_label()[label].descriptor.module
+        v = oc_ir_test(module, depth=16, tol=Fraction(1, 10**9))
+        assert all(d.exact for d in v.report.directions)
+        assert v.verdict is Verdict.OVERCONVERGENT_EVIDENCE
+
     def test_unit_constant_stays_negative_under_loose_tol(self):
         # c = 2 is a unit, so the estimate exponent is exactly 1/2 at rho = 1;
         # any tol below 1/2 yields a stable negative witness.
