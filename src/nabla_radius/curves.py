@@ -8,29 +8,33 @@ under evaluation, and on a generic unit point they do not drop at all;
 `curve_witness_search` hunts for such a point to tie a one-variable
 non-overconvergence witness back to the full module.  Since no entry's
 norm can rise under evaluation, `generic_equality_check` specializes only
-the entries that attain the matrix norm, and stops at the first one that
-keeps it.  It walks the ladder modulo the same p**K as the unit-radius
-verdict, through `radius.deriv_ladder`, so the witness walk replays the
-verdict walk in the same precision.
+the leading parts of the entries that attain the matrix norm, and stops
+at the first one that keeps it.  It reads them from a record of the
+unit-radius walk mod p**K (`radius.unit_step` at each depth).  A direct
+call streams the record from its own walk.  The search takes the window
+depths' steps from its verdict walk, which keeps them in place of the
+norm, and walks the depths before the window once more, lazily, for all
+of its points together.
 """
 
 from __future__ import annotations
 
 import random
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from itertools import chain, islice, tee
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .connection import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
     ConnectionModule,
-    _least_exponent,
     check_count,
     require_integrable,
 )
 from .padic import LogRadius, check_exact, fraction_valuation
-from .radius import OcVerdict, Verdict, deriv_ladder, oc_ir_test
+from .radius import OcVerdict, UnitStep, Verdict, oc_ir_test, unit_record
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
 SAMPLE_RANGE = 9
@@ -81,6 +85,8 @@ def generic_equality_check(
     direction: int,
     point: Sequence[Fraction | int],
     depth: int,
+    *,
+    _record: Optional[Iterable[UnitStep]] = None,
 ) -> Optional[int]:
     """Compare |G_{i,s}(point)| against |G_{i,s}| for s <= depth, both at
     the unit radius.
@@ -88,34 +94,48 @@ def generic_equality_check(
     Returns the first depth where they differ (the evaluated norm can only
     be smaller), or None when all agree.
 
+    G_s and its evaluation both divide by c**s, so the numerators H_s are
+    compared, through a record of `radius.unit_step(H_s)` for s = 1, 2, ...:
+    the norm exponent full of H_s and the leading parts of the entries that
+    attain it.  `_record` is the one `curve_witness_search` assembles for
+    this direction and depth (internal); without it `radius.unit_record`
+    walks the ladder here and streams the same record, so the walk stops
+    at the first depth that differs.
+
     The comparison is entrywise.  Evaluating at a unit point never raises
     a Gauss norm, so every entry e has w(e(point)) >= w(e) >= full, where
-    w is the norm exponent and full the least w(e) over the matrix.  The
-    evaluated matrix therefore keeps the norm exactly when some entry with
-    w(e) == full keeps it, and only those entries are specialized, until
-    the first one that does.  A zero matrix keeps its (zero) norm.
+    w is the norm exponent.  The evaluated matrix therefore keeps the norm
+    exactly when some entry with w(e) == full keeps it, and only those
+    entries are tried, until the first one that does.  A zero matrix keeps
+    its (zero) norm.
+
+    Only an entry's leading part, its terms with v(a_J) == full, is
+    specialized.  The a_J are integers and the coordinates units, so a
+    term a_J t^J evaluates to a value of valuation v(a_J), and every other
+    term lands above full.  Each coefficient of e(point) is therefore the
+    same coefficient of the specialized leading part plus a sum of
+    valuation > full, and has valuation full exactly when that one does:
+    e keeps the norm full exactly when its leading part does.
 
     The ladder is walked mod p**K at the unit radius, K as for the verdict
     at this depth.  That is exact for any K.  A kept coefficient has its
     exact valuation, below K, and a dropped one a valuation of at least K,
     so a nonzero H_s mod p**K has the exact norm full < K on the same
-    entries.  The point's coordinates are units, so specializing commutes
-    with reduction mod p**K, and an entry keeps the norm full exactly when
-    its reduction does.  Only an exact zero H_s is a zero matrix here.
+    entries, with the same leading terms.  The point's coordinates are
+    units, so specializing commutes with reduction mod p**K, and an entry
+    keeps the norm full exactly when its reduction does.  Only an exact
+    zero H_s is a zero matrix here.
     """
     check_count("depth", depth, 1)
     _check_direction(module, direction)
     coords = _unit_point(module, point)
     require_integrable(module)
-    multi = (LogRadius.one(),) * module.dims
+    if _record is None:
+        _record = unit_record(module, direction, depth)
     single = (LogRadius.one(),)
-    # G_s and its evaluation both divide by c**s: compare the numerators H_s.
-    for s, H, _ in deriv_ladder(module, direction, depth, multi):
-        norms = [(e, e.gauss_lognorm(multi)) for row in H.rows for e in row]
-        full = _least_exponent(w for _, w in norms)
-        if full is not None and not any(
-            e.specialize(direction, coords).gauss_lognorm(single) == full
-            for e, w in norms if w == full
+    for s, (full, leading) in enumerate(_record, 1):
+        if leading and not any(
+            e.specialize(direction, coords).gauss_lognorm(single) == full for e in leading
         ):
             return s
     return None
@@ -196,17 +216,30 @@ def curve_witness_search(
     G_s are the specialized G_s, and the check has just confirmed that
     their unit-radius norms equal the full ones at every depth, so the
     curve's radius is the witness direction's point estimate.
+
+    The checks read one record of the witness direction.  Its window
+    depths come from the verdict walk, which takes their `unit_step`
+    instead of a Gauss norm; the depths before the window are walked once
+    more as the checks reach them, and `tee` keeps those steps for every
+    later check.  A verdict that is not negative reads no record and
+    walks nothing more.
     """
     check_count("trials", trials, 1)
-    verdict = oc_ir_test(module, depth, tol, window)
+    records: list[list[UnitStep]] = []
+    verdict = oc_ir_test(module, depth, tol, window, _records=records)
     witness: Optional[CurveWitness] = None
     if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
         direction = verdict.witness_direction
         assert direction is not None
+        window_steps = records[direction]
+        # a negative direction never vanishes: its window is depths start..depth
+        before = islice(unit_record(module, direction, depth), depth - len(window_steps))
+        steps = tee(chain(before, window_steps), 1)[0]
         rng = random.Random(seed)
         for _ in range(trials):
             point = sample_unit_point(rng, module.prime, module.dims - 1)
-            if generic_equality_check(module, direction, point, depth) is None:
+            # each check reads a copy of `steps`, from depth 1
+            if generic_equality_check(module, direction, point, depth, _record=copy(steps)) is None:
                 witness = CurveWitness(
                     direction=direction,
                     point=point,

@@ -13,9 +13,11 @@ window of depths; when some G_{i,s} vanishes identically the direction is
 exactly 1 and is flagged as such.
 
 `deriv_ladder` is the one walk of the recursion and owns its precision
-(mod p**K, or exact).  `intrinsic_radius` walks each direction once,
-`curves.generic_equality_check` replays the unit-radius walk, and
-`taylor_probe` walks exactly.
+(mod p**K, or exact).  `intrinsic_radius` walks each direction once and
+`taylor_probe` walks exactly.  For `curves.curve_witness_search` the
+unit-radius walk also keeps the `unit_step` of each window depth, in place
+of the norm it takes there; the witness check reads those steps and walks
+only the depths before the window again, once for all of its points.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .connection import (
@@ -37,6 +40,7 @@ from .connection import (
     ladder_denominator,
     require_integrable,
 )
+from .laurent import LaurentPoly
 from .padic import LogRadius, int_valuation
 
 
@@ -198,6 +202,44 @@ def deriv_ladder(
             return
 
 
+# One depth of a unit-radius record: the norm exponent `full` of H_s and
+# the leading parts of the entries attaining it, in row-major order.
+UnitStep = Tuple[Optional[int], Tuple[LaurentPoly, ...]]
+
+
+def unit_step(H: PolyMatrix) -> UnitStep:
+    """`full`, the unit-radius norm exponent of a ladder matrix H (int
+    coefficients), with the leading part of each entry attaining it: the
+    terms a_J t^J with v_p(a_J) = full.
+
+    At the unit radius every term weighs 0, so full is the least v_p(a_J),
+    that of the gcd of all the coefficients, and None when H = 0.  An
+    entry attains it when p**(full + 1) does not divide its own gcd.
+    """
+    p = H.prime
+    entries = [e._terms for row in H.rows for e in row]
+    gcds = [gcd(*terms.values()) for terms in entries]
+    g = gcd(*gcds)
+    if not g:
+        return None, ()
+    full = int_valuation(g, p)
+    q = p ** (full + 1)
+    return full, tuple(
+        LaurentPoly._new(
+            p, H.nvars_annulus, H.nvars_disc, {J: a for J, a in terms.items() if a % q}
+        )
+        for terms, g_e in zip(entries, gcds) if g_e % q
+    )
+
+
+def unit_record(module: ConnectionModule, direction: int, depth: int) -> Iterator[UnitStep]:
+    """The `unit_step` of H_1, H_2, ..., streamed from a walk of the
+    ladder at the unit radius (mod p**K for this depth, as the verdict
+    walks it)."""
+    unit = (LogRadius.one(),) * module.dims
+    return (unit_step(H) for _, H, _ in deriv_ladder(module, direction, depth, unit))
+
+
 def _window_start(depth: int, window: Fraction) -> int:
     return max(1, math.ceil((1 - window) * depth))
 
@@ -208,18 +250,26 @@ def _direction_radius(
     rho: Tuple[LogRadius, ...],
     depth: int,
     window: Fraction,
+    record: Optional[list[UnitStep]] = None,
 ) -> DirectionRadius:
-    """Clipped window estimates from one walk of the ladder at rho."""
+    """Clipped window estimates from one walk of the ladder at rho.
+
+    With a `record` list (rho the unit radius), the `unit_step` of each
+    window depth's H_s is appended to it, and its full serves as that
+    depth's norm, so the record costs no pass over a depth the window
+    does not read."""
     start = _window_start(depth, window)
     base = spectral_base_exponent(module.prime)
     r_i = rho[direction].exponent
     estimates: list[Fraction] = []
     for s, H, shift in deriv_ladder(module, direction, depth, rho):
+        if record is not None and s >= start:
+            record.append(unit_step(H))
         if H.is_zero:
             # exactly radius 1: the window is the vanishing depth alone
             return DirectionRadius(direction, s, (Fraction(0),), s)
         if s >= start:
-            w = H.gauss_lognorm(rho)
+            w = H.gauss_lognorm(rho) if record is None else Fraction(record[-1][0])
             assert w is not None
             est = base - r_i - (w - shift) / s
             estimates.append(est if est > 0 else Fraction(0))
@@ -235,9 +285,15 @@ def intrinsic_radius(
     rho: Tuple[LogRadius, ...],
     depth: int,
     window: Fraction = DEFAULT_WINDOW,
+    *,
+    _records: Optional[list[list[UnitStep]]] = None,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
-    one per variable, annulus radii first."""
+    one per variable, annulus radii first.
+
+    Internal: given an empty list `_records` at the unit radius, each
+    direction's walk also fills one list there with the `unit_step`s of
+    its window depths."""
     check_count("depth", depth, LEAST_DEPTH)
     window = Fraction(window)
     if not 0 < window <= 1:
@@ -245,8 +301,11 @@ def intrinsic_radius(
     if len(rho) != module.dims:
         raise ValueError(f"radius vector has {len(rho)} entries, expected {module.dims}")
     require_integrable(module)
+    if _records is not None:
+        assert not _records and not any(r.exponent for r in rho)
+        _records.extend([] for _ in range(module.dims))
     directions = tuple(
-        _direction_radius(module, i, rho, depth, window)
+        _direction_radius(module, i, rho, depth, window, None if _records is None else _records[i])
         for i in range(module.dims)
     )
     return RadiusReport(rho=rho, depth=depth, window=window, directions=directions)
@@ -279,6 +338,8 @@ def oc_ir_test(
     depth: int,
     tol: Fraction = DEFAULT_TOL,
     window: Fraction = DEFAULT_WINDOW,
+    *,
+    _records: Optional[list[list[UnitStep]]] = None,
 ) -> OcVerdict:
     """Evidence for or against IR = 1 at the unit polyradius.
 
@@ -286,11 +347,14 @@ def oc_ir_test(
     tol of 1 (exponent <= tol) or are exactly 1; it counts as a negative
     witness when every window estimate stays at least tol away from 1 and
     the window spread does not exceed tol.  Anything else is inconclusive.
+    `_records` is passed to `intrinsic_radius`.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    report = intrinsic_radius(module, (LogRadius.one(),) * module.dims, depth, window)
+    report = intrinsic_radius(
+        module, (LogRadius.one(),) * module.dims, depth, window, _records=_records
+    )
     negative: list[DirectionRadius] = []
     undecided: list[DirectionRadius] = []
     for d in report.directions:

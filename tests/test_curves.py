@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nabla_radius import connection, curves, radius
 from nabla_radius.connection import (
     DEFAULT_DEPTH_CAP,
+    DEFAULT_WINDOW,
     ConnectionModule,
     DepthCapError,
     NotIntegrableError,
@@ -33,7 +35,15 @@ from nabla_radius.curves import (
 )
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation
-from nabla_radius.radius import Verdict, deriv_ladder, intrinsic_radius
+from nabla_radius.radius import (
+    Verdict,
+    _window_start,
+    deriv_ladder,
+    intrinsic_radius,
+    oc_ir_test,
+    unit_record,
+    unit_step,
+)
 from test_golden_reports import FRACTIONAL
 from test_radius import exact_walk, recording_walks
 
@@ -323,6 +333,114 @@ class TestReducedWitnessWalk:
         assert precisions == [7, None]  # K = ceil(12 * 1/2) + 1, then exact
 
 
+class TestUnitStep:
+    # ladder matrices have int coefficients, which only `_new` stores
+    @staticmethod
+    def matrix(rows):
+        return PolyMatrix([[LaurentPoly._new(3, 1, 0, terms) for terms in row] for row in rows])
+
+    def test_full_and_leading_parts(self):
+        H = self.matrix([
+            [{(0,): 9, (1,): 3, (2,): -6}, {(0,): 27}],
+            [{}, {(2,): 6, (0,): 18}],
+        ])
+        full, leading = unit_step(H)
+        assert full == 1 == H.gauss_lognorm((LogRadius.one(),))
+        assert [dict(e.terms) for e in leading] == [{(1,): 3, (2,): -6}, {(2,): 6}]
+
+    @pytest.mark.parametrize("v", [0, 2, 7, 40])
+    def test_full_is_the_least_valuation(self, v):
+        H = self.matrix([[{(0,): 3**v * 2, (1,): 3**(v + 1)}, {(3,): 3**(v + 4)}]] * 2)
+        lead = LaurentPoly._new(3, 1, 0, {(0,): 3**v * 2})
+        assert unit_step(H) == (v, (lead, lead))
+
+    def test_zero_matrix(self):
+        assert unit_step(PolyMatrix.zeros(3, 2, 0, 2)) == (None, ())
+
+
+def counting_steps(monkeypatch):
+    """Count, per direction, the steps H_1, H_2, ... pulled from every walk."""
+    steps = Counter()
+    original = radius.iter_deriv_matrices
+
+    def counting(module, direction):
+        for s, H in enumerate(original(module, direction)):
+            if s:
+                steps[direction] += 1
+            yield H
+
+    monkeypatch.setattr(radius, "iter_deriv_matrices", counting)
+    return steps
+
+
+class TestOneWalkPerDirection:
+    """The checks read the window depths from the verdict walk and share
+    one more walk of the depths before the window, so the search walks the
+    witness direction once plus, at most, those depths, however many trial
+    points it compares, and every other direction once."""
+
+    @pytest.mark.parametrize("name, trials, found", [
+        ("fermat", 8, False),  # every trial fails
+        ("exp-two-var-p3", 10, True),
+    ])
+    def test_one_walk_per_direction(self, monkeypatch, name, trials, found):
+        module = fermat_module() if name == "fermat" else corpus_by_label()[name].descriptor.module
+        depth = 16
+        before = _window_start(depth, DEFAULT_WINDOW) - 1
+        checks = []
+        original = curves.generic_equality_check
+
+        def counting(*args, **kwargs):
+            checks.append(original(*args, **kwargs))
+            return checks[-1]
+
+        monkeypatch.setattr(curves, "generic_equality_check", counting)
+        steps = counting_steps(monkeypatch)
+        oc_ir_test(module, depth)
+        verdict_walks = dict(steps)
+        steps.clear()
+        report = curve_witness_search(module, depth=depth, trials=trials, seed=3)
+        assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
+        assert (report.witness is not None) == found
+        assert len(checks) == (1 if found else trials)
+        # a check reads up to the depth it returns, or all of them
+        deepest = max(depth if s is None else s for s in checks)
+        witness = report.verdict.witness_direction
+        extra = {witness: min(deepest, before)}
+        assert steps == Counter(verdict_walks) + Counter(extra)
+        assert verdict_walks[witness] == depth
+
+
+class TestRecordedWitnessCheck:
+    """The check gives one answer whether it reads the record that the
+    search assembles or walks the ladder itself, and that is the
+    full-matrix one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        module=seeded_modules(),
+        direction=st.integers(0, 1),
+        point_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        depth=st.integers(8, 40),
+    )
+    def test_record_matches_the_standalone_check(self, module, direction, point_seeds, depth):
+        records = []
+        oc_ir_test(module, depth, _records=records)
+        unit = (LogRadius.one(),) * module.dims
+        walk = [H for _, H, _ in deriv_ladder(module, direction, depth, unit)]
+        streamed = list(unit_record(module, direction, depth))
+        assert [full for full, _ in streamed] == [H.gauss_lognorm(unit) for H in walk]
+        start = _window_start(depth, DEFAULT_WINDOW)
+        # the verdict walk keeps the window depths, up to a vanishing one
+        assert records[direction] == streamed[start - 1:]
+        record = streamed[:start - 1] + records[direction]
+        for seed in point_seeds:
+            point = sample_unit_point(random.Random(seed), module.prime, 1)
+            recorded = generic_equality_check(module, direction, point, depth, _record=record)
+            assert recorded == generic_equality_check(module, direction, point, depth)
+            assert recorded == full_matrix_check(module, direction, point, depth)
+
+
 class TestSampleUnitPoint:
     def test_deterministic_and_unit(self):
         a = sample_unit_point(random.Random(11), 3, 4)
@@ -385,6 +503,15 @@ class TestCurveWitnessSearch:
         report = curve_witness_search(fermat_module(), depth=12, trials=8, seed=3)
         assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
         assert report.verdict.witness_direction == 0
+        assert report.witness is None
+
+    def test_checks_read_the_witness_direction(self):
+        # phi = t2 * (t1**9 - t1**3): N_1 = t1**9 - t1**3 is divisible by 3
+        # at every unit t1, so no point keeps direction 1's norms, while
+        # N_0 = t2 * (9 t1**8 - 3 t1**2) has norm 1/3, a positive direction
+        module = potential_module(3, LaurentPoly(3, 2, 0, {(9, 1): 1, (3, 1): -1}))
+        report = curve_witness_search(module, depth=12, trials=8, seed=3)
+        assert report.verdict.witness_direction == 1
         assert report.witness is None
 
     def test_trials_validation(self):
