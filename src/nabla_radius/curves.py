@@ -10,20 +10,15 @@ non-overconvergence witness back to the full module.  Since no entry's
 norm can rise under evaluation, `generic_equality_check` specializes only
 the leading parts of the entries that attain the matrix norm, and stops
 at the first one that keeps it.  It reads them from a record of the
-unit-radius walk mod p**K (`radius.unit_step` at each depth).  A direct
-call streams the record from its own walk.  The search takes the window
-depths' steps from its verdict walk, which keeps them in place of the
-norm, and walks the depths before the window once more, lazily, for all
-of its points together.
+unit-radius walk mod p**K (`radius.unit_step` at each depth): the search's
+verdict walk keeps that record, and a direct call streams its own.
 """
 
 from __future__ import annotations
 
 import random
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, tee
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .connection import (
@@ -34,7 +29,7 @@ from .connection import (
     require_integrable,
 )
 from .padic import LogRadius, check_exact, fraction_valuation
-from .radius import OcVerdict, UnitStep, Verdict, oc_ir_test, unit_record
+from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
 SAMPLE_RANGE = 9
@@ -97,10 +92,10 @@ def generic_equality_check(
     G_s and its evaluation both divide by c**s, so the numerators H_s are
     compared, through a record of `radius.unit_step(H_s)` for s = 1, 2, ...:
     the norm exponent full of H_s and the leading parts of the entries that
-    attain it.  `_record` is the one `curve_witness_search` assembles for
-    this direction and depth (internal); without it `radius.unit_record`
-    walks the ladder here and streams the same record, so the walk stops
-    at the first depth that differs.
+    attain it.  `_record` is the one the verdict walk of
+    `curve_witness_search` keeps for this direction and depth (internal);
+    without it the ladder is walked here and streams the same record, so
+    the walk stops at the first depth that differs.
 
     The comparison is entrywise.  Evaluating at a unit point never raises
     a Gauss norm, so every entry e has w(e(point)) >= w(e) >= full, where
@@ -131,7 +126,8 @@ def generic_equality_check(
     coords = _unit_point(module, point)
     require_integrable(module)
     if _record is None:
-        _record = unit_record(module, direction, depth)
+        unit = (LogRadius.one(),) * module.dims
+        _record = (unit_step(H) for _, H, _ in deriv_ladder(module, direction, depth, unit))
     single = (LogRadius.one(),)
     for s, (full, leading) in enumerate(_record, 1):
         if leading and not any(
@@ -217,12 +213,8 @@ def curve_witness_search(
     their unit-radius norms equal the full ones at every depth, so the
     curve's radius is the witness direction's point estimate.
 
-    The checks read one record of the witness direction.  Its window
-    depths come from the verdict walk, which takes their `unit_step`
-    instead of a Gauss norm; the depths before the window are walked once
-    more as the checks reach them, and `tee` keeps those steps for every
-    later check.  A verdict that is not negative reads no record and
-    walks nothing more.
+    Every check reads the witness direction's record from the verdict
+    walk, so no direction is walked twice.
     """
     check_count("trials", trials, 1)
     records: list[list[UnitStep]] = []
@@ -231,15 +223,11 @@ def curve_witness_search(
     if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
         direction = verdict.witness_direction
         assert direction is not None
-        window_steps = records[direction]
-        # a negative direction never vanishes: its window is depths start..depth
-        before = islice(unit_record(module, direction, depth), depth - len(window_steps))
-        steps = tee(chain(before, window_steps), 1)[0]
+        record = records[direction]
         rng = random.Random(seed)
         for _ in range(trials):
             point = sample_unit_point(rng, module.prime, module.dims - 1)
-            # each check reads a copy of `steps`, from depth 1
-            if generic_equality_check(module, direction, point, depth, _record=copy(steps)) is None:
+            if generic_equality_check(module, direction, point, depth, _record=record) is None:
                 witness = CurveWitness(
                     direction=direction,
                     point=point,

@@ -152,6 +152,8 @@ def _read_json(path: str) -> Any:
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise DescriptorError(f"invalid JSON in {path}: nested too deeply") from None
     except DescriptorError:
         raise
     except ValueError:

@@ -19,20 +19,22 @@ with None for the zero norm.
 
 from __future__ import annotations
 
-import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .padic import LogRadius, check_exact, check_prime, fraction_valuation, parse_fraction
+from .padic import (
+    LogRadius,
+    check_exact,
+    check_prime,
+    fraction_valuation,
+    parse_fraction,
+    rational_spelling_error,
+)
 
 ExponentVector = Tuple[int, ...]
-
-# The exact coefficient spelling in term records: "num" or "num/den".
-_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _excerpt(text: str) -> str:
@@ -390,16 +392,8 @@ class LaurentPoly:
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
                 raise SignatureError(f"malformed term record {rec!r}")
-            if not _COEFF_RE.fullmatch(coeff):
-                raise SignatureError(
-                    f"coefficient {_excerpt(coeff)} is not of the form num/den"
-                )
-            digits = max(len(part) for part in coeff.lstrip("-").split("/"))
-            limit = sys.get_int_max_str_digits()
-            if limit and digits > limit:
-                raise SignatureError(
-                    f"coefficient {_excerpt(coeff)} has an integer of {digits} digits,"
-                    f" more than the limit of {limit}"
-                )
+            error = rational_spelling_error(coeff)
+            if error:
+                raise SignatureError(f"coefficient {_excerpt(coeff)} {error}")
             terms.append((tuple(exps), parse_fraction(coeff)))
         return cls(prime, n, m, terms)

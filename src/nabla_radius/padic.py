@@ -11,6 +11,8 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,12 +113,34 @@ def fraction_valuation(x: Fraction, p: int) -> Optional[int]:
     return v if v else -int_valuation(x.denominator, p)
 
 
+# The one spelling of an exact rational, in descriptors and on the command
+# line: "num" or "num/den" in decimal digits.  It is checked before any
+# arithmetic, since `Fraction` would also read "1e3000000" and expand it.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def rational_spelling_error(text: str) -> Optional[str]:
+    """None when text has that spelling, each integer within the int/str
+    digit limit; otherwise what is wrong with it."""
+    if not _RATIONAL_RE.fullmatch(text):
+        return "is not of the form num/den"
+    digits = max(len(part) for part in text.lstrip("-").split("/"))
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        return f"has an integer of {digits} digits, more than the limit of {limit}"
+    return None
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse a 'num/den' string (denominator optional) into a rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    """Parse a rational spelled "num" or "num/den", surrounding whitespace
+    aside; any other text, or a zero denominator, raises ValueError."""
+    body = text.strip()
+    if rational_spelling_error(body) is None:
+        try:
+            return Fraction(body)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"malformed rational {text!r}")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ exactly 1 and is flagged as such.
 `deriv_ladder` is the one walk of the recursion and owns its precision
 (mod p**K, or exact).  `intrinsic_radius` walks each direction once and
 `taylor_probe` walks exactly.  For `curves.curve_witness_search` the
-unit-radius walk also keeps the `unit_step` of each window depth, in place
-of the norm it takes there; the witness check reads those steps and walks
-only the depths before the window again, once for all of its points.
+unit-radius walk also keeps the `unit_step` of every depth, which the
+witness check reads in place of a walk of its own.
 """
 
 from __future__ import annotations
@@ -232,14 +231,6 @@ def unit_step(H: PolyMatrix) -> UnitStep:
     )
 
 
-def unit_record(module: ConnectionModule, direction: int, depth: int) -> Iterator[UnitStep]:
-    """The `unit_step` of H_1, H_2, ..., streamed from a walk of the
-    ladder at the unit radius (mod p**K for this depth, as the verdict
-    walks it)."""
-    unit = (LogRadius.one(),) * module.dims
-    return (unit_step(H) for _, H, _ in deriv_ladder(module, direction, depth, unit))
-
-
 def _window_start(depth: int, window: Fraction) -> int:
     return max(1, math.ceil((1 - window) * depth))
 
@@ -254,16 +245,14 @@ def _direction_radius(
 ) -> DirectionRadius:
     """Clipped window estimates from one walk of the ladder at rho.
 
-    With a `record` list (rho the unit radius), the `unit_step` of each
-    window depth's H_s is appended to it, and its full serves as that
-    depth's norm, so the record costs no pass over a depth the window
-    does not read."""
+    With a `record` list (rho the unit radius), the `unit_step` of every
+    H_s is appended to it, and its full serves as a window depth's norm."""
     start = _window_start(depth, window)
     base = spectral_base_exponent(module.prime)
     r_i = rho[direction].exponent
     estimates: list[Fraction] = []
     for s, H, shift in deriv_ladder(module, direction, depth, rho):
-        if record is not None and s >= start:
+        if record is not None:
             record.append(unit_step(H))
         if H.is_zero:
             # exactly radius 1: the window is the vanishing depth alone
@@ -292,8 +281,7 @@ def intrinsic_radius(
     one per variable, annulus radii first.
 
     Internal: given an empty list `_records` at the unit radius, each
-    direction's walk also fills one list there with the `unit_step`s of
-    its window depths."""
+    direction's walk also fills one list there with its `unit_step`s."""
     check_count("depth", depth, LEAST_DEPTH)
     window = Fraction(window)
     if not 0 < window <= 1:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nabla_radius
-from nabla_radius import curves, newton
+from nabla_radius import curves, newton, radius
 from nabla_radius.cli import EXIT_CODES, main
 from nabla_radius.corpus import (
     corpus_by_label,
@@ -258,6 +258,35 @@ class TestNonJsonConstants:
         assert err.startswith("nabla-radius: ") and "NaN is not a JSON value" in err
 
 
+class TestDeeplyNestedJson:
+    """json.load raises RecursionError on a document nested a few thousand
+    levels deep; that is a refused input, not a traceback."""
+
+    DEPTH = 5000
+
+    def test_module_descriptor(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        nested = "[" * self.DEPTH + "]" * self.DEPTH
+        bad.write_text('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
+                       ' "expected": {"ir": %s}}' % nested, encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+        assert report["error"] == f"invalid JSON in {bad}: nested too deeply"
+        code, out, err = run(capsys, ["oc", "--depth", "16", str(bad)])
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: invalid JSON in {bad}: nested too deeply\n"
+
+    def test_poly_descriptor(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"prime": 3, "terms": %s}' % ("[" * self.DEPTH + "]" * self.DEPTH),
+                       encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1", "--beta", "1/2"])
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: invalid JSON in {bad}: nested too deeply\n"
+
+
 class TestIr:
     def test_report(self, capsys, dwork_path):
         code, doc, _ = run_json(capsys, ["ir", dwork_path, "--depth", "16"])
@@ -322,6 +351,23 @@ class TestOc:
         code, out, err = run(capsys, ["oc", dwork_path, "--depth", "600"])
         assert code == 1 and out == ""
         assert err == "nabla-radius: depth 600 exceeds cap 512\n"
+
+    @pytest.mark.parametrize("option, what, text", [
+        ("--tol", "tol", "1e3000000"),
+        ("--window", "window", "1e-30000000"),
+        ("--tol", "tol", "0.5"),
+        ("--tol", "tol", "1_000"),
+    ])
+    def test_rational_not_num_over_den_is_refused(self, capsys, monkeypatch, dwork_path,
+                                                  option, what, text):
+        # refused as text: Fraction would expand the exponent to millions of digits
+        def never(*args, **kwargs):
+            raise AssertionError("oc_ir_test ran on a refused argument")
+
+        monkeypatch.setattr(radius, "oc_ir_test", never)
+        code, out, err = run(capsys, ["oc", dwork_path, option, text])
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: invalid {what}: {text!r}\n"
 
 
 class TestTaylor:

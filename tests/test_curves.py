@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from nabla_radius import connection, curves, radius
 from nabla_radius.connection import (
     DEFAULT_DEPTH_CAP,
-    DEFAULT_WINDOW,
     ConnectionModule,
     DepthCapError,
     NotIntegrableError,
@@ -37,11 +36,9 @@ from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import (
     Verdict,
-    _window_start,
     deriv_ladder,
     intrinsic_radius,
     oc_ir_test,
-    unit_record,
     unit_step,
 )
 from test_golden_reports import FRACTIONAL
@@ -374,10 +371,9 @@ def counting_steps(monkeypatch):
 
 
 class TestOneWalkPerDirection:
-    """The checks read the window depths from the verdict walk and share
-    one more walk of the depths before the window, so the search walks the
-    witness direction once plus, at most, those depths, however many trial
-    points it compares, and every other direction once."""
+    """The checks read the record that the verdict walk keeps, so the
+    search walks every direction exactly once, however many trial points
+    it compares."""
 
     @pytest.mark.parametrize("name, trials, found", [
         ("fermat", 8, False),  # every trial fails
@@ -386,7 +382,6 @@ class TestOneWalkPerDirection:
     def test_one_walk_per_direction(self, monkeypatch, name, trials, found):
         module = fermat_module() if name == "fermat" else corpus_by_label()[name].descriptor.module
         depth = 16
-        before = _window_start(depth, DEFAULT_WINDOW) - 1
         checks = []
         original = curves.generic_equality_check
 
@@ -403,18 +398,14 @@ class TestOneWalkPerDirection:
         assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
         assert (report.witness is not None) == found
         assert len(checks) == (1 if found else trials)
-        # a check reads up to the depth it returns, or all of them
-        deepest = max(depth if s is None else s for s in checks)
-        witness = report.verdict.witness_direction
-        extra = {witness: min(deepest, before)}
-        assert steps == Counter(verdict_walks) + Counter(extra)
-        assert verdict_walks[witness] == depth
+        assert steps == verdict_walks
+        assert verdict_walks[report.verdict.witness_direction] == depth
 
 
 class TestRecordedWitnessCheck:
-    """The check gives one answer whether it reads the record that the
-    search assembles or walks the ladder itself, and that is the
-    full-matrix one."""
+    """The verdict walk records the `unit_step` of every depth it walks,
+    and the check gives one answer whether it reads that record or walks
+    the ladder itself, and that is the full-matrix one."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -428,17 +419,26 @@ class TestRecordedWitnessCheck:
         oc_ir_test(module, depth, _records=records)
         unit = (LogRadius.one(),) * module.dims
         walk = [H for _, H, _ in deriv_ladder(module, direction, depth, unit)]
-        streamed = list(unit_record(module, direction, depth))
+        streamed = [unit_step(H) for H in walk]
         assert [full for full, _ in streamed] == [H.gauss_lognorm(unit) for H in walk]
-        start = _window_start(depth, DEFAULT_WINDOW)
-        # the verdict walk keeps the window depths, up to a vanishing one
-        assert records[direction] == streamed[start - 1:]
-        record = streamed[:start - 1] + records[direction]
+        # every depth, up to a vanishing one
+        assert records[direction] == streamed
+        record = records[direction]
         for seed in point_seeds:
             point = sample_unit_point(random.Random(seed), module.prime, 1)
             recorded = generic_equality_check(module, direction, point, depth, _record=record)
             assert recorded == generic_equality_check(module, direction, point, depth)
             assert recorded == full_matrix_check(module, direction, point, depth)
+
+
+    def test_vanishing_direction_records_up_to_the_zero(self):
+        # t^3-twist at p = 5: H_4 is the first zero matrix
+        module = corpus_by_label()["power-int3-p5"].descriptor.module
+        records = []
+        oc_ir_test(module, 8, _records=records)
+        assert len(records) == 1 and len(records[0]) == 4
+        assert records[0][-1] == (None, ())
+        assert all(full is not None for full, _ in records[0][:-1])
 
 
 class TestSampleUnitPoint:

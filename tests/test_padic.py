@@ -156,6 +156,14 @@ def test_parse_fraction():
         parse_fraction("1/0")
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1_000", "1e3000000"])
+def test_parse_fraction_accepts_only_num_over_den(text):
+    # Fraction itself reads each of these; "1e3000000" would be a
+    # three-million-digit integer
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_fraction(text)
+
+
 class TestPAdicRational:
     """Rationals viewed in Q_p: plain Fractions, with the prime passed to
     `fraction_valuation` alongside them."""
