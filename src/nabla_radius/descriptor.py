@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Mapping, Optional
 
 from .connection import ConnectionModule, PolyMatrix
@@ -140,24 +142,40 @@ def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
     ).hexdigest()
 
 
+# The deepest nesting of arrays and objects a document may have (a module
+# document needs 7), counted on the text so that it does not depend on the
+# interpreter's recursion limits.  The string pattern runs an unterminated
+# string to the end of the text, so no quote is scanned twice.
+MAX_NESTING = 100
+_JSON_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_NOT_BRACKET_RE = re.compile(r"[^\[\]{}]+")
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(text: str) -> int:
+    brackets = _NOT_BRACKET_RE.sub("", _JSON_STRING_RE.sub("", text))
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)), default=0)
+
+
 def _read_json(path: str) -> Any:
     def refuse_constant(token: str) -> None:
-        # json.load accepts NaN, Infinity and -Infinity, which are not JSON
+        # json.loads accepts NaN, Infinity and -Infinity, which are not JSON
         raise DescriptorError(f"invalid JSON in {path}: {token} is not a JSON value")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=refuse_constant)
+            text = fh.read()
+        if _nesting(text) > MAX_NESTING:
+            raise DescriptorError(f"invalid JSON in {path}: nested too deeply")
+        return json.loads(text, parse_constant=refuse_constant)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DescriptorError(f"{path} is not UTF-8 text: {exc}") from None
-    except RecursionError:
-        raise DescriptorError(f"invalid JSON in {path}: nested too deeply") from None
     except DescriptorError:
         raise
     except ValueError:
-        # json.load raises a plain ValueError for an integer literal longer
+        # json.loads raises a plain ValueError for an integer literal longer
         # than the interpreter's int/str conversion limit
         raise DescriptorError(
             f"invalid JSON in {path}: an integer literal has more than"

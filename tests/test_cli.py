@@ -18,6 +18,7 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius.descriptor import (
+    MAX_NESTING,
     ModuleDescriptor,
     parse_module_descriptor,
     save_module_descriptor,
@@ -259,16 +260,22 @@ class TestNonJsonConstants:
 
 
 class TestDeeplyNestedJson:
-    """json.load raises RecursionError on a document nested a few thousand
-    levels deep; that is a refused input, not a traceback."""
+    """A document nested more than MAX_NESTING arrays and objects deep is a
+    refused input, counted on the text before it is parsed, so the bound
+    is the same on every interpreter whatever its recursion limits."""
 
     DEPTH = 5000
 
+    @staticmethod
+    def module_text(depth):
+        # the document and its "expected" object are two of the levels
+        lists = depth - 2
+        return ('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
+                ' "expected": {"ir": %s}}' % ("[" * lists + "]" * lists))
+
     def test_module_descriptor(self, capsys, tmp_path):
         bad = tmp_path / "deep.json"
-        nested = "[" * self.DEPTH + "]" * self.DEPTH
-        bad.write_text('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
-                       ' "expected": {"ir": %s}}' % nested, encoding="utf-8")
+        bad.write_text(self.module_text(self.DEPTH), encoding="utf-8")
         code, report, err = run_json(capsys, ["validate", str(bad)])
         assert code == 1 and err == ""
         assert report["status"] == "schema-error"
@@ -277,6 +284,32 @@ class TestDeeplyNestedJson:
         code, out, err = run(capsys, ["oc", "--depth", "16", str(bad)])
         assert code == 1 and out == ""
         assert err == f"nabla-radius: invalid JSON in {bad}: nested too deeply\n"
+
+    def test_bound_is_max_nesting(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.module_text(MAX_NESTING), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 0 and err == "" and report["status"] == "ok"
+        path.write_text(self.module_text(MAX_NESTING + 1), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 1 and err == ""
+        assert report["error"] == f"invalid JSON in {path}: nested too deeply"
+
+    def test_brackets_in_strings_do_not_count(self, capsys, tmp_path):
+        path = tmp_path / "note.json"
+        path.write_text('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
+                        ' "expected": {"note": "%s\\"%s"}}' % ("[" * self.DEPTH, "{" * self.DEPTH),
+                        encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 0 and err == "" and report["status"] == "ok"
+
+    def test_unterminated_string_is_a_json_error(self, capsys, tmp_path):
+        # the string runs to the end of the text, brackets and all
+        bad = tmp_path / "open.json"
+        bad.write_text('{"label": "%s' % ("[" * self.DEPTH), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["error"].startswith(f"invalid JSON in {bad}: Unterminated string")
 
     def test_poly_descriptor(self, capsys, tmp_path):
         bad = tmp_path / "deep.json"

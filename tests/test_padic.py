@@ -156,10 +156,13 @@ def test_parse_fraction():
         parse_fraction("1/0")
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e-3", "1_000", "1e3000000"])
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e-3", "1_000", "1e3000000", "+1/2", "+3", "\u0661/\u0662"]
+)
 def test_parse_fraction_accepts_only_num_over_den(text):
     # Fraction itself reads each of these; "1e3000000" would be a
-    # three-million-digit integer
+    # three-million-digit integer, and "\u0661/\u0662" is 1/2 in
+    # Arabic-Indic digits, which descriptors do not take either
     with pytest.raises(ValueError, match="malformed rational"):
         parse_fraction(text)
 
