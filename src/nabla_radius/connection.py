@@ -25,14 +25,13 @@ is K yields H_{i,s} mod p**K, each coefficient its symmetric residue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius
+from .padic import LogRadius, frozen_record
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -204,7 +203,7 @@ class PolyMatrix:
         return [[entry.to_records() for entry in row] for row in self.rows]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IntegrabilityViolation:
     """First nonzero curvature found, with the offending direction pair."""
 
@@ -213,7 +212,7 @@ class IntegrabilityViolation:
     curvature: PolyMatrix
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ConnectionModule:
     """A rank-mu module with one connection matrix per variable."""
 
@@ -225,7 +224,7 @@ class ConnectionModule:
     # Internal: K for a copy on which `iter_deriv_matrices` walks modulo
     # p**K.  It is not part of the module: repr, equality and descriptors
     # leave it out.
-    _ladder_precision: Optional[int] = field(default=None, repr=False, compare=False)
+    _ladder_precision: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))

@@ -17,13 +17,13 @@ command line can check against them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .connection import ConnectionModule, PolyMatrix
 from .descriptor import ModuleDescriptor
 from .laurent import LaurentPoly
+from .padic import fraction_valuation, frozen_record
 
 
 def trivial_module(prime: int, n: int, m: int, rank: int) -> ConnectionModule:
@@ -59,8 +59,6 @@ def exponential_two_var_module(prime: int) -> ConnectionModule:
 def falling_factorial_valuation(a: Fraction, s: int, prime: int) -> Optional[int]:
     """v_p(a (a-1) ... (a-s+1)), None for an exact zero.  This is the
     independent oracle for the power-module recursion."""
-    from .padic import fraction_valuation
-
     v = 0
     for k in range(s):
         term = a - k
@@ -71,7 +69,7 @@ def falling_factorial_valuation(a: Fraction, s: int, prime: int) -> Optional[int
     return v
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CorpusEntry:
     descriptor: ModuleDescriptor
     # compatible Taylor probe parameters (exponents of eta and lambda)

@@ -17,7 +17,6 @@ verdict walk keeps that record, and a direct call streams its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -28,7 +27,7 @@ from .connection import (
     check_count,
     require_integrable,
 )
-from .padic import LogRadius, check_exact, fraction_valuation
+from .padic import LogRadius, check_exact, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
@@ -157,7 +156,7 @@ def sample_unit_point(
     return tuple(coords)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CurveWitness:
     """A unit point whose coordinate curve reproduces the full-module radius."""
 
@@ -175,7 +174,7 @@ class CurveWitness:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CutCheckReport:
     verdict: OcVerdict
     witness: Optional[CurveWitness]

@@ -19,20 +19,19 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Mapping, Optional
 
 from .connection import ConnectionModule, PolyMatrix
 from .laurent import LaurentPoly, SignatureError
-from .padic import PrimeError, check_prime
+from .padic import PrimeError, check_prime, frozen_record
 
 
 class DescriptorError(ValueError):
     """A descriptor document does not match the schema."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ModuleDescriptor:
     module: ConnectionModule
     label: Optional[str] = None

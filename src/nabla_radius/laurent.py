@@ -384,14 +384,14 @@ class LaurentPoly:
         terms: list[tuple[ExponentVector, Fraction]] = []
         for rec in records:
             if not isinstance(rec, Mapping):
-                raise SignatureError(f"malformed term record {rec!r}")
+                raise SignatureError(f"malformed term record {_excerpt(repr(rec))}")
             unknown = set(rec) - {"exps", "coeff"}
             if unknown:
                 raise SignatureError(f"unknown term fields: {sorted(unknown)}")
             exps = rec.get("exps")
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
-                raise SignatureError(f"malformed term record {rec!r}")
+                raise SignatureError(f"malformed term record {_excerpt(repr(rec))}")
             error = rational_spelling_error(coeff)
             if error:
                 raise SignatureError(f"coefficient {_excerpt(coeff)} {error}")

@@ -20,15 +20,14 @@ a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is a unit there with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, fraction_valuation
+from .padic import LogRadius, fraction_valuation, frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AlignedInterval:
     """Closed radius interval [alpha, beta] inside (0, 1).
 
@@ -81,7 +80,7 @@ def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DominantTerm:
     A: FrozenSet[int]
     B: FrozenSet[int]
@@ -115,7 +114,7 @@ def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
     return _dominance(_line_data(a), interval)[1]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DominanceCertificate:
     """Strict dominance of term n0 on the subinterval, with margin.
 
@@ -195,7 +194,7 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
     return DominanceCertificate(dominant=dominant, interval=sub, sup_norm=sup, margin=margin)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class UnitCheck:
     counterexample: Optional[LogRadius]
     sampled: Tuple[LogRadius, ...]

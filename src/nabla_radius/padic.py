@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, TypeVar
 
 
 class PrimeError(ValueError):
@@ -143,7 +142,68 @@ def parse_fraction(text: str) -> Fraction:
     raise ValueError(f"malformed rational {text!r}")
 
 
-@dataclass(frozen=True)
+_Cls = TypeVar("_Cls", bound=type)
+
+
+def frozen_record(cls: _Cls) -> _Cls:
+    """Make cls an immutable record of its annotated fields, as a frozen
+    dataclass would, but without importing `dataclasses` or generating code.
+
+    It installs `__init__` (fields by position or keyword, a class attribute
+    of the same name as a field's default, then `__post_init__` if the class
+    has one), `__eq__` field by field between instances of the same class,
+    the matching `__hash__`, `__repr__`, and `__setattr__`/`__delattr__`
+    that raise AttributeError.  A field whose name starts with "_" is
+    internal: repr, equality and hash leave it out.
+    """
+    names = tuple(cls.__annotations__)
+    name_set = frozenset(names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    public = tuple(n for n in names if not n.startswith("_"))
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (
+            len(args) > len(names)
+            or values.keys() != name_set
+            or not kwargs.keys().isdisjoint(names[:len(args)])
+        ):
+            raise TypeError(
+                f"{cls.__name__}({', '.join(names)}) got {len(args)} positional"
+                f" and the keyword arguments {sorted(kwargs)}"
+            )
+        self.__dict__.update((n, values[n]) for n in names)
+        if post_init:
+            self.__post_init__()
+
+    def key(self) -> tuple:
+        return tuple([getattr(self, n) for n in public])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in public)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@frozen_record
 class LogRadius:
     """A radius p**(-exponent) in (0, 1]: an exact rational exponent >= 0."""
 

@@ -22,7 +22,6 @@ witness check reads in place of a walk of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -40,7 +39,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, int_valuation
+from .padic import LogRadius, frozen_record, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -60,7 +59,7 @@ def factorial_valuation(s: int, prime: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DirectionRadius:
     """Windowed intrinsic-radius estimates for a single direction, as
     exponents of p (0 is radius 1).  When G_s vanished at `vanished_at`
@@ -95,7 +94,7 @@ class DirectionRadius:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RadiusReport:
     """Full intrinsic-radius report at one radius vector."""
 
@@ -187,7 +186,9 @@ def deriv_ladder(
     """
     step = int_valuation(ladder_denominator(module, direction), module.prime)
     K = None if rho is None else _clip_precision(module, direction, rho, depth)
-    walked = module if K is None else replace(module, _ladder_precision=K)
+    walked = module if K is None else ConnectionModule(
+        module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices, K
+    )
     ladder = iter_deriv_matrices(walked, direction)
     next(ladder)  # H_0 is the identity
     for s in range(1, depth + 1):
@@ -305,7 +306,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OcVerdict:
     verdict: Verdict
     witness_direction: Optional[int]
@@ -387,7 +388,7 @@ class ProbeOutcome(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TaylorReport:
     """Decay diagnostics of normalized Taylor terms over the subannulus."""
 

@@ -232,6 +232,37 @@ class TestOversizedIntegers:
         assert report["status"] == "schema-error" and "UTF-8" in report["error"]
 
 
+LONG = [123456] * 20000
+LONG_RECORDS = pytest.mark.parametrize(
+    "record", [{"exps": LONG, "coeff": 1}, LONG], ids=["integer-coeff", "not-an-object"]
+)
+
+
+class TestLongTermRecords:
+    """A malformed term record is named by a short excerpt, not echoed whole."""
+
+    @LONG_RECORDS
+    def test_poly_descriptor(self, capsys, tmp_path, record):
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({"prime": 3, "terms": [record]}), encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: malformed term record ")
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+
+    @LONG_RECORDS
+    def test_module_descriptor(self, capsys, tmp_path, record):
+        bad = tmp_path / "long.json"
+        doc = {"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[record]]]]}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+        assert "malformed term record" in report["error"]
+        assert len(report["error"]) < 200
+
+
 class TestNonJsonConstants:
     """json.load accepts NaN and +-Infinity; a descriptor may not hold them."""
 
@@ -652,14 +683,19 @@ import contextlib, io, json, sys
 from nabla_radius.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nabla_radius."))]))
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.startswith("nabla_radius.")),
+    sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+]))
 """
 
 VALIDATE_SET = {"cli", "connection", "descriptor", "laurent", "padic"}
 
 
 class TestModulesLoaded:
-    """Each subcommand imports only the modules it runs."""
+    """Each subcommand imports only the modules it runs, and none of them
+    loads `dataclasses` or the `inspect` module it pulls in."""
 
     @pytest.mark.parametrize(
         "argv, fixture, code, extra",
@@ -688,6 +724,7 @@ class TestModulesLoaded:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        got_code, loaded = json.loads(proc.stdout)
+        got_code, loaded, slow_imports = json.loads(proc.stdout)
         assert got_code == code
         assert set(loaded) == {f"nabla_radius.{m}" for m in VALIDATE_SET | extra}
+        assert slow_imports == []

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -289,10 +288,13 @@ def seeded_modules(draw):
         # p**k, so k = 30 sends walks with K <= 30 to the exact restart
         scale = p ** draw(st.sampled_from([0, 3, 30]))
         module = fixture(p)
-        return replace(module, matrices=tuple(
-            PolyMatrix([[e.scalar_mul(scale) for e in row] for row in N.rows])
-            for N in module.matrices
-        ))
+        return ConnectionModule(
+            module.prime, module.nvars_annulus, module.nvars_disc, module.rank,
+            tuple(
+                PolyMatrix([[e.scalar_mul(scale) for e in row] for row in N.rows])
+                for N in module.matrices
+            ),
+        )
     seed = draw(st.integers(0, 2**32 - 1))
     return random_integrable_module(random.Random(seed), p, draw(st.integers(1, 2)))
 

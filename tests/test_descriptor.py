@@ -1,9 +1,16 @@
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nabla_radius.corpus import build_corpus, exponential_module, power_module
+from nabla_radius.corpus import (
+    build_corpus,
+    exponential_module,
+    power_module,
+    random_integrable_module,
+)
 from nabla_radius.descriptor import (
     DescriptorError,
     ModuleDescriptor,
@@ -60,6 +67,74 @@ class TestRoundTrip:
             parsed = parse_module_descriptor(doc)
             assert parsed.module.matrices == entry.descriptor.module.matrices
             assert parsed.expected == json.loads(json.dumps(entry.descriptor.expected))
+
+
+def random_descriptor(seed, prime, rank):
+    module = random_integrable_module(Random(seed), prime, rank)
+    return ModuleDescriptor(module, f"random-{prime}-{rank}-{seed}")
+
+
+DESCRIPTORS = st.one_of(
+    st.sampled_from([entry.descriptor for entry in build_corpus()]),
+    st.builds(
+        random_descriptor,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 5]),
+        st.integers(1, 2),
+    ),
+)
+
+
+def respell(doc, rng, scale):
+    """The same module document spelled otherwise: keys in shuffled order,
+    each coefficient "a/b" as "ka/kb", and a "0" term added to some entries."""
+
+    def shuffled(mapping):
+        keys = list(mapping)
+        rng.shuffle(keys)
+        return {k: mapping[k] for k in keys}
+
+    def term(record):
+        num, _, den = record["coeff"].partition("/")
+        coeff = f"{int(num) * scale}/{int(den or 1) * scale}"
+        return shuffled({"exps": record["exps"], "coeff": coeff})
+
+    def entry(records):
+        terms = [term(record) for record in records]
+        if rng.random() < 0.5:
+            zero = shuffled({"exps": [0] * (doc["n"] + doc["m"]), "coeff": "0"})
+            terms.insert(rng.randrange(len(terms) + 1), zero)
+        return terms
+
+    respelled = dict(doc, matrices=[
+        [[entry(records) for records in row] for row in matrix] for matrix in doc["matrices"]
+    ])
+    if "expected" in doc:
+        respelled["expected"] = shuffled(doc["expected"])
+    return shuffled(respelled)
+
+
+class TestRoundTripProperty:
+    @given(d=DESCRIPTORS)
+    @settings(max_examples=40, deadline=None)
+    def test_parse_inverts_to_dict(self, d):
+        doc = module_descriptor_to_dict(d)
+        parsed = parse_module_descriptor(doc)
+        assert parsed == d
+        assert module_descriptor_to_dict(parsed) == doc
+
+    @given(
+        d=DESCRIPTORS,
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.integers(1, 9),
+        indent=st.sampled_from([None, 0, 2, "\t"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_digest_ignores_spelling(self, d, seed, scale, indent):
+        doc = respell(module_descriptor_to_dict(d), Random(seed), scale)
+        parsed = parse_module_descriptor(json.loads(json.dumps(doc, indent=indent)))
+        assert parsed == d
+        assert descriptor_sha256(parsed) == descriptor_sha256(d)
 
 
 class TestHashing:
