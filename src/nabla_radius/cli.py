@@ -40,7 +40,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .padic import LogRadius, parse_fraction
+from .padic import LogRadius, _excerpt, parse_fraction
 
 SCHEMA = "nabla-radius/1"
 
@@ -66,7 +66,7 @@ def _parse_fraction_arg(text: str, what: str) -> Fraction:
     try:
         return parse_fraction(text)
     except ValueError:
-        raise ValueError(f"invalid {what}: {text!r}") from None
+        raise ValueError(f"invalid {what}: {_excerpt(text)}") from None
 
 
 def _parse_radius_arg(text: str, what: str) -> LogRadius:
@@ -74,7 +74,7 @@ def _parse_radius_arg(text: str, what: str) -> LogRadius:
         return LogRadius.parse(text)
     except ValueError:
         raise ValueError(
-            f"invalid {what}: {text!r} (radii must be positive: give the exponent"
+            f"invalid {what}: {_excerpt(text)} (radii must be positive: give the exponent"
             f" e >= 0 of p**(-e) as num/den)"
         ) from None
 
@@ -257,7 +257,7 @@ def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
     if args.dump:
         entry = corpus_by_label().get(args.dump)
         if entry is None:
-            raise ValueError(f"unknown corpus label {args.dump!r}")
+            raise ValueError(f"unknown corpus label {_excerpt(args.dump)}")
         return module_descriptor_to_dict(entry.descriptor), EXIT_OK
     entries = []
     for entry in build_corpus():

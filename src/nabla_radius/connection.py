@@ -15,11 +15,11 @@ has int coefficients throughout, so no step pays for a Fraction gcd.
 Each term of H_{i,s+1} sits at a key of H_{i,s} moved by one shift of
 S = {-e_i} + {exponents of M_i}.  A step translates the union support of
 H_{i,s} by every shift once, into a per-step table, and then builds each
-entry in one accumulation over that table; it makes no temporary
-LaurentPoly and calls none of the ring operations, which the curvature
-(the integrability check) still uses.  The step is linear over Z, so it
-also runs modulo p**K: a module copy whose internal `_ladder_precision`
-is K yields H_{i,s} mod p**K, each coefficient its symmetric residue.
+entry in one accumulation over that table, with no ring operation.
+The curvature uses only four: LaurentPoly.partial, __add__ and scalar_mul,
+and PolyMatrix.__matmul__.  The step is linear over Z, so it also runs
+modulo p**K: a module copy whose internal `_ladder_precision` is K yields
+H_{i,s} mod p**K, each coefficient its symmetric residue.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(entry.is_zero for row in self.rows for entry in row)
 
-    def _check_compatible(self, other: "PolyMatrix") -> None:
-        if self.size != other.size:
-            raise SignatureError("matrix size mismatch")
-        self.rows[0][0]._check_signature(other.rows[0][0])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -135,28 +130,12 @@ class PolyMatrix:
     def __repr__(self) -> str:
         return f"PolyMatrix(size={self.size}, p={self.prime})"
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        self._check_compatible(other)
-        return PolyMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ))
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        self._check_compatible(other)
-        return PolyMatrix(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ))
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        self._check_compatible(other)
+        if self.size != other.size:
+            raise SignatureError("matrix size mismatch")
+        self.rows[0][0]._check_signature(other.rows[0][0])
         size = self.size
         out = []
         for i in range(size):
@@ -174,12 +153,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(tuple(row))
         return PolyMatrix(tuple(out))
-
-    def partial(self, direction: int) -> "PolyMatrix":
-        return PolyMatrix(tuple(
-            tuple(entry.partial(direction) for entry in row)
-            for row in self.rows
-        ))
 
     def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
         """Largest entry Gauss norm exponent; None for the zero matrix."""
@@ -257,10 +230,16 @@ class ConnectionModule:
 
 
 def curvature(module: ConnectionModule, i: int, j: int) -> PolyMatrix:
-    """d_i(N_j) - d_j(N_i) + [N_i, N_j] for a direction pair (0-based)."""
-    Ni = module.matrices[i]
-    Nj = module.matrices[j]
-    return Nj.partial(i) - Ni.partial(j) + (Ni @ Nj) - (Nj @ Ni)
+    """d_i(N_j) - d_j(N_i) + [N_i, N_j] for a direction pair (0-based),
+    entry by entry as d_i(N_j) + N_i N_j - (d_j(N_i) + N_j N_i)."""
+    Ni, Nj = module.matrices[i], module.matrices[j]
+    return PolyMatrix(tuple(
+        tuple(
+            nj.partial(i) + ninj + (ni.partial(j) + njni).scalar_mul(-1)
+            for nj, ninj, ni, njni in zip(*rows)
+        )
+        for rows in zip(Nj.rows, (Ni @ Nj).rows, Ni.rows, (Nj @ Ni).rows)
+    ))
 
 
 def integrability_check(module: ConnectionModule) -> Optional[IntegrabilityViolation]:

@@ -27,6 +27,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
     LogRadius,
+    _excerpt,
+    _excerpt_names,
     check_exact,
     check_prime,
     fraction_valuation,
@@ -35,13 +37,6 @@ from .padic import (
 )
 
 ExponentVector = Tuple[int, ...]
-
-
-def _excerpt(text: str) -> str:
-    """repr of text, cut after 24 characters so that an error stays one short line."""
-    if len(text) <= 24:
-        return repr(text)
-    return f"{text[:24]!r}... ({len(text)} characters)"
 
 
 class SignatureError(ValueError):
@@ -202,19 +197,6 @@ class LaurentPoly:
                     acc[key] = s
         return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._new(
-            self.prime,
-            self.nvars_annulus,
-            self.nvars_disc,
-            {k: -v for k, v in self._terms.items()},
-        )
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def scalar_mul(self, scalar: Fraction | int) -> "LaurentPoly":
         check_exact(scalar, "scalar factors")
         c = Fraction(scalar)
@@ -227,9 +209,7 @@ class LaurentPoly:
             {k: v * c for k, v in self._terms.items()},
         )
 
-    def __mul__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, (Fraction, int)):
-            return self.scalar_mul(other)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_signature(other)
@@ -248,11 +228,6 @@ class LaurentPoly:
                     else:
                         acc[key] = s
         return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
-
-    def __rmul__(self, other: object) -> "LaurentPoly":
-        if isinstance(other, (Fraction, int)):
-            return self.scalar_mul(other)
-        return NotImplemented
 
     # -- calculus ----------------------------------------------------------
 
@@ -387,7 +362,7 @@ class LaurentPoly:
                 raise SignatureError(f"malformed term record {_excerpt(repr(rec))}")
             unknown = set(rec) - {"exps", "coeff"}
             if unknown:
-                raise SignatureError(f"unknown term fields: {sorted(unknown)}")
+                raise SignatureError(f"unknown term fields: {_excerpt_names(unknown)}")
             exps = rec.get("exps")
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, TypeVar
+from typing import Iterable, Optional, TypeVar
 
 
 class PrimeError(ValueError):
@@ -130,6 +130,22 @@ def rational_spelling_error(text: str) -> Optional[str]:
     return None
 
 
+def _excerpt(text: str) -> str:
+    """repr of text, cut after 24 characters so that an error stays one short line."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:24]!r}... ({len(text)} characters)"
+
+
+def _excerpt_names(names: Iterable[str]) -> str:
+    """The sorted names as a list, or, past 80 characters, how many there
+    are and the first of them through `_excerpt`."""
+    ordered = sorted(names)
+    if len(str(ordered)) <= 80:
+        return str(ordered)
+    return f"{len(ordered)}, the first {_excerpt(ordered[0])}"
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse a rational spelled "num" or "num/den", surrounding whitespace
     aside; any other text, or a zero denominator, raises ValueError."""
@@ -139,7 +155,7 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(body)
         except ZeroDivisionError:
             pass
-    raise ValueError(f"malformed rational {text!r}")
+    raise ValueError(f"malformed rational {_excerpt(text)}")
 
 
 _Cls = TypeVar("_Cls", bound=type)

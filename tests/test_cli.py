@@ -263,6 +263,64 @@ class TestLongTermRecords:
         assert len(report["error"]) < 200
 
 
+UNKNOWN_KEYS = {f"k{k:05}": 1 for k in range(20000)}
+
+
+class TestManyUnknownFields:
+    """A document with thousands of unknown keys is refused in one short
+    line that counts them and names the first."""
+
+    @pytest.mark.parametrize("where", ["term", "top"])
+    def test_poly_descriptor(self, capsys, tmp_path, where):
+        term = {"exps": [0], "coeff": "1"}
+        doc = {"prime": 3, "terms": [term]}
+        (term if where == "term" else doc).update(UNKNOWN_KEYS)
+        bad = tmp_path / "keys.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
+        assert code == 1 and out == ""
+        kind = "term" if where == "term" else "polynomial"
+        assert err == f"nabla-radius: unknown {kind} fields: 20000, the first 'k00000'\n"
+
+    @pytest.mark.parametrize("where", ["term", "top"])
+    def test_module_descriptor(self, capsys, tmp_path, where):
+        term = {"exps": [0], "coeff": "1"}
+        doc = {"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[term]]]]}
+        (term if where == "term" else doc).update(UNKNOWN_KEYS)
+        bad = tmp_path / "keys.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["error"].endswith("fields: 20000, the first 'k00000'")
+        assert len(report["error"]) < 200
+
+
+HUGE = "1" * 100001  # each integer is limited to 4300 digits
+
+
+class TestLongRationalArguments:
+    """A refused rational argument is quoted by a short excerpt, not echoed
+    whole, and refused before any derivative walk."""
+
+    @pytest.mark.parametrize("text", [HUGE, HUGE[1:] + "x"], ids=["digits", "not-a-rational"])
+    @pytest.mark.parametrize("argv, what", [
+        (["oc", "--tol"], "tol"),
+        (["oc", "--window"], "window"),
+        (["ir", "--radius"], "radius exponent"),
+        (["specialize", "--direction", "0", "--point"], "coordinate"),
+    ], ids=["oc-tol", "oc-window", "ir-radius", "specialize-point"])
+    def test_one_short_line(self, capsys, monkeypatch, two_var_path, argv, what, text):
+        def never(*args, **kwargs):
+            raise AssertionError("a walk started on a refused argument")
+
+        monkeypatch.setattr(radius, "iter_deriv_matrices", never)
+        code, out, err = run(capsys, [argv[0], two_var_path, *argv[1:], text])
+        assert code == 1 and out == ""
+        assert err.startswith(f"nabla-radius: invalid {what}: {text[:24]!r}... (100001 characters)")
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+
+
 class TestNonJsonConstants:
     """json.load accepts NaN and +-Infinity; a descriptor may not hold them."""
 
@@ -649,6 +707,11 @@ class TestCorpus:
     def test_unknown_label(self, capsys):
         code, _, err = run(capsys, ["corpus", "--dump", "nope"])
         assert code == 1 and "unknown" in err
+
+    def test_long_unknown_label_is_cut(self, capsys):
+        code, out, err = run(capsys, ["corpus", "--dump", "x" * 100000])
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: unknown corpus label {'x' * 24!r}... (100000 characters)\n"
 
 
 class TestHarness:

@@ -7,7 +7,9 @@ single report byte fails here.  The `oc`, `taylor` and `cutcheck` cases
 on the two ``FRACTIONAL`` modules were recorded before the derivative
 ladder moved to integer numerators over a common denominator, and the
 ``ir-two-radii`` cases before Gauss norms took one valuation per weight
-class.  Depths are small so that the whole file runs in a few seconds.
+class.  The ``validate`` case on the non-integrable ``CURVED`` module was
+recorded before the curvature was built entry by entry.  Depths are small
+so that the whole file runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -67,6 +69,25 @@ FRACTIONAL = {
 }
 
 
+# A rank-2 module over Q_3 on one annulus and one disc variable that is not
+# integrable: N_1 = [[t2, 1/3], [0, t1^-1]], N_2 = [[0, -1/2 t1 t2], [2 t1, 1]].
+# Its curvature has a nonzero commutator [N_1, N_2], a derivative term that
+# cancels a commutator term, and one that adds to another.
+CURVED = {
+    "curved-rk2-p3": {
+        "prime": 3, "n": 1, "m": 1, "rank": 2, "label": "curved-rk2-p3",
+        "matrices": [
+            [[[_term([0, 1], "1")], [_term([0, 0], "1/3")]],
+             [[], [_term([-1, 0], "1")]]],
+            [[[], [_term([1, 1], "-1/2")]],
+             [[_term([1, 0], "2")], [_term([0, 0], "1")]]],
+        ],
+    },
+}
+
+DOCUMENTS = {**FRACTIONAL, **CURVED}
+
+
 def _cases() -> list[tuple[str, str, list[str]]]:
     """(case id, descriptor label or None, argv after the descriptor path)."""
     cases: list[tuple[str, str, list[str]]] = []
@@ -100,6 +121,7 @@ def _cases() -> list[tuple[str, str, list[str]]]:
             (f"cutcheck/{label}", label,
              ["cutcheck", "--depth", DEPTH, "--trials", "3", "--seed", "0"]),
         ]
+    cases += [(f"validate/{label}", label, ["validate"]) for label in CURVED]
     # Two different radii put terms of mixed exponents into one weight class.
     for label in ("frac-potential-p3", "exp-two-var-p3"):
         cases.append((f"ir-two-radii/{label}", label,
@@ -185,6 +207,7 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'oc/frac-twist-rk2-p3': (3, 'd1a21db88578aa0fb0969b261e2729a3bca5acaa66d10d306b1a5eaab0c81551', ''),
     'taylor/frac-twist-rk2-p3': (3, '3141ad69e935be60e090dacf78947baf4fd5e95d52db59178d4dc0ad2846e313', ''),
     'cutcheck/frac-twist-rk2-p3': (3, 'c7053554d19ab1729af920b6f4c6f42e1064265d3093770fbe8a2b5286035fc5', ''),
+    'validate/curved-rk2-p3': (2, '924bb667e232d8e511e7a30e238141f67fe80a3019caadabe1bed6b842a7a017', ''),
     'ir-two-radii/frac-potential-p3': (0, '1866d1c249cc40506aed392ef0e5ee1ee7391fe7272291fcc06fc3318c70fa71', ''),
     'ir-two-radii/exp-two-var-p3': (0, 'f1455252a9a421f78124a0627eb8946c9ad6f076b7243ce97f8a26183ec81b38', ''),
     'specialize-non-unit/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 3 is not a unit\n'),
@@ -206,9 +229,9 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case_id,label,argv", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes_are_pinned(capsys, tmp_path, case_id, label, argv):
-    if label in FRACTIONAL:
+    if label in DOCUMENTS:
         path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps(FRACTIONAL[label]), encoding="utf-8")
+        path.write_text(json.dumps(DOCUMENTS[label]), encoding="utf-8")
         argv = [argv[0], str(path), *argv[1:]]
     elif label is not None:
         path = tmp_path / f"{label}.json"

@@ -10,6 +10,8 @@ from nabla_radius.padic import (
     PRIME_BOUND,
     LogRadius,
     PrimeError,
+    _excerpt,
+    _excerpt_names,
     check_prime,
     fraction_valuation,
     int_valuation,
@@ -165,6 +167,31 @@ def test_parse_fraction_accepts_only_num_over_den(text):
     # Arabic-Indic digits, which descriptors do not take either
     with pytest.raises(ValueError, match="malformed rational"):
         parse_fraction(text)
+
+
+def test_parse_fraction_quotes_a_long_text_by_an_excerpt():
+    with pytest.raises(ValueError) as info:
+        parse_fraction("1" * 100001)
+    assert str(info.value) == (
+        "malformed rational '111111111111111111111111'... (100001 characters)"
+    )
+
+
+class TestExcerpts:
+    def test_short_text_is_its_repr(self):
+        for text in ("", "x", "1e3000000", "y" * 24):
+            assert _excerpt(text) == repr(text)
+        assert _excerpt("z" * 25) == "'zzzzzzzzzzzzzzzzzzzzzzzz'... (25 characters)"
+
+    def test_short_name_list_is_printed_whole(self):
+        for names in ({"radius"}, {"zzz", "b", "a"}, {f"key{k:02}" for k in range(8)}):
+            assert _excerpt_names(names) == str(sorted(names))
+
+    def test_long_name_list_is_cut(self):
+        names = {f"k{k:05}" for k in range(20000)}
+        assert _excerpt_names(names) == "20000, the first 'k00000'"
+        assert _excerpt_names({"n" * 100}) == f"1, the first {_excerpt('n' * 100)}"
+        assert len(_excerpt_names({"n" * 100000, "m" * 100000})) < 80
 
 
 class TestPAdicRational:
