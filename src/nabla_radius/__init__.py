@@ -28,9 +28,9 @@ _EXPORTS = {
         "iter_deriv_matrices", "ladder_denominator", "require_integrable",
     ),
     "corpus": (
-        "CorpusEntry", "build_corpus", "constant_annulus_module", "corpus_by_label",
-        "exponential_module", "exponential_two_var_module", "falling_factorial_valuation",
-        "power_module", "random_integrable_module", "trivial_module",
+        "CorpusEntry", "build_corpus", "corpus_by_label", "exponential_module",
+        "exponential_two_var_module", "falling_factorial_valuation", "power_module",
+        "random_integrable_module", "trivial_module",
     ),
     "curves": (
         "CurveWitness", "CutCheckReport", "curve_witness_search", "generic_equality_check",
@@ -39,12 +39,12 @@ _EXPORTS = {
     "descriptor": (
         "DescriptorError", "ModuleDescriptor", "canonical_json", "descriptor_sha256",
         "load_module_descriptor", "load_poly_descriptor", "module_descriptor_to_dict",
-        "parse_module_descriptor", "save_module_descriptor",
+        "parse_module_descriptor",
     ),
     "laurent": ("LaurentPoly", "SignatureError"),
     "newton": (
         "AlignedInterval", "DominanceCertificate", "DominantTerm", "UnitCheck",
-        "dominant_term", "shrink_interval", "sup_norm_on_interval", "unit_certificate_check",
+        "shrink_interval", "unit_certificate_check",
     ),
     "padic": (
         "LogRadius", "PrimeError", "check_prime", "fraction_valuation", "int_valuation",

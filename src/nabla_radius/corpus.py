@@ -37,12 +37,6 @@ def exponential_module(prime: int, scale: Fraction | int = 1) -> ConnectionModul
     return ConnectionModule(prime, 0, 1, 1, (N,))
 
 
-def constant_annulus_module(prime: int, scale: Fraction | int) -> ConnectionModule:
-    """Rank 1 on one annulus variable: d(e) = scale * e."""
-    N = PolyMatrix.from_scalar_rows(prime, 1, 0, [[Fraction(scale)]])
-    return ConnectionModule(prime, 1, 0, 1, (N,))
-
-
 def power_module(prime: int, a: Fraction | int) -> ConnectionModule:
     """Rank 1 on one annulus variable: d(e) = (a/t) e."""
     entry = LaurentPoly(prime, 1, 0, {(-1,): Fraction(a)})

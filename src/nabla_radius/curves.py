@@ -27,7 +27,8 @@ from .connection import (
     check_count,
     require_integrable,
 )
-from .padic import LogRadius, check_exact, fraction_valuation, frozen_record
+from .laurent import LaurentPoly
+from .padic import LogRadius, _cut, check_exact, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
@@ -52,7 +53,7 @@ def _unit_point(
         check_exact(c, "unit point coordinates")
         c = Fraction(c)
         if fraction_valuation(c, module.prime) != 0:
-            raise ValueError(f"coordinate {c} is not a unit")
+            raise ValueError(f"coordinate {_cut(str(c))} is not a unit")
         coords.append(c)
     if len(coords) != module.dims - 1:
         raise ValueError(f"expected {module.dims - 1} coordinates, got {len(coords)}")
@@ -72,6 +73,17 @@ def specialize(
         rank=module.rank,
         matrices=(N,),
     )
+
+
+def _fold(e: LaurentPoly, direction: int) -> LaurentPoly:
+    """e with every exponent outside `direction` reduced mod p - 1, the
+    terms that then share an exponent vector summed."""
+    period = e.prime - 1
+    acc: dict[tuple[int, ...], Fraction | int] = {}
+    for key, a in e.terms.items():
+        key = tuple(j if l == direction else j % period for l, j in enumerate(key))
+        acc[key] = acc.get(key, 0) + a
+    return LaurentPoly(e.prime, e.nvars_annulus, e.nvars_disc, acc)
 
 
 def generic_equality_check(
@@ -119,6 +131,16 @@ def generic_equality_check(
     units, so specializing commutes with reduction mod p**K, and an entry
     keeps the norm full exactly when its reduction does.  Only an exact
     zero H_s is a zero matrix here.
+
+    Before a leading part is specialized, `_fold` reduces its exponents
+    outside the kept direction mod p - 1, so no coordinate is raised past
+    the power p - 2, however large the module's exponents.  The answer
+    stays: a unit c has c**(p-1) = 1 mod p, hence c**j = c**(j mod (p-1))
+    mod p for every integer j, and a leading coefficient a_J = p**full * u
+    with u a unit moves a_J c^J by a multiple of p**(full + 1).  Each
+    coefficient of the specialized leading part then moves by such a
+    multiple too, and has valuation full exactly when it had before.  For
+    p = 2 every such exponent folds to 0.
     """
     check_count("depth", depth, 1)
     _check_direction(module, direction)
@@ -130,7 +152,8 @@ def generic_equality_check(
     single = (LogRadius.one(),)
     for s, (full, leading) in enumerate(_record, 1):
         if leading and not any(
-            e.specialize(direction, coords).gauss_lognorm(single) == full for e in leading
+            _fold(e, direction).specialize(direction, coords).gauss_lognorm(single) == full
+            for e in leading
         ):
             return s
     return None

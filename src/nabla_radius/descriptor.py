@@ -186,12 +186,6 @@ def load_module_descriptor(path: str) -> ModuleDescriptor:
     return parse_module_descriptor(_read_json(path))
 
 
-def save_module_descriptor(descriptor: ModuleDescriptor, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(module_descriptor_to_dict(descriptor), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def parse_poly_descriptor(doc: Any) -> tuple[LaurentPoly, Optional[str]]:
     """One-variable polynomial documents: {"prime": p, "terms": [...]}."""
     prime, label = _parse_header(

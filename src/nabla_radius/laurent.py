@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
     LogRadius,
+    _cut,
     _excerpt,
     _excerpt_names,
     check_exact,
@@ -68,21 +69,21 @@ class LaurentPoly:
             key = tuple(key)
             if len(key) != dims:
                 raise SignatureError(
-                    f"exponent vector {key} has length {len(key)}, expected {dims}"
+                    f"exponent vector {_cut(str(key))} has length {len(key)}, expected {dims}"
                 )
             if any(not isinstance(j, int) or isinstance(j, bool) for j in key):
-                raise SignatureError(f"exponents must be integers: {key}")
+                raise SignatureError(f"exponents must be integers: {_cut(str(key))}")
             for l in range(nvars_annulus, dims):
                 if key[l] < 0:
                     raise SignatureError(
-                        f"disc variable {l} cannot have negative exponent in {key}"
+                        f"disc variable {l} cannot have negative exponent in {_cut(str(key))}"
                     )
             check_exact(coeff, "coefficients")
             value = Fraction(coeff)
             if value == 0:
                 continue
             if key in clean:
-                raise SignatureError(f"duplicate exponent vector {key}")
+                raise SignatureError(f"duplicate exponent vector {_cut(str(key))}")
             clean[key] = value
         object.__setattr__(self, "_terms", clean)
 
@@ -113,20 +114,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, prime: int, n: int, m: int, value: Fraction | int) -> "LaurentPoly":
         return cls(prime, n, m, {(0,) * (n + m): value})
-
-    @classmethod
-    def one(cls, prime: int, n: int, m: int) -> "LaurentPoly":
-        return cls.constant(prime, n, m, 1)
-
-    @classmethod
-    def monomial(cls, prime: int, n: int, m: int, exps: Sequence[int], coeff: Fraction | int) -> "LaurentPoly":
-        return cls(prime, n, m, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, prime: int, n: int, m: int, index: int) -> "LaurentPoly":
-        exps = [0] * (n + m)
-        exps[index] = 1
-        return cls.monomial(prime, n, m, exps, 1)
 
     # -- basic structure -------------------------------------------------
 

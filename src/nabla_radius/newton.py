@@ -6,16 +6,15 @@ r_alpha >= r_beta > 0 (radius p**(-r)).  Each term contributes the line
 l_n(r) = v(a_n) + n*r on the log scale; the sup norm of a over I is the
 smallest line value at the appropriate endpoint, and there is always a
 term index n0 whose line can be made strictly smallest on a closed
-subinterval I' of positive length.  Each public function builds the line
-table at most once (`_line_data`), and one pass over it (`_dominance`)
-gives the sup and the dominant term; `shrink_interval` cuts the window
-from the same table.  The certificate records the dominant term (the
-degrees attaining the sup, and n0), I' and a strictness margin, so one
-table serves a whole run; `unit_certificate_check` needs no table and
-re-verifies the certificate through one Gauss norm, that of f, at each of
-the two endpoints of I', which decide the whole of I', certifying
-a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I', so a is a unit there with
-|a| = |a_{n0}| * rho^{n0}.
+subinterval I' of positive length.  `shrink_interval` builds the line
+table once (`_line_data`), one pass over it (`_dominance`) gives the sup
+and the dominant term, and the window is cut from the same table.  The
+certificate records the dominant term (the degrees attaining the sup,
+and n0), I' and a strictness margin, so one table serves a whole run;
+`unit_certificate_check` needs no table and re-verifies the certificate
+through one Gauss norm, that of f, at each of the two endpoints of I',
+which decide the whole of I', certifying a = a_{n0} t^{n0} (1 + f) with
+|f| < 1 on I', so a is a unit there with |a| = |a_{n0}| * rho^{n0}.
 """
 
 from __future__ import annotations
@@ -102,16 +101,6 @@ def _dominance(
     A = frozenset(n for n, e in at_alpha.items() if e == sup)
     B = frozenset(n for n, e in at_beta.items() if e == sup)
     return sup, DominantTerm(A=A, B=B, n0=max(A) if A else min(B))
-
-
-def sup_norm_on_interval(a: LaurentPoly, interval: AlignedInterval) -> Fraction:
-    """Exponent of the sup of |a| over the interval.  `a` must be nonzero."""
-    return _dominance(_line_data(a), interval)[0]
-
-
-def dominant_term(a: LaurentPoly, interval: AlignedInterval) -> DominantTerm:
-    """Degrees attaining the sup at each endpoint, and the selected n0."""
-    return _dominance(_line_data(a), interval)[1]
 
 
 @frozen_record

@@ -36,9 +36,9 @@ def check_prime(p: int) -> int:
     or above PRIME_BOUND, where that test is no longer exact, are refused.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise PrimeError(f"not a prime: {p!r}")
+        raise PrimeError(f"not a prime: {_cut(repr(p))}")
     if p >= PRIME_BOUND:
-        raise PrimeError(f"{p} is at or above the bound {PRIME_BOUND} of the primality test")
+        raise PrimeError(f"{_cut(str(p))} is at or above the bound {PRIME_BOUND} of the primality test")
     for a in _MR_BASES:
         if p % a == 0:
             if p == a:
@@ -135,6 +135,14 @@ def _excerpt(text: str) -> str:
     if len(text) <= 24:
         return repr(text)
     return f"{text[:24]!r}... ({len(text)} characters)"
+
+
+def _cut(text: str) -> str:
+    """text, or past 80 characters its first 24 and how many there are, so
+    that an error naming an outside value stays one short line."""
+    if len(text) <= 80:
+        return text
+    return f"{text[:24]}... ({len(text)} characters)"
 
 
 def _excerpt_names(names: Iterable[str]) -> str:

@@ -11,13 +11,14 @@ from fractions import Fraction
 from itertools import islice
 
 from nabla_radius.connection import (
+    ConnectionModule,
+    PolyMatrix,
     integrability_check,
     iter_deriv_matrices,
     ladder_denominator,
 )
 from nabla_radius.corpus import (
     build_corpus,
-    constant_annulus_module,
     exponential_module,
     exponential_two_var_module,
     falling_factorial_valuation,
@@ -32,13 +33,7 @@ from nabla_radius.curves import (
     specialize,
 )
 from nabla_radius.laurent import LaurentPoly
-from nabla_radius.newton import (
-    AlignedInterval,
-    dominant_term,
-    shrink_interval,
-    sup_norm_on_interval,
-    unit_certificate_check,
-)
+from nabla_radius.newton import AlignedInterval, shrink_interval, unit_certificate_check
 from nabla_radius.padic import LogRadius, fraction_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
@@ -208,9 +203,11 @@ def test_criterion_5_dominance_certificates_verify():
             exps[0] += Fraction(1, 16)
         interval = AlignedInterval.from_exponents(exps[0], exps[1])
 
-        # dense-grid oracle for the sup norm: the grid includes both
-        # endpoints, and concavity pins the minimum exponent there.
-        sup = sup_norm_on_interval(a, interval)
+        # dense-grid oracle for the sup norm that `techlemma` prints: the
+        # grid includes both endpoints, and concavity pins the minimum
+        # exponent there.
+        cert = shrink_interval(a, interval)
+        sup = cert.sup_norm
         grid_min = min(
             a.gauss_lognorm(
                 (LogRadius(
@@ -221,7 +218,7 @@ def test_criterion_5_dominance_certificates_verify():
         )
         assert grid_min == sup
 
-        d = dominant_term(a, interval)
+        d = cert.dominant
         v0 = fraction_valuation(a.coefficient((d.n0,)), prime)
         attained = []
         if d.n0 <= 0:
@@ -230,7 +227,6 @@ def test_criterion_5_dominance_certificates_verify():
             attained.append(v0 + d.n0 * interval.r_beta)
         assert sup in attained
 
-        cert = shrink_interval(a, interval)
         check = unit_certificate_check(a, cert)
         assert check.ok, (a, cert, check.counterexample)
         produced += 1
@@ -318,7 +314,8 @@ def test_criterion_9_constant_twist_grid_closed_form():
     for p in (2, 3, 5):
         for v in (-1, 0, 1):
             c = units[p] * Fraction(p) ** v
-            module = constant_annulus_module(p, c)
+            N = PolyMatrix.from_scalar_rows(p, 1, 0, [[c]])
+            module = ConnectionModule(p, 1, 0, 1, (N,))
             for r in grid:
                 report = intrinsic_radius(
                     module, (LogRadius(r),), depth=12

@@ -21,7 +21,7 @@ from nabla_radius.descriptor import (
     MAX_NESTING,
     ModuleDescriptor,
     parse_module_descriptor,
-    save_module_descriptor,
+    module_descriptor_to_dict,
 )
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
@@ -31,26 +31,24 @@ from nabla_radius.radius import ProbeOutcome, Verdict
 @pytest.fixture
 def dwork_path(tmp_path):
     path = tmp_path / "dwork.json"
-    save_module_descriptor(
-        ModuleDescriptor(module=exponential_module(3), label="dwork-p3"), str(path)
-    )
+    descriptor = ModuleDescriptor(module=exponential_module(3), label="dwork-p3")
+    path.write_text(json.dumps(module_descriptor_to_dict(descriptor)), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def two_var_path(tmp_path):
     path = tmp_path / "twovar.json"
-    save_module_descriptor(
-        ModuleDescriptor(module=exponential_two_var_module(3), label="exp-two-var"),
-        str(path),
-    )
+    descriptor = ModuleDescriptor(module=exponential_two_var_module(3), label="exp-two-var")
+    path.write_text(json.dumps(module_descriptor_to_dict(descriptor)), encoding="utf-8")
     return str(path)
 
 
 @pytest.fixture
 def trivial_path(tmp_path):
     path = tmp_path / "trivial.json"
-    save_module_descriptor(ModuleDescriptor(module=trivial_module(3, 1, 0, 1)), str(path))
+    descriptor = ModuleDescriptor(module=trivial_module(3, 1, 0, 1))
+    path.write_text(json.dumps(module_descriptor_to_dict(descriptor)), encoding="utf-8")
     return str(path)
 
 
@@ -58,13 +56,14 @@ def trivial_path(tmp_path):
 def curved_path(tmp_path):
     # N1 = [t2], N2 = [0] is not integrable.
     p = 3
-    t2 = LaurentPoly.variable(p, 2, 0, 1)
+    t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
     module = ConnectionModule(
         prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
         matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
     )
     path = tmp_path / "curved.json"
-    save_module_descriptor(ModuleDescriptor(module=module), str(path))
+    doc = module_descriptor_to_dict(ModuleDescriptor(module=module))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -211,7 +210,8 @@ class TestOversizedIntegers:
             PolyMatrix([[LaurentPoly(p, 2, 0, {(1, e - 1): e})]]),
         ))
         path = tmp_path / "steep.json"
-        save_module_descriptor(ModuleDescriptor(module=module, label="steep"), str(path))
+        doc = module_descriptor_to_dict(ModuleDescriptor(module=module, label="steep"))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, ["specialize", "--direction", "0", "--point", "2", str(path)])
         assert code == 1 and out == ""
         limit = sys.get_int_max_str_digits()
@@ -261,6 +261,59 @@ class TestLongTermRecords:
         assert report["descriptor_sha256"] is None
         assert "malformed term record" in report["error"]
         assert len(report["error"]) < 200
+
+
+NINES = 10**4000 - 1
+# (prime, n, m, terms) of documents whose refusal names a long value
+LONG_VALUES = {
+    "big-prime": (NINES, 1, 0, []),
+    "negative-prime": (-NINES, 1, 0, []),
+    "long-vector": (3, 1, 0, [{"exps": [0] * 3000, "coeff": "1"}]),
+    "duplicate-exponent": (3, 1, 0, [{"exps": [NINES], "coeff": "1"}] * 2),
+    "string-exponent": (3, 1, 0, [{"exps": ["x" * 4000], "coeff": "1"}]),
+    "negative-disc-exponent": (3, 0, 1, [{"exps": [-NINES], "coeff": "1"}]),
+}
+
+
+class TestLongValues:
+    """A refused prime, exponent vector or coordinate is cut, not echoed whole."""
+
+    @pytest.mark.parametrize("case", sorted(k for k, v in LONG_VALUES.items() if v[1] == 1))
+    def test_poly_descriptor(self, capsys, tmp_path, case):
+        prime, _, _, terms = LONG_VALUES[case]
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({"prime": prime, "terms": terms}), encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ")
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+
+    @pytest.mark.parametrize("case", sorted(LONG_VALUES))
+    def test_module_descriptor(self, capsys, tmp_path, case):
+        prime, n, m, terms = LONG_VALUES[case]
+        bad = tmp_path / "long.json"
+        doc = {"prime": prime, "n": n, "m": m, "rank": 1, "matrices": [[[terms]]]}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert len(report["error"]) < 200
+
+    def test_short_values_are_whole(self, capsys, tmp_path):
+        bad = tmp_path / "short.json"
+        doc = {"prime": 3, "n": 1, "m": 0, "rank": 1,
+               "matrices": [[[[{"exps": [0, 1], "coeff": "1"}]]]]}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        _, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert report["error"] == (
+            "matrix 0 entry (0,0): exponent vector (0, 1) has length 2, expected 1"
+        )
+        bad.write_text(json.dumps(dict(doc, prime=2**89 - 1)), encoding="utf-8")
+        _, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert report["error"] == (
+            "618970019642690137449562111 is at or above the bound"
+            " 3317044064679887385961981 of the primality test"
+        )
 
 
 UNKNOWN_KEYS = {f"k{k:05}": 1 for k in range(20000)}
@@ -462,9 +515,8 @@ class TestOc:
 
     def test_inconclusive(self, capsys, tmp_path):
         path = tmp_path / "kummer.json"
-        save_module_descriptor(
-            ModuleDescriptor(module=power_module(3, Fraction(1, 2))), str(path)
-        )
+        doc = module_descriptor_to_dict(ModuleDescriptor(module=power_module(3, Fraction(1, 2))))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, doc, _ = run_json(capsys, ["oc", str(path), "--depth", "16"])
         assert code == 4
         assert doc["verdict"] == "INCONCLUSIVE"
@@ -511,9 +563,8 @@ class TestTaylor:
 
     def test_lambda_flag(self, capsys, tmp_path):
         path = tmp_path / "kummer.json"
-        save_module_descriptor(
-            ModuleDescriptor(module=power_module(3, Fraction(1, 2))), str(path)
-        )
+        doc = module_descriptor_to_dict(ModuleDescriptor(module=power_module(3, Fraction(1, 2))))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, doc, _ = run_json(
             capsys,
             ["taylor", str(path), "--eta", "1/4", "--lambda", "1/8", "--depth", "24"],
@@ -551,6 +602,14 @@ class TestSpecialize:
         )
         assert code == 1 and "unit" in err
 
+    def test_long_non_unit_coordinate_is_cut(self, capsys, two_var_path):
+        point = "3" + "0" * 4000
+        code, out, err = run(
+            capsys, ["specialize", two_var_path, "--direction", "0", "--point", point]
+        )
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: coordinate {point[:24]}... (4001 characters) is not a unit\n"
+
     def test_wrong_coordinate_count(self, capsys, two_var_path):
         code, _, err = run(
             capsys, ["specialize", two_var_path, "--direction", "0", "--point", "2,2"]
@@ -561,7 +620,7 @@ class TestSpecialize:
     def test_empty_point_on_one_variable_module(self, capsys, tmp_path, label):
         descriptor = corpus_by_label()[label].descriptor
         path = tmp_path / "one-var.json"
-        save_module_descriptor(descriptor, str(path))
+        path.write_text(json.dumps(module_descriptor_to_dict(descriptor)), encoding="utf-8")
         code, doc, err = run_json(
             capsys, ["specialize", str(path), "--direction", "0", "--point", ""]
         )
@@ -616,6 +675,20 @@ class TestCutcheck:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+    def test_large_exponents_take_bounded_work(self, capsys, tmp_path):
+        # N_i = d_i(t1 * t2**100000): the check folds the t2 exponents of
+        # each leading part mod p - 1 before it specializes one
+        e = 100000
+        doc = {"prime": 3, "n": 2, "m": 0, "rank": 1, "matrices": [
+            [[[{"exps": [0, e], "coeff": "1"}]]],
+            [[[{"exps": [1, e - 1], "coeff": str(e)}]]],
+        ]}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, ["cutcheck", str(path), "--depth", "16"])
+        assert code == 3 and err == ""
+        assert report["witness"]["direction"] == 0
 
     def test_trials_capped_before_any_work(self, capsys, monkeypatch, two_var_path):
         code, doc, _ = run_json(

@@ -92,18 +92,18 @@ class TestPolyMatrix:
     def test_construction_checks(self):
         p = 3
         with pytest.raises(ValueError):
-            PolyMatrix([[LaurentPoly.one(p, 1, 0)], []])
+            PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1)], []])
         with pytest.raises(ValueError):
-            PolyMatrix([[LaurentPoly.one(p, 1, 0), LaurentPoly.one(p, 1, 0)]])
+            PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 1, 0, 1)]])
         with pytest.raises(ValueError):
-            PolyMatrix([[LaurentPoly.one(p, 1, 0), LaurentPoly.one(p, 2, 0)],
-                        [LaurentPoly.one(p, 1, 0), LaurentPoly.one(p, 1, 0)]])
+            PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 2, 0, 1)],
+                        [LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 1, 0, 1)]])
 
     def test_identity_and_matmul(self):
         p = 3
         I = PolyMatrix.identity(p, 1, 0, 2)
-        t = LaurentPoly.variable(p, 1, 0, 0)
-        A = PolyMatrix([[t, LaurentPoly.one(p, 1, 0)],
+        t = LaurentPoly(p, 1, 0, {(1,): 1})
+        A = PolyMatrix([[t, LaurentPoly.constant(p, 1, 0, 1)],
                         [LaurentPoly.zero(p, 1, 0), t]])
         assert I @ A == A
         assert A @ I == A
@@ -121,7 +121,7 @@ class TestPolyMatrix:
 
     def test_unit_radius_norm_takes_one_valuation_per_nonzero_entry(self, monkeypatch):
         p = 3
-        t = LaurentPoly.variable(p, 1, 0, 0)
+        t = LaurentPoly(p, 1, 0, {(1,): 1})
         corner = LaurentPoly(p, 1, 0, {(-1,): Fraction(2, 9), (0,): 1})
         N = PolyMatrix([[t + scalar(p, 1, 0, Fraction(1, 3)), LaurentPoly.zero(p, 1, 0)],
                         [(t * t).scalar_mul(Fraction(5, 4)), corner]])
@@ -142,7 +142,7 @@ class TestPolyMatrix:
 
     def test_specialize_entrywise(self):
         p = 3
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         A = PolyMatrix([[t2]])
         B = A.specialize(0, (Fraction(2),))
         assert B.rows[0][0] == LaurentPoly.constant(p, 1, 0, 2)
@@ -225,7 +225,7 @@ class TestIntegrability:
     def test_known_curvature_witness(self):
         # N1 = [t2], N2 = [0]: K_12 = d1(N2) - d2(N1) + [N1, N2] = [-1].
         p = 3
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         module = ConnectionModule(
             prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
@@ -241,8 +241,8 @@ class TestIntegrability:
 
     def test_commuting_diagonal_matrices_pass(self):
         p = 3
-        t1 = LaurentPoly.variable(p, 2, 0, 0)
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t1 = LaurentPoly(p, 2, 0, {(1, 0): 1})
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         # N_i = d_i(phi) * I for phi = t1*t2 is integrable by construction.
         module = ConnectionModule(
             prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
@@ -260,7 +260,7 @@ class TestIntegrability:
         with pytest.raises(ValueError):
             ConnectionModule(
                 prime=p, nvars_annulus=1, nvars_disc=0, rank=2,
-                matrices=(PolyMatrix([[LaurentPoly.one(p, 1, 0)]]),),
+                matrices=(PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1)]]),),
             )
 
 
@@ -345,7 +345,7 @@ class TestIteratedDerivatives:
 
     def test_non_integrable_rejected(self):
         p = 3
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         module = ConnectionModule(
             prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),

@@ -218,7 +218,7 @@ class TestGenericEquality:
 
     def test_non_integrable_rejected(self):
         p = 3
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         bad = ConnectionModule(
             prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
@@ -268,6 +268,61 @@ class TestGenericEqualityMatchesFullMatrix:
         monkeypatch.setattr(LaurentPoly, "specialize", counting)
         assert generic_equality_check(module, 0, point, depth) is None
         assert depth <= len(calls) < module.rank ** 2 * depth
+
+
+def unfolded_check(module, direction, point, depth):
+    """The check with each leading part specialized as it is, its
+    exponents not folded mod p - 1."""
+    single = (LogRadius.one(),)
+    for s, H, _ in deriv_ladder(module, direction, depth):
+        full, leading = unit_step(H)
+        if leading and not any(
+            e.specialize(direction, point).gauss_lognorm(single) == full for e in leading
+        ):
+            return s
+    return None
+
+
+@st.composite
+def wide_exponent_modules(draw):
+    """A potential module on 2 or 3 annulus variables whose potential has
+    up to four terms, with exponents up to 3p in size and coefficients
+    p**v times a unit.  The t1 exponents are 1 or p, so terms often share
+    one in direction 0, and the others differ by multiples of p - 1 that
+    fold together: leading residues cancel at some unit points."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dims = draw(st.integers(2, 3))
+    others = st.sampled_from([0, 1, -1, p - 1, 2 - 2 * p, 3 * p, -3 * p])
+    exps = st.tuples(st.sampled_from([1, p]), *[others] * (dims - 1))
+    units = st.integers(-9, 9).filter(lambda u: u % p)
+    valuations = st.sampled_from([0, 0, 0, 1, -1])
+    coeffs = st.builds(lambda u, v: Fraction(u) * Fraction(p) ** v, units, valuations)
+    phi = LaurentPoly(p, dims, 0, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    return potential_module(p, phi)
+
+
+class TestFoldedLeadingParts:
+    """Folding the exponents outside the kept direction mod p - 1 keeps
+    the answer of the check."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        module=wide_exponent_modules(),
+        direction=st.integers(0, 2),
+        point_seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 12),
+    )
+    def test_same_answer_as_the_unfolded_check(self, module, direction, point_seed, depth):
+        direction %= module.dims
+        point = sample_unit_point(random.Random(point_seed), module.prime, module.dims - 1)
+        expected = unfolded_check(module, direction, point, depth)
+        assert generic_equality_check(module, direction, point, depth) == expected
+
+    def test_a_folded_residue_can_vanish(self):
+        # N_0 = t2**(p-1) - 1 at p = 3 folds to 1 - 1 = 0 at every unit point
+        module = fermat_module()
+        assert generic_equality_check(module, 0, (Fraction(2),), 4) == 1
+        assert unfolded_check(module, 0, (Fraction(2),), 4) == 1
 
 
 FRACTIONAL_MODULES = [parse_module_descriptor(doc).module for doc in FRACTIONAL.values()]

@@ -21,7 +21,6 @@ from nabla_radius.descriptor import (
     module_descriptor_to_dict,
     parse_module_descriptor,
     parse_poly_descriptor,
-    save_module_descriptor,
 )
 
 
@@ -56,7 +55,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         d = dwork_descriptor()
         path = tmp_path / "dwork.json"
-        save_module_descriptor(d, str(path))
+        path.write_text(json.dumps(module_descriptor_to_dict(d)), encoding="utf-8")
         loaded = load_module_descriptor(str(path))
         assert loaded.module.matrices == d.module.matrices
         assert loaded.label == d.label

@@ -22,7 +22,7 @@ from nabla_radius.corpus import (
 )
 from nabla_radius.curves import curve_witness_search, generic_equality_check, specialize
 from nabla_radius.laurent import LaurentPoly
-from nabla_radius.newton import AlignedInterval, shrink_interval, sup_norm_on_interval
+from nabla_radius.newton import AlignedInterval, shrink_interval
 from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, taylor_probe
 
@@ -79,7 +79,6 @@ def test_witness_and_certificate_exponents_are_fractions():
     assert all(type(c) is Fraction for c in witness.point)
     a = LaurentPoly(2, 1, 0, {(0,): 2, (1,): 1})
     interval = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-    assert type(sup_norm_on_interval(a, interval)) is Fraction
     assert type(shrink_interval(a, interval).sup_norm) is Fraction
 
 

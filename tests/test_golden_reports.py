@@ -21,7 +21,7 @@ import pytest
 
 from nabla_radius.cli import main
 from nabla_radius.corpus import build_corpus
-from nabla_radius.descriptor import save_module_descriptor
+from nabla_radius.descriptor import module_descriptor_to_dict
 
 DEPTH = "16"
 
@@ -236,7 +236,7 @@ def test_report_bytes_are_pinned(capsys, tmp_path, case_id, label, argv):
     elif label is not None:
         path = tmp_path / f"{label}.json"
         entry = {e.label: e for e in build_corpus()}[label]
-        save_module_descriptor(entry.descriptor, str(path))
+        path.write_text(json.dumps(module_descriptor_to_dict(entry.descriptor)), encoding="utf-8")
         argv = [argv[0], str(path), *argv[1:]]
     elif argv[0] == "techlemma":
         path = tmp_path / "poly.json"

@@ -179,7 +179,7 @@ class TestConstruction:
         assert type(f.coefficient((0, 0))) is Fraction
 
     def test_terms_view_is_read_only(self):
-        f = LaurentPoly.one(3, 1, 0)
+        f = LaurentPoly.constant(3, 1, 0, 1)
         with pytest.raises(TypeError):
             f.terms[(5,)] = Fraction(1)  # type: ignore[index]
 
@@ -193,10 +193,10 @@ class TestRingOps:
         assert s + g.scalar_mul(-1) == f
 
     def test_mul_known_product(self):
-        t = LaurentPoly.variable(5, 1, 0, 0)
-        tinv = LaurentPoly.monomial(5, 1, 0, (-1,), 1)
-        assert t * tinv == LaurentPoly.one(5, 1, 0)
-        f = t + LaurentPoly.one(5, 1, 0)
+        t = LaurentPoly(5, 1, 0, {(1,): 1})
+        tinv = LaurentPoly(5, 1, 0, {(-1,): 1})
+        assert t * tinv == LaurentPoly.constant(5, 1, 0, 1)
+        f = t + LaurentPoly.constant(5, 1, 0, 1)
         assert f * f == LaurentPoly(5, 1, 0, {(2,): 1, (1,): 2, (0,): 1})
 
     def test_scalar_mul_and_pow(self):
@@ -224,9 +224,9 @@ class TestRingOps:
                 scalar * f
 
     def test_signature_mismatch(self):
-        f = LaurentPoly.one(3, 1, 0)
-        g = LaurentPoly.one(3, 2, 0)
-        h = LaurentPoly.one(5, 1, 0)
+        f = LaurentPoly.constant(3, 1, 0, 1)
+        g = LaurentPoly.constant(3, 2, 0, 1)
+        h = LaurentPoly.constant(5, 1, 0, 1)
         for other in (g, h):
             with pytest.raises(SignatureError):
                 f + other
@@ -313,7 +313,7 @@ class TestGaussNorm:
         assert LaurentPoly.zero(3, 1, 0).gauss_lognorm((LogRadius.one(),)) is None
 
     def test_wrong_arity_rejected(self):
-        f = LaurentPoly.one(3, 2, 0)
+        f = LaurentPoly.constant(3, 2, 0, 1)
         with pytest.raises(SignatureError):
             f.gauss_lognorm((LogRadius.one(),))
 
@@ -456,7 +456,7 @@ class TestSpecialize:
         assert all(type(c) is Fraction for c in g.terms.values())
 
     def test_wrong_coordinate_count(self):
-        f = LaurentPoly.one(5, 2, 0)
+        f = LaurentPoly.constant(5, 2, 0, 1)
         with pytest.raises(SignatureError, match="expected 1 coordinates, got 2"):
             f.specialize(0, (Fraction(2), Fraction(2)))
 

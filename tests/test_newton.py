@@ -8,9 +8,9 @@ from nabla_radius.newton import (
     AlignedInterval,
     DominanceCertificate,
     DominantTerm,
-    dominant_term,
+    _dominance,
+    _line_data,
     shrink_interval,
-    sup_norm_on_interval,
     UnitCheck,
     unit_certificate_check,
 )
@@ -63,20 +63,20 @@ class TestSupNorm:
         # |p t**-2| peaks at the inner radius: exponent 1 - 2*ra.
         a = poly(2, {(-2,): Fraction(2)})
         I = AlignedInterval.from_exponents(Fraction(3), Fraction(1))
-        assert sup_norm_on_interval(a, I) == Fraction(-5)
+        assert shrink_interval(a, I).sup_norm == Fraction(-5)
 
     def test_two_terms_split_endpoints(self):
         # p + t on [2, 1/2]: constant line 1 vs slope line r.
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-        assert sup_norm_on_interval(a, I) == Fraction(1, 2)
+        assert shrink_interval(a, I).sup_norm == Fraction(1, 2)
 
     def test_rejects_bad_input(self):
         I = AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError):
-            sup_norm_on_interval(LaurentPoly.zero(3, 1, 0), I)
+            shrink_interval(LaurentPoly.zero(3, 1, 0), I)
         with pytest.raises(SignatureError):
-            sup_norm_on_interval(LaurentPoly.one(3, 2, 0), I)
+            shrink_interval(LaurentPoly.constant(3, 2, 0, 1), I)
 
     @given(a=polys_st, I=intervals_st)
     @settings(max_examples=80)
@@ -86,48 +86,47 @@ class TestSupNorm:
         end_a = a.gauss_lognorm((I.alpha,))
         end_b = a.gauss_lognorm((I.beta,))
         # the larger norm is the smaller exponent
-        assert sup_norm_on_interval(a, I) == min(end_a, end_b)
+        assert _dominance(_line_data(a), I)[0] == min(end_a, end_b)
 
     @given(a=polys_st, I=intervals_st, t=st.integers(0, 16))
     @settings(max_examples=80)
     def test_dominates_interior_radii(self, a, I, t):
         r = I.r_beta + (I.r_alpha - I.r_beta) * Fraction(t, 16)
         interior = a.gauss_lognorm((LogRadius(r),))
-        assert sup_norm_on_interval(a, I) <= interior  # |sup| >= |interior|
+        assert _dominance(_line_data(a), I)[0] <= interior  # |sup| >= |interior|
 
 
 class TestDominantTerm:
     def test_outer_endpoint_selection(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-        d = dominant_term(a, I)
+        d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == (set(), {1}, 1)
 
     def test_inner_endpoint_takes_precedence(self):
         # 2/t + 1 over Q_2: the t**-1 line wins at the inner radius.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-        d = dominant_term(a, I)
+        d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == ({-1}, set(), -1)
 
     def test_constant_attains_both(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-        d = dominant_term(a, I)
+        d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == ({0}, {0}, 0)
 
     def test_degenerate_tie_lists_both(self):
-        # 2/t + 1 at the single radius where the lines cross.
+        # 2/t + 1 at the single radius where the lines cross: no window.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
         I = AlignedInterval.from_exponents(Fraction(1), Fraction(1))
-        d = dominant_term(a, I)
+        d = _dominance(_line_data(a), I)[1]
         assert (set(d.A), set(d.B), d.n0) == ({-1, 0}, {0}, 0)
 
     @given(a=polys_st, I=intervals_st)
     @settings(max_examples=80)
     def test_n0_attains_the_sup(self, a, I):
-        d = dominant_term(a, I)
-        sup = sup_norm_on_interval(a, I)
+        sup, d = _dominance(_line_data(a), I)
         v = fraction_valuation(a.coefficient((d.n0,)), a.prime)
         attained = []
         if d.n0 <= 0:
@@ -189,8 +188,8 @@ class TestShrinkInterval:
             return
         assert I.r_beta <= cert.interval.r_beta <= cert.interval.r_alpha <= I.r_alpha
         assert cert.margin is None or cert.margin > 0
-        assert cert.sup_norm == sup_norm_on_interval(a, I)
-        assert cert.dominant == dominant_term(a, I)
+        assert cert.sup_norm == min(a.gauss_lognorm((I.alpha,)), a.gauss_lognorm((I.beta,)))
+        assert cert.dominant == _dominance(_line_data(a), I)[1]
         check = unit_certificate_check(a, cert)
         assert check.ok, check.counterexample
 

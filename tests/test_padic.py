@@ -250,8 +250,8 @@ class TestLogNorm:
     def test_multiplication(self):
         # At radius 3**(-1/6): |t**3| has exponent 1/2, |t**2| 1/3, |t**5| 5/6.
         rho = (LogRadius(Fraction(1, 6)),)
-        a = LaurentPoly.monomial(3, 1, 0, (3,), 1)
-        b = LaurentPoly.monomial(3, 1, 0, (2,), 1)
+        a = LaurentPoly(3, 1, 0, {(3,): 1})
+        b = LaurentPoly(3, 1, 0, {(2,): 1})
         assert a.gauss_lognorm(rho) == Fraction(1, 2)
         assert b.gauss_lognorm(rho) == Fraction(1, 3)
         assert (a * b).gauss_lognorm(rho) == Fraction(5, 6)

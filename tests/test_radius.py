@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from nabla_radius import radius
 from nabla_radius.connection import DepthCapError, NotIntegrableError, iter_deriv_matrices
 from nabla_radius.corpus import (
-    constant_annulus_module,
     corpus_by_label,
     exponential_module,
     exponential_two_var_module,
@@ -137,7 +136,7 @@ class TestIntrinsicRadius:
 
     def test_non_integrable_rejected(self):
         p = 3
-        t2 = LaurentPoly.variable(p, 2, 0, 1)
+        t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
         bad = ConnectionModule(
             prime=p, nvars_annulus=2, nvars_disc=0, rank=1,
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
@@ -207,7 +206,8 @@ class TestIntrinsicRadius:
         ]
         for c, r, expected in cases:
             rho = (LogRadius(r),)
-            report = intrinsic_radius(constant_annulus_module(3, c), rho, depth=12)
+            module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[c]]),))
+            report = intrinsic_radius(module, rho, depth=12)
             d = report.directions[0]
             assert d.point_estimate == expected
             assert d.stability == 0
@@ -261,7 +261,7 @@ class TestReducedWalk:
     def test_zero_mod_p_k_falls_back_to_exact_walk(self, monkeypatch):
         # N = 3**100: H_s = 3**(100 s) is nonzero but divisible by p**K.
         precisions = recording_walks(monkeypatch)
-        module = constant_annulus_module(3, Fraction(3**100))
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[3**100]]),))
         report = intrinsic_radius(module, R1, depth=12)
         assert precisions == [7, None]  # K = ceil(12 * 1/2) + 1, then exact
         d = report.directions[0]
@@ -343,7 +343,8 @@ class TestOcVerdict:
 
     def test_near_one_constant_is_positive(self):
         # estimate exponent 0 in every window slot without exact vanishing
-        v = oc_ir_test(constant_annulus_module(3, Fraction(3)), depth=12)
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[3]]),))
+        v = oc_ir_test(module, depth=12)
         assert v.verdict is Verdict.OVERCONVERGENT_EVIDENCE
         assert not v.report.exact_flag
 
@@ -361,7 +362,7 @@ class TestOcVerdict:
     def test_unit_constant_stays_negative_under_loose_tol(self):
         # c = 2 is a unit, so the estimate exponent is exactly 1/2 at rho = 1;
         # any tol below 1/2 yields a stable negative witness.
-        module = constant_annulus_module(3, Fraction(2))
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[2]]),))
         v = oc_ir_test(module, depth=12, tol=Fraction(1, 4))
         assert v.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
         assert v.report.directions[0].point_estimate == Fraction(1, 2)
