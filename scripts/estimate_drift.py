@@ -61,6 +61,8 @@ def main() -> int:
         parser.error(f"--prime: {exc}")
     if args.step == 0:
         parser.error("--step must not be 0")
+    if not 0 < args.step <= args.depth:
+        parser.error("--step must be positive and at most --depth")
 
     # every row is read before anything is printed, so that a row past the
     # depth cap is refused with no partial table

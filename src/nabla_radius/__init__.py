@@ -33,8 +33,8 @@ _EXPORTS = {
         "random_integrable_module", "trivial_module",
     ),
     "curves": (
-        "CurveWitness", "CutCheckReport", "curve_witness_search", "generic_equality_check",
-        "sample_unit_point", "specialize",
+        "CutCheckReport", "curve_witness_search", "generic_equality_check", "sample_unit_point",
+        "specialize",
     ),
     "descriptor": (
         "DescriptorError", "ModuleDescriptor", "canonical_json", "descriptor_sha256",

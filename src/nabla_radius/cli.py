@@ -13,15 +13,14 @@ corpus) itself, so a short command such as ``validate`` does not pay to
 load the rest of the package at start-up.  No module imports
 ``dataclasses``: the record classes are made by ``padic.frozen_record``,
 which generates no code, so no command loads ``dataclasses`` and the
-``inspect`` module it pulls in, or ``exec``s methods for each class.  That
-takes about 14 ms of CPU time off ``validate``, and more off the analysis
-commands, which make more record classes (CPython 3.11, 2-vCPU VM).
+``inspect`` module it pulls in, or ``exec``s methods for each class.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -40,7 +39,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .padic import LogRadius, _excerpt, parse_fraction
+from .padic import LogRadius, _cut, _excerpt, parse_fraction
 
 SCHEMA = "nabla-radius/1"
 
@@ -237,7 +236,7 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
     poly, label = load_poly_descriptor(args.poly)
     r_alpha = _parse_fraction_arg(args.alpha, "alpha exponent")
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")
-    interval = AlignedInterval.from_exponents(r_alpha, r_beta)
+    interval = AlignedInterval(r_alpha, r_beta)
     certificate = shrink_interval(poly, interval)
     dominant = certificate.dominant
     check = unit_certificate_check(poly, certificate)
@@ -279,6 +278,9 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; reserve 2 for curvature."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
+        # an echoed token past 80 characters is cut, and the rest of the line
+        # (an invalid command's choices) dropped, so that it stays one short line
+        message = re.sub(r"(\S{81,}).*", lambda m: _cut(m[1]), message)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 

@@ -180,37 +180,32 @@ def sample_unit_point(
 
 
 @frozen_record
-class CurveWitness:
-    """A unit point whose coordinate curve reproduces the full-module radius."""
-
-    direction: int
-    point: Tuple[Fraction, ...]
-    ir_full: Fraction
-    ir_curve: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "point": [str(c) for c in self.point],
-            "ir_full_exponent": str(self.ir_full),
-            "ir_curve_exponent": str(self.ir_curve),
-        }
-
-
-@frozen_record
 class CutCheckReport:
+    """The verdict and the witness point, if one was found; the witness
+    JSON reads its direction and both radii from the verdict."""
+
     verdict: OcVerdict
-    witness: Optional[CurveWitness]
+    witness: Optional[Tuple[Fraction, ...]]
     trials: int
     seed: int
 
     def to_json_dict(self) -> dict:
+        report = self.verdict.report
+        witness = None
+        if self.witness is not None:
+            direction = self.verdict.witness_direction
+            witness = {
+                "direction": direction,
+                "point": [str(c) for c in self.witness],
+                "ir_full_exponent": str(report.ir_estimate),
+                "ir_curve_exponent": str(report.directions[direction].point_estimate),
+            }
         return {
-            "depth": self.verdict.report.depth,
+            "depth": report.depth,
             "trials": self.trials,
             "seed": self.seed,
             "verdict": self.verdict.to_json_dict(),
-            "witness": self.witness.to_json_dict() if self.witness else None,
+            "witness": witness,
         }
 
 
@@ -241,7 +236,7 @@ def curve_witness_search(
     check_count("trials", trials, 1)
     records: list[list[UnitStep]] = []
     verdict = oc_ir_test(module, depth, tol, window, _records=records)
-    witness: Optional[CurveWitness] = None
+    witness: Optional[Tuple[Fraction, ...]] = None
     if verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE:
         direction = verdict.witness_direction
         assert direction is not None
@@ -250,11 +245,6 @@ def curve_witness_search(
         for _ in range(trials):
             point = sample_unit_point(rng, module.prime, module.dims - 1)
             if generic_equality_check(module, direction, point, depth, _record=record) is None:
-                witness = CurveWitness(
-                    direction=direction,
-                    point=point,
-                    ir_full=verdict.report.ir_estimate,
-                    ir_curve=verdict.report.directions[direction].point_estimate,
-                )
+                witness = point
                 break
     return CutCheckReport(verdict, witness, trials, seed)

@@ -23,36 +23,28 @@ from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, fraction_valuation, frozen_record
+from .padic import LogRadius, _cut, check_exact, fraction_valuation, frozen_record
 
 
 @frozen_record
 class AlignedInterval:
-    """Closed radius interval [alpha, beta] inside (0, 1).
+    """Closed radius interval [alpha, beta] inside (0, 1), by the exponents
+    of its endpoints: r_alpha >= r_beta > 0, each stored as a Fraction."""
 
-    alpha <= beta as radii, hence exponent(alpha) >= exponent(beta) > 0.
-    """
-
-    alpha: LogRadius
-    beta: LogRadius
+    r_alpha: Fraction
+    r_beta: Fraction
 
     def __post_init__(self) -> None:
-        if self.beta.exponent <= 0:
+        for name in ("r_alpha", "r_beta"):
+            e = getattr(self, name)
+            check_exact(e, "radius exponents")
+            if e < 0:
+                raise ValueError(f"radius exponent must be >= 0, got {_cut(str(e))}")
+            object.__setattr__(self, name, Fraction(e))
+        if self.r_beta <= 0:
             raise ValueError("outer radius must be < 1 (exponent > 0)")
-        if self.alpha.exponent < self.beta.exponent:
+        if self.r_alpha < self.r_beta:
             raise ValueError("alpha must not exceed beta as a radius")
-
-    @classmethod
-    def from_exponents(cls, r_alpha: Fraction, r_beta: Fraction) -> "AlignedInterval":
-        return cls(LogRadius(r_alpha), LogRadius(r_beta))
-
-    @property
-    def r_alpha(self) -> Fraction:
-        return self.alpha.exponent
-
-    @property
-    def r_beta(self) -> Fraction:
-        return self.beta.exponent
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +160,7 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
         new_lo, new_hi = (lo + hi) / 2, hi
     else:
         new_lo, new_hi = lo, hi
-    sub = AlignedInterval.from_exponents(new_hi, new_lo)
+    sub = AlignedInterval(new_hi, new_lo)
 
     margin: Optional[Fraction] = None
     for n, v in lines.items():
@@ -185,8 +177,10 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
 
 @frozen_record
 class UnitCheck:
-    counterexample: Optional[LogRadius]
-    sampled: Tuple[LogRadius, ...]
+    """The radius exponents sampled, and the first that fails, if any."""
+
+    counterexample: Optional[Fraction]
+    sampled: Tuple[Fraction, ...]
 
     @property
     def ok(self) -> bool:
@@ -195,10 +189,8 @@ class UnitCheck:
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "counterexample": (
-                None if self.counterexample is None else str(self.counterexample.exponent)
-            ),
-            "samples": [str(r.exponent) for r in self.sampled],
+            "counterexample": None if self.counterexample is None else str(self.counterexample),
+            "samples": [str(r) for r in self.sampled],
         }
 
 
@@ -233,9 +225,9 @@ def unit_certificate_check(a: LaurentPoly, certificate: DominanceCertificate) ->
     )
     interval = certificate.interval
     # beta, then alpha; a one-point interval has a single endpoint
-    ends = tuple(dict.fromkeys((interval.beta, interval.alpha)))
-    for radius in ends:
-        f_exp = f.gauss_lognorm((radius,))
+    ends = tuple(dict.fromkeys((interval.r_beta, interval.r_alpha)))
+    for r in ends:
+        f_exp = f.gauss_lognorm((LogRadius(r),))
         if f_exp is not None and f_exp <= 0:
-            return UnitCheck(radius, ends)
+            return UnitCheck(r, ends)
     return UnitCheck(None, ends)

@@ -396,8 +396,7 @@ class TaylorReport:
     witness: Optional[Tuple[int, ...]]
     eta: LogRadius
     lam: LogRadius
-    j_bound: int
-    level_minima: Tuple[Tuple[int, Optional[Fraction]], ...]
+    level_minima: Tuple[Optional[Fraction], ...]  # levels 0, 1, ..., bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -405,10 +404,10 @@ class TaylorReport:
             "witness": list(self.witness) if self.witness is not None else None,
             "eta_exponent": str(self.eta.exponent),
             "lambda_exponent": str(self.lam.exponent),
-            "bound": self.j_bound,
+            "bound": len(self.level_minima) - 1,
             "levels": [
                 {"total": k, "min_exponent": "inf" if e is None else str(e)}
-                for k, e in self.level_minima
+                for k, e in enumerate(self.level_minima)
             ],
         }
 
@@ -488,9 +487,8 @@ def taylor_probe(
         per_direction.append(exps)
 
     minima, argmins = _fold_levels(per_direction, j_bound)
-    level_minima = list(enumerate(minima))
 
-    tail = [(k, e) for k, e in level_minima if k > j_bound // 2]
+    tail = [(k, e) for k, e in enumerate(minima) if k > j_bound // 2]
     finite_tail = [(k, e) for k, e in tail if e is not None]
 
     def _cmp_key(e: Optional[Fraction]) -> tuple[int, Fraction]:
@@ -512,6 +510,5 @@ def taylor_probe(
         witness=witness,
         eta=eta,
         lam=lam,
-        j_bound=j_bound,
-        level_minima=tuple(level_minima),
+        level_minima=tuple(minima),
     )

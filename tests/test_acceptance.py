@@ -201,7 +201,7 @@ def test_criterion_5_dominance_certificates_verify():
         )
         if exps[0] == exps[1]:
             exps[0] += Fraction(1, 16)
-        interval = AlignedInterval.from_exponents(exps[0], exps[1])
+        interval = AlignedInterval(exps[0], exps[1])
 
         # dense-grid oracle for the sup norm that `techlemma` prints: the
         # grid includes both endpoints, and concavity pins the minimum
@@ -271,12 +271,11 @@ def test_criterion_7_curve_witness_reproduces_full_radius():
 
     report = curve_witness_search(module, depth=50, trials=10, seed=123)
     assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
-    w = report.witness
-    assert w is not None
-    assert w.ir_curve == w.ir_full
-    assert w.ir_curve == Fraction(1, 2)
-    curve = specialize(module, w.direction, w.point)
-    assert w.ir_curve == intrinsic_radius(curve, R1, depth=50).ir_estimate
+    assert report.witness is not None
+    w = report.to_json_dict()["witness"]
+    assert w["ir_curve_exponent"] == w["ir_full_exponent"] == "1/2"
+    curve = specialize(module, w["direction"], report.witness)
+    assert Fraction(w["ir_curve_exponent"]) == intrinsic_radius(curve, R1, depth=50).ir_estimate
     print(f"criterion 7 (curve witnesses: {passes}/10 generic points agree to "
           f"depth 50; witness curve radius equals the full radius exactly): PASS")
 

@@ -374,6 +374,42 @@ class TestLongRationalArguments:
         assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
 
 
+LONG_INT = "9" * 5000  # past the int/str digit limit of 4300
+
+
+class TestLongArgparseTokens:
+    """argparse refuses these tokens itself; the echoed token is cut so the
+    refusal stays one short line, and a line that fits keeps its bytes."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["oc", "--depth", LONG_INT], "argument --depth"),
+        (["cutcheck", "--seed", LONG_INT], "argument --seed"),
+        (["cutcheck", "--trials", "x" + LONG_INT], "argument --trials"),
+        (["specialize", "--point", "1", "--direction", LONG_INT], "argument --direction"),
+        (["oc", "--bogus" + LONG_INT], "unrecognized arguments: --bogus999"),
+        (["bogus" + LONG_INT], "argument command"),
+    ], ids=["oc-depth", "cutcheck-seed", "cutcheck-trials", "specialize-direction",
+            "unknown-option", "unknown-command"])
+    def test_one_short_line(self, capsys, two_var_path, argv, name):
+        if len(argv) > 1:
+            argv = [argv[0], two_var_path, *argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("nabla-radius") and name in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode("utf-8")) < 200
+
+    def test_a_line_that_fits_keeps_its_bytes(self, capsys, two_var_path):
+        assert run(capsys, ["oc", two_var_path, "--depth", "x"]) == (
+            1, "", "nabla-radius oc: error: argument --depth: invalid int value: 'x'\n"
+        )
+        # the choices are listed whole (their quoting varies across Python versions)
+        code, out, err = run(capsys, ["nosuch"])
+        assert (code, out) == (1, "")
+        assert err.startswith("nabla-radius: error: argument command: invalid choice: 'nosuch'")
+        assert all(name in err for name in ("validate", "techlemma", "corpus"))
+
+
 class TestNonJsonConstants:
     """json.load accepts NaN and +-Infinity; a descriptor may not hold them."""
 

@@ -18,6 +18,7 @@ from nabla_radius.connection import (
     ladder_denominator,
 )
 from nabla_radius.corpus import (
+    build_corpus,
     corpus_by_label,
     exponential_two_var_module,
     random_integrable_module,
@@ -64,9 +65,9 @@ def full_matrix_check(module, direction, point, depth):
     return None
 
 
-def curve_radius(module, witness, depth):
-    """The witness curve's radius, computed by its own recursion."""
-    curve = specialize(module, witness.direction, witness.point)
+def curve_radius(module, report, depth):
+    """The radius of a search report's witness curve, computed by its own recursion."""
+    curve = specialize(module, report.verdict.witness_direction, report.witness)
     return intrinsic_radius(curve, (LogRadius.one(),), depth).ir_estimate
 
 
@@ -511,28 +512,85 @@ class TestSampleUnitPoint:
         assert all(c.numerator % 2 != 0 and c.denominator % 2 != 0 for c in pt)
 
 
+CORPUS_MODULES = [entry.descriptor.module for entry in build_corpus()]
+
+
+class TestWitnessJson:
+    """A witness is a point; its JSON reads the witness direction and both
+    radii from the verdict, and the point is the first seeded draw that a
+    check walking the ladder afresh accepts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        module=st.one_of(
+            st.sampled_from(CORPUS_MODULES),
+            st.builds(
+                lambda k, p, rank: random_integrable_module(random.Random(k), p, rank),
+                st.integers(0, 63), st.sampled_from([2, 3, 5]), st.integers(1, 2),
+            ),
+        ),
+        seed=st.integers(0, 3),
+    )
+    def test_witness_json_equals_the_verdicts_facts(self, module, seed):
+        depth, trials = 16, 4
+        report = curve_witness_search(module, depth=depth, trials=trials, seed=seed)
+        verdict = report.verdict.to_json_dict()
+        doc = report.to_json_dict()
+        assert doc["verdict"] == verdict and doc["depth"] == depth
+        expected = None
+        if verdict["verdict"] == "NOT_OVERCONVERGENT_EVIDENCE":
+            rng = random.Random(seed)
+            for _ in range(trials):
+                point = sample_unit_point(rng, module.prime, module.dims - 1)
+                if generic_equality_check(module, verdict["witness_direction"], point, depth) is None:
+                    expected = point
+                    break
+        assert report.witness == expected
+        if expected is None:
+            assert doc["witness"] is None
+            return
+        direction = verdict["witness_direction"]
+        radii = verdict["radius_report"]
+        assert doc["witness"] == {
+            "direction": direction,
+            "point": [str(c) for c in expected],
+            "ir_full_exponent": radii["ir_exponent"],
+            "ir_curve_exponent": radii["directions"][direction]["point_estimate"],
+        }
+
+    def test_one_variable_witness_is_the_empty_point(self):
+        # a one-variable module has no coordinate to fix: its witness is ()
+        report = curve_witness_search(corpus_by_label()["exp-disc-p3"].descriptor.module,
+                                      depth=16, trials=1, seed=0)
+        assert report.witness == ()
+        assert report.to_json_dict()["witness"] == {
+            "direction": 0, "point": [], "ir_full_exponent": "1/2", "ir_curve_exponent": "1/2",
+        }
+
+
 class TestCurveWitnessSearch:
     def test_two_var_exponential_yields_witness(self):
         module = exponential_two_var_module(3)
         report = curve_witness_search(module, depth=24, trials=10, seed=0)
         assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
-        w = report.witness
-        assert w is not None
-        assert w.direction == 0
-        assert w.ir_curve == w.ir_full
-        assert w.ir_curve == Fraction(1, 2)
-        assert w.ir_curve == curve_radius(module, w, 24)
+        assert report.witness is not None
+        w = report.to_json_dict()["witness"]
+        assert w["direction"] == report.verdict.witness_direction == 0
+        assert w["point"] == [str(c) for c in report.witness]
+        assert w["ir_curve_exponent"] == w["ir_full_exponent"] == "1/2"
+        assert curve_radius(module, report, 24) == Fraction(1, 2)
 
     def test_deterministic_in_seed(self):
         module = exponential_two_var_module(3)
         a = curve_witness_search(module, depth=24, trials=5, seed=7)
         b = curve_witness_search(module, depth=24, trials=5, seed=7)
         assert a.witness is not None and b.witness is not None
-        assert a.witness.point == b.witness.point
+        assert a.witness == b.witness
         c = curve_witness_search(module, depth=24, trials=5, seed=8)
         assert c.witness is not None
         for report in (a, c):
-            assert report.witness.ir_curve == curve_radius(module, report.witness, 24)
+            ir_curve = report.to_json_dict()["witness"]["ir_curve_exponent"]
+            assert Fraction(ir_curve) == curve_radius(module, report, 24)
 
     def test_draws_only_the_points_it_tries(self, monkeypatch):
         draws = []
@@ -546,8 +604,8 @@ class TestCurveWitnessSearch:
         module = corpus_by_label()["exp-two-var-p3"].descriptor.module
         report = curve_witness_search(module, depth=16, trials=10, seed=0)
         assert report.witness is not None
-        assert report.witness.point == (Fraction(-8, 5),)
-        assert draws == [report.witness.point]
+        assert report.witness == (Fraction(-8, 5),)
+        assert draws == [report.witness]
 
     def test_positive_verdict_skips_search(self):
         report = curve_witness_search(trivial_module(3, 2, 0, 1), depth=8, trials=3, seed=0)

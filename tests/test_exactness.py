@@ -22,7 +22,7 @@ from nabla_radius.corpus import (
 )
 from nabla_radius.curves import curve_witness_search, generic_equality_check, specialize
 from nabla_radius.laurent import LaurentPoly
-from nabla_radius.newton import AlignedInterval, shrink_interval
+from nabla_radius.newton import AlignedInterval, shrink_interval, unit_certificate_check
 from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, taylor_probe
 
@@ -67,19 +67,26 @@ def test_finite_taylor_level_minima_are_fractions(entry):
     report = taylor_probe(
         entry.descriptor.module, LogRadius(entry.taylor_eta), LogRadius(entry.taylor_lambda), 16
     )
-    finite = [e for _, e in report.level_minima if e is not None]
+    finite = [e for e in report.level_minima if e is not None]
     assert finite and all(type(e) is Fraction for e in finite)
 
 
 def test_witness_and_certificate_exponents_are_fractions():
     module = exponential_two_var_module(3)
-    witness = curve_witness_search(module, depth=16, trials=3, seed=0).witness
-    assert witness is not None
-    assert type(witness.ir_full) is Fraction and type(witness.ir_curve) is Fraction
-    assert all(type(c) is Fraction for c in witness.point)
+    report = curve_witness_search(module, depth=16, trials=3, seed=0)
+    assert report.witness is not None
+    radii = report.verdict.report
+    assert type(radii.ir_estimate) is Fraction
+    assert type(radii.directions[report.verdict.witness_direction].point_estimate) is Fraction
+    assert all(type(c) is Fraction for c in report.witness)
     a = LaurentPoly(2, 1, 0, {(0,): 2, (1,): 1})
-    interval = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-    assert type(shrink_interval(a, interval).sup_norm) is Fraction
+    # int exponents, stored as Fractions
+    interval = AlignedInterval(2, 1)
+    assert type(interval.r_alpha) is Fraction and type(interval.r_beta) is Fraction
+    cert = shrink_interval(a, interval)
+    check = unit_certificate_check(a, cert)
+    exponents = (cert.sup_norm, cert.margin, cert.interval.r_alpha, cert.interval.r_beta)
+    assert all(type(e) is Fraction for e in (*exponents, *check.sampled))
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, True, False])

@@ -36,7 +36,7 @@ polys_st = st.builds(
 exp_st = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(4), max_denominator=16)
 
 intervals_st = st.builds(
-    lambda a, b: AlignedInterval.from_exponents(max(a, b), min(a, b)),
+    lambda a, b: AlignedInterval(max(a, b), min(a, b)),
     exp_st,
     exp_st,
 )
@@ -44,17 +44,36 @@ intervals_st = st.builds(
 
 class TestAlignedInterval:
     def test_validation(self):
-        AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
-        AlignedInterval.from_exponents(Fraction(1), Fraction(1))
+        AlignedInterval(Fraction(2), Fraction(1, 2))
+        AlignedInterval(Fraction(1), Fraction(1))
         with pytest.raises(ValueError):
-            AlignedInterval.from_exponents(Fraction(1, 2), Fraction(2))
+            AlignedInterval(Fraction(1, 2), Fraction(2))
         with pytest.raises(ValueError):
-            AlignedInterval.from_exponents(Fraction(2), Fraction(0))
+            AlignedInterval(Fraction(2), Fraction(0))
         with pytest.raises(TypeError):
-            AlignedInterval(LogRadius(None), LogRadius(Fraction(1)))
+            AlignedInterval(None, Fraction(1))
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, True, False])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_float_and_bool_exponents_are_refused(self, bad, which):
+        args = (bad, Fraction(1, 2)) if which == "alpha" else (Fraction(2), bad)
+        with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
+            AlignedInterval(*args)
+
+    def test_int_exponents_are_stored_as_fractions(self):
+        I = AlignedInterval(2, 1)
+        assert (type(I.r_alpha), type(I.r_beta)) == (Fraction, Fraction)
+        assert I == AlignedInterval(Fraction(2), Fraction(1))
+        assert I.to_json_dict() == {"alpha_exponent": "2", "beta_exponent": "1"}
+
+    def test_negative_exponent_keeps_its_message(self):
+        with pytest.raises(ValueError, match="radius exponent must be >= 0, got -1$"):
+            AlignedInterval(-1, Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"got -99999999999999999999999\.\.\. \(4001 characters\)"):
+            AlignedInterval(-int("9" * 4000), Fraction(1, 2))
 
     def test_json(self):
-        I = AlignedInterval.from_exponents(Fraction(3, 4), Fraction(1, 2))
+        I = AlignedInterval(Fraction(3, 4), Fraction(1, 2))
         assert I.to_json_dict() == {"alpha_exponent": "3/4", "beta_exponent": "1/2"}
 
 
@@ -62,17 +81,17 @@ class TestSupNorm:
     def test_single_term(self):
         # |p t**-2| peaks at the inner radius: exponent 1 - 2*ra.
         a = poly(2, {(-2,): Fraction(2)})
-        I = AlignedInterval.from_exponents(Fraction(3), Fraction(1))
+        I = AlignedInterval(Fraction(3), Fraction(1))
         assert shrink_interval(a, I).sup_norm == Fraction(-5)
 
     def test_two_terms_split_endpoints(self):
         # p + t on [2, 1/2]: constant line 1 vs slope line r.
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         assert shrink_interval(a, I).sup_norm == Fraction(1, 2)
 
     def test_rejects_bad_input(self):
-        I = AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2))
+        I = AlignedInterval(Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError):
             shrink_interval(LaurentPoly.zero(3, 1, 0), I)
         with pytest.raises(SignatureError):
@@ -83,8 +102,8 @@ class TestSupNorm:
     def test_matches_gauss_norms_at_endpoints(self, a, I):
         # Term lines are affine in r, so the sup over the closed interval
         # is attained at an endpoint; compare with the Gauss-norm route.
-        end_a = a.gauss_lognorm((I.alpha,))
-        end_b = a.gauss_lognorm((I.beta,))
+        end_a = a.gauss_lognorm((LogRadius(I.r_alpha),))
+        end_b = a.gauss_lognorm((LogRadius(I.r_beta),))
         # the larger norm is the smaller exponent
         assert _dominance(_line_data(a), I)[0] == min(end_a, end_b)
 
@@ -99,27 +118,27 @@ class TestSupNorm:
 class TestDominantTerm:
     def test_outer_endpoint_selection(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == (set(), {1}, 1)
 
     def test_inner_endpoint_takes_precedence(self):
         # 2/t + 1 over Q_2: the t**-1 line wins at the inner radius.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == ({-1}, set(), -1)
 
     def test_constant_attains_both(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         d = shrink_interval(a, I).dominant
         assert (set(d.A), set(d.B), d.n0) == ({0}, {0}, 0)
 
     def test_degenerate_tie_lists_both(self):
         # 2/t + 1 at the single radius where the lines cross: no window.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(1), Fraction(1))
+        I = AlignedInterval(Fraction(1), Fraction(1))
         d = _dominance(_line_data(a), I)[1]
         assert (set(d.A), set(d.B), d.n0) == ({-1, 0}, {0}, 0)
 
@@ -139,7 +158,7 @@ class TestDominantTerm:
 class TestShrinkInterval:
     def test_shrinks_toward_outer_endpoint(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         cert = shrink_interval(a, I)
         assert cert.n0 == 1
         assert cert.interval.r_alpha == Fraction(3, 4)
@@ -149,7 +168,7 @@ class TestShrinkInterval:
 
     def test_shrinks_toward_inner_endpoint(self):
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         cert = shrink_interval(a, I)
         assert cert.n0 == -1
         assert cert.interval.r_alpha == Fraction(2)
@@ -158,7 +177,7 @@ class TestShrinkInterval:
 
     def test_no_shrink_needed(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         cert = shrink_interval(a, I)
         assert cert.n0 == 0
         assert cert.interval == I
@@ -166,14 +185,14 @@ class TestShrinkInterval:
 
     def test_monomial_has_infinite_margin(self):
         a = poly(3, {(2,): Fraction(5)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 3))
+        I = AlignedInterval(Fraction(2), Fraction(1, 3))
         cert = shrink_interval(a, I)
         assert cert.margin is None
         assert cert.interval == I
 
     def test_degenerate_tie_is_infeasible(self):
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(1), Fraction(1))
+        I = AlignedInterval(Fraction(1), Fraction(1))
         with pytest.raises(ValueError, match="no dominance window"):
             shrink_interval(a, I)
 
@@ -188,7 +207,9 @@ class TestShrinkInterval:
             return
         assert I.r_beta <= cert.interval.r_beta <= cert.interval.r_alpha <= I.r_alpha
         assert cert.margin is None or cert.margin > 0
-        assert cert.sup_norm == min(a.gauss_lognorm((I.alpha,)), a.gauss_lognorm((I.beta,)))
+        assert cert.sup_norm == min(
+            a.gauss_lognorm((LogRadius(I.r_alpha),)), a.gauss_lognorm((LogRadius(I.r_beta),))
+        )
         assert cert.dominant == _dominance(_line_data(a), I)[1]
         check = unit_certificate_check(a, cert)
         assert check.ok, check.counterexample
@@ -197,7 +218,7 @@ class TestShrinkInterval:
 class TestUnitCheck:
     def test_detects_wrong_dominant_term(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
-        good = shrink_interval(a, AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2)))
+        good = shrink_interval(a, AlignedInterval(Fraction(2), Fraction(1, 2)))
         bad = DominanceCertificate(
             dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
             interval=good.interval,
@@ -210,7 +231,7 @@ class TestUnitCheck:
 
     def test_absent_term_rejected(self):
         a = poly(2, {(0,): Fraction(1)})
-        cert = shrink_interval(a, AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2)))
+        cert = shrink_interval(a, AlignedInterval(Fraction(1), Fraction(1, 2)))
         fake = DominanceCertificate(
             dominant=DominantTerm(A=frozenset(), B=frozenset({3}), n0=3),
             interval=cert.interval, sup_norm=cert.sup_norm, margin=None,
@@ -220,14 +241,14 @@ class TestUnitCheck:
 
     def test_checks_the_two_endpoints(self):
         a = poly(2, {(0,): Fraction(1)})
-        cert = shrink_interval(a, AlignedInterval.from_exponents(Fraction(1), Fraction(1, 2)))
+        cert = shrink_interval(a, AlignedInterval(Fraction(1), Fraction(1, 2)))
         check = unit_certificate_check(a, cert)
         assert check.ok
-        assert check.sampled == (cert.interval.beta, cert.interval.alpha)
+        assert check.sampled == (cert.interval.r_beta, cert.interval.r_alpha)
 
     def test_degenerate_certified_interval_single_radius(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(3, 4), Fraction(3, 4))
+        I = AlignedInterval(Fraction(3, 4), Fraction(3, 4))
         cert = shrink_interval(a, I)
         check = unit_certificate_check(a, cert)
         assert check.ok
@@ -237,14 +258,14 @@ class TestUnitCheck:
         # 2/t + 1 over Q_2: the constant dominates at exponent 1/2, but the
         # 2/t term takes over from exponent 1 on, so n0 = 0 is wrong at 2.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
-        I = AlignedInterval.from_exponents(Fraction(2), Fraction(1, 2))
+        I = AlignedInterval(Fraction(2), Fraction(1, 2))
         bad = DominanceCertificate(
             dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
             interval=I, sup_norm=Fraction(0), margin=None,
         )
         check = unit_certificate_check(a, bad)
         assert not check.ok
-        assert check.counterexample == I.alpha
+        assert check.counterexample == I.r_alpha
         assert check.to_json_dict() == {
             "ok": False, "counterexample": "2", "samples": ["1/2", "2"],
         }
@@ -287,7 +308,7 @@ class TestUnitCheck:
         ties = [r for r in ties if r > 0]
         endpoint = st.one_of(exp_st, st.sampled_from(ties)) if ties else exp_st
         r1, r2 = data.draw(endpoint), data.draw(endpoint)
-        I = AlignedInterval.from_exponents(max(r1, r2), min(r1, r2))
+        I = AlignedInterval(max(r1, r2), min(r1, r2))
         cert = DominanceCertificate(
             dominant=DominantTerm(A=frozenset(), B=frozenset({n0}), n0=n0),
             interval=I, sup_norm=Fraction(0), margin=None,
@@ -295,13 +316,13 @@ class TestUnitCheck:
 
         # the reference also asks |a| = |a_{n0}| rho^{n0} at each endpoint
         def two_norm_check():
-            ends = tuple(dict.fromkeys((I.beta, I.alpha)))
-            for radius in ends:
-                f_exp = f.gauss_lognorm((radius,))
+            ends = tuple(dict.fromkeys((I.r_beta, I.r_alpha)))
+            for r in ends:
+                f_exp = f.gauss_lognorm((LogRadius(r),))
                 if f_exp is not None and f_exp <= 0:
-                    return UnitCheck(radius, ends)
-                if a.gauss_lognorm((radius,)) != v0 + n0 * radius.exponent:
-                    return UnitCheck(radius, ends)
+                    return UnitCheck(r, ends)
+                if a.gauss_lognorm((LogRadius(r),)) != v0 + n0 * r:
+                    return UnitCheck(r, ends)
             return UnitCheck(None, ends)
 
         assert unit_certificate_check(a, cert) == two_norm_check()

@@ -400,7 +400,8 @@ class TestTaylorProbe:
         # G_s = [1], so e(s) = s*h - v_p(s!) with h the eta exponent.
         p, h, J = 3, Fraction(1, 4), 16
         report = taylor_probe(exponential_module(p), LogRadius(h), LogRadius.one(), J)
-        for k, e in report.level_minima:
+        assert len(report.level_minima) == J + 1 and report.to_json_dict()["bound"] == J
+        for k, e in enumerate(report.level_minima):
             expected = k * h - int_valuation(math.factorial(k), p) if k >= 2 else k * h
             assert e == expected
 
@@ -413,14 +414,14 @@ class TestTaylorProbe:
         assert report.outcome is ProbeOutcome.INCONCLUSIVE
         frozen = [(7, Fraction(3, 2)), (8, Fraction(2)), (9, Fraction(1, 2)),
                   (10, Fraction(1)), (11, Fraction(3, 2)), (12, Fraction(1))]
-        assert list(report.level_minima[7:]) == frozen
+        assert list(enumerate(report.level_minima))[7:] == frozen
 
     def test_trivial_module_passes_vacuously(self):
         report = taylor_probe(
             trivial_module(3, 1, 0, 2), LogRadius(Fraction(1, 3)), LogRadius.one(), 10
         )
         assert report.outcome is ProbeOutcome.PASS
-        assert all(e is None for k, e in report.level_minima if k >= 1)
+        assert all(e is None for e in report.level_minima[1:])
 
     def test_fractional_power_passes_inside(self):
         # Hand recursion oracle for the scalar case, independent of the
@@ -436,7 +437,7 @@ class TestTaylorProbe:
             # sup over vertices r in {L, 0} of v + (-s)*r
             w = min(v, v - s * L)
             expected = w - factorial_valuation(s, p) + s * h
-            assert report.level_minima[s][1] == expected
+            assert report.level_minima[s] == expected
         assert report.outcome is ProbeOutcome.PASS
 
     def test_two_var_levels_use_min_composition(self):
@@ -444,7 +445,7 @@ class TestTaylorProbe:
         module = exponential_two_var_module(3)
         h = Fraction(1)
         report = taylor_probe(module, LogRadius(h), LogRadius.one(), 10)
-        for k, e in report.level_minima:
+        for k, e in enumerate(report.level_minima):
             expected = k * h - factorial_valuation(k, 3)
             assert e == expected
         assert report.outcome is ProbeOutcome.PASS

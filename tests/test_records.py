@@ -7,7 +7,7 @@ import pytest
 
 from nabla_radius.connection import ConnectionModule, IntegrabilityViolation, PolyMatrix
 from nabla_radius.corpus import CorpusEntry, exponential_two_var_module, trivial_module
-from nabla_radius.curves import CurveWitness, CutCheckReport
+from nabla_radius.curves import CutCheckReport
 from nabla_radius.descriptor import ModuleDescriptor
 from nabla_radius.laurent import SignatureError
 from nabla_radius.newton import AlignedInterval, DominanceCertificate, DominantTerm, UnitCheck
@@ -25,7 +25,7 @@ HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 def interval():
-    return AlignedInterval(LogRadius(HALF), LogRadius(QUARTER))
+    return AlignedInterval(HALF, QUARTER)
 
 
 def radius_report():
@@ -55,18 +55,15 @@ SAMPLES = {
     "RadiusReport": radius_report,
     "OcVerdict": oc_verdict,
     "TaylorReport": lambda: TaylorReport(
-        ProbeOutcome.PASS, (1, 2), LogRadius(QUARTER), LogRadius(HALF), 8, ((0, None), (1, HALF))
+        ProbeOutcome.PASS, (1, 2), LogRadius(QUARTER), LogRadius(HALF), (None, HALF)
     ),
-    "CurveWitness": lambda: CurveWitness(0, (Fraction(1), Fraction(2)), HALF, HALF),
-    "CutCheckReport": lambda: CutCheckReport(
-        oc_verdict(), CurveWitness(1, (Fraction(1),), HALF, HALF), 4, 7
-    ),
+    "CutCheckReport": lambda: CutCheckReport(oc_verdict(), (Fraction(1),), 4, 7),
     "AlignedInterval": interval,
     "DominantTerm": lambda: DominantTerm(frozenset({-1}), frozenset(), -1),
     "DominanceCertificate": lambda: DominanceCertificate(
         DominantTerm(frozenset({-1}), frozenset(), -1), interval(), HALF, None
     ),
-    "UnitCheck": lambda: UnitCheck(None, (LogRadius(QUARTER), LogRadius(HALF))),
+    "UnitCheck": lambda: UnitCheck(None, (QUARTER, HALF)),
     "CorpusEntry": lambda: CorpusEntry(
         ModuleDescriptor(module(), "rk1"), QUARTER, Fraction(1, 8), 24
     ),
@@ -129,6 +126,23 @@ class TestEquality:
         assert ModuleDescriptor(reduced, "x") == ModuleDescriptor(base, "x")
         assert repr(reduced) == repr(base)
 
+    def test_a_differing_field_of_a_changed_record_breaks_equality(self):
+        assert AlignedInterval(HALF, QUARTER) != AlignedInterval(HALF, Fraction(1, 8))
+        assert UnitCheck(None, (HALF,)) != UnitCheck(HALF, (HALF,))
+        assert CutCheckReport(oc_verdict(), None, 4, 7) != CutCheckReport(
+            oc_verdict(), (Fraction(1),), 4, 7
+        )
+        taylor = SAMPLES["TaylorReport"]()
+        assert taylor != TaylorReport(
+            taylor.outcome, taylor.witness, taylor.eta, taylor.lam, (None, HALF, None)
+        )
+
+    def test_int_and_fraction_interval_exponents_hash_equal(self):
+        a, b = AlignedInterval(2, 1), AlignedInterval(Fraction(4, 2), Fraction(1))
+        assert type(a.r_alpha) is Fraction and type(a.r_beta) is Fraction
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+
     def test_equal_log_radii_hash_equal(self):
         # an int exponent is stored as the equal Fraction
         a, b = LogRadius(1), LogRadius(Fraction(2, 2))
@@ -155,6 +169,7 @@ class TestConstruction:
     def test_field_order(self):
         report = CutCheckReport(oc_verdict(), None, 4, 7)
         assert (report.witness, report.trials, report.seed) == (None, 4, 7)
+        assert (interval().r_alpha, interval().r_beta) == (HALF, QUARTER)
         term = DominantTerm(frozenset({1}), frozenset({2}), 1)
         assert (term.A, term.B, term.n0) == (frozenset({1}), frozenset({2}), 1)
 
@@ -185,7 +200,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="radius exponent must be >= 0"):
             LogRadius(Fraction(-1))
         with pytest.raises(ValueError, match="alpha must not exceed beta"):
-            AlignedInterval(LogRadius(QUARTER), LogRadius(HALF))
+            AlignedInterval(QUARTER, HALF)
 
     def test_integrability_is_checked_once(self):
         m = exponential_two_var_module(3)
@@ -197,9 +212,17 @@ class TestConstruction:
 class TestRepr:
     def test_repr_text(self):
         assert repr(LogRadius(HALF)) == "LogRadius(exponent=Fraction(1, 2))"
-        assert repr(interval()) == (
-            "AlignedInterval(alpha=LogRadius(exponent=Fraction(1, 2)),"
-            " beta=LogRadius(exponent=Fraction(1, 4)))"
+        assert repr(interval()) == "AlignedInterval(r_alpha=Fraction(1, 2), r_beta=Fraction(1, 4))"
+        assert repr(UnitCheck(HALF, (QUARTER, HALF))) == (
+            "UnitCheck(counterexample=Fraction(1, 2), sampled=(Fraction(1, 4), Fraction(1, 2)))"
+        )
+        assert repr(SAMPLES["TaylorReport"]()) == (
+            "TaylorReport(outcome=<ProbeOutcome.PASS: 'pass'>, witness=(1, 2),"
+            " eta=LogRadius(exponent=Fraction(1, 4)), lam=LogRadius(exponent=Fraction(1, 2)),"
+            " level_minima=(None, Fraction(1, 2)))"
+        )
+        assert repr(SAMPLES["CutCheckReport"]()).endswith(
+            ", witness=(Fraction(1, 1),), trials=4, seed=7)"
         )
         assert repr(DominantTerm(frozenset({1}), frozenset(), 1)) == (
             "DominantTerm(A=frozenset({1}), B=frozenset(), n0=1)"

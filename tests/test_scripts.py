@@ -81,12 +81,16 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
     [
         (["--depth", "700", "--step", "100"], "--depth 700 reads depth 600, past the cap 512"),
         (["--step", "0"], "--step must not be 0"),
+        (["--step", "-5"], "--step must be positive and at most --depth"),
+        (["--depth", "0"], "--step must be positive and at most --depth"),
+        (["--depth", "10", "--step", "25"], "--step must be positive and at most --depth"),
         (["--prime", "4"], "--prime: not a prime: 4"),
         (["--a", "1/0"], "argument --a: malformed rational '1/0'"),
         (["--a", "1" * 100001],
          "argument --a: malformed rational '111111111111111111111111'... (100001 characters)"),
     ],
-    ids=["depth-past-cap", "step-zero", "prime-4", "a-zero-denominator", "a-too-long"],
+    ids=["depth-past-cap", "step-zero", "step-negative", "depth-zero", "depth-below-step",
+         "prime-4", "a-zero-denominator", "a-too-long"],
 )
 def test_estimate_drift_refuses_bad_arguments_before_printing(args, message):
     proc = run_script("estimate_drift.py", *args)
