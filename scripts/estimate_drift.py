@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from nabla_radius.connection import DEFAULT_DEPTH_CAP, DEFAULT_WINDOW
 from nabla_radius.corpus import falling_factorial_valuation, power_module
-from nabla_radius.padic import LogRadius, PrimeError, check_prime, parse_fraction
+from nabla_radius.padic import LogRadius, PrimeError, _cut, check_prime, parse_fraction
 from nabla_radius.radius import (
     LEAST_DEPTH,
     DirectionRadius,
@@ -75,7 +75,7 @@ def main() -> int:
             break
         if s > DEFAULT_DEPTH_CAP:
             parser.error(
-                f"--depth {args.depth} reads depth {s}, past the cap {DEFAULT_DEPTH_CAP}"
+                f"--depth {_cut(str(args.depth))} reads depth {s}, past the cap {DEFAULT_DEPTH_CAP}"
             )
         rows.append((s, w))
 

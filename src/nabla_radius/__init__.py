@@ -43,8 +43,7 @@ _EXPORTS = {
     ),
     "laurent": ("LaurentPoly", "SignatureError"),
     "newton": (
-        "AlignedInterval", "DominanceCertificate", "DominantTerm", "UnitCheck",
-        "shrink_interval", "unit_certificate_check",
+        "AlignedInterval", "DominanceCertificate", "shrink_interval", "unit_certificate_check",
     ),
     "padic": (
         "LogRadius", "PrimeError", "check_prime", "fraction_valuation", "int_valuation",

@@ -238,16 +238,20 @@ def cmd_techlemma(args: argparse.Namespace) -> tuple[dict, int]:
     r_beta = _parse_fraction_arg(args.beta, "beta exponent")
     interval = AlignedInterval(r_alpha, r_beta)
     certificate = shrink_interval(poly, interval)
-    dominant = certificate.dominant
-    check = unit_certificate_check(poly, certificate)
+    failed = unit_certificate_check(poly, certificate)
     body = {
-        "dominant": {"A": sorted(dominant.A), "B": sorted(dominant.B), "n0": dominant.n0},
+        "dominant": {"A": sorted(certificate.A), "B": sorted(certificate.B),
+                     "n0": certificate.n0},
         "certificate": certificate.to_json_dict(),
-        "unit_check": check.to_json_dict(),
+        "unit_check": {
+            "ok": failed is None,
+            "counterexample": None if failed is None else str(failed),
+            "samples": [str(r) for r in certificate.interval.endpoints],
+        },
     }
     doc = _report("techlemma", {"label": label}, body, alpha_exponent=str(r_alpha),
                   beta_exponent=str(r_beta))
-    return doc, (EXIT_OK if check.ok else EXIT_NEGATIVE)
+    return doc, (EXIT_OK if failed is None else EXIT_NEGATIVE)
 
 
 def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
@@ -278,10 +282,18 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; reserve 2 for curvature."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        # an echoed token past 80 characters is cut, and the rest of the line
-        # (an invalid command's choices) dropped, so that it stays one short line
-        message = re.sub(r"(\S{81,}).*", lambda m: _cut(m[1]), message)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+        # An echoed token past 80 characters is cut, and the rest of the line
+        # (an invalid command's choices) dropped.  A line still over 200 bytes
+        # (many short tokens, or undecodable bytes, which stderr escapes) or
+        # broken by a token keeps its lead-in and quotes the start of the
+        # rest, or only counts the rest where even that is too long.
+        head, sep, rest = message.partition(": ")
+        cut = re.sub(r"(\S{81,}).*", lambda m: _cut(m[1]), message)
+        for shown in (cut, f"{head}{sep}{_excerpt(rest)}", f"{head}{sep}({len(rest)} characters)"):
+            line = f"{self.prog}: error: {shown}\n"
+            if "\n" not in shown and len(line.encode(errors="backslashreplace")) <= 200:
+                break
+        self.exit(EXIT_INVALID, line)
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:

@@ -38,7 +38,8 @@ SAMPLE_RANGE = 9
 def _check_direction(module: ConnectionModule, direction: int) -> None:
     if not 0 <= direction < module.dims:
         raise ValueError(
-            f"direction {direction} out of range for a module with {module.dims} variables"
+            f"direction {_cut(str(direction))} out of range for a module with"
+            f" {module.dims} variables"
         )
 
 

@@ -8,13 +8,14 @@ smallest line value at the appropriate endpoint, and there is always a
 term index n0 whose line can be made strictly smallest on a closed
 subinterval I' of positive length.  `shrink_interval` builds the line
 table once (`_line_data`), one pass over it (`_dominance`) gives the sup
-and the dominant term, and the window is cut from the same table.  The
-certificate records the dominant term (the degrees attaining the sup,
-and n0), I' and a strictness margin, so one table serves a whole run;
+and the dominant term, and the window is cut from the same table.  One
+certificate records it all: the degrees attaining the sup, n0 among them,
+I' and a strictness margin, so one table serves a whole run.
 `unit_certificate_check` needs no table and re-verifies the certificate
-through one Gauss norm, that of f, at each of the two endpoints of I',
-which decide the whole of I', certifying a = a_{n0} t^{n0} (1 + f) with
-|f| < 1 on I', so a is a unit there with |a| = |a_{n0}| * rho^{n0}.
+through one Gauss norm, that of f, at each endpoint of I', which decide
+the whole of I', certifying a = a_{n0} t^{n0} (1 + f) with |f| < 1 on I',
+so a is a unit there with |a| = |a_{n0}| * rho^{n0}; it returns the first
+endpoint exponent where that fails, or None.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, _cut, check_exact, fraction_valuation, frozen_record
+from .padic import LogRadius, fraction_valuation, frozen_record, radius_exponent
 
 
 @frozen_record
@@ -36,15 +37,18 @@ class AlignedInterval:
 
     def __post_init__(self) -> None:
         for name in ("r_alpha", "r_beta"):
-            e = getattr(self, name)
-            check_exact(e, "radius exponents")
-            if e < 0:
-                raise ValueError(f"radius exponent must be >= 0, got {_cut(str(e))}")
-            object.__setattr__(self, name, Fraction(e))
+            object.__setattr__(self, name, radius_exponent(getattr(self, name)))
         if self.r_beta <= 0:
             raise ValueError("outer radius must be < 1 (exponent > 0)")
         if self.r_alpha < self.r_beta:
             raise ValueError("alpha must not exceed beta as a radius")
+
+    @property
+    def endpoints(self) -> Tuple[Fraction, ...]:
+        """The exponents of beta, then alpha; one for a one-point interval."""
+        if self.r_alpha == self.r_beta:
+            return (self.r_beta,)
+        return (self.r_beta, self.r_alpha)
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,16 +75,9 @@ def _line_data(a: LaurentPoly) -> dict[int, Fraction]:
     return out
 
 
-@frozen_record
-class DominantTerm:
-    A: FrozenSet[int]
-    B: FrozenSet[int]
-    n0: int
-
-
 def _dominance(
     lines: dict[int, Fraction], interval: AlignedInterval
-) -> Tuple[Fraction, DominantTerm]:
+) -> Tuple[Fraction, FrozenSet[int], FrozenSet[int], int]:
     """One pass over the term lines v(a_n) + n*r: nonpositive degrees peak
     at alpha and nonnegative ones at beta.  Returns the sup exponent over
     the interval and the degrees attaining it at each endpoint, with the
@@ -92,26 +89,25 @@ def _dominance(
     sup = min([*at_alpha.values(), *at_beta.values()])
     A = frozenset(n for n, e in at_alpha.items() if e == sup)
     B = frozenset(n for n, e in at_beta.items() if e == sup)
-    return sup, DominantTerm(A=A, B=B, n0=max(A) if A else min(B))
+    return sup, A, B, (max(A) if A else min(B))
 
 
 @frozen_record
 class DominanceCertificate:
     """Strict dominance of term n0 on the subinterval, with margin.
 
-    dominant is the term selection over the original interval, n0 among
-    it; margin is the smallest exponent gap between any other term line
-    and the n0 line at the endpoints of the subinterval; None encodes an
-    infinite margin (monomials)."""
+    A and B are the degrees attaining the sup over the original interval
+    at alpha and at beta, and n0 is the one selected among them; margin
+    is the smallest exponent gap between any other term line and the n0
+    line at the endpoints of the subinterval; None encodes an infinite
+    margin (monomials)."""
 
-    dominant: DominantTerm
+    A: FrozenSet[int]
+    B: FrozenSet[int]
+    n0: int
     interval: AlignedInterval
     sup_norm: Fraction
     margin: Optional[Fraction]
-
-    @property
-    def n0(self) -> int:
-        return self.dominant.n0
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,8 +126,7 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
     midpoint of the feasible exponent range, closed sides are kept.
     """
     lines = _line_data(a)
-    sup, dominant = _dominance(lines, interval)
-    n0 = dominant.n0
+    sup, A, B, n0 = _dominance(lines, interval)
     v0 = lines[n0]
     ra, rb = interval.r_alpha, interval.r_beta
 
@@ -172,41 +167,24 @@ def shrink_interval(a: LaurentPoly, interval: AlignedInterval) -> DominanceCerti
                 margin = gap
     if margin is not None and margin <= 0:
         raise ValueError("internal error: dominance margin is not positive")
-    return DominanceCertificate(dominant=dominant, interval=sub, sup_norm=sup, margin=margin)
+    return DominanceCertificate(A=A, B=B, n0=n0, interval=sub, sup_norm=sup, margin=margin)
 
 
-@frozen_record
-class UnitCheck:
-    """The radius exponents sampled, and the first that fails, if any."""
-
-    counterexample: Optional[Fraction]
-    sampled: Tuple[Fraction, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "counterexample": None if self.counterexample is None else str(self.counterexample),
-            "samples": [str(r) for r in self.sampled],
-        }
-
-
-def unit_certificate_check(a: LaurentPoly, certificate: DominanceCertificate) -> UnitCheck:
+def unit_certificate_check(
+    a: LaurentPoly, certificate: DominanceCertificate
+) -> Optional[Fraction]:
     """Re-verify a dominance certificate through Gauss norms.
 
     At the certified interval's endpoints, beta and then alpha,
     f = sum_{n != n0} (a_n / a_{n0}) t^{n - n0} must have norm < 1
-    (positive exponent); the first endpoint where it does not is returned
-    as a counterexample.  The endpoints decide the whole interval: the
-    norm exponent min_n (v(a_n / a_{n0}) + (n - n0) r) is a minimum of
-    lines in r, hence concave, so |f| < 1 holds on the interval exactly
-    when it holds at both ends.  No norm of a itself is needed: since
-    a = a_{n0} t^{n0} (1 + f), |f| < 1 gives |1 + f| = 1 and so
-    |a| = |a_{n0}| * rho^{n0}.  Only n0 and the interval are read from the
-    certificate, and no line table is built.
+    (positive exponent); the exponent of the first endpoint where it does
+    not is returned, and None if there is none.  The endpoints decide the
+    whole interval: the norm exponent min_n (v(a_n / a_{n0}) + (n - n0) r)
+    is a minimum of lines in r, hence concave, so |f| < 1 holds on the
+    interval exactly when it holds at both ends.  No norm of a itself is
+    needed: since a = a_{n0} t^{n0} (1 + f), |f| < 1 gives |1 + f| = 1 and
+    so |a| = |a_{n0}| * rho^{n0}.  Only n0 and the interval are read from
+    the certificate, and no line table is built.
     """
     _check_one_variable(a)
     n0 = certificate.n0
@@ -223,11 +201,8 @@ def unit_certificate_check(a: LaurentPoly, certificate: DominanceCertificate) ->
             if n != n0
         },
     )
-    interval = certificate.interval
-    # beta, then alpha; a one-point interval has a single endpoint
-    ends = tuple(dict.fromkeys((interval.r_beta, interval.r_alpha)))
-    for r in ends:
+    for r in certificate.interval.endpoints:
         f_exp = f.gauss_lognorm((LogRadius(r),))
         if f_exp is not None and f_exp <= 0:
-            return UnitCheck(r, ends)
-    return UnitCheck(None, ends)
+            return r
+    return None

@@ -166,6 +166,15 @@ def parse_fraction(text: str) -> Fraction:
     raise ValueError(f"malformed rational {_excerpt(text)}")
 
 
+def radius_exponent(e: object) -> Fraction:
+    """e checked as the exponent of a radius in (0, 1]: an exact int or
+    Fraction >= 0, returned as a Fraction."""
+    check_exact(e, "radius exponents")
+    if e < 0:
+        raise ValueError(f"radius exponent must be >= 0, got {_cut(str(e))}")
+    return e if type(e) is Fraction else Fraction(e)
+
+
 _Cls = TypeVar("_Cls", bound=type)
 
 
@@ -234,13 +243,7 @@ class LogRadius:
     exponent: Fraction
 
     def __post_init__(self) -> None:
-        e = self.exponent
-        check_exact(e, "radius exponents")
-        if type(e) is int:
-            e = Fraction(e)
-            object.__setattr__(self, "exponent", e)
-        if e < 0:
-            raise ValueError(f"radius exponent must be >= 0, got {e}")
+        object.__setattr__(self, "exponent", radius_exponent(self.exponent))
 
     @classmethod
     def one(cls) -> "LogRadius":

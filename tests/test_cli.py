@@ -299,6 +299,26 @@ class TestLongValues:
         assert report["status"] == "schema-error"
         assert len(report["error"]) < 200
 
+    @pytest.mark.parametrize("argv, lead, tail", [
+        (["oc", "--depth"], "depth", " exceeds cap 512"),
+        (["taylor", "--eta", "1/4", "--depth"], "bound", " exceeds cap 512"),
+        (["cutcheck", "--trials"], "trials", " exceeds cap 512"),
+        (["specialize", "--point", "1", "--direction"], "direction",
+         " out of range for a module with 2 variables"),
+    ], ids=["oc-depth", "taylor-depth", "cutcheck-trials", "specialize-direction"])
+    def test_count_or_direction_argument(self, capsys, two_var_path, argv, lead, tail):
+        # argparse takes an int of up to 4300 digits, so the library's own
+        # range checks must cut the value they name
+        code, out, err = run(capsys, [argv[0], two_var_path, *argv[1:], str(NINES)])
+        assert (code, out) == (1, "")
+        assert err == f"nabla-radius: {lead} {str(NINES)[:24]}... (4000 characters){tail}\n"
+        assert len(err.encode("utf-8")) < 200
+        code, out, err = run(capsys, [argv[0], two_var_path, *argv[1:], "513"])
+        if lead == "direction":
+            assert err == f"nabla-radius: direction 513{tail}\n"
+        else:
+            assert err == f"nabla-radius: {lead} 513 exceeds cap 512\n"
+
     def test_short_values_are_whole(self, capsys, tmp_path):
         bad = tmp_path / "short.json"
         doc = {"prime": 3, "n": 1, "m": 0, "rank": 1,
@@ -388,8 +408,16 @@ class TestLongArgparseTokens:
         (["specialize", "--point", "1", "--direction", LONG_INT], "argument --direction"),
         (["oc", "--bogus" + LONG_INT], "unrecognized arguments: --bogus999"),
         (["bogus" + LONG_INT], "argument command"),
+        # each token is short, but together they run to 9,000 bytes
+        (["oc", *["ab"] * 3000],
+         "unrecognized arguments: 'ab ab ab ab ab ab ab ab '... (8999 characters)"),
+        # undecodable bytes reach argv as lone surrogates, each of which
+        # stderr escapes to six bytes
+        (["oc", "\udcff" * 3000], "unrecognized arguments: (3000 characters)"),
+        (["oc", "a\nb"], "unrecognized arguments: 'a\\nb'\n"),
     ], ids=["oc-depth", "cutcheck-seed", "cutcheck-trials", "specialize-direction",
-            "unknown-option", "unknown-command"])
+            "unknown-option", "unknown-command", "many-short-tokens", "undecodable-bytes",
+            "line-break"])
     def test_one_short_line(self, capsys, two_var_path, argv, name):
         if len(argv) > 1:
             argv = [argv[0], two_var_path, *argv[1:]]

@@ -25,13 +25,28 @@ from nabla_radius.descriptor import module_descriptor_to_dict
 
 DEPTH = "16"
 
-# A one-variable polynomial 2 + t over Q_2 (the `techlemma` fixture of test_cli).
-POLY = {"prime": 2, "label": "p-plus-t",
-        "terms": [{"exps": [0], "coeff": "2"}, {"exps": [1], "coeff": "1"}]}
-
-
 def _term(exps: list[int], coeff: str) -> dict:
     return {"exps": exps, "coeff": coeff}
+
+
+def _poly(prime: int, label: str, *terms: tuple[int, str]) -> dict:
+    return {"prime": prime, "label": label, "terms": [_term([n], c) for n, c in terms]}
+
+
+# One-variable polynomials for `techlemma`, recorded before the dominant
+# term was folded into the certificate and the unit check became one
+# exponent.  The comments give the degrees attaining the sup at alpha (A)
+# and at beta (B), and n0, on the interval each case runs on.
+POLYS = {
+    # 2 + t over Q_2 (the `techlemma` fixture of test_cli): A = {}, B = {1}
+    "p-plus-t": _poly(2, "p-plus-t", (0, "2"), (1, "1")),
+    # 9 t^2 over Q_3: one term, so the margin is infinite
+    "monomial-p3": _poly(3, "monomial-p3", (2, "9")),
+    # 4 t^-2 + t^-1 + 1 over Q_2 on [2, 1/2]: A = {-2, -1}, B = {}, n0 = -1
+    "tie-at-alpha-p2": _poly(2, "tie-at-alpha-p2", (-2, "4"), (-1, "1"), (0, "1")),
+    # 4 t^-1 + 1 + t/2 over Q_2 on [2, 1]: A = {-1, 0}, B = {0, 1}, n0 = 0
+    "ties-at-both-p2": _poly(2, "ties-at-both-p2", (-1, "4"), (0, "1"), (1, "1/2")),
+}
 
 
 # Integrable modules over Q_3 whose connection matrices have denominators
@@ -85,7 +100,7 @@ CURVED = {
     },
 }
 
-DOCUMENTS = {**FRACTIONAL, **CURVED}
+DOCUMENTS = {**FRACTIONAL, **CURVED, **POLYS}
 
 
 def _cases() -> list[tuple[str, str, list[str]]]:
@@ -140,8 +155,17 @@ def _cases() -> list[tuple[str, str, list[str]]]:
         # a one-variable module has no coordinate to fix: the point is empty
         ("specialize-no-point/power-half-p3", "power-half-p3",
          ["specialize", "--direction", "0", "--point", ""]),
-        ("techlemma/p-plus-t", None,
+        ("techlemma/p-plus-t", "p-plus-t",
          ["techlemma", "--alpha", "2", "--beta", "1/2"]),
+        # a one-point interval: its unit check samples one endpoint
+        ("techlemma-one-point/p-plus-t", "p-plus-t",
+         ["techlemma", "--alpha", "1/2", "--beta", "1/2"]),
+        ("techlemma/monomial-p3", "monomial-p3",
+         ["techlemma", "--alpha", "2", "--beta", "1/2"]),
+        ("techlemma/tie-at-alpha-p2", "tie-at-alpha-p2",
+         ["techlemma", "--alpha", "2", "--beta", "1/2"]),
+        ("techlemma/ties-at-both-p2", "ties-at-both-p2",
+         ["techlemma", "--alpha", "2", "--beta", "1"]),
         ("corpus", None, ["corpus"]),
     ]
     return cases
@@ -217,6 +241,10 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'specialize-malformed/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "nabla-radius: invalid coordinate: 'x'\n"),
     'specialize-no-point/power-half-p3': (0, '86222b836441713772862d9eabe117ffdc754b8c1fe3e2dae838de12b94efa7b', ''),
     'techlemma/p-plus-t': (0, 'fc3434f38370af3f57736b388bfad9f1f3f36d8959b693b12f3a737764923d13', ''),
+    'techlemma-one-point/p-plus-t': (0, 'b1f488908137af009279cb5c840b894bb7e709e4b5962529d78d3a405c6acc7d', ''),
+    'techlemma/monomial-p3': (0, '652047b6ccd69546ecd1d3fe3b4a6a131cfcb9e014f848579a2ca759fee92550', ''),
+    'techlemma/tie-at-alpha-p2': (0, 'b9d8f7eca96c63668492f29f4ba1c665c85e46cd981a4a821ce1f28c6c87c444', ''),
+    'techlemma/ties-at-both-p2': (0, 'ccaeaf717b9695651a5afa011e3a216b4aa13bab5fe97eab0c8fcc111d58f4af', ''),
     'corpus': (0, 'be24dbf291232e37de99e84ded36385df0fa58d1ebda8d6cb46286092c9c3bc5', ''),
 }
 
@@ -237,10 +265,6 @@ def test_report_bytes_are_pinned(capsys, tmp_path, case_id, label, argv):
         path = tmp_path / f"{label}.json"
         entry = {e.label: e for e in build_corpus()}[label]
         path.write_text(json.dumps(module_descriptor_to_dict(entry.descriptor)), encoding="utf-8")
-        argv = [argv[0], str(path), *argv[1:]]
-    elif argv[0] == "techlemma":
-        path = tmp_path / "poly.json"
-        path.write_text(json.dumps(POLY), encoding="utf-8")
         argv = [argv[0], str(path), *argv[1:]]
     code = main(argv)
     captured = capsys.readouterr()

@@ -7,11 +7,9 @@ from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.newton import (
     AlignedInterval,
     DominanceCertificate,
-    DominantTerm,
     _dominance,
     _line_data,
     shrink_interval,
-    UnitCheck,
     unit_certificate_check,
 )
 from nabla_radius.padic import LogRadius, fraction_valuation
@@ -19,6 +17,11 @@ from nabla_radius.padic import LogRadius, fraction_valuation
 
 def poly(p, terms):
     return LaurentPoly(p, 1, 0, terms)
+
+
+def naming(n0, interval, sup_norm=Fraction(0), margin=None):
+    """A certificate that names n0, right or wrong, on the interval."""
+    return DominanceCertificate(frozenset(), frozenset({n0}), n0, interval, sup_norm, margin)
 
 
 coeff_st = st.fractions(
@@ -72,6 +75,15 @@ class TestAlignedInterval:
         with pytest.raises(ValueError, match=r"got -99999999999999999999999\.\.\. \(4001 characters\)"):
             AlignedInterval(-int("9" * 4000), Fraction(1, 2))
 
+    def test_one_check_serves_both_radius_records(self):
+        # the same exponent check, and so the same message, as LogRadius
+        for bad in (-1, Fraction(-1, 3), -int("9" * 4000)):
+            with pytest.raises(ValueError) as interval_error:
+                AlignedInterval(Fraction(2), bad)
+            with pytest.raises(ValueError) as radius_error:
+                LogRadius(bad)
+            assert str(interval_error.value) == str(radius_error.value)
+
     def test_json(self):
         I = AlignedInterval(Fraction(3, 4), Fraction(1, 2))
         assert I.to_json_dict() == {"alpha_exponent": "3/4", "beta_exponent": "1/2"}
@@ -119,39 +131,39 @@ class TestDominantTerm:
     def test_outer_endpoint_selection(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
         I = AlignedInterval(Fraction(2), Fraction(1, 2))
-        d = shrink_interval(a, I).dominant
+        d = shrink_interval(a, I)
         assert (set(d.A), set(d.B), d.n0) == (set(), {1}, 1)
 
     def test_inner_endpoint_takes_precedence(self):
         # 2/t + 1 over Q_2: the t**-1 line wins at the inner radius.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
         I = AlignedInterval(Fraction(2), Fraction(1, 2))
-        d = shrink_interval(a, I).dominant
+        d = shrink_interval(a, I)
         assert (set(d.A), set(d.B), d.n0) == ({-1}, set(), -1)
 
     def test_constant_attains_both(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
         I = AlignedInterval(Fraction(2), Fraction(1, 2))
-        d = shrink_interval(a, I).dominant
+        d = shrink_interval(a, I)
         assert (set(d.A), set(d.B), d.n0) == ({0}, {0}, 0)
 
     def test_degenerate_tie_lists_both(self):
         # 2/t + 1 at the single radius where the lines cross: no window.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
         I = AlignedInterval(Fraction(1), Fraction(1))
-        d = _dominance(_line_data(a), I)[1]
-        assert (set(d.A), set(d.B), d.n0) == ({-1, 0}, {0}, 0)
+        _, A, B, n0 = _dominance(_line_data(a), I)
+        assert (set(A), set(B), n0) == ({-1, 0}, {0}, 0)
 
     @given(a=polys_st, I=intervals_st)
     @settings(max_examples=80)
     def test_n0_attains_the_sup(self, a, I):
-        sup, d = _dominance(_line_data(a), I)
-        v = fraction_valuation(a.coefficient((d.n0,)), a.prime)
+        sup, _, _, n0 = _dominance(_line_data(a), I)
+        v = fraction_valuation(a.coefficient((n0,)), a.prime)
         attained = []
-        if d.n0 <= 0:
-            attained.append(v + d.n0 * I.r_alpha)
-        if d.n0 >= 0:
-            attained.append(v + d.n0 * I.r_beta)
+        if n0 <= 0:
+            attained.append(v + n0 * I.r_alpha)
+        if n0 >= 0:
+            attained.append(v + n0 * I.r_beta)
         assert sup in attained
 
 
@@ -210,75 +222,58 @@ class TestShrinkInterval:
         assert cert.sup_norm == min(
             a.gauss_lognorm((LogRadius(I.r_alpha),)), a.gauss_lognorm((LogRadius(I.r_beta),))
         )
-        assert cert.dominant == _dominance(_line_data(a), I)[1]
-        check = unit_certificate_check(a, cert)
-        assert check.ok, check.counterexample
+        assert (cert.A, cert.B, cert.n0) == _dominance(_line_data(a), I)[1:]
+        assert unit_certificate_check(a, cert) is None
 
 
 class TestUnitCheck:
     def test_detects_wrong_dominant_term(self):
         a = poly(2, {(0,): Fraction(2), (1,): Fraction(1)})
         good = shrink_interval(a, AlignedInterval(Fraction(2), Fraction(1, 2)))
-        bad = DominanceCertificate(
-            dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
-            interval=good.interval,
-            sup_norm=good.sup_norm,
-            margin=good.margin,
-        )
-        check = unit_certificate_check(a, bad)
-        assert not check.ok
-        assert check.counterexample is not None
+        bad = naming(0, good.interval, good.sup_norm, good.margin)
+        assert unit_certificate_check(a, bad) is not None
 
     def test_absent_term_rejected(self):
         a = poly(2, {(0,): Fraction(1)})
         cert = shrink_interval(a, AlignedInterval(Fraction(1), Fraction(1, 2)))
-        fake = DominanceCertificate(
-            dominant=DominantTerm(A=frozenset(), B=frozenset({3}), n0=3),
-            interval=cert.interval, sup_norm=cert.sup_norm, margin=None,
-        )
+        fake = naming(3, cert.interval, cert.sup_norm)
         with pytest.raises(ValueError):
             unit_certificate_check(a, fake)
 
-    def test_checks_the_two_endpoints(self):
+    def test_checks_the_two_endpoints(self, monkeypatch):
         a = poly(2, {(0,): Fraction(1)})
         cert = shrink_interval(a, AlignedInterval(Fraction(1), Fraction(1, 2)))
-        check = unit_certificate_check(a, cert)
-        assert check.ok
-        assert check.sampled == (cert.interval.r_beta, cert.interval.r_alpha)
+        radii = []
+        original = LaurentPoly.gauss_lognorm
+
+        def recording(self, rho):
+            radii.append(rho[0].exponent)
+            return original(self, rho)
+
+        monkeypatch.setattr(LaurentPoly, "gauss_lognorm", recording)
+        assert unit_certificate_check(a, cert) is None
+        assert tuple(radii) == cert.interval.endpoints == (Fraction(1, 2), Fraction(1))
 
     def test_degenerate_certified_interval_single_radius(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
         I = AlignedInterval(Fraction(3, 4), Fraction(3, 4))
         cert = shrink_interval(a, I)
-        check = unit_certificate_check(a, cert)
-        assert check.ok
-        assert len(check.sampled) == 1
+        assert unit_certificate_check(a, cert) is None
+        assert cert.interval.endpoints == (Fraction(3, 4),)
 
     def test_inner_endpoint_catches_what_the_outer_one_passes(self):
         # 2/t + 1 over Q_2: the constant dominates at exponent 1/2, but the
         # 2/t term takes over from exponent 1 on, so n0 = 0 is wrong at 2.
         a = poly(2, {(-1,): Fraction(2), (0,): Fraction(1)})
         I = AlignedInterval(Fraction(2), Fraction(1, 2))
-        bad = DominanceCertificate(
-            dominant=DominantTerm(A=frozenset(), B=frozenset({0}), n0=0),
-            interval=I, sup_norm=Fraction(0), margin=None,
-        )
-        check = unit_certificate_check(a, bad)
-        assert not check.ok
-        assert check.counterexample == I.r_alpha
-        assert check.to_json_dict() == {
-            "ok": False, "counterexample": "2", "samples": ["1/2", "2"],
-        }
+        assert unit_certificate_check(a, naming(0, I)) == I.r_alpha
 
     @given(a=polys_st, I=intervals_st, data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_endpoints_agree_with_a_dense_grid(self, a, I, data):
         # any term may be named n0, so many certificates are wrong
         n0 = data.draw(st.sampled_from(sorted(n for (n,) in a.terms)))
-        cert = DominanceCertificate(
-            dominant=DominantTerm(A=frozenset(), B=frozenset({n0}), n0=n0),
-            interval=I, sup_norm=Fraction(0), margin=None,
-        )
+        cert = naming(n0, I)
         c0 = a.coefficient((n0,))
         v0 = fraction_valuation(c0, a.prime)
         f = poly(a.prime, {(n - n0,): c / c0 for (n,), c in a.terms.items() if n != n0})
@@ -290,7 +285,7 @@ class TestUnitCheck:
 
         # 65 radii from beta to alpha, both endpoints included
         grid = [I.r_beta + (I.r_alpha - I.r_beta) * Fraction(k, 64) for k in range(65)]
-        assert unit_certificate_check(a, cert).ok == all(holds(r) for r in grid)
+        assert (unit_certificate_check(a, cert) is None) == all(holds(r) for r in grid)
 
     @given(a=polys_st, data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -309,20 +304,16 @@ class TestUnitCheck:
         endpoint = st.one_of(exp_st, st.sampled_from(ties)) if ties else exp_st
         r1, r2 = data.draw(endpoint), data.draw(endpoint)
         I = AlignedInterval(max(r1, r2), min(r1, r2))
-        cert = DominanceCertificate(
-            dominant=DominantTerm(A=frozenset(), B=frozenset({n0}), n0=n0),
-            interval=I, sup_norm=Fraction(0), margin=None,
-        )
+        cert = naming(n0, I)
 
         # the reference also asks |a| = |a_{n0}| rho^{n0} at each endpoint
         def two_norm_check():
-            ends = tuple(dict.fromkeys((I.r_beta, I.r_alpha)))
-            for r in ends:
+            for r in tuple(dict.fromkeys((I.r_beta, I.r_alpha))):
                 f_exp = f.gauss_lognorm((LogRadius(r),))
                 if f_exp is not None and f_exp <= 0:
-                    return UnitCheck(r, ends)
+                    return r
                 if a.gauss_lognorm((LogRadius(r),)) != v0 + n0 * r:
-                    return UnitCheck(r, ends)
-            return UnitCheck(None, ends)
+                    return r
+            return None
 
         assert unit_certificate_check(a, cert) == two_norm_check()

@@ -10,7 +10,7 @@ from nabla_radius.corpus import CorpusEntry, exponential_two_var_module, trivial
 from nabla_radius.curves import CutCheckReport
 from nabla_radius.descriptor import ModuleDescriptor
 from nabla_radius.laurent import SignatureError
-from nabla_radius.newton import AlignedInterval, DominanceCertificate, DominantTerm, UnitCheck
+from nabla_radius.newton import AlignedInterval, DominanceCertificate
 from nabla_radius.padic import LogRadius
 from nabla_radius.radius import (
     DirectionRadius,
@@ -59,11 +59,9 @@ SAMPLES = {
     ),
     "CutCheckReport": lambda: CutCheckReport(oc_verdict(), (Fraction(1),), 4, 7),
     "AlignedInterval": interval,
-    "DominantTerm": lambda: DominantTerm(frozenset({-1}), frozenset(), -1),
     "DominanceCertificate": lambda: DominanceCertificate(
-        DominantTerm(frozenset({-1}), frozenset(), -1), interval(), HALF, None
+        frozenset({-1}), frozenset(), -1, interval(), HALF, None
     ),
-    "UnitCheck": lambda: UnitCheck(None, (QUARTER, HALF)),
     "CorpusEntry": lambda: CorpusEntry(
         ModuleDescriptor(module(), "rk1"), QUARTER, Fraction(1, 8), 24
     ),
@@ -128,7 +126,10 @@ class TestEquality:
 
     def test_a_differing_field_of_a_changed_record_breaks_equality(self):
         assert AlignedInterval(HALF, QUARTER) != AlignedInterval(HALF, Fraction(1, 8))
-        assert UnitCheck(None, (HALF,)) != UnitCheck(HALF, (HALF,))
+        certificate = SAMPLES["DominanceCertificate"]()
+        assert certificate != DominanceCertificate(
+            frozenset({-1}), frozenset({0}), -1, interval(), HALF, None
+        )
         assert CutCheckReport(oc_verdict(), None, 4, 7) != CutCheckReport(
             oc_verdict(), (Fraction(1),), 4, 7
         )
@@ -170,8 +171,9 @@ class TestConstruction:
         report = CutCheckReport(oc_verdict(), None, 4, 7)
         assert (report.witness, report.trials, report.seed) == (None, 4, 7)
         assert (interval().r_alpha, interval().r_beta) == (HALF, QUARTER)
-        term = DominantTerm(frozenset({1}), frozenset({2}), 1)
-        assert (term.A, term.B, term.n0) == (frozenset({1}), frozenset({2}), 1)
+        cert = DominanceCertificate(frozenset({1}), frozenset({2}), 1, interval(), HALF, QUARTER)
+        assert (cert.A, cert.B, cert.n0) == (frozenset({1}), frozenset({2}), 1)
+        assert (cert.interval, cert.sup_norm, cert.margin) == (interval(), HALF, QUARTER)
 
     @pytest.mark.parametrize(
         "args, kwargs",
@@ -213,9 +215,6 @@ class TestRepr:
     def test_repr_text(self):
         assert repr(LogRadius(HALF)) == "LogRadius(exponent=Fraction(1, 2))"
         assert repr(interval()) == "AlignedInterval(r_alpha=Fraction(1, 2), r_beta=Fraction(1, 4))"
-        assert repr(UnitCheck(HALF, (QUARTER, HALF))) == (
-            "UnitCheck(counterexample=Fraction(1, 2), sampled=(Fraction(1, 4), Fraction(1, 2)))"
-        )
         assert repr(SAMPLES["TaylorReport"]()) == (
             "TaylorReport(outcome=<ProbeOutcome.PASS: 'pass'>, witness=(1, 2),"
             " eta=LogRadius(exponent=Fraction(1, 4)), lam=LogRadius(exponent=Fraction(1, 2)),"
@@ -224,8 +223,10 @@ class TestRepr:
         assert repr(SAMPLES["CutCheckReport"]()).endswith(
             ", witness=(Fraction(1, 1),), trials=4, seed=7)"
         )
-        assert repr(DominantTerm(frozenset({1}), frozenset(), 1)) == (
-            "DominantTerm(A=frozenset({1}), B=frozenset(), n0=1)"
+        assert repr(DominanceCertificate(frozenset({1}), frozenset(), 1, interval(), HALF, None)) == (
+            "DominanceCertificate(A=frozenset({1}), B=frozenset(), n0=1,"
+            " interval=AlignedInterval(r_alpha=Fraction(1, 2), r_beta=Fraction(1, 4)),"
+            " sup_norm=Fraction(1, 2), margin=None)"
         )
         assert repr(DirectionRadius(0, 1, (Fraction(1),), None)) == (
             "DirectionRadius(direction=0, window_start=1,"

@@ -80,6 +80,9 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
     "args, message",
     [
         (["--depth", "700", "--step", "100"], "--depth 700 reads depth 600, past the cap 512"),
+        (["--depth", "9" * 4000],
+         "--depth 999999999999999999999999... (4000 characters) reads depth 525,"
+         " past the cap 512"),
         (["--step", "0"], "--step must not be 0"),
         (["--step", "-5"], "--step must be positive and at most --depth"),
         (["--depth", "0"], "--step must be positive and at most --depth"),
@@ -89,7 +92,7 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
         (["--a", "1" * 100001],
          "argument --a: malformed rational '111111111111111111111111'... (100001 characters)"),
     ],
-    ids=["depth-past-cap", "step-zero", "step-negative", "depth-zero", "depth-below-step",
+    ids=["depth-past-cap", "depth-too-long", "step-zero", "step-negative", "depth-zero", "depth-below-step",
          "prime-4", "a-zero-denominator", "a-too-long"],
 )
 def test_estimate_drift_refuses_bad_arguments_before_printing(args, message):
