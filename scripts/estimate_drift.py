@@ -16,11 +16,13 @@ is the largest of them over the default trailing window ending at d.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
+from nabla_radius.cli import one_line
 from nabla_radius.connection import DEFAULT_DEPTH_CAP, DEFAULT_WINDOW
 from nabla_radius.corpus import falling_factorial_valuation, power_module
-from nabla_radius.padic import LogRadius, PrimeError, _cut, check_prime, parse_fraction
+from nabla_radius.padic import LogRadius, PrimeError, check_prime, parse_fraction
 from nabla_radius.radius import (
     LEAST_DEPTH,
     DirectionRadius,
@@ -46,8 +48,16 @@ def fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse's parser, whose error line is bounded as the package's own are."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        self.print_usage(sys.stderr)
+        self.exit(2, one_line(message, f"{self.prog}: error: ") + "\n")
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--prime", type=int, default=3)
     parser.add_argument("--a", type=fraction_arg, default=Fraction(1, 2),
                         help="exponent of t^a as a fraction, e.g. 1/2")
@@ -75,7 +85,7 @@ def main() -> int:
             break
         if s > DEFAULT_DEPTH_CAP:
             parser.error(
-                f"--depth {_cut(str(args.depth))} reads depth {s}, past the cap {DEFAULT_DEPTH_CAP}"
+                f"--depth {args.depth} reads depth {s}, past the cap {DEFAULT_DEPTH_CAP}"
             )
         rows.append((s, w))
 

@@ -7,6 +7,8 @@ command, the input's hash and label, all effective parameters, then the
 command's own fields.  Reports are byte-identical across runs with
 identical inputs and seeds.  Exit codes: 0 ok or positive evidence,
 1 invalid input, 2 non-integrable module, 3 negative evidence, 4 inconclusive.
+Invalid input is refused in one stderr line (or the ``error`` of a
+``validate`` report) of under 200 bytes, bounded by ``one_line``.
 
 Each handler imports the analysis modules it runs (radius, curves, newton,
 corpus) itself, so a short command such as ``validate`` does not pay to
@@ -39,7 +41,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .padic import LogRadius, _cut, _excerpt, parse_fraction
+from .padic import LogRadius, parse_fraction
 
 SCHEMA = "nabla-radius/1"
 
@@ -61,11 +63,34 @@ EXIT_CODES = {
 }
 
 
+# A line that leaves the process is shorter than this, newline included.
+LINE_BYTES = 200
+
+
+def one_line(message: str, lead: str = "") -> str:
+    """lead + message as one line shorter than LINE_BYTES with its newline,
+    as stderr writes it (a lone surrogate, from an undecodable argv byte, in
+    six bytes).  Each space-free run past 80 characters is cut to its first
+    24 and its length; a line still too long keeps the lead-in before the
+    first ": " and quotes the start of the rest, or quotes its own start."""
+    cut = re.sub(r"\S{81,}", lambda run: f"{run[0][:24]}... ({len(run[0])} characters)", message)
+    head, sep, rest = message.partition(": ")
+    quoted = [
+        start + (repr(tail) if len(tail) <= keep else f"{tail[:keep]!r}... ({len(tail)} characters)")
+        for start, tail in ([(head + sep, rest)] if sep else []) + [("", message)]
+        for keep in range(24, -1, -1)
+    ]
+    for line in (lead + shown for shown in (cut, *quoted)):
+        if "\n" not in line and len(f"{line}\n".encode(errors="backslashreplace")) < LINE_BYTES:
+            break
+    return line
+
+
 def _parse_fraction_arg(text: str, what: str) -> Fraction:
     try:
         return parse_fraction(text)
     except ValueError:
-        raise ValueError(f"invalid {what}: {_excerpt(text)}") from None
+        raise ValueError(f"invalid {what}: {text!r}") from None
 
 
 def _parse_radius_arg(text: str, what: str) -> LogRadius:
@@ -73,7 +98,7 @@ def _parse_radius_arg(text: str, what: str) -> LogRadius:
         return LogRadius.parse(text)
     except ValueError:
         raise ValueError(
-            f"invalid {what}: {_excerpt(text)} (radii must be positive: give the exponent"
+            f"invalid {what}: {text!r} (radii must be positive: give the exponent"
             f" e >= 0 of p**(-e) as num/den)"
         ) from None
 
@@ -128,7 +153,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
         report.update(
             {
                 "status": "schema-error",
-                "error": str(exc),
+                "error": one_line(str(exc)),
                 "descriptor_sha256": None,
                 "label": None,
             }
@@ -260,7 +285,7 @@ def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
     if args.dump:
         entry = corpus_by_label().get(args.dump)
         if entry is None:
-            raise ValueError(f"unknown corpus label {_excerpt(args.dump)}")
+            raise ValueError(f"unknown corpus label {args.dump!r}")
         return module_descriptor_to_dict(entry.descriptor), EXIT_OK
     entries = []
     for entry in build_corpus():
@@ -282,18 +307,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; reserve 2 for curvature."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        # An echoed token past 80 characters is cut, and the rest of the line
-        # (an invalid command's choices) dropped.  A line still over 200 bytes
-        # (many short tokens, or undecodable bytes, which stderr escapes) or
-        # broken by a token keeps its lead-in and quotes the start of the
-        # rest, or only counts the rest where even that is too long.
-        head, sep, rest = message.partition(": ")
-        cut = re.sub(r"(\S{81,}).*", lambda m: _cut(m[1]), message)
-        for shown in (cut, f"{head}{sep}{_excerpt(rest)}", f"{head}{sep}({len(rest)} characters)"):
-            line = f"{self.prog}: error: {shown}\n"
-            if "\n" not in shown and len(line.encode(errors="backslashreplace")) <= 200:
-                break
-        self.exit(EXIT_INVALID, line)
+        self.exit(EXIT_INVALID, one_line(message, f"{self.prog}: error: ") + "\n")
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
@@ -356,7 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report, code = args.handler(args)
     except (OSError, ValueError) as exc:
-        print(f"nabla-radius: {exc}", file=sys.stderr)
+        print(one_line(str(exc), "nabla-radius: "), file=sys.stderr)
         return EXIT_NOT_INTEGRABLE if isinstance(exc, NotIntegrableError) else EXIT_INVALID
     json.dump(report, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")

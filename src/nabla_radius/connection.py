@@ -31,7 +31,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, _cut, frozen_record
+from .padic import LogRadius, _safe_repr, frozen_record
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -55,7 +55,7 @@ def check_count(name: str, value: int, least: int) -> None:
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     if value > DEFAULT_DEPTH_CAP:
-        raise DepthCapError(f"{name} {_cut(str(value))} exceeds cap {DEFAULT_DEPTH_CAP}")
+        raise DepthCapError(f"{name} {_safe_repr(value)} exceeds cap {DEFAULT_DEPTH_CAP}")
 
 
 def _least_exponent(exponents: Iterable[Optional[Fraction]]) -> Optional[Fraction]:

@@ -24,7 +24,7 @@ from typing import Any, Mapping, Optional
 
 from .connection import ConnectionModule, PolyMatrix
 from .laurent import LaurentPoly, SignatureError
-from .padic import PrimeError, _excerpt_names, check_prime, frozen_record
+from .padic import PrimeError, check_prime, frozen_record
 
 
 class DescriptorError(ValueError):
@@ -52,7 +52,7 @@ def _parse_header(doc: Any, document: str, kind: str, fields: set[str]) -> tuple
         raise DescriptorError(f"{document} must be a JSON object")
     unknown = set(doc) - fields
     if unknown:
-        raise DescriptorError(f"unknown {kind} fields: {_excerpt_names(unknown)}")
+        raise DescriptorError(f"unknown {kind} fields: {sorted(unknown)}")
     prime = _require_int(doc, "prime")
     try:
         check_prime(prime)

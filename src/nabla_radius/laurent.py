@@ -27,9 +27,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
     LogRadius,
-    _cut,
-    _excerpt,
-    _excerpt_names,
     check_exact,
     check_prime,
     fraction_valuation,
@@ -69,21 +66,21 @@ class LaurentPoly:
             key = tuple(key)
             if len(key) != dims:
                 raise SignatureError(
-                    f"exponent vector {_cut(str(key))} has length {len(key)}, expected {dims}"
+                    f"exponent vector {key} has length {len(key)}, expected {dims}"
                 )
             if any(not isinstance(j, int) or isinstance(j, bool) for j in key):
-                raise SignatureError(f"exponents must be integers: {_cut(str(key))}")
+                raise SignatureError(f"exponents must be integers: {key}")
             for l in range(nvars_annulus, dims):
                 if key[l] < 0:
                     raise SignatureError(
-                        f"disc variable {l} cannot have negative exponent in {_cut(str(key))}"
+                        f"disc variable {l} cannot have negative exponent in {key}"
                     )
             check_exact(coeff, "coefficients")
             value = Fraction(coeff)
             if value == 0:
                 continue
             if key in clean:
-                raise SignatureError(f"duplicate exponent vector {_cut(str(key))}")
+                raise SignatureError(f"duplicate exponent vector {key}")
             clean[key] = value
         object.__setattr__(self, "_terms", clean)
 
@@ -346,16 +343,16 @@ class LaurentPoly:
         terms: list[tuple[ExponentVector, Fraction]] = []
         for rec in records:
             if not isinstance(rec, Mapping):
-                raise SignatureError(f"malformed term record {_excerpt(repr(rec))}")
+                raise SignatureError(f"malformed term record {rec!r}")
             unknown = set(rec) - {"exps", "coeff"}
             if unknown:
-                raise SignatureError(f"unknown term fields: {_excerpt_names(unknown)}")
+                raise SignatureError(f"unknown term fields: {sorted(unknown)}")
             exps = rec.get("exps")
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
-                raise SignatureError(f"malformed term record {_excerpt(repr(rec))}")
+                raise SignatureError(f"malformed term record {rec!r}")
             error = rational_spelling_error(coeff)
             if error:
-                raise SignatureError(f"coefficient {_excerpt(coeff)} {error}")
+                raise SignatureError(f"coefficient {coeff!r} {error}")
             terms.append((tuple(exps), parse_fraction(coeff)))
         return cls(prime, n, m, terms)

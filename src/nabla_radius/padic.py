@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, TypeVar
+from typing import Optional, TypeVar
 
 
 class PrimeError(ValueError):
@@ -36,9 +36,9 @@ def check_prime(p: int) -> int:
     or above PRIME_BOUND, where that test is no longer exact, are refused.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise PrimeError(f"not a prime: {_cut(repr(p))}")
+        raise PrimeError(f"not a prime: {_safe_repr(p)}")
     if p >= PRIME_BOUND:
-        raise PrimeError(f"{_cut(str(p))} is at or above the bound {PRIME_BOUND} of the primality test")
+        raise PrimeError(f"{_safe_repr(p)} is at or above the bound {PRIME_BOUND} of the primality test")
     for a in _MR_BASES:
         if p % a == 0:
             if p == a:
@@ -59,6 +59,15 @@ def check_prime(p: int) -> int:
         else:
             raise PrimeError(f"not a prime: {p}")
     return p
+
+
+def _safe_repr(value: object) -> str:
+    """repr(value), or a note where repr refuses an int past the int/str
+    digit limit: naming a refused value must not raise another error."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} past the int/str digit limit>"
 
 
 def check_exact(value: object, what: str) -> None:
@@ -130,30 +139,6 @@ def rational_spelling_error(text: str) -> Optional[str]:
     return None
 
 
-def _excerpt(text: str) -> str:
-    """repr of text, cut after 24 characters so that an error stays one short line."""
-    if len(text) <= 24:
-        return repr(text)
-    return f"{text[:24]!r}... ({len(text)} characters)"
-
-
-def _cut(text: str) -> str:
-    """text, or past 80 characters its first 24 and how many there are, so
-    that an error naming an outside value stays one short line."""
-    if len(text) <= 80:
-        return text
-    return f"{text[:24]}... ({len(text)} characters)"
-
-
-def _excerpt_names(names: Iterable[str]) -> str:
-    """The sorted names as a list, or, past 80 characters, how many there
-    are and the first of them through `_excerpt`."""
-    ordered = sorted(names)
-    if len(str(ordered)) <= 80:
-        return str(ordered)
-    return f"{len(ordered)}, the first {_excerpt(ordered[0])}"
-
-
 def parse_fraction(text: str) -> Fraction:
     """Parse a rational spelled "num" or "num/den", surrounding whitespace
     aside; any other text, or a zero denominator, raises ValueError."""
@@ -163,7 +148,7 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(body)
         except ZeroDivisionError:
             pass
-    raise ValueError(f"malformed rational {_excerpt(text)}")
+    raise ValueError(f"malformed rational {text!r}")
 
 
 def radius_exponent(e: object) -> Fraction:
@@ -171,7 +156,7 @@ def radius_exponent(e: object) -> Fraction:
     Fraction >= 0, returned as a Fraction."""
     check_exact(e, "radius exponents")
     if e < 0:
-        raise ValueError(f"radius exponent must be >= 0, got {_cut(str(e))}")
+        raise ValueError(f"radius exponent must be >= 0, got {e}")
     return e if type(e) is Fraction else Fraction(e)
 
 

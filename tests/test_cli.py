@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -6,10 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nabla_radius
 from nabla_radius import curves, newton, radius
-from nabla_radius.cli import EXIT_CODES, main
+from nabla_radius.cli import EXIT_CODES, main, one_line
 from nabla_radius.corpus import (
     corpus_by_label,
     exponential_module,
@@ -24,6 +28,7 @@ from nabla_radius.descriptor import (
     module_descriptor_to_dict,
 )
 from nabla_radius.laurent import LaurentPoly
+from nabla_radius.padic import parse_fraction
 from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.radius import ProbeOutcome, Verdict
 
@@ -233,25 +238,29 @@ class TestOversizedIntegers:
 
 
 LONG = [123456] * 20000
-LONG_RECORDS = pytest.mark.parametrize(
-    "record", [{"exps": LONG, "coeff": 1}, LONG], ids=["integer-coeff", "not-an-object"]
-)
+# each record, and the refusal of a polynomial document that holds it
+LONG_RECORDS = pytest.mark.parametrize("record, refusal", [
+    ({"exps": LONG, "coeff": 1},
+     "malformed term record {'exps': '[123456, 123456, 123456,'... (160013 characters)"),
+    # no lead-in before a ": ", so the message is quoted from its start
+    (LONG, "'malformed term record [1'... (160022 characters)"),
+], ids=["integer-coeff", "not-an-object"])
 
 
 class TestLongTermRecords:
     """A malformed term record is named by a short excerpt, not echoed whole."""
 
     @LONG_RECORDS
-    def test_poly_descriptor(self, capsys, tmp_path, record):
+    def test_poly_descriptor(self, capsys, tmp_path, record, refusal):
         bad = tmp_path / "long.json"
         bad.write_text(json.dumps({"prime": 3, "terms": [record]}), encoding="utf-8")
         code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
         assert code == 1 and out == ""
-        assert err.startswith("nabla-radius: malformed term record ")
+        assert err == f"nabla-radius: {refusal}\n"
         assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
 
     @LONG_RECORDS
-    def test_module_descriptor(self, capsys, tmp_path, record):
+    def test_module_descriptor(self, capsys, tmp_path, record, refusal):
         bad = tmp_path / "long.json"
         doc = {"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[record]]]]}
         bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -264,23 +273,37 @@ class TestLongTermRecords:
 
 
 NINES = 10**4000 - 1
-# (prime, n, m, terms) of documents whose refusal names a long value
+# (prime, n, m, rank, terms) of documents whose refusal names a long value
 LONG_VALUES = {
-    "big-prime": (NINES, 1, 0, []),
-    "negative-prime": (-NINES, 1, 0, []),
-    "long-vector": (3, 1, 0, [{"exps": [0] * 3000, "coeff": "1"}]),
-    "duplicate-exponent": (3, 1, 0, [{"exps": [NINES], "coeff": "1"}] * 2),
-    "string-exponent": (3, 1, 0, [{"exps": ["x" * 4000], "coeff": "1"}]),
-    "negative-disc-exponent": (3, 0, 1, [{"exps": [-NINES], "coeff": "1"}]),
+    "big-prime": (NINES, 1, 0, 1, []),
+    "negative-prime": (-NINES, 1, 0, 1, []),
+    "long-vector": (3, 1, 0, 1, [{"exps": [0] * 3000, "coeff": "1"}]),
+    "duplicate-exponent": (3, 1, 0, 1, [{"exps": [NINES], "coeff": "1"}] * 2),
+    "string-exponent": (3, 1, 0, 1, [{"exps": ["x" * 4000], "coeff": "1"}]),
+    "negative-disc-exponent": (3, 0, 1, 1, [{"exps": [-NINES], "coeff": "1"}]),
+    "big-n": (3, NINES, 0, 1, []),
+    "big-m": (3, 0, NINES, 1, []),
+    "big-rank": (3, 1, 0, NINES, []),
 }
 
 
-class TestLongValues:
-    """A refused prime, exponent vector or coordinate is cut, not echoed whole."""
+def long_value_document(tmp_path, case):
+    prime, n, m, rank, terms = LONG_VALUES[case]
+    path = tmp_path / "long.json"
+    doc = {"prime": prime, "n": n, "m": m, "rank": rank, "matrices": [[[terms]]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
-    @pytest.mark.parametrize("case", sorted(k for k, v in LONG_VALUES.items() if v[1] == 1))
+
+class TestLongValues:
+    """A refused prime, count, exponent vector, coordinate or path is cut,
+    not echoed whole."""
+
+    @pytest.mark.parametrize(
+        "case", sorted(k for k, v in LONG_VALUES.items() if v[1:4] == (1, 0, 1))
+    )
     def test_poly_descriptor(self, capsys, tmp_path, case):
-        prime, _, _, terms = LONG_VALUES[case]
+        prime, _, _, _, terms = LONG_VALUES[case]
         bad = tmp_path / "long.json"
         bad.write_text(json.dumps({"prime": prime, "terms": terms}), encoding="utf-8")
         code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
@@ -290,14 +313,28 @@ class TestLongValues:
 
     @pytest.mark.parametrize("case", sorted(LONG_VALUES))
     def test_module_descriptor(self, capsys, tmp_path, case):
-        prime, n, m, terms = LONG_VALUES[case]
-        bad = tmp_path / "long.json"
-        doc = {"prime": prime, "n": n, "m": m, "rank": 1, "matrices": [[[terms]]]}
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        code, report, err = run_json(capsys, ["validate", str(bad)])
+        code, report, err = run_json(capsys, ["validate", long_value_document(tmp_path, case)])
         assert code == 1 and err == ""
         assert report["status"] == "schema-error"
         assert len(report["error"]) < 200
+
+    @pytest.mark.parametrize("case", sorted(LONG_VALUES))
+    def test_module_descriptor_oc(self, capsys, tmp_path, case):
+        code, out, err = run(capsys, ["oc", long_value_document(tmp_path, case), "--depth", "8"])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ")
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+
+    def test_long_path(self, capsys, tmp_path):
+        path = str(tmp_path / ("x" * 4000))
+        code, out, err = run(capsys, ["oc", path])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and "... (" in err
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+        code, report, err = run_json(capsys, ["validate", path])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert "... (" in report["error"] and len(report["error"]) < 200
 
     @pytest.mark.parametrize("argv, lead, tail", [
         (["oc", "--depth"], "depth", " exceeds cap 512"),
@@ -341,7 +378,7 @@ UNKNOWN_KEYS = {f"k{k:05}": 1 for k in range(20000)}
 
 class TestManyUnknownFields:
     """A document with thousands of unknown keys is refused in one short
-    line that counts them and names the first."""
+    line that quotes the start of their sorted list and its length."""
 
     @pytest.mark.parametrize("where", ["term", "top"])
     def test_poly_descriptor(self, capsys, tmp_path, where):
@@ -353,7 +390,10 @@ class TestManyUnknownFields:
         code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1/2", "--beta", "1/4"])
         assert code == 1 and out == ""
         kind = "term" if where == "term" else "polynomial"
-        assert err == f"nabla-radius: unknown {kind} fields: 20000, the first 'k00000'\n"
+        assert err == (
+            f"nabla-radius: unknown {kind} fields:"
+            f""" "['k00000', 'k00001', 'k0"... (200000 characters)\n"""
+        )
 
     @pytest.mark.parametrize("where", ["term", "top"])
     def test_module_descriptor(self, capsys, tmp_path, where):
@@ -365,7 +405,11 @@ class TestManyUnknownFields:
         code, report, err = run_json(capsys, ["validate", str(bad)])
         assert code == 1 and err == ""
         assert report["status"] == "schema-error"
-        assert report["error"].endswith("fields: 20000, the first 'k00000'")
+        assert report["error"] == {
+            # the lead-in is the entry's position, so the message is quoted after it
+            "term": """matrix 0 entry (0,0): "unknown term fields: ['k"... (200021 characters)""",
+            "top": """unknown descriptor fields: "['k00000', 'k00001', 'k0"... (200000 characters)""",
+        }[where]
         assert len(report["error"]) < 200
 
 
@@ -390,11 +434,27 @@ class TestLongRationalArguments:
         monkeypatch.setattr(radius, "iter_deriv_matrices", never)
         code, out, err = run(capsys, [argv[0], two_var_path, *argv[1:], text])
         assert code == 1 and out == ""
-        assert err.startswith(f"nabla-radius: invalid {what}: {text[:24]!r}... (100001 characters)")
+        # the quoted value is one space-free run, cut to its first 24 characters
+        assert err.startswith(f"nabla-radius: invalid {what}: '{text[:23]}... (100003 characters)")
         assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
 
 
 LONG_INT = "9" * 5000  # past the int/str digit limit of 4300
+
+# characters of hostile text: any code point, lone surrogates (how an
+# undecodable argv byte arrives), line breaks, spaces, digits and colons
+HOSTILE_CHARS = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF, categories=["Cs"]),
+    st.sampled_from("\n 9:"),
+)
+# argv tokens: short text, one long run, or many short words in one token
+HOSTILE_TOKENS = st.one_of(
+    st.text(HOSTILE_CHARS, max_size=8),
+    st.builds(operator.mul, HOSTILE_CHARS, st.integers(81, 5000)),
+    st.builds(lambda word, n: " ".join([word] * n),
+              st.text(HOSTILE_CHARS, min_size=1, max_size=3), st.integers(60, 3000)),
+)
 
 
 class TestLongArgparseTokens:
@@ -412,8 +472,9 @@ class TestLongArgparseTokens:
         (["oc", *["ab"] * 3000],
          "unrecognized arguments: 'ab ab ab ab ab ab ab ab '... (8999 characters)"),
         # undecodable bytes reach argv as lone surrogates, each of which
-        # stderr escapes to six bytes
-        (["oc", "\udcff" * 3000], "unrecognized arguments: (3000 characters)"),
+        # stderr escapes to six bytes: as many are quoted as fit
+        (["oc", "\udcff" * 3000],
+         "unrecognized arguments: '" + "\\udcff" * 21 + "'... (3000 characters)"),
         (["oc", "a\nb"], "unrecognized arguments: 'a\\nb'\n"),
     ], ids=["oc-depth", "cutcheck-seed", "cutcheck-trials", "specialize-direction",
             "unknown-option", "unknown-command", "many-short-tokens", "undecodable-bytes",
@@ -436,6 +497,212 @@ class TestLongArgparseTokens:
         assert (code, out) == (1, "")
         assert err.startswith("nabla-radius: error: argument command: invalid choice: 'nosuch'")
         assert all(name in err for name in ("validate", "techlemma", "corpus"))
+
+
+class TestOneLine:
+    """`one_line`, the one bound on text that leaves the process."""
+
+    LEADS = ["", "nabla-radius: ", "nabla-radius cutcheck: error: ", "estimate_drift.py: error: "]
+
+    @pytest.mark.parametrize("message", [
+        "coordinate 3 is not a unit",
+        "unknown corpus label 'x'",
+        "unrecognized arguments: \udcff",
+        "label 'é' " + "ab " * 20,
+        "x" * 80,
+    ], ids=["coordinate", "corpus-label", "surrogate", "words", "80-character-run"])
+    def test_a_message_that_fits_keeps_its_bytes(self, message):
+        for lead in self.LEADS:
+            assert one_line(message, lead) == lead + message
+
+    def test_a_short_name_list_is_whole(self):
+        for names in ({"radius"}, {"zzz", "b", "a"}, {f"key{k:02}" for k in range(8)}):
+            message = f"unknown fields: {sorted(names)}"
+            assert one_line(message) == message
+
+    def test_a_long_space_free_run_is_cut(self):
+        assert one_line("depth " + "9" * 81 + " exceeds cap 512") == (
+            f"depth {'9' * 24}... (81 characters) exceeds cap 512"
+        )
+        assert one_line("unknown fields: " + str(["n" * 100])) == (
+            "unknown fields: ['nnnnnnnnnnnnnnnnnnnnnn... (104 characters)"
+        )
+        assert one_line("unknown fields: " + str(["m" * 100000, "n" * 100000])) == (
+            "unknown fields: ['mmmmmmmmmmmmmmmmmmmmmm... (100004 characters)"
+            " 'nnnnnnnnnnnnnnnnnnnnnnn... (100003 characters)"
+        )
+
+    def test_a_line_still_too_long_quotes_the_start_after_its_lead_in(self):
+        names = sorted(f"k{k:05}" for k in range(20000))
+        assert one_line(f"unknown fields: {names}") == (
+            """unknown fields: "['k00000', 'k00001', 'k0"... (200000 characters)"""
+        )
+        # with no ": ", the message is quoted from its start
+        assert one_line("a\nb") == "'a\\nb'"
+
+    def test_a_short_rest_is_quoted_whole(self):
+        # a rest of at most 24 characters is its repr, a longer one is cut
+        for rest in ("", "y", "1e3000000", "y" * 23):
+            assert one_line(f"lead: {rest}\n") == f"lead: {rest + chr(10)!r}"
+        assert one_line("lead: " + "z" * 24 + "\n") == (
+            "lead: 'zzzzzzzzzzzzzzzzzzzzzzzz'... (25 characters)"
+        )
+
+    def test_the_parsed_rational_is_cut_where_it_leaves(self):
+        with pytest.raises(ValueError) as info:
+            parse_fraction("1" * 100001)
+        assert one_line(str(info.value)) == (
+            "malformed rational '11111111111111111111111... (100003 characters)"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(HOSTILE_CHARS, max_size=6),
+                st.sampled_from([": ", " ", "\n"]),
+                st.builds(operator.mul, HOSTILE_CHARS, st.integers(1, 3000)),
+            ),
+            max_size=30,
+        ).map("".join),
+        st.sampled_from(LEADS),
+    )
+    def test_every_message_gives_one_line_within_the_bound(self, message, lead):
+        line = one_line(message, lead)
+        assert line.startswith(lead) and "\n" not in line
+        assert len(f"{line}\n".encode(errors="backslashreplace")) < 200
+
+
+def run_quietly(argv):
+    """main(argv) with its exit code, stdout and stderr, for use under
+    Hypothesis, which cannot share capsys across examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_bounded_refusal(argv, code, out, err):
+    """Exit 1 is one bounded stderr line, or a validate report whose error
+    is bounded; a run that is not refused leaves stderr empty, except that
+    an analysis of a non-integrable module refuses it (exit 2) in one line."""
+    assert code in (0, 1, 2, 3, 4)
+    if argv[0] == "validate" and code == 1 and out:
+        report = json.loads(out)
+        assert report["status"] == "schema-error" and err == ""
+        assert len(report["error"]) < 200
+    elif code == 1 or (code == 2 and argv[0] != "validate"):
+        assert out == "" and err.startswith("nabla-radius")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode(errors="backslashreplace")) < 200
+    else:
+        assert err == ""
+
+
+# the options of each subcommand that take a value, and the arguments that
+# make a run valid and short; hostile tokens go between the two, and the
+# depth and trial counts come last so that an abbreviated option cannot
+# raise them
+OPTIONS = {
+    "validate": ([], ["MODULE"], []),
+    "ir": (["--radius", "--window"], ["MODULE"], ["--depth", "8"]),
+    "oc": (["--tol", "--window"], ["MODULE"], ["--depth", "8"]),
+    "taylor": (["--eta", "--lambda"], ["MODULE", "--eta", "1/4"], ["--depth", "8"]),
+    "specialize": (["--direction", "--point"],
+                   ["MODULE", "--direction", "0", "--point", "2"], []),
+    "cutcheck": (["--tol", "--window", "--seed"], ["MODULE"],
+                 ["--depth", "8", "--trials", "2"]),
+    "techlemma": (["--alpha", "--beta"], ["POLY", "--alpha", "1/2", "--beta", "1/4"], []),
+    "corpus": (["--dump"], [], []),
+}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    options, valid, tail = OPTIONS[command]
+    if draw(st.booleans()) and valid:
+        # the descriptor path itself is the hostile token
+        valid = [draw(HOSTILE_TOKENS), *valid[1:]]
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        # mostly an option's value, which reaches the subcommand's own checks
+        if options and draw(st.integers(0, 3)):
+            extra.append(draw(st.sampled_from(options)))
+        extra.append(draw(HOSTILE_TOKENS))
+    if draw(st.integers(0, 9)) == 0:
+        return [draw(HOSTILE_TOKENS), *valid, *extra]  # a hostile command
+    return [command, *valid, *extra, *tail]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """The paths that stand for MODULE and POLY in OPTIONS."""
+    root = tmp_path_factory.mktemp("documents")
+    module = root / "module.json"
+    module.write_text(json.dumps(TWO_VAR_DOC), encoding="utf-8")
+    poly = root / "poly.json"
+    poly.write_text(json.dumps(POLY_DOC), encoding="utf-8")
+    return {"MODULE": str(module), "POLY": str(poly)}
+
+
+TWO_VAR_DOC = module_descriptor_to_dict(
+    ModuleDescriptor(module=exponential_two_var_module(3), label="exp-two-var")
+)
+POLY_DOC = {"prime": 3, "terms": [{"exps": [0], "coeff": "2"}, {"exps": [1], "coeff": "1"}]}
+
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from([NINES, -NINES, 10**4000, True, None, 2**89 - 1]),
+    st.integers(),
+    st.floats(),
+    HOSTILE_TOKENS,
+    st.builds(lambda value, n: [value] * n, st.integers(-3, 3) | HOSTILE_TOKENS,
+              st.integers(0, 3000)),
+    st.builds(lambda n: {f"k{k:05}": 1 for k in range(n)}, st.integers(1, 3000)),
+)
+
+
+@st.composite
+def mutated_document(draw, doc):
+    """doc with one field, term field or term list set to a hostile value,
+    or a hostile key added."""
+    doc = json.loads(json.dumps(doc))
+    terms = doc["matrices"][0][0][0] if "matrices" in doc else doc["terms"]
+    where = draw(st.sampled_from(["top", "term", "terms"]))
+    value = draw(HOSTILE_VALUES)
+    if where == "terms" and "matrices" in doc:
+        doc["matrices"][0][0][0] = value
+    elif where == "terms":
+        doc["terms"] = value
+    else:
+        target = doc if where == "top" else terms[0]
+        target[draw(st.sampled_from([*target, "x" * draw(st.integers(1, 5000))]))] = value
+    return doc
+
+
+class TestEveryRefusalIsOneShortLine:
+    """Hostile argv tokens and mutated documents: every refusal is one line
+    under 200 bytes (or a validate report's error under 200 characters)."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(hostile_argv())
+    def test_hostile_argv(self, documents, argv):
+        argv = [documents.get(token, token) for token in argv]
+        assert_bounded_refusal(argv, *run_quietly(argv))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(mutated_document(TWO_VAR_DOC), mutated_document(POLY_DOC))
+    def test_mutated_documents(self, documents, module_doc, poly_doc):
+        root = Path(documents["MODULE"]).parent
+        module = root / "mutated-module.json"
+        module.write_text(json.dumps(module_doc), encoding="utf-8")
+        poly = root / "mutated-poly.json"
+        poly.write_text(json.dumps(poly_doc), encoding="utf-8")
+        for argv in (["validate", str(module)], ["oc", str(module), "--depth", "8"],
+                     ["techlemma", str(poly), "--alpha", "1/2", "--beta", "1/4"]):
+            assert_bounded_refusal(argv, *run_quietly(argv))
 
 
 class TestNonJsonConstants:
@@ -848,7 +1115,7 @@ class TestCorpus:
     def test_long_unknown_label_is_cut(self, capsys):
         code, out, err = run(capsys, ["corpus", "--dump", "x" * 100000])
         assert code == 1 and out == ""
-        assert err == f"nabla-radius: unknown corpus label {'x' * 24!r}... (100000 characters)\n"
+        assert err == f"nabla-radius: unknown corpus label '{'x' * 23}... (100002 characters)\n"
 
 
 class TestHarness:

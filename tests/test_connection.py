@@ -343,6 +343,15 @@ class TestIteratedDerivatives:
         with pytest.raises(DepthCapError, match="^samples 513 exceeds cap 512$"):
             check_count("samples", DEFAULT_DEPTH_CAP + 1, 1)
 
+    def test_count_past_the_digit_limit_is_a_depth_cap_error(self):
+        # str() of such an int raises ValueError itself: the refusal must
+        # still be a DepthCapError
+        with pytest.raises(DepthCapError) as info:
+            check_count("depth", 10**5000, 1)
+        assert str(info.value) == "depth <int past the int/str digit limit> exceeds cap 512"
+        with pytest.raises(DepthCapError, match="^depth 513 exceeds cap 512$"):
+            check_count("depth", 513, 1)
+
     def test_non_integrable_rejected(self):
         p = 3
         t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})

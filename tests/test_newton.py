@@ -72,7 +72,8 @@ class TestAlignedInterval:
     def test_negative_exponent_keeps_its_message(self):
         with pytest.raises(ValueError, match="radius exponent must be >= 0, got -1$"):
             AlignedInterval(-1, Fraction(1, 2))
-        with pytest.raises(ValueError, match=r"got -99999999999999999999999\.\.\. \(4001 characters\)"):
+        # a long value is named whole; the command line bounds it on its way out
+        with pytest.raises(ValueError, match=r"got -9{4000}$"):
             AlignedInterval(-int("9" * 4000), Fraction(1, 2))
 
     def test_one_check_serves_both_radius_records(self):

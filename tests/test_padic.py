@@ -10,8 +10,6 @@ from nabla_radius.padic import (
     PRIME_BOUND,
     LogRadius,
     PrimeError,
-    _excerpt,
-    _excerpt_names,
     check_prime,
     fraction_valuation,
     int_valuation,
@@ -64,6 +62,22 @@ def test_check_prime_refuses_above_the_deterministic_bound():
         check_prime(PRIME_BOUND)
     with pytest.raises(PrimeError, match=str(PRIME_BOUND)):
         check_prime(2**89 - 1)  # a Mersenne prime, but beyond the bound
+
+
+def test_check_prime_refuses_an_int_past_the_digit_limit_with_prime_error():
+    # str() of such an int raises ValueError itself: the refusal must still
+    # be a PrimeError, and name the value without converting it
+    with pytest.raises(PrimeError) as info:
+        check_prime(10**5000)
+    assert str(info.value) == (
+        f"<int past the int/str digit limit> is at or above the bound {PRIME_BOUND}"
+        " of the primality test"
+    )
+    with pytest.raises(PrimeError, match="^not a prime: <int past the int/str digit limit>$"):
+        check_prime(-(10**5000))
+    # a value that str() takes keeps its message
+    with pytest.raises(PrimeError, match=f"^618970019642690137449562111 is at or above the bound {PRIME_BOUND}"):
+        check_prime(2**89 - 1)
 
 
 def test_check_prime_matches_trial_division():
@@ -169,29 +183,12 @@ def test_parse_fraction_accepts_only_num_over_den(text):
         parse_fraction(text)
 
 
-def test_parse_fraction_quotes_a_long_text_by_an_excerpt():
+def test_parse_fraction_names_a_long_text_whole():
+    # the library names the value whole; `cli.one_line` bounds it on its way out
+    text = "1" * 100001
     with pytest.raises(ValueError) as info:
-        parse_fraction("1" * 100001)
-    assert str(info.value) == (
-        "malformed rational '111111111111111111111111'... (100001 characters)"
-    )
-
-
-class TestExcerpts:
-    def test_short_text_is_its_repr(self):
-        for text in ("", "x", "1e3000000", "y" * 24):
-            assert _excerpt(text) == repr(text)
-        assert _excerpt("z" * 25) == "'zzzzzzzzzzzzzzzzzzzzzzzz'... (25 characters)"
-
-    def test_short_name_list_is_printed_whole(self):
-        for names in ({"radius"}, {"zzz", "b", "a"}, {f"key{k:02}" for k in range(8)}):
-            assert _excerpt_names(names) == str(sorted(names))
-
-    def test_long_name_list_is_cut(self):
-        names = {f"k{k:05}" for k in range(20000)}
-        assert _excerpt_names(names) == "20000, the first 'k00000'"
-        assert _excerpt_names({"n" * 100}) == f"1, the first {_excerpt('n' * 100)}"
-        assert len(_excerpt_names({"n" * 100000, "m" * 100000})) < 80
+        parse_fraction(text)
+    assert str(info.value) == f"malformed rational {text!r}"
 
 
 class TestPAdicRational:

@@ -90,7 +90,7 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
         (["--prime", "4"], "--prime: not a prime: 4"),
         (["--a", "1/0"], "argument --a: malformed rational '1/0'"),
         (["--a", "1" * 100001],
-         "argument --a: malformed rational '111111111111111111111111'... (100001 characters)"),
+         "argument --a: malformed rational '11111111111111111111111... (100003 characters)"),
     ],
     ids=["depth-past-cap", "depth-too-long", "step-zero", "step-negative", "depth-zero", "depth-below-step",
          "prime-4", "a-zero-denominator", "a-too-long"],
