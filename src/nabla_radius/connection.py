@@ -268,7 +268,7 @@ def ladder_denominator(module: ConnectionModule, direction: int) -> int:
     """The least common denominator c of the coefficients of N_direction,
     the least c > 0 for which c * N_direction has int coefficients."""
     if not 0 <= direction < module.dims:
-        raise IndexError(f"direction {direction} out of range")
+        raise IndexError(f"direction {_safe_repr(direction)} out of range")
     c = 1
     for row in module.matrices[direction].rows:
         for entry in row:

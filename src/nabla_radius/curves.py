@@ -28,7 +28,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, check_exact, fraction_valuation, frozen_record
+from .padic import LogRadius, _safe_repr, check_exact, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
@@ -38,7 +38,7 @@ SAMPLE_RANGE = 9
 def _check_direction(module: ConnectionModule, direction: int) -> None:
     if not 0 <= direction < module.dims:
         raise ValueError(
-            f"direction {direction} out of range for a module with"
+            f"direction {_safe_repr(direction)} out of range for a module with"
             f" {module.dims} variables"
         )
 
@@ -54,7 +54,7 @@ def _unit_point(
         check_exact(c, "unit point coordinates")
         c = Fraction(c)
         if fraction_valuation(c, module.prime) != 0:
-            raise ValueError(f"coordinate {c} is not a unit")
+            raise ValueError(f"coordinate {_safe_repr(c, str)} is not a unit")
         coords.append(c)
     if len(coords) != module.dims - 1:
         raise ValueError(f"expected {module.dims - 1} coordinates, got {len(coords)}")

@@ -14,7 +14,10 @@ subannulus are one kernel, the sup over a box of radii (a Gauss norm is
 a one-point box): weights are integers over the common denominator of
 the rates, terms of equal weight share one valuation, that of the gcd of
 their coefficients, and each norm is one exact ``Fraction`` exponent,
-with None for the zero norm.
+with None for the zero norm.  Classes are visited in ascending weight,
+and a class of integer coefficients whose weight has reached the best
+exponent so far is skipped without a valuation: its gcd has valuation
+>= 0, so it cannot lower that exponent.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
     LogRadius,
+    _safe_repr,
     check_exact,
     check_prime,
     fraction_valuation,
@@ -66,21 +70,21 @@ class LaurentPoly:
             key = tuple(key)
             if len(key) != dims:
                 raise SignatureError(
-                    f"exponent vector {key} has length {len(key)}, expected {dims}"
+                    f"exponent vector {_safe_repr(key)} has length {len(key)}, expected {dims}"
                 )
             if any(not isinstance(j, int) or isinstance(j, bool) for j in key):
-                raise SignatureError(f"exponents must be integers: {key}")
+                raise SignatureError(f"exponents must be integers: {_safe_repr(key)}")
             for l in range(nvars_annulus, dims):
                 if key[l] < 0:
                     raise SignatureError(
-                        f"disc variable {l} cannot have negative exponent in {key}"
+                        f"disc variable {l} cannot have negative exponent in {_safe_repr(key)}"
                     )
             check_exact(coeff, "coefficients")
             value = Fraction(coeff)
             if value == 0:
                 continue
             if key in clean:
-                raise SignatureError(f"duplicate exponent vector {key}")
+                raise SignatureError(f"duplicate exponent vector {_safe_repr(key)}")
             clean[key] = value
         object.__setattr__(self, "_terms", clean)
 
@@ -218,7 +222,7 @@ class LaurentPoly:
     def partial(self, direction: int) -> "LaurentPoly":
         """Coordinate derivative d/dt_direction (0-based direction index)."""
         if not 0 <= direction < self.nvars:
-            raise IndexError(f"direction {direction} out of range")
+            raise IndexError(f"direction {_safe_repr(direction)} out of range")
         acc: dict[ExponentVector, Fraction | int] = {}
         for key, v in self._terms.items():
             j = key[direction]
@@ -251,7 +255,15 @@ class LaurentPoly:
         of radii, None for the zero norm.  |f|_rho is log-convex, so a term
         peaks at the corner with the inner rate on its negative exponents
         and the outer rate elsewhere.  Terms of equal weight form a class,
-        which takes one valuation: that of the gcd of its coefficients."""
+        which takes one valuation: that of the gcd of its coefficients.
+
+        Classes are visited in ascending weight.  A class whose
+        coefficients are all integers has a gcd of valuation >= 0, so its
+        exponent is at least its weight: once that weight reaches the best
+        exponent so far the class cannot lower it, and is skipped without a
+        valuation.  The result is exact.  A class with a denominator can
+        have a negative valuation, so it is always evaluated, and the
+        classes after a skipped one still are."""
         D = lcm(*[r.denominator for r in inner + outer])
         # slots with a rate other than 0, rates as integers over D
         slots = [
@@ -267,13 +279,16 @@ class LaurentPoly:
                     w += j * (a if j < 0 else b)
             classes.setdefault(w, []).append(coeff)
         best: Optional[int] = None
-        for w, coeffs in classes.items():
+        for w in sorted(classes):
+            coeffs = classes[w]
+            den = lcm(*[c.denominator for c in coeffs])
+            if den == 1 and best is not None and w >= best:
+                continue
             # Each coefficient is in lowest terms, so p divides at most one
             # of its numerator and denominator, and the valuation of this
             # quotient is the least v(a_J) of the class.
             num = gcd(*[c.numerator for c in coeffs])
-            den = lcm(*[c.denominator for c in coeffs])
-            w += fraction_valuation(Fraction(num, den), self.prime) * D
+            w += fraction_valuation(num if den == 1 else Fraction(num, den), self.prime) * D
             if best is None or w < best:
                 best = w
         return None if best is None else Fraction(best, D)
@@ -295,7 +310,7 @@ class LaurentPoly:
         The coordinates are not checked to be units: `curves` does that
         once per point before it specializes a module."""
         if not 0 <= direction < self.nvars:
-            raise IndexError(f"direction {direction} out of range")
+            raise IndexError(f"direction {_safe_repr(direction)} out of range")
         others = [l for l in range(self.nvars) if l != direction]
         if len(coords) != len(others):
             raise SignatureError(
@@ -343,14 +358,14 @@ class LaurentPoly:
         terms: list[tuple[ExponentVector, Fraction]] = []
         for rec in records:
             if not isinstance(rec, Mapping):
-                raise SignatureError(f"malformed term record {rec!r}")
+                raise SignatureError(f"malformed term record {_safe_repr(rec)}")
             unknown = set(rec) - {"exps", "coeff"}
             if unknown:
                 raise SignatureError(f"unknown term fields: {sorted(unknown)}")
             exps = rec.get("exps")
             coeff = rec.get("coeff")
             if not isinstance(exps, (list, tuple)) or not isinstance(coeff, str):
-                raise SignatureError(f"malformed term record {rec!r}")
+                raise SignatureError(f"malformed term record {_safe_repr(rec)}")
             error = rational_spelling_error(coeff)
             if error:
                 raise SignatureError(f"coefficient {coeff!r} {error}")

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 
 class PrimeError(ValueError):
@@ -61,11 +61,13 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _safe_repr(value: object) -> str:
-    """repr(value), or a note where repr refuses an int past the int/str
-    digit limit: naming a refused value must not raise another error."""
+def _safe_repr(value: object, spell: Callable[[object], str] = repr) -> str:
+    """spell(value), repr by default, or a note where it refuses an int
+    past the int/str digit limit: naming a refused value must not raise
+    another error.  Messages that name an exact rational num/den spell it
+    with str."""
     try:
-        return repr(value)
+        return spell(value)
     except ValueError:
         return f"<{type(value).__name__} past the int/str digit limit>"
 
@@ -107,7 +109,7 @@ def int_valuation(k: int, p: int) -> int:
     return v
 
 
-def fraction_valuation(x: Fraction, p: int) -> Optional[int]:
+def fraction_valuation(x: Fraction | int, p: int) -> Optional[int]:
     """p-adic valuation of an exact rational; None encodes +infinity.
 
     A Fraction is kept in lowest terms, so p divides at most one of its
@@ -156,7 +158,7 @@ def radius_exponent(e: object) -> Fraction:
     Fraction >= 0, returned as a Fraction."""
     check_exact(e, "radius exponents")
     if e < 0:
-        raise ValueError(f"radius exponent must be >= 0, got {e}")
+        raise ValueError(f"radius exponent must be >= 0, got {_safe_repr(e, str)}")
     return e if type(e) is Fraction else Fraction(e)
 
 

@@ -25,8 +25,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from math import gcd
-from typing import Iterator, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .connection import (
     DEFAULT_TOL,
@@ -412,9 +412,12 @@ class TaylorReport:
         }
 
 
+_Exponent = TypeVar("_Exponent", int, Fraction)
+
+
 def _fold_levels(
-    per_direction: Sequence[Sequence[Optional[Fraction]]], j_bound: int
-) -> Tuple[list[Optional[Fraction]], list[Optional[Tuple[int, ...]]]]:
+    per_direction: Sequence[Sequence[Optional[_Exponent]]], j_bound: int
+) -> Tuple[list[Optional[_Exponent]], list[Optional[Tuple[int, ...]]]]:
     """Level minima min_{|j| = k} sum_l e_l(j_l) for k <= j_bound, with argmins.
 
     A (min,+) fold of the per-direction sequences, from the last direction
@@ -423,15 +426,17 @@ def _fold_levels(
     ascending order and replace the best only on a strict improvement, so
     the smallest head wins a tie, followed by the first minimiser of the
     rest.  None (an exact zero) is +infinity: it absorbs sums and loses
-    every min.
+    every min.  Only sums and comparisons are taken, so scaling every
+    value by one positive factor scales the minima by it and keeps the
+    argmins.
     """
-    suffix: list[Tuple[Optional[Fraction], Optional[Tuple[int, ...]]]] = [
+    suffix: list[Tuple[Optional[_Exponent], Optional[Tuple[int, ...]]]] = [
         (e, None if e is None else (k,)) for k, e in enumerate(per_direction[-1][: j_bound + 1])
     ]
     for seq in reversed(per_direction[:-1]):
         folded = []
         for k in range(j_bound + 1):
-            best: Optional[Fraction] = None
+            best: Optional[_Exponent] = None
             best_j: Optional[Tuple[int, ...]] = None
             for head in range(k + 1):
                 e, (rest, rest_j) = seq[head], suffix[k - head]
@@ -459,11 +464,14 @@ def taylor_probe(
     heuristic: only the axis terms are exact, and Leibniz cross-terms make
     it neither the exact mixed norm nor an upper bound on it (ROADMAP,
     "Sound Taylor verdicts").  Each level score is the least product over
-    |j| = k, found by `_fold_levels`.  The probe passes when every level
-    minimum beyond j_bound/2 stays strictly below 1 (positive exponent) with
-    no net loss across the tail; it fails with a witness index when some
-    tail value exceeds 1 and the tail trends downward; anything else is
-    inconclusive.
+    |j| = k, found by `_fold_levels` over integers: every e_l(s) is
+    scaled by the common denominator L of them all, and each level minimum
+    is divided by L once.  Scaling by L > 0 keeps every comparison, so the
+    minima, the argmin tie-breaks and the witness are those of the fold
+    over Fractions.  The probe passes when every level minimum beyond
+    j_bound/2 stays strictly below 1 (positive exponent) with no net loss
+    across the tail; it fails with a witness index when some tail value
+    exceeds 1 and the tail trends downward; anything else is inconclusive.
     """
     check_count("bound", j_bound, 8)
     if eta.exponent <= 0:
@@ -486,7 +494,13 @@ def taylor_probe(
         exps.extend(None for _ in range(len(exps), j_bound + 1))
         per_direction.append(exps)
 
-    minima, argmins = _fold_levels(per_direction, j_bound)
+    L = lcm(*[e.denominator for exps in per_direction for e in exps if e is not None])
+    scaled = [
+        [None if e is None else e.numerator * (L // e.denominator) for e in exps]
+        for exps in per_direction
+    ]
+    scaled_minima, argmins = _fold_levels(scaled, j_bound)
+    minima = [None if e is None else Fraction(e, L) for e in scaled_minima]
 
     tail = [(k, e) for k, e in enumerate(minima) if k > j_bound // 2]
     finite_tail = [(k, e) for k, e in tail if e is not None]

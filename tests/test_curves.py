@@ -124,6 +124,10 @@ class TestUnitPoint:
                 specialize(module, 0, (bad,))
             with pytest.raises(ValueError, match="not a unit"):
                 generic_equality_check(module, 0, (bad,), depth=5)
+        # a coordinate past the int/str digit limit is named without converting it
+        message = "^coordinate <Fraction past the int/str digit limit> is not a unit$"
+        with pytest.raises(ValueError, match=message):
+            specialize(module, 0, (3 * 10**5000,))
         for bad in (1.0, True, "1"):
             with pytest.raises(TypeError):
                 specialize(module, 0, (bad,))
@@ -156,6 +160,13 @@ class TestSpecialize:
             specialize(module, direction, (Fraction(1),))
         with pytest.raises(ValueError, match=message):
             generic_equality_check(module, direction, (Fraction(1),), depth=5)
+
+    def test_direction_past_the_digit_limit_is_named_without_converting_it(self):
+        module = exponential_two_var_module(3)
+        message = "^direction <int past the int/str digit limit> out of range"
+        for call in (specialize, lambda *args: generic_equality_check(*args, depth=5)):
+            with pytest.raises(ValueError, match=message):
+                call(module, 10**5000, (Fraction(1),))
 
     def test_disc_direction_keeps_disc_signature(self):
         # phi = t * u on one annulus and one disc variable.

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nabla_radius import laurent
 from nabla_radius.connection import _least_exponent
 from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.padic import LogRadius, fraction_valuation
@@ -167,6 +168,25 @@ class TestConstruction:
         f = LaurentPoly(3, 1, 0, {(0,): 0, (2,): 1})
         assert list(f.terms) == [(2,)]
         assert LaurentPoly.zero(3, 1, 0).is_zero
+
+    def test_refuses_an_int_past_the_digit_limit_with_its_own_message(self):
+        # str() of such an int raises ValueError itself: the refusal must
+        # still be a SignatureError that names the value without converting it
+        huge = 10**5000
+        for args, message in (
+            ((1, 0, {(huge, 0): 1}), "exponent vector <tuple past the int/str digit limit> has length 2"),
+            ((0, 1, {(-huge,): 1}), "disc variable 0 cannot have negative exponent in <tuple past"),
+            ((1, 0, [((huge,), 1), ((huge,), 2)]), "duplicate exponent vector <tuple past"),
+            ((2, 0, {(huge, 0.5): 1}), "exponents must be integers: <tuple past"),
+        ):
+            with pytest.raises(SignatureError, match=f"^{message}"):
+                LaurentPoly(3, *args)
+        f = LaurentPoly.constant(3, 1, 0, 1)
+        for call in (lambda: f.partial(huge), lambda: f.specialize(huge, ())):
+            with pytest.raises(IndexError, match="^direction <int past the int/str digit limit> out of range$"):
+                call()
+        with pytest.raises(SignatureError, match="^malformed term record <dict past"):
+            LaurentPoly.from_records(3, 1, 0, [{"exps": huge, "coeff": 1}])
 
     def test_duplicate_keys_raise(self):
         with pytest.raises(SignatureError):
@@ -378,6 +398,38 @@ class TestGaussNorm:
             return f.gauss_lognorm((LogRadius(r),))
 
         assert w(mid) >= Fraction(w(r1) + w(r2), 2)
+
+
+class TestWeightClassSkip:
+    """Classes are visited in ascending weight, and an all-integer class
+    whose weight has reached the best exponent is skipped: its gcd has
+    valuation >= 0.  A class with a denominator is still evaluated after
+    a skipped one, and here it wins."""
+
+    # weights -2, -1 and 0 at r = 1 (Gauss) and at lam = 1 (sup over the
+    # annulus): exponents -2, skipped (-1 >= -2) and 0 + v(1/27) = -3
+    TERMS = {(-2,): 1, (-1,): 1, (0,): Fraction(1, 27)}
+
+    @pytest.mark.parametrize("build", [
+        lambda terms: LaurentPoly(3, 1, 0, terms),
+        lambda terms: LaurentPoly._new(3, 1, 0, dict(terms)),  # int coefficients, as the ladder's
+    ])
+    @pytest.mark.parametrize("norm", [
+        lambda f: f.gauss_lognorm((LogRadius(Fraction(1)),)),
+        lambda f: f.sup_vertex_lognorm(LogRadius(Fraction(1))),
+    ])
+    def test_a_later_fraction_class_wins(self, monkeypatch, build, norm):
+        f = build(self.TERMS)
+        seen = []
+
+        def valuation(x, p):
+            seen.append(x)
+            return fraction_valuation(x, p)
+
+        monkeypatch.setattr(laurent, "fraction_valuation", valuation)
+        assert norm(f) == -3
+        assert seen == [1, Fraction(1, 27)]
+        assert per_term_lognorm(f, (LogRadius(Fraction(1)),)) == -3
 
 
 class TestSupVertexNorm:

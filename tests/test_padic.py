@@ -287,8 +287,12 @@ class TestLogRadius:
         assert type(LogRadius(2).exponent) is Fraction
 
     def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^radius exponent must be >= 0, got -1/2$"):
             LogRadius(Fraction(-1, 2))
+        # an int past the int/str digit limit is named without converting it
+        with pytest.raises(ValueError) as info:
+            LogRadius(-(10**5000))
+        assert str(info.value) == "radius exponent must be >= 0, got <int past the int/str digit limit>"
 
     def test_rejects_float_and_bool_exponents(self):
         for e in (0.1, 0.5, True, False):

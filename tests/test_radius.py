@@ -440,6 +440,33 @@ class TestTaylorProbe:
             assert report.level_minima[s] == expected
         assert report.outcome is ProbeOutcome.PASS
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_fold_equals_the_fraction_fold(self, seed):
+        """taylor_probe folds the e_l(s) as integers over one common
+        denominator; the fold over the Fractions themselves gives the same
+        minima, and the witness is the argmin of its level there."""
+        rng = Random(seed)
+        p = rng.choice([2, 3, 5])
+        module = random_integrable_module(rng, p, rng.randint(1, 2))
+        eta = LogRadius(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        lam = LogRadius(Fraction(rng.randint(0, 3), rng.randint(1, 8)))
+        J = 12
+        per_direction = []
+        for l in range(module.dims):
+            exps = [Fraction(0)]
+            for s, H, shift in deriv_ladder(module, l, J):
+                if H.is_zero:
+                    break
+                w = H.sup_vertex_lognorm(lam)
+                exps.append(w - shift - factorial_valuation(s, p) + s * eta.exponent)
+            per_direction.append(exps + [None] * (J + 1 - len(exps)))
+        minima, argmins = _fold_levels(per_direction, J)
+        report = taylor_probe(module, eta, lam, J)
+        assert report.level_minima == tuple(minima)
+        assert all(e is None or type(e) is Fraction for e in report.level_minima)
+        if report.witness is not None:
+            assert report.witness == argmins[sum(report.witness)]
+
     def test_two_var_levels_use_min_composition(self):
         # Direction 1 vanishes, so only j = (k, 0) contributes.
         module = exponential_two_var_module(3)
