@@ -50,8 +50,10 @@ class DepthCapError(ValueError):
 
 
 def check_count(name: str, value: int, least: int) -> None:
-    """Refuse a depth, multi-index bound or trial count outside
-    least..DEFAULT_DEPTH_CAP, before any work."""
+    """Refuse a depth, multi-index bound or trial count that is not an int
+    (TypeError, for a bool too) or is outside least..DEFAULT_DEPTH_CAP."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be int, not {type(value).__name__}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     if value > DEFAULT_DEPTH_CAP:

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from .connection import ConnectionModule, PolyMatrix
 from .descriptor import ModuleDescriptor
 from .laurent import LaurentPoly
-from .padic import fraction_valuation, frozen_record
+from .padic import exact, fraction_valuation, frozen_record
 
 
 def trivial_module(prime: int, n: int, m: int, rank: int) -> ConnectionModule:
@@ -32,14 +32,14 @@ def trivial_module(prime: int, n: int, m: int, rank: int) -> ConnectionModule:
 
 
 def exponential_module(prime: int, scale: Fraction | int = 1) -> ConnectionModule:
-    """Rank 1 on one disc variable: d(e) = scale * e."""
-    N = PolyMatrix.from_scalar_rows(prime, 0, 1, [[Fraction(scale)]])
+    """Rank 1 on one disc variable: d(e) = scale * e, scale `exact`."""
+    N = PolyMatrix.from_scalar_rows(prime, 0, 1, [[exact(scale, "scale")]])
     return ConnectionModule(prime, 0, 1, 1, (N,))
 
 
 def power_module(prime: int, a: Fraction | int) -> ConnectionModule:
-    """Rank 1 on one annulus variable: d(e) = (a/t) e."""
-    entry = LaurentPoly(prime, 1, 0, {(-1,): Fraction(a)})
+    """Rank 1 on one annulus variable: d(e) = (a/t) e, a `exact`."""
+    entry = LaurentPoly(prime, 1, 0, {(-1,): exact(a, "a")})
     return ConnectionModule(prime, 1, 0, 1, (PolyMatrix(((entry,),)),))
 
 
@@ -52,11 +52,11 @@ def exponential_two_var_module(prime: int) -> ConnectionModule:
 
 def falling_factorial_valuation(a: Fraction, s: int, prime: int) -> Optional[int]:
     """v_p(a (a-1) ... (a-s+1)), None for an exact zero.  This is the
-    independent oracle for the power-module recursion."""
+    independent oracle for the power-module recursion; a is `exact`."""
+    a = exact(a, "a")
     v = 0
     for k in range(s):
-        term = a - k
-        tv = fraction_valuation(Fraction(term), prime)
+        tv = fraction_valuation(a - k, prime)
         if tv is None:
             return None
         v += tv

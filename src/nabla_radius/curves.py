@@ -28,7 +28,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, _safe_repr, check_exact, fraction_valuation, frozen_record
+from .padic import LogRadius, _safe_repr, exact, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
@@ -46,19 +46,16 @@ def _check_direction(module: ConnectionModule, direction: int) -> None:
 def _unit_point(
     module: ConnectionModule, point: Sequence[Fraction | int]
 ) -> Tuple[Fraction, ...]:
-    """Check a point of the curve functions against the module: one exact
-    int or Fraction per variable except the kept one, in variable order,
+    """Check a point of the curve functions against the module: one
+    `exact` rational per variable except the kept one, in variable order,
     each a p-adic unit (valuation exactly 0).  Returns it as Fractions."""
-    coords = []
-    for c in point:
-        check_exact(c, "unit point coordinates")
-        c = Fraction(c)
+    coords = tuple(exact(c, "unit point coordinates") for c in point)
+    for c in coords:
         if fraction_valuation(c, module.prime) != 0:
             raise ValueError(f"coordinate {_safe_repr(c, str)} is not a unit")
-        coords.append(c)
     if len(coords) != module.dims - 1:
         raise ValueError(f"expected {module.dims - 1} coordinates, got {len(coords)}")
-    return tuple(coords)
+    return coords
 
 
 def specialize(
@@ -232,9 +229,12 @@ def curve_witness_search(
     curve's radius is the witness direction's point estimate.
 
     Every check reads the witness direction's record from the verdict
-    walk, so no direction is walked twice.
+    walk, so no direction is walked twice.  `trials` and `seed` must be
+    ints (not bools), and `tol` and `window` go to `oc_ir_test`.
     """
     check_count("trials", trials, 1)
+    if type(seed) is not int:
+        raise TypeError(f"seed must be int, not {type(seed).__name__}")
     records: list[list[UnitStep]] = []
     verdict = oc_ir_test(module, depth, tol, window, _records=records)
     witness: Optional[Tuple[Fraction, ...]] = None

@@ -4,9 +4,9 @@ A polynomial lives on a product of ``nvars_annulus`` annulus variables
 (integer exponents of either sign) and ``nvars_disc`` disc variables
 (exponents >= 0).  Terms map exponent vectors to exact rational
 coefficients, each stored as a nonzero ``int`` or ``Fraction``: the
-constructor stores ``Fraction``s, and the derivative ladder builds its
-``int``-coefficient entries through the internal ``_new``.  Zero
-coefficients are never stored.  The rho-Gauss norm of
+constructor stores ``Fraction``s from ``padic.exact``, and the derivative
+ladder builds its ``int``-coefficient entries through the internal
+``_new``.  Zero coefficients are never stored.  The rho-Gauss norm of
 a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
 v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
 norm, i.e. the smallest such exponent.  Gauss norms and sup norms over a
@@ -31,14 +31,18 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .padic import (
     LogRadius,
     _safe_repr,
-    check_exact,
     check_prime,
+    exact,
     fraction_valuation,
     parse_fraction,
     rational_spelling_error,
 )
 
 ExponentVector = Tuple[int, ...]
+
+# `specialize` refuses a power of a coordinate past this many bits, the
+# scale of the cap on the modulus p**K of the derivative ladder.
+_POWER_BITS_CAP = 2**16
 
 
 class SignatureError(ValueError):
@@ -79,8 +83,7 @@ class LaurentPoly:
                     raise SignatureError(
                         f"disc variable {l} cannot have negative exponent in {_safe_repr(key)}"
                     )
-            check_exact(coeff, "coefficients")
-            value = Fraction(coeff)
+            value = exact(coeff, "coefficients")
             if value == 0:
                 continue
             if key in clean:
@@ -186,8 +189,8 @@ class LaurentPoly:
         return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
 
     def scalar_mul(self, scalar: Fraction | int) -> "LaurentPoly":
-        check_exact(scalar, "scalar factors")
-        c = Fraction(scalar)
+        """self times an `exact` scalar."""
+        c = exact(scalar, "scalar factors")
         if c == 0:
             return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {})
         return LaurentPoly._new(
@@ -307,8 +310,13 @@ class LaurentPoly:
         taken per distinct exponent of a slot.  Each output coefficient is
         one integer sum, and one Fraction at the end.
 
-        The coordinates are not checked to be units: `curves` does that
-        once per point before it specializes a module."""
+        The coordinates go through `exact`, but are not checked to be
+        units: `curves` does that once per point before it specializes a
+        module.  Before any power is taken, a coordinate n/d is refused with
+        ValueError when (b - 1) * E passes _POWER_BITS_CAP, for b the bits of
+        max(|n|, d) and E the largest |exponent| of its slot: (n/d)**E needs
+        at least that many bits.  A sum whose huge powers would cancel
+        exactly is refused as well, since the bound reads only exponents."""
         if not 0 <= direction < self.nvars:
             raise IndexError(f"direction {_safe_repr(direction)} out of range")
         others = [l for l in range(self.nvars) if l != direction]
@@ -321,14 +329,22 @@ class LaurentPoly:
         else:
             n, m = 0, 1
         terms = self._terms
+        slots = []
+        for l, c in zip(others, coords):
+            c = exact(c, "coordinates")
+            exps = {key[l] for key in terms}
+            top, bottom = max(exps | {0}), -min(exps | {0})
+            e = max(top, bottom)
+            if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e > _POWER_BITS_CAP:
+                raise ValueError(
+                    f"coordinate {_safe_repr(c, str)} to the power {_safe_repr(e, str)}"
+                    f" needs more than {_POWER_BITS_CAP} bits"
+                )
+            slots.append((l, c.numerator, c.denominator, exps, top, bottom))
         lcd = lcm(*[a.denominator for a in terms.values()])
         den = lcd
         weights = []  # (slot, {exponent: integer weight})
-        for l, c in zip(others, coords):
-            c = Fraction(c)
-            num_l, den_l = c.numerator, c.denominator
-            exps = {key[l] for key in terms}
-            top, bottom = max(exps | {0}), -min(exps | {0})
+        for l, num_l, den_l, exps, top, bottom in slots:
             den *= den_l ** top * num_l ** bottom
             weights.append((l, {j: num_l ** (bottom + j) * den_l ** (top - j) for j in exps}))
         acc: dict[ExponentVector, int] = {}

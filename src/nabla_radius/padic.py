@@ -6,7 +6,8 @@ standing in for the +infinity valuation of zero), and multiplicative
 quantities of the form p**(-w) are stored by their rational exponent w:
 a norm is an ``Optional[Fraction]`` (None for the zero norm) and a radius
 in (0, 1] is a ``LogRadius``, an exponent >= 0.  No floating point is used
-anywhere in the package.
+anywhere in the package: a rational enters it through `parse_fraction` as
+text, and as a number only through `exact`, which refuses any other type.
 """
 
 from __future__ import annotations
@@ -72,11 +73,13 @@ def _safe_repr(value: object, spell: Callable[[object], str] = repr) -> str:
         return f"<{type(value).__name__} past the int/str digit limit>"
 
 
-def check_exact(value: object, what: str) -> None:
-    """Refuse anything but an exact int or Fraction: a float would enter as
-    its binary expansion, and a bool is an int only by accident."""
+def exact(value: object, what: str) -> Fraction:
+    """value, an int or a Fraction, as a Fraction; anything else raises
+    TypeError naming `what`.  A float would enter as its binary expansion,
+    a bool is an int only by accident, and a str or Decimal is no number."""
     if type(value) is not Fraction and type(value) is not int:
         raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def int_valuation(k: int, p: int) -> int:
@@ -154,12 +157,11 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def radius_exponent(e: object) -> Fraction:
-    """e checked as the exponent of a radius in (0, 1]: an exact int or
-    Fraction >= 0, returned as a Fraction."""
-    check_exact(e, "radius exponents")
-    if e < 0:
+    """e checked as the exponent of a radius in (0, 1]: `exact`, and >= 0."""
+    r = exact(e, "radius exponents")
+    if r < 0:
         raise ValueError(f"radius exponent must be >= 0, got {_safe_repr(e, str)}")
-    return e if type(e) is Fraction else Fraction(e)
+    return r
 
 
 _Cls = TypeVar("_Cls", bound=type)

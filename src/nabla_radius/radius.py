@@ -39,7 +39,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, frozen_record, int_valuation
+from .padic import LogRadius, exact, frozen_record, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -279,12 +279,12 @@ def intrinsic_radius(
     _records: Optional[list[list[UnitStep]]] = None,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
-    one per variable, annulus radii first.
+    one per variable, annulus radii first; window is `exact`, in (0, 1].
 
     Internal: given an empty list `_records` at the unit radius, each
     direction's walk also fills one list there with its `unit_step`s."""
     check_count("depth", depth, LEAST_DEPTH)
-    window = Fraction(window)
+    window = exact(window, "window")
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
     if len(rho) != module.dims:
@@ -336,9 +336,9 @@ def oc_ir_test(
     tol of 1 (exponent <= tol) or are exactly 1; it counts as a negative
     witness when every window estimate stays at least tol away from 1 and
     the window spread does not exceed tol.  Anything else is inconclusive.
-    `_records` is passed to `intrinsic_radius`.
+    tol is `exact` and > 0; `_records` is passed to `intrinsic_radius`.
     """
-    tol = Fraction(tol)
+    tol = exact(tol, "tol")
     if tol <= 0:
         raise ValueError("tol must be positive")
     report = intrinsic_radius(

@@ -229,6 +229,27 @@ class TestOversizedIntegers:
         assert code == 0 and err == ""
         assert report["module"]["matrices"] == [[[[{"exps": [e - 1], "coeff": str(2 * e)}]]]]
 
+    def test_specialize_refuses_a_power_past_the_bit_cap(self, capsys, tmp_path):
+        # Potential t0 * t1**(10**12): at t1 = 2 the curve would hold
+        # 2**(10**12), so it is refused before any power is taken.
+        e = 10**12
+        doc = {"prime": 3, "n": 2, "m": 0, "rank": 1, "matrices": [
+            [[[{"exps": [0, e], "coeff": "1"}]]],
+            [[[{"exps": [1, e - 1], "coeff": str(e)}]]],
+        ]}
+        path = tmp_path / "hugeexp.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["specialize", "--direction", "0", "--point", "2", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"nabla-radius: coordinate 2 to the power {e} needs more than 65536 bits\n"
+        # the other curve raises 2 to the power 1 only, and cutcheck folds
+        # the exponents below p - 1 before it specializes
+        code, report, err = run_json(capsys, ["specialize", "--direction", "1", "--point", "2", str(path)])
+        assert code == 0 and err == ""
+        assert report["module"]["matrices"] == [[[[{"exps": [e - 1], "coeff": str(2 * e)}]]]]
+        code, report, err = run_json(capsys, ["cutcheck", "--depth", "16", str(path)])
+        assert code == 3 and err == ""
+
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"label": "\xe9"}')

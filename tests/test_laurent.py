@@ -543,6 +543,34 @@ class TestSpecialize:
         assert g == LaurentPoly(3, 1, 0, {(1,): 2 ** 15000})
         assert peak < 100_000, peak
 
+    def test_power_past_the_bit_cap_is_refused(self):
+        cap = laurent._POWER_BITS_CAP
+        assert cap == 2**16
+        # (b - 1) * E against the cap, b the bits of max(|n|, d): 2 and 1/3
+        # have b = 2, -4 and 5/4 have b = 3
+        for c, e in ((2, cap), (Fraction(1, 3), cap), (-4, cap // 2), (Fraction(5, 4), cap // 2)):
+            f = LaurentPoly(3, 2, 0, {(1, e): 1, (0, -e): 1})
+            power = Fraction(c) ** e
+            assert f.specialize(0, (c,)) == LaurentPoly(3, 1, 0, {(1,): power, (0,): 1 / power})
+            g = LaurentPoly(3, 2, 0, {(1, e + 1): 1})
+            with pytest.raises(ValueError, match=f"to the power {e + 1} needs more than {cap} bits$"):
+                g.specialize(0, (c,))
+        # the largest |exponent| counts, here a negative one
+        with pytest.raises(ValueError, match=f"^coordinate 1/2 to the power {cap + 1} "):
+            LaurentPoly(3, 2, 0, {(0, -cap - 1): 1}).specialize(0, (Fraction(1, 2),))
+
+    def test_bit_cap_reads_exponents_only(self):
+        e = 10**12
+        # +-1 and 0 take no bits, however large the exponent
+        f = LaurentPoly(3, 2, 0, {(1, e): 1, (0, e - 1): 2})
+        assert f.specialize(0, (1,)) == LaurentPoly(3, 1, 0, {(1,): 1, (0,): 2})
+        assert f.specialize(0, (-1,)) == LaurentPoly(3, 1, 0, {(1,): 1, (0,): -2})
+        assert f.specialize(0, (0,)).is_zero
+        # 2**e * (1/2)**e - 1 is 0, but its powers are refused before the sum
+        g = LaurentPoly(3, 3, 0, {(0, e, e): 1, (0, 0, 0): -1})
+        with pytest.raises(ValueError, match="needs more than"):
+            g.specialize(0, (2, Fraction(1, 2)))
+
     @given(
         f=polys(2, 0, prime=3),
         g=polys(2, 0, prime=3),

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from nabla_radius.padic import (
     LogRadius,
     PrimeError,
     check_prime,
+    exact,
     fraction_valuation,
     int_valuation,
     parse_fraction,
@@ -272,6 +274,31 @@ class TestLogNorm:
     )
     def test_max_is_min_exponent(self, w, zeros):
         assert _least_exponent(w + [None] * zeros) == min(w)
+
+
+class TestExact:
+    def test_int_and_fraction_become_fractions(self):
+        half = Fraction(1, 2)
+        assert exact(half, "x") is half
+        for value in (0, -7, 10**5000):
+            r = exact(value, "x")
+            assert type(r) is Fraction and r == value
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, False, "1/2", None, Decimal("0.5"), 1j])
+    def test_anything_else_is_refused_by_name(self, value):
+        with pytest.raises(TypeError, match=f"^tol must be int or Fraction, not {type(value).__name__}$"):
+            exact(value, "tol")
+
+    def test_subclasses_are_refused(self):
+        class Int(int):
+            pass
+
+        class Ratio(Fraction):
+            pass
+
+        for value in (Int(2), Ratio(1, 2)):
+            with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+                exact(value, "window")
 
 
 class TestLogRadius:
