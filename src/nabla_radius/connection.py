@@ -11,15 +11,12 @@ direction-i operator sends the basis column e_a to column a of G_{i,s}.
 They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
 common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
     H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
-has int coefficients throughout, so no step pays for a Fraction gcd.
-Each term of H_{i,s+1} sits at a key of H_{i,s} moved by one shift of
-S = {-e_i} + {exponents of M_i}.  A step translates the union support of
-H_{i,s} by every shift once, into a per-step table, and then builds each
-entry in one accumulation over that table, with no ring operation.
-The curvature uses only four: LaurentPoly.partial, __add__ and scalar_mul,
-and PolyMatrix.__matmul__.  The step is linear over Z, so it also runs
-modulo p**K: a module copy whose internal `_ladder_precision` is K yields
-H_{i,s} mod p**K, each coefficient its symmetric residue.
+has int coefficients throughout.  The walk keys its terms by packed
+exponent vectors, so a step moves each by one integer addition, with no
+ring operation, and yields entries whose tuple keys are built only when
+read.  The curvature uses the ring operations LaurentPoly.partial,
+__add__, scalar_mul and PolyMatrix.__matmul__.  A module copy whose internal
+`_ladder_precision` is K walks H_{i,s} mod p**K.
 """
 
 from __future__ import annotations
@@ -27,11 +24,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, _safe_repr, frozen_record
+from .laurent import (
+    LaurentPoly,
+    SignatureError,
+    pack_key,
+    pack_width,
+    packed_partial,
+    unpack_key,
+)
+from .padic import LogRadius, _safe_repr, exact_int, frozen_record
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -52,9 +55,7 @@ class DepthCapError(ValueError):
 def check_count(name: str, value: int, least: int) -> None:
     """Refuse a depth, multi-index bound or trial count that is not an int
     (TypeError, for a bool too) or is outside least..DEFAULT_DEPTH_CAP."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be int, not {type(value).__name__}")
-    if value < least:
+    if exact_int(value, name) < least:
         raise ValueError(f"{name} must be at least {least}")
     if value > DEFAULT_DEPTH_CAP:
         raise DepthCapError(f"{name} {_safe_repr(value)} exceeds cap {DEFAULT_DEPTH_CAP}")
@@ -90,7 +91,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, prime: int, n: int, m: int, size: int) -> "PolyMatrix":
-        # an int 1, so that the derivative ladder starts on int coefficients
+        # an int 1, as in the H_0 that the derivative ladder yields
         one = LaurentPoly._new(prime, n, m, {(0,) * (n + m): 1})
         zero = LaurentPoly.zero(prime, n, m)
         return cls(tuple(
@@ -203,6 +204,8 @@ class ConnectionModule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
+        for field in ("nvars_annulus", "nvars_disc", "rank"):
+            exact_int(getattr(self, field), field)
         if self.rank < 1:
             raise SignatureError("rank must be >= 1")
         if self.nvars_annulus < 0 or self.nvars_disc < 0 or self.dims < 1:
@@ -279,31 +282,38 @@ def ladder_denominator(module: ConnectionModule, direction: int) -> int:
     return c
 
 
+# The first digit width of the walk holds the keys of this many steps, the
+# deepest walk an analysis takes.
+_FIRST_REACH = DEFAULT_DEPTH_CAP
+
+
 def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
     """Yield H_0 = identity, H_1, ... indefinitely, where H_s = c**s G_s
     for c = ladder_denominator(module, direction).
 
-    The recursion H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps
-    every coefficient an int.  Every term of H_{s+1} sits at a key of H_s
-    moved by one shift of S = {-e_direction} + {exponents of M}, so each
-    step first translates the union support of H_s by every shift once,
-    then builds each entry in one dict: c J_d a_J at J - e_d, and v1 v2
-    at K + J for each term v1 t^K of M[i][k] and v2 t^J of H_s[k][j].
-    Sums that cancel are dropped once, at the end of the entry.
+    H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps every
+    coefficient an int.  Each entry is one dict keyed by `laurent.pack_key`:
+    c J_d a_J at J - e_d (`laurent.packed_partial`), plus v1 v2 at K + J,
+    one integer addition, for each term v1 t^K of M[i][k] and v2 t^J of
+    H_s[k][j]; cancelled sums are dropped at the end of the entry.
 
-    On a module whose `_ladder_precision` is K, every coefficient is
-    replaced by its symmetric residue mod q = p**K, the one in
-    (-q/2, q/2], and the step yields H_s mod p**K.  A kept coefficient
-    has the valuation of the exact one and never more bits; a term whose
-    coefficient is divisible by p**K is dropped, so a zero matrix here
-    does not prove H_s = 0.
+    A key of H_s is a sum of s shifts of S = {-e_direction} + {exponents
+    of M}, so |J_l| <= s * E, E the largest |exponent| in S.  The width
+    `pack_width(reach * E)` holds `reach` steps, first _FIRST_REACH; a
+    step past it doubles `reach` and repacks wider, so no digit overflows.
+    The yielded entries build their tuple keys when first read.
 
-    A caller that needs G_s itself divides by c**s; a norm exponent of G_s
-    is that of H_s minus s * v_p(c).  Callers bound the iteration;
-    integrability is not re-checked here.
+    With `_ladder_precision` K, each coefficient is replaced by its
+    symmetric residue mod q = p**K, in (-q/2, q/2]: a kept one has its
+    exact valuation and no more bits, and a term divisible by p**K is
+    dropped, so a zero here does not prove H_s = 0.
+
+    A norm exponent of G_s is that of H_s minus s * v_p(c).  Callers
+    bound the iteration; integrability is not re-checked here.
     """
     c = ladder_denominator(module, direction)
     p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
+    dims = n + m
     # M = c N as (shift, int) pairs per entry
     M = [
         [
@@ -312,37 +322,49 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
         ]
         for row in module.matrices[direction].rows
     ]
-    down = tuple(-1 if l == direction else 0 for l in range(n + m))
-    shifts = {down}.union(K for row in M for entry in row for K, _ in entry)
+    E = max([1] + [abs(j) for row in M for entry in row for K, _ in entry for j in K])
+
+    def packed(bits: int) -> list:
+        origin = pack_key((0,) * dims, bits)
+        return [[[(pack_key(K, bits) - origin, v) for K, v in entry] for entry in row] for row in M]
+
     precision = module._ladder_precision
     q = None if precision is None else p ** precision
     half = 0 if q is None else q // 2
-    H = PolyMatrix.identity(p, n, m, rank)
+    reach = _FIRST_REACH
+    bits = pack_width(reach * E)
+    shifts = packed(bits)
+    one = {pack_key((0,) * dims, bits): 1}
+    terms = [[one if i == j else {} for j in range(rank)] for i in range(rank)]
+    s = 0
     while True:
-        yield H
-        terms = [[entry._terms for entry in row] for row in H.rows]
-        support = set().union(*(entry for row in terms for entry in row))
-        moved = {K: {J: tuple(map(add, J, K)) for J in support} for K in shifts}
-        lower = moved[down]
+        yield PolyMatrix(tuple(
+            tuple(LaurentPoly._new(p, n, m, acc, bits) for acc in row) for row in terms
+        ))
+        s += 1
+        if s > reach:
+            reach *= 2
+            wider = pack_width(reach * E)
+            terms = [
+                [{pack_key(unpack_key(k, dims, bits), wider): a for k, a in acc.items()} for acc in row]
+                for row in terms
+            ]
+            bits, shifts = wider, packed(wider)
         out = []
         for i in range(rank):
             row = []
             for j in range(rank):
-                acc = {
-                    lower[J]: c * J[direction] * a
-                    for J, a in terms[i][j].items() if J[direction]
-                }
+                acc = packed_partial(terms[i][j], direction, bits, c)
                 for k in range(rank):
                     right = terms[k][j]
-                    for K, v1 in M[i][k]:
-                        table = moved[K]
+                    for K, v1 in shifts[i][k]:
                         for J, v2 in right.items():
-                            key = table[J]
+                            key = J + K
                             acc[key] = acc.get(key, 0) + v1 * v2
                 if q is None:
                     acc = {J: a for J, a in acc.items() if a}
                 else:
                     acc = {J: r - q if r > half else r for J, a in acc.items() if (r := a % q)}
-                row.append(LaurentPoly._new(p, n, m, acc))
-            out.append(tuple(row))
-        H = PolyMatrix(tuple(out))
+                row.append(acc)
+            out.append(row)
+        terms = out

@@ -1,23 +1,14 @@
 """Finitely supported Laurent polynomials on polyannuli, with Gauss norms.
 
-A polynomial lives on a product of ``nvars_annulus`` annulus variables
-(integer exponents of either sign) and ``nvars_disc`` disc variables
-(exponents >= 0).  Terms map exponent vectors to exact rational
-coefficients, each stored as a nonzero ``int`` or ``Fraction``: the
-constructor stores ``Fraction``s from ``padic.exact``, and the derivative
-ladder builds its ``int``-coefficient entries through the internal
-``_new``.  Zero coefficients are never stored.  The rho-Gauss norm of
-a term p**v * t^J at radii rho_l = p**(-r_l) has exponent
-v + sum_l J_l * r_l, and the norm of a polynomial is the largest term
-norm, i.e. the smallest such exponent.  Gauss norms and sup norms over a
-subannulus are one kernel, the sup over a box of radii (a Gauss norm is
-a one-point box): weights are integers over the common denominator of
-the rates, terms of equal weight share one valuation, that of the gcd of
-their coefficients, and each norm is one exact ``Fraction`` exponent,
-with None for the zero norm.  Classes are visited in ascending weight,
-and a class of integer coefficients whose weight has reached the best
-exponent so far is skipped without a valuation: its gcd has valuation
->= 0, so it cannot lower that exponent.
+A polynomial has ``nvars_annulus`` annulus variables (exponents of either
+sign) and ``nvars_disc`` disc variables (exponents >= 0).  Terms map
+exponent vectors to nonzero ``int`` or ``Fraction`` coefficients.  The
+derivative ladder's entries key them by ``pack_key`` instead, one int per
+vector (this module alone defines that packing), and build tuple keys in
+place when one is first read.  At radii rho_l = p**(-r_l) the term
+p**v t^J has the Gauss norm exponent v + sum_l J_l r_l; a polynomial's is
+the least over its terms, None for zero.  Gauss norms and sup norms over
+a subannulus are one kernel, the sup over a box of radii.
 """
 
 from __future__ import annotations
@@ -33,6 +24,7 @@ from .padic import (
     _safe_repr,
     check_prime,
     exact,
+    exact_int,
     fraction_valuation,
     parse_fraction,
     rational_spelling_error,
@@ -49,10 +41,38 @@ class SignatureError(ValueError):
     """Two operands live on polyannuli of different shapes."""
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial with exact rational coefficients."""
+# Packed keys: at width b, slot l is the digit j_l + 2**(b-1) at bit l*b,
+# so |j_l| < 2**(b-1) packs, and pack_key(J) + pack_key(K) - pack_key(0)
+# is pack_key(J + K) while its digits stay in range.
 
-    __slots__ = ("prime", "nvars_annulus", "nvars_disc", "_terms")
+
+def pack_width(bound: int) -> int:
+    """The least width b at which every |exponent| <= bound packs."""
+    return bound.bit_length() + 1
+
+
+def pack_key(J: ExponentVector, bits: int) -> int:
+    return sum((j + (1 << (bits - 1))) << (l * bits) for l, j in enumerate(J))
+
+
+def unpack_key(key: int, dims: int, bits: int) -> ExponentVector:
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    return tuple(((key >> at) & mask) - half for at in range(0, dims * bits, bits))
+
+
+def packed_partial(terms: dict[int, int], direction: int, bits: int, scale: int) -> dict[int, int]:
+    """scale * d/dt_direction of packed terms; J_direction is one
+    shift-and-mask."""
+    at, mask, half = direction * bits, (1 << bits) - 1, 1 << (bits - 1)
+    return {key - (1 << at): scale * j * a for key, a in terms.items() if (j := (key >> at & mask) - half)}
+
+
+class LaurentPoly:
+    """Immutable Laurent polynomial with exact rational coefficients.
+    `_store` is keyed by exponent vectors, or by `pack_key`s of width
+    `_bits` > 0 until `_terms` is read."""
+
+    __slots__ = ("prime", "nvars_annulus", "nvars_disc", "_store", "_bits")
 
     def __init__(
         self,
@@ -62,11 +82,8 @@ class LaurentPoly:
         terms: Mapping[ExponentVector, Fraction | int] | Iterable[tuple[ExponentVector, Fraction | int]] = (),
     ) -> None:
         check_prime(prime)
-        if nvars_annulus < 0 or nvars_disc < 0:
+        if exact_int(nvars_annulus, "nvars_annulus") < 0 or exact_int(nvars_disc, "nvars_disc") < 0:
             raise SignatureError("variable counts must be >= 0")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "nvars_annulus", nvars_annulus)
-        object.__setattr__(self, "nvars_disc", nvars_disc)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[ExponentVector, Fraction] = {}
         dims = nvars_annulus + nvars_disc
@@ -89,7 +106,7 @@ class LaurentPoly:
             if key in clean:
                 raise SignatureError(f"duplicate exponent vector {_safe_repr(key)}")
             clean[key] = value
-        object.__setattr__(self, "_terms", clean)
+        self._fill(prime, nvars_annulus, nvars_disc, clean, 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
@@ -97,19 +114,16 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def _new(cls, prime: int, n: int, m: int, terms: dict[ExponentVector, Fraction | int]) -> "LaurentPoly":
-        """Internal fast path that takes ownership of `terms` as is.
+    def _new(cls, prime: int, n: int, m: int, terms: dict, bits: int = 0) -> "LaurentPoly":
+        """Internal: takes ownership of `terms`, keyed by exponent vectors
+        or by `pack_key`s of width `bits` > 0, with valid keys and nonzero
+        int or Fraction values."""
+        return object.__new__(cls)._fill(prime, n, m, terms, bits)
 
-        The caller guarantees valid keys and nonzero int or Fraction
-        values; the ring operations and the derivative ladder drop
-        cancelled sums before they get here.
-        """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "prime", prime)
-        object.__setattr__(obj, "nvars_annulus", n)
-        object.__setattr__(obj, "nvars_disc", m)
-        object.__setattr__(obj, "_terms", terms)
-        return obj
+    def _fill(self, *values: object) -> "LaurentPoly":
+        for name, value in zip(LaurentPoly.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def zero(cls, prime: int, n: int, m: int) -> "LaurentPoly":
@@ -126,12 +140,21 @@ class LaurentPoly:
         return self.nvars_annulus + self.nvars_disc
 
     @property
+    def _terms(self) -> dict[ExponentVector, Fraction | int]:
+        """The terms keyed by exponent vectors."""
+        if self._bits:
+            dims, bits = self.nvars, self._bits
+            object.__setattr__(self, "_store", {unpack_key(k, dims, bits): a for k, a in self._store.items()})
+            object.__setattr__(self, "_bits", 0)
+        return self._store
+
+    @property
     def terms(self) -> Mapping[ExponentVector, Fraction | int]:
         return MappingProxyType(self._terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._store
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self._terms.get(tuple(exps), 0))
@@ -160,13 +183,7 @@ class LaurentPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            body = "0"
-        else:
-            bits = []
-            for key in sorted(self._terms):
-                bits.append(f"{self._terms[key]}*t^{key}")
-            body = " + ".join(bits)
+        body = " + ".join(f"{self._terms[key]}*t^{key}" for key in sorted(self._terms)) or "0"
         return f"LaurentPoly(p={self.prime}, {self.nvars_annulus}+{self.nvars_disc} vars, {body})"
 
     # -- ring operations --------------------------------------------------
@@ -177,27 +194,16 @@ class LaurentPoly:
         self._check_signature(other)
         acc = dict(self._terms)
         for key, v in other._terms.items():
-            w = acc.get(key)
-            if w is None:
-                acc[key] = v
-            else:
-                s = w + v
-                if s == 0:
-                    del acc[key]
-                else:
-                    acc[key] = s
-        return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
+            acc[key] = acc.get(key, 0) + v
+        return LaurentPoly._new(
+            self.prime, self.nvars_annulus, self.nvars_disc, {k: v for k, v in acc.items() if v}
+        )
 
     def scalar_mul(self, scalar: Fraction | int) -> "LaurentPoly":
         """self times an `exact` scalar."""
         c = exact(scalar, "scalar factors")
-        if c == 0:
-            return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {})
         return LaurentPoly._new(
-            self.prime,
-            self.nvars_annulus,
-            self.nvars_disc,
-            {k: v * c for k, v in self._terms.items()},
+            self.prime, self.nvars_annulus, self.nvars_disc, {k: v * c for k, v in self._terms.items() if c}
         )
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -208,17 +214,10 @@ class LaurentPoly:
         for k1, v1 in self._terms.items():
             for k2, v2 in other._terms.items():
                 key = tuple(map(add, k1, k2))
-                prod = v1 * v2
-                w = acc.get(key)
-                if w is None:
-                    acc[key] = prod
-                else:
-                    s = w + prod
-                    if s == 0:
-                        del acc[key]
-                    else:
-                        acc[key] = s
-        return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
+                acc[key] = acc.get(key, 0) + v1 * v2
+        return LaurentPoly._new(
+            self.prime, self.nvars_annulus, self.nvars_disc, {k: v for k, v in acc.items() if v}
+        )
 
     # -- calculus ----------------------------------------------------------
 
@@ -226,14 +225,10 @@ class LaurentPoly:
         """Coordinate derivative d/dt_direction (0-based direction index)."""
         if not 0 <= direction < self.nvars:
             raise IndexError(f"direction {_safe_repr(direction)} out of range")
-        acc: dict[ExponentVector, Fraction | int] = {}
-        for key, v in self._terms.items():
-            j = key[direction]
-            if j == 0:
-                continue
-            shifted = key[:direction] + (j - 1,) + key[direction + 1:]
-            acc[shifted] = v * j
-        return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, acc)
+        return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {
+            key[:direction] + (j - 1,) + key[direction + 1:]: v * j
+            for key, v in self._terms.items() if (j := key[direction])
+        })
 
     # -- norms ---------------------------------------------------------------
 
@@ -255,29 +250,29 @@ class LaurentPoly:
 
     def _box_lognorm(self, inner: list[Fraction | int], outer: list[Fraction | int]) -> Optional[Fraction]:
         """Sup norm exponent over the box p**-inner_l <= |t_l| <= p**-outer_l
-        of radii, None for the zero norm.  |f|_rho is log-convex, so a term
-        peaks at the corner with the inner rate on its negative exponents
-        and the outer rate elsewhere.  Terms of equal weight form a class,
-        which takes one valuation: that of the gcd of its coefficients.
-
-        Classes are visited in ascending weight.  A class whose
-        coefficients are all integers has a gcd of valuation >= 0, so its
-        exponent is at least its weight: once that weight reaches the best
-        exponent so far the class cannot lower it, and is skipped without a
-        valuation.  The result is exact.  A class with a denominator can
-        have a negative valuation, so it is always evaluated, and the
-        classes after a skipped one still are."""
+        of radii, None for zero.  |f|_rho is log-convex, so a term peaks at
+        the corner with the inner rate on its negative exponents and the
+        outer one elsewhere.  Its weight is an integer over the rates'
+        common denominator D, read from a packed key's digits in place, and
+        from no key when every rate is 0.  Terms of equal weight form a
+        class with one valuation, that of their gcd.  Classes go in
+        ascending weight; one of integer coefficients has a gcd of
+        valuation >= 0, so once its weight reaches the best exponent so
+        far it is skipped, exactly.  A class with a denominator is always
+        evaluated."""
         D = lcm(*[r.denominator for r in inner + outer])
         # slots with a rate other than 0, rates as integers over D
+        bits = self._bits
+        mask, half = (1 << bits) - 1, (1 << bits) >> 1
         slots = [
-            (l, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+            (l, l * bits, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
             for l, (a, b) in enumerate(zip(inner, outer)) if a or b
         ]
         classes: dict[int, list[Fraction | int]] = {}
-        for key, coeff in self._terms.items():
+        for key, coeff in self._store.items():
             w = 0
-            for l, a, b in slots:
-                j = key[l]
+            for l, at, a, b in slots:
+                j = (key >> at & mask) - half if bits else key[l]
                 if j:
                     w += j * (a if j < 0 else b)
             classes.setdefault(w, []).append(coeff)
@@ -299,24 +294,19 @@ class LaurentPoly:
     # -- substitution -----------------------------------------------------
 
     def specialize(self, direction: int, coords: Sequence[Fraction]) -> "LaurentPoly":
-        """Substitute scalars for every variable except `direction`, in
-        variable order, producing a one-variable polynomial in that variable.
+        """Substitute the `exact` scalars `coords` for every variable except
+        `direction`, in variable order: a one-variable polynomial.
 
-        All terms share one denominator: the lcm of the coefficient
-        denominators times d_l**P_l * n_l**Q_l for each coordinate n_l/d_l,
-        where P_l and Q_l are the largest positive and negative exponents
-        of slot l.  Over it, a term a t^J contributes the integer
-        a * prod_l n_l**(Q_l + j_l) * d_l**(P_l - j_l), with one power
-        taken per distinct exponent of a slot.  Each output coefficient is
-        one integer sum, and one Fraction at the end.
-
-        The coordinates go through `exact`, but are not checked to be
-        units: `curves` does that once per point before it specializes a
-        module.  Before any power is taken, a coordinate n/d is refused with
-        ValueError when (b - 1) * E passes _POWER_BITS_CAP, for b the bits of
-        max(|n|, d) and E the largest |exponent| of its slot: (n/d)**E needs
-        at least that many bits.  A sum whose huge powers would cancel
-        exactly is refused as well, since the bound reads only exponents."""
+        All terms share one denominator, the coefficients' lcm times
+        d_l**P_l * n_l**Q_l per coordinate n_l/d_l (P_l, Q_l the largest
+        positive and negative exponents of slot l), over which a t^J is the
+        integer a * prod_l n_l**(Q_l + j_l) * d_l**(P_l - j_l), one power
+        per distinct exponent.  Units are not checked (`curves` does).
+        Before any power is taken, ValueError refuses a coordinate 0 on a
+        slot with a negative exponent, and n/d when (b - 1) * E, a lower
+        bound on the bits of (n/d)**E, passes _POWER_BITS_CAP (b the bits
+        of max(|n|, d), E the slot's largest |exponent|), even if the huge
+        powers would cancel."""
         if not 0 <= direction < self.nvars:
             raise IndexError(f"direction {_safe_repr(direction)} out of range")
         others = [l for l in range(self.nvars) if l != direction]
@@ -324,27 +314,24 @@ class LaurentPoly:
             raise SignatureError(
                 f"expected {len(others)} coordinates, got {len(coords)}"
             )
-        if direction < self.nvars_annulus:
-            n, m = 1, 0
-        else:
-            n, m = 0, 1
+        n = int(direction < self.nvars_annulus)
         terms = self._terms
-        slots = []
+        lcd = lcm(*[a.denominator for a in terms.values()])
+        den = lcd
+        weights = []  # (slot, {exponent: integer weight})
         for l, c in zip(others, coords):
             c = exact(c, "coordinates")
             exps = {key[l] for key in terms}
             top, bottom = max(exps | {0}), -min(exps | {0})
             e = max(top, bottom)
+            if not c and bottom:
+                raise ValueError(f"coordinate 0 for variable {l}, which has a negative exponent")
             if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e > _POWER_BITS_CAP:
                 raise ValueError(
                     f"coordinate {_safe_repr(c, str)} to the power {_safe_repr(e, str)}"
                     f" needs more than {_POWER_BITS_CAP} bits"
                 )
-            slots.append((l, c.numerator, c.denominator, exps, top, bottom))
-        lcd = lcm(*[a.denominator for a in terms.values()])
-        den = lcd
-        weights = []  # (slot, {exponent: integer weight})
-        for l, num_l, den_l, exps, top, bottom in slots:
+            num_l, den_l = c.numerator, c.denominator
             den *= den_l ** top * num_l ** bottom
             weights.append((l, {j: num_l ** (bottom + j) * den_l ** (top - j) for j in exps}))
         acc: dict[ExponentVector, int] = {}
@@ -355,7 +342,7 @@ class LaurentPoly:
             k = (key[direction],)
             acc[k] = acc.get(k, 0) + x
         return LaurentPoly._new(
-            self.prime, n, m, {k: Fraction(x, den) for k, x in acc.items() if x}
+            self.prime, n, 1 - n, {k: Fraction(x, den) for k, x in acc.items() if x}
         )
 
     # -- serialization ------------------------------------------------------

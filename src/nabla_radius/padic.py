@@ -82,6 +82,14 @@ def exact(value: object, what: str) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def exact_int(value: object, what: str) -> int:
+    """value if it is an int; anything else, a bool too, raises TypeError
+    naming `what`."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be int, not {type(value).__name__}")
+    return value
+
+
 def int_valuation(k: int, p: int) -> int:
     """p-adic valuation of a nonzero integer.
 

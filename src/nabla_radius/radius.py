@@ -214,11 +214,13 @@ def unit_step(H: PolyMatrix) -> UnitStep:
 
     At the unit radius every term weighs 0, so full is the least v_p(a_J),
     that of the gcd of all the coefficients, and None when H = 0.  An
-    entry attains it when p**(full + 1) does not divide its own gcd.
+    entry attains it when p**(full + 1) does not divide its own gcd.  Only
+    coefficients are read: a leading part keeps the keys of its entry as
+    they are, packed for a ladder matrix.
     """
     p = H.prime
-    entries = [e._terms for row in H.rows for e in row]
-    gcds = [gcd(*terms.values()) for terms in entries]
+    entries = [e for row in H.rows for e in row]
+    gcds = [gcd(*e._store.values()) for e in entries]
     g = gcd(*gcds)
     if not g:
         return None, ()
@@ -226,9 +228,9 @@ def unit_step(H: PolyMatrix) -> UnitStep:
     q = p ** (full + 1)
     return full, tuple(
         LaurentPoly._new(
-            p, H.nvars_annulus, H.nvars_disc, {J: a for J, a in terms.items() if a % q}
+            p, H.nvars_annulus, H.nvars_disc, {k: a for k, a in e._store.items() if a % q}, e._bits
         )
-        for terms, g_e in zip(entries, gcds) if g_e % q
+        for e, g_e in zip(entries, gcds) if g_e % q
     )
 
 

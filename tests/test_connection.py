@@ -28,10 +28,17 @@ from nabla_radius.corpus import (
     random_integrable_module,
     trivial_module,
 )
-from nabla_radius import laurent
+from nabla_radius import connection, laurent
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
-from nabla_radius.radius import deriv_ladder, intrinsic_radius, taylor_probe
+from nabla_radius.radius import (
+    Verdict,
+    deriv_ladder,
+    intrinsic_radius,
+    oc_ir_test,
+    taylor_probe,
+    unit_step,
+)
 
 
 def scalar(p, n, m, value):
@@ -317,6 +324,14 @@ class TestIteratedDerivatives:
             for s in range(6):
                 assert seq[s + 1] == plain_step(seq[s], N, i)
 
+    def test_bool_counts_are_refused_by_name(self):
+        # True == 1, so a bool rank used to pass every check and reach the
+        # descriptor as "rank": true
+        with pytest.raises(TypeError, match="^rank must be int, not bool$"):
+            trivial_module(3, 1, 0, True)
+        with pytest.raises(TypeError, match="^nvars_annulus must be int, not bool$"):
+            LaurentPoly(3, True, 0, {(1,): 1})
+
     def test_direction_out_of_range(self):
         module = exponential_module(3)
         with pytest.raises(IndexError):
@@ -585,3 +600,108 @@ class TestLadderStep:
         counts = count_calls(monkeypatch, RING_OPERATIONS[:4])
         assert integrability_check(module) is None
         assert all(counts.values()), counts
+
+
+def symmetric_residues(A, q):
+    """A, with int coefficients, mod q: each coefficient its residue in
+    (-q/2, q/2], the zero ones dropped."""
+    def residue(a):
+        r = int(a) % q
+        return r - q if r > q // 2 else r
+
+    return PolyMatrix(tuple(
+        tuple(
+            LaurentPoly(e.prime, e.nvars_annulus, e.nvars_disc, {J: residue(a) for J, a in e.terms.items()})
+            for e in row
+        )
+        for row in A.rows
+    ))
+
+
+def assert_walk_matches_reference(module, direction, depth, precision=None):
+    """H_s = c**s G_s for s <= depth, G_s from the plain recursion, and with
+    a precision K the walk of the reduced copy is H_s mod p**K."""
+    c = ladder_denominator(module, direction)
+    exact = islice(iter_deriv_matrices(module, direction), depth + 1)
+    expected = [scaled(G, c ** s) for s, G in enumerate(reference_ladder(module, direction, depth))]
+    assert list(exact) == expected
+    if precision is not None:
+        reduced = ConnectionModule(
+            module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices, precision
+        )
+        q = module.prime ** precision
+        walk = islice(iter_deriv_matrices(reduced, direction), depth + 1)
+        assert list(walk) == [symmetric_residues(H, q) for H in expected]
+
+
+class TestPackedWalk:
+    """The walk keys its terms by packed exponent vectors; what it yields
+    must be the plain recursion's matrices, whatever the digit width."""
+
+    @given(
+        seed=st.integers(0, 2**32),
+        p=st.sampled_from([2, 3, 5]),
+        rank=st.integers(1, 2),
+        precision=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_reference_ladder_exactly_and_mod_p_power(self, seed, p, rank, precision):
+        module = random_integrable_module(Random(seed), p, rank)
+        for direction in range(module.dims):
+            assert_walk_matches_reference(module, direction, 10, precision)
+
+    def test_a_walk_that_outgrows_its_digit_width_is_repacked(self, monkeypatch):
+        # phi = t0**3 t1**2: N_1 = 2 t0**3 t1 raises the t0 exponent by
+        # E = 3 at every step, and 2**s t0**(3s) t1**s is a term of H_s, so
+        # the exponents reach the bound s * E of the width rule.  A first
+        # reach of 4 steps makes the walk repack at steps 5, 9, 17 and 33.
+        monkeypatch.setattr(connection, "_FIRST_REACH", 4)
+        module = potential_module(3, 2, 0, {(3, 2): 1}, [[1]])
+        depth = 40
+        walk = list(islice(iter_deriv_matrices(module, 1), depth + 1))
+        widths = sorted({e._bits for H in walk for row in H.rows for e in row})
+        assert widths == [laurent.pack_width(reach * 3) for reach in (4, 8, 16, 32, 64)]
+        assert walk == reference_ladder(module, 1, depth)
+        assert max(J[0] for J in walk[depth].rows[0][0].terms) == 3 * depth
+        assert_walk_matches_reference(module, 0, 12, precision=5)
+
+    def test_exponents_of_ten_to_the_twelfth(self):
+        # phi = t0 * t1**(10**12), the potential of the hugeexp CLI row
+        e = 10**12
+        module = potential_module(3, 2, 0, {(1, e): 1}, [[1]])
+        for direction in range(2):
+            assert_walk_matches_reference(module, direction, 4, precision=3)
+        H = next(islice(iter_deriv_matrices(module, 1), 3, None))
+        assert H.rows[0][0]._bits == laurent.pack_width(connection._FIRST_REACH * e)
+        # N_1**3 = (e t0 t1**(e-1))**3 is the term with the largest exponents
+        assert H.rows[0][0].terms[(3, 3 * e - 3)] == e ** 3
+        assert max(J[1] for J in H.rows[0][0].terms) == 3 * e - 3
+
+    def test_a_disc_direction_moves_down_a_disc_slot(self):
+        # direction 1 is a disc variable: the shift -e_1 lowers a disc
+        # exponent, and a term whose disc exponent is 0 has no derivative
+        p = 3
+        module = potential_module(p, 1, 1, {(-1, 2): 1, (2, 1): Fraction(1, 3)}, [[1, 2], [0, 1]])
+        assert integrability_check(module) is None
+        assert ladder_denominator(module, 1) == 3
+        assert_walk_matches_reference(module, 1, 10, precision=4)
+        for H in islice(iter_deriv_matrices(module, 1), 11):
+            assert_integral_entries(H, 1)
+
+    def test_the_unit_radius_verdict_never_unpacks_a_key(self, monkeypatch):
+        # oc at the unit radius reads coefficients only: every norm is the
+        # valuation of a gcd, so no exponent vector is ever built
+        def refuse(*args):
+            raise AssertionError("a packed key was unpacked")
+
+        module = benchmark_anchor_modules()["oc-deep"]
+        monkeypatch.setattr(laurent, "unpack_key", refuse)
+        verdict = oc_ir_test(module, 150)
+        assert verdict.verdict is Verdict.OVERCONVERGENT_EVIDENCE
+        H = next(islice(iter_deriv_matrices(module, 0), 40, None))
+        full, leading = unit_step(H)
+        assert full is not None and leading
+        assert all(e._bits for e in leading)
+        # reading the keys is what unpacks them
+        with pytest.raises(AssertionError, match="unpacked"):
+            leading[0].terms

@@ -121,6 +121,18 @@ RATIONAL, COUNT = (0.5, True, "1/2"), (8.0, True, "8", Fraction(8))
 ENTRY_POINTS = [
     ("LaurentPoly-coefficients", "coefficients", lambda x: LaurentPoly(3, 1, 0, {(1,): x}),
      (Fraction(2, 3), 5), (0.1, False, "2/3")),
+    ("LaurentPoly-nvars_annulus", "nvars_annulus", lambda x: LaurentPoly(3, x, 0, {(1,): 1}), (1,),
+     (1.0, True, "1", Fraction(1))),
+    ("LaurentPoly-nvars_disc", "nvars_disc", lambda x: LaurentPoly(3, 0, x, {(1,): 1}), (1,),
+     (1.0, True, "1", Fraction(1))),
+    ("ConnectionModule-nvars_annulus", "nvars_annulus",
+     lambda x: ConnectionModule(3, x, 0, 1, (PolyMatrix.identity(3, 1, 0, 1),)), (1,),
+     (1.0, True, "1", Fraction(1))),
+    ("ConnectionModule-nvars_disc", "nvars_disc",
+     lambda x: ConnectionModule(3, 1, x, 1, (PolyMatrix.identity(3, 1, 0, 1),)), (0,),
+     (0.0, False, "0", Fraction(0))),
+    ("ConnectionModule-rank", "rank", lambda x: ConnectionModule(3, 1, 0, x, (PolyMatrix.identity(3, 1, 0, 2),)),
+     (2,), (2.0, True, "2", Fraction(2))),
     ("LaurentPoly.scalar_mul", "scalar factors", POLY.scalar_mul, (Fraction(2, 3), -5), (2.0, True, "5")),
     ("LaurentPoly.specialize", "coordinates", lambda x: POLY.specialize(0, (x,)),
      (Fraction(1, 2), 2), (0.5, True, "1/2")),
@@ -180,6 +192,11 @@ def _result_digest(result: object) -> str:
 ACCEPTED_DIGESTS = {
     "LaurentPoly-coefficients-Fraction(2, 3)": "5bc3bfdd4b023a1e",
     "LaurentPoly-coefficients-5": "1e6a5f24c2ce0d9c",
+    "LaurentPoly-nvars_annulus-1": "4e3d3187faeafa55",
+    "LaurentPoly-nvars_disc-1": "4e3d3187faeafa55",
+    "ConnectionModule-nvars_annulus-1": "ba89c2d9287afab1",
+    "ConnectionModule-nvars_disc-0": "ba89c2d9287afab1",
+    "ConnectionModule-rank-2": "9afbbaac0c47731f",
     "LaurentPoly.scalar_mul-Fraction(2, 3)": "49fee6497f7bc370",
     "LaurentPoly.scalar_mul--5": "7e61e9727d128cb7",
     "LaurentPoly.specialize-Fraction(1, 2)": "981a34769e7f9c81",

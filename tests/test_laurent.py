@@ -1,6 +1,8 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -507,6 +509,16 @@ class TestSpecialize:
         assert g == LaurentPoly(3, 1, 0, {(1,): Fraction(1, 2), (0,): Fraction(1, 4)})
         assert all(type(c) is Fraction for c in g.terms.values())
 
+    def test_zero_coordinate_on_a_negative_exponent_is_refused(self):
+        f = LaurentPoly(3, 2, 0, {(1, -1): 1})
+        with pytest.raises(ValueError, match="^coordinate 0 for variable 1, which has a negative exponent$"):
+            f.specialize(0, (0,))
+        with pytest.raises(ValueError, match="^coordinate 0 for variable 0, "):
+            LaurentPoly(3, 2, 0, {(-2, 1): 1, (3, 0): 1}).specialize(1, (Fraction(0),))
+        # a zero coordinate is fine where every exponent of its slot is >= 0
+        g = LaurentPoly(3, 2, 1, {(1, 2, 0): 5, (-1, 0, 3): 7, (2, 0, 0): 1})
+        assert g.specialize(0, (0, 0)) == LaurentPoly(3, 1, 0, {(2,): 1})
+
     def test_wrong_coordinate_count(self):
         f = LaurentPoly.constant(5, 2, 0, 1)
         with pytest.raises(SignatureError, match="expected 1 coordinates, got 2"):
@@ -620,3 +632,62 @@ class TestRecords:
     @given(f=polys(1, 1, prime=5))
     def test_round_trip_random(self, f):
         assert LaurentPoly.from_records(5, 1, 1, f.to_records()) == f
+
+
+class TestPackedKeys:
+    """The codec of the derivative ladder's keys: one int per exponent
+    vector, digits of width b biased by 2**(b-1)."""
+
+    @given(
+        bound=st.integers(0, 10**13),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keys_round_trip_and_add_as_vectors(self, bound, data):
+        bits = laurent.pack_width(bound)
+        assert 2 ** (bits - 2) <= bound < 2 ** (bits - 1) or bound == 0
+        dims = data.draw(st.integers(1, 4))
+        vector = st.tuples(*[st.integers(-bound, bound)] * dims)
+        J, K = data.draw(vector), data.draw(vector)
+        key = laurent.pack_key(J, bits)
+        assert laurent.unpack_key(key, dims, bits) == J
+        moved = tuple(map(add, J, K))
+        if all(abs(j) <= bound for j in moved):
+            origin = laurent.pack_key((0,) * dims, bits)
+            assert key + laurent.pack_key(K, bits) - origin == laurent.pack_key(moved, bits)
+
+    @given(f=polys(2, 1, prime=3), direction=st.integers(0, 2), scale=st.integers(-9, 9).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_packed_partial_is_the_partial(self, f, direction, scale):
+        f = f.scalar_mul(lcm(*[a.denominator for a in f.terms.values()]))  # int coefficients, as on the ladder
+        bits = laurent.pack_width(max([1] + [abs(j) for J in f.terms for j in J]))
+        packed = {laurent.pack_key(J, bits): int(a) for J, a in f.terms.items()}
+        d = laurent.packed_partial(packed, direction, bits, scale)
+        assert LaurentPoly._new(3, 2, 1, d, bits) == f.partial(direction).scalar_mul(scale)
+
+    @given(f=polys(2, 1, prime=3), rho=radii(2, 1), lam=radii(1, 0))
+    @settings(max_examples=100, deadline=None)
+    def test_norms_read_packed_digits_in_place(self, f, rho, lam):
+        f = f.scalar_mul(lcm(*[a.denominator for a in f.terms.values()]))
+        bits = laurent.pack_width(4)
+        packed = LaurentPoly._new(3, 2, 1, {laurent.pack_key(J, bits): int(a) for J, a in f.terms.items()}, bits)
+        assert packed.gauss_lognorm(rho) == f.gauss_lognorm(rho)
+        assert packed.sup_vertex_lognorm(lam[0]) == f.sup_vertex_lognorm(lam[0])
+        assert packed._bits == bits  # no key was unpacked
+
+    def test_a_packed_entry_unpacks_once_when_its_keys_are_read(self, monkeypatch):
+        bits = laurent.pack_width(5)
+        entry = LaurentPoly._new(3, 2, 0, {laurent.pack_key((5, -5), bits): 9}, bits)
+        calls = []
+        unpack = laurent.unpack_key
+        monkeypatch.setattr(laurent, "unpack_key", lambda *args: calls.append(args) or unpack(*args))
+        assert not entry.is_zero
+        assert entry.gauss_lognorm((LogRadius.one(),) * 2) == 2
+        assert entry.gauss_lognorm((LogRadius(Fraction(1, 2)), LogRadius(Fraction(1, 3)))) == Fraction(17, 6)
+        assert entry.sup_vertex_lognorm(LogRadius(Fraction(1, 2))) == Fraction(-1, 2)
+        assert calls == []
+        assert dict(entry.terms) == {(5, -5): 9}
+        assert entry == LaurentPoly(3, 2, 0, {(5, -5): 9})
+        assert repr(entry) == "LaurentPoly(p=3, 2+0 vars, 9*t^(5, -5))"
+        assert entry.gauss_lognorm((LogRadius(Fraction(1, 2)),) * 2) == 2
+        assert len(calls) == 1
