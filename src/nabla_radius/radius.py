@@ -12,11 +12,15 @@ is approximated by the worst (largest-exponent) estimate over a trailing
 window of depths; when some G_{i,s} vanishes identically the direction is
 exactly 1 and is flagged as such.
 
-`deriv_ladder` is the one walk of the recursion and owns its precision
-(mod p**K, or exact).  `intrinsic_radius` walks each direction once and
-`taylor_probe` walks exactly.  For `curves.curve_witness_search` the
-unit-radius walk also keeps the `unit_step` of every depth, which the
-witness check reads in place of a walk of its own.
+`deriv_ladder` is the one walk of the recursion and owns its precision:
+mod p**K, or exact, and at the unit radius first mod p**(w_1 + 1), w_1
+the valuation of H_1.  At the unit radius a nonzero reduction of H_s has
+the exact norm, and w_s >= w_1 at every depth, so that coarsest rung
+gives the same estimates and records until its first zero.
+`intrinsic_radius` walks each direction once and `taylor_probe` walks
+exactly.  For `curves.curve_witness_search` the unit-radius walk also
+keeps the `unit_step` of every depth, which the witness check reads in
+place of a walk of its own.
 """
 
 from __future__ import annotations
@@ -148,6 +152,10 @@ def _clip_precision(
     its exact valuation: w_s mod p**K equals w_s below T_s and stays at
     least T_s above it.  K grows with depth * |mu|, so a huge exponent
     would ask for a huge p**K; the exact walk gives the same estimates.
+
+    At the unit radius `deriv_ladder` walks mod p**k0, k0 =
+    `_rung_precision`, before it walks mod p**K: K serves only from the
+    first depth where H_s vanishes mod p**k0.
     """
     rates = [r.exponent for r in rho]
     r_i = rates[direction]
@@ -161,6 +169,26 @@ def _clip_precision(
     slope = step + spectral_base_exponent(module.prime) - r_i - mu
     K = math.ceil(depth * max(Fraction(0), slope)) + 1
     return None if K * module.prime.bit_length() > _PRECISION_BITS_CAP else K
+
+
+def _rung_precision(module: ConnectionModule, direction: int) -> Optional[int]:
+    """k0 = v_p(content of M) + 1 for the ladder's int matrix M = c
+    N_direction, the precision of the unit-radius walk's first rung; None
+    when M = 0 or p**k0 would pass _PRECISION_BITS_CAP bits.
+
+    H_1 = M, and H_{s+1} = c d(H_s) + M H_s has int factors, so every
+    coefficient of every H_s is divisible by p**(k0 - 1): w_s never falls
+    below w_1 = k0 - 1, and p**k0 is the least modulus that keeps H_1.
+    """
+    c = ladder_denominator(module, direction)
+    content = gcd(*[
+        v.numerator * (c // v.denominator)
+        for row in module.matrices[direction].rows for entry in row for v in entry.terms.values()
+    ])
+    if not content:
+        return None
+    k0 = int_valuation(content, module.prime) + 1
+    return None if k0 * module.prime.bit_length() > _PRECISION_BITS_CAP else k0
 
 
 def deriv_ladder(
@@ -183,19 +211,43 @@ def deriv_ladder(
     first reduced zero the walk restarts exactly and goes on exactly from
     that depth.  Only an exact zero ends the walk, right after it: every
     later H_s vanishes too, since G_{s+1} = d(G_s) + N G_s.
+
+    At the unit radius one rung comes first: the walk runs mod p**k0, k0 =
+    `_rung_precision(module, direction)`, and at its first zero restarts
+    mod p**K, then exactly as above.  The rung is skipped when k0 is None
+    or k0 >= K, and kept when K is None.  Its yields have the norms and
+    leading parts that the walk mod p**K gives: there every term weighs 0,
+    so the norm exponent w_s of H_s is its least coefficient valuation,
+    and a nonzero H_s mod p**k0 has it exactly, on the same entries, with
+    the same residues mod p**(w_s + 1).  At other radii a kept residue
+    does not bound the norm of a dropped term, which may weigh less, so
+    they have no rung.
     """
     step = int_valuation(ladder_denominator(module, direction), module.prime)
-    K = None if rho is None else _clip_precision(module, direction, rho, depth)
-    walked = module if K is None else ConnectionModule(
-        module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices, K
-    )
-    ladder = iter_deriv_matrices(walked, direction)
+    precisions: list[Optional[int]] = [None]  # coarsest first, exact last
+    if rho is not None:
+        K = _clip_precision(module, direction, rho, depth)
+        if K is not None:
+            precisions.insert(0, K)
+        k0 = None if any(r.exponent for r in rho) else _rung_precision(module, direction)
+        if k0 is not None and (K is None or k0 < K):
+            precisions.insert(0, k0)
+
+    def walk(precision: Optional[int]) -> Iterator[PolyMatrix]:
+        walked = module if precision is None else ConnectionModule(
+            module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices,
+            precision,
+        )
+        return iter_deriv_matrices(walked, direction)
+
+    level = 0
+    ladder = walk(precisions[0])
     next(ladder)  # H_0 is the identity
     for s in range(1, depth + 1):
         H = next(ladder)
-        if H.is_zero and K is not None:
-            K = None
-            ladder = iter_deriv_matrices(module, direction)
+        while H.is_zero and precisions[level] is not None:
+            level += 1
+            ladder = walk(precisions[level])
             H = next(islice(ladder, s, None))
         yield s, H, s * step
         if H.is_zero:

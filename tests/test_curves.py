@@ -367,7 +367,7 @@ def seeded_modules(draw):
 
 
 class TestReducedWitnessWalk:
-    """The check walks H_s mod p**K, K from the unit-radius verdict."""
+    """The check walks H_s reduced, as the unit-radius verdict does."""
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -17,6 +17,7 @@ from nabla_radius.corpus import (
     random_integrable_module,
     trivial_module,
 )
+from nabla_radius.curves import curve_witness_search
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import LogRadius, int_valuation
@@ -24,6 +25,7 @@ from nabla_radius.radius import (
     ProbeOutcome,
     _clip_precision,
     _fold_levels,
+    _rung_precision,
     Verdict,
     deriv_ladder,
     factorial_valuation,
@@ -32,6 +34,8 @@ from nabla_radius.radius import (
     spectral_base_exponent,
     taylor_probe,
 )
+
+from test_connection import benchmark_anchor_modules
 
 R1 = (LogRadius.one(),)
 
@@ -107,14 +111,15 @@ class TestDerivLadder:
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
 
     def test_goes_on_exactly_after_a_zero_mod_p_k(self, monkeypatch):
-        # N = 81 + 3**20 t, walked at K = ceil(12 * 1/2) + 1 = 7: H_1 is 81
-        # mod p**K, and H_2 = 3**20 + 3**8 + 2 * 3**24 t + 3**40 t**2 is zero
-        # mod p**K, so from s = 2 on the walk is the exact one.
+        # N = 81 + 3**20 t, first walked at k0 = v_3(81) + 1 = 5, then at
+        # K = ceil(12 * 1/2) + 1 = 7: H_1 is 81 mod p**k0, and H_2 = 3**20 +
+        # 3**8 + 2 * 3**24 t + 3**40 t**2 is zero mod p**k0 and mod p**K, so
+        # from s = 2 on the walk is the exact one.
         module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81, (1,): 3**20})]]),))
         exact = [H for _, H, _ in deriv_ladder(module, 0, 12)]
         precisions = recording_walks(monkeypatch)
         walk = [H for _, H, _ in deriv_ladder(module, 0, 12, R1)]
-        assert precisions == [7, None]
+        assert precisions == [5, 7, None]
         assert walk[0] == PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81})]]) != exact[0]
         assert walk[1:] == exact[1:]
         assert len(walk) == 12 and not any(H.is_zero for H in walk)
@@ -288,31 +293,113 @@ class TestReducedWalk:
         assert report.ir_estimate == Fraction(2 * 10**8 - 1, 2)
 
     def test_nonzero_walk_is_never_repeated(self, monkeypatch):
+        # N = [1]: no H_s vanishes mod p, so the rung's walk is the only one
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(exponential_module(3), R1, depth=16)
-        assert precisions == [_clip_precision(exponential_module(3), 0, R1, 16)]
+        assert precisions == [_rung_precision(exponential_module(3), 0)] == [1]
 
-    def test_reduction_never_enlarges_a_coefficient(self):
-        # Negative coefficients are common here; a residue in [0, p**K)
-        # would turn a small -a into p**K - a.
+    def test_reduction_never_enlarges_a_coefficient(self, monkeypatch):
+        # Negative coefficients are common here; a residue in [0, p**k)
+        # would turn a small -a into p**k - a.  Each yield is compared mod
+        # the precision of the walk that gave it: the rung's k0 = 2 up to
+        # its first zero, then K.
         module = random_integrable_module(Random(7), 3, 2)
         rho = (LogRadius.one(),) * 2
+        exact = [list(deriv_ladder(module, direction, 40)) for direction in range(2)]
+        precisions = recording_walks(monkeypatch)
         for direction in range(2):
-            K = _clip_precision(module, direction, rho, 40)
-            q = 3**K
-            reduced = deriv_ladder(module, direction, 40, rho)
-            exact = deriv_ladder(module, direction, 40)
-            wide = negative = 0
-            for (s, H, _), (_, E, _) in zip(reduced, exact):
+            precisions.clear()
+            wide, negative = set(), set()
+            for (s, H, _), (_, E, _) in zip(deriv_ladder(module, direction, 40, rho), exact[direction]):
+                k = precisions[-1]
+                q = 3**k
                 for row, exact_row in zip(H.rows, E.rows):
                     for entry, exact_entry in zip(row, exact_row):
                         for J, a in entry.terms.items():
                             b = exact_entry.terms[J]
                             assert (a - b) % q == 0
                             assert a.bit_length() <= b.bit_length()
-                            negative += a < 0
-                        wide += any(abs(b) >= q for b in exact_entry.terms.values())
-            assert wide and negative
+                            if a < 0:
+                                negative.add(k)
+                        if any(abs(b) >= q for b in exact_entry.terms.values()):
+                            wide.add(k)
+            assert precisions == [2, _clip_precision(module, direction, rho, 40)]
+            assert wide == negative == set(precisions)
+
+
+def residues(record, p):
+    """A unit-radius record as the rung and the exact walk share it: each
+    depth's norm exponent full, with its leading parts mod p**(full + 1)."""
+    return [
+        (full, [{J: a % p ** (full + 1) for J, a in e.terms.items()} for e in leading])
+        for full, leading in record
+    ]
+
+
+class TestUnitRung:
+    """At the unit radius the walk runs mod p**k0, k0 = v_p(content of M)
+    + 1, up to its first zero, and only then at the clip precision K."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5]),
+        rank=st.integers(1, 2),
+        depth=st.integers(8, 60),
+    )
+    def test_verdict_records_and_witness_equal_the_exact_walk(self, seed, p, rank, depth):
+        module = random_integrable_module(Random(seed), p, rank)
+
+        def run():
+            records = []
+            verdict = oc_ir_test(module, depth, _records=records)
+            search = curve_witness_search(module, depth, trials=4, seed=seed)
+            return verdict, [residues(record, p) for record in records], search
+
+        assert run() == exact_walk(run)
+
+    def test_rung_fails_then_clip_precision(self, monkeypatch):
+        # N = 1/(2t): the rung mod 3 meets a zero at s = 3, and the walk
+        # restarts mod 3**33, K = ceil(64 * 1/2) + 1
+        module = corpus_by_label()["power-half-p3"].descriptor.module
+        precisions = recording_walks(monkeypatch)
+        report = intrinsic_radius(module, R1, 64)
+        assert precisions == [1, 33]
+        assert report == exact_walk(intrinsic_radius, module, R1, 64)
+
+    def test_cutcheck_dense_walks_once_per_direction_mod_p(self, monkeypatch):
+        module = benchmark_anchor_modules()["cutcheck-dense"]
+        precisions = recording_walks(monkeypatch)
+        report = curve_witness_search(module, depth=48, trials=10, seed=0)
+        assert report.verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE
+        assert precisions == [1, 1]
+
+    def test_other_radii_walk_at_the_clip_precision(self, monkeypatch):
+        rho = (LogRadius(Fraction(1, 3)),)
+        precisions = recording_walks(monkeypatch)
+        intrinsic_radius(exponential_module(3), rho, depth=16)
+        assert precisions == [_clip_precision(exponential_module(3), 0, rho, 16)]
+
+    def test_no_rung_when_k0_reaches_k(self, monkeypatch):
+        # N = [81]: k0 = v_3(81) + 1 = 5 = K = ceil(8 * 1/2) + 1, so the walk
+        # starts at K; H_2 = 3**8 vanishes mod p**K and it goes on exactly
+        module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[81]]),))
+        assert _rung_precision(module, 0) == _clip_precision(module, 0, R1, 8) == 5
+        precisions = recording_walks(monkeypatch)
+        intrinsic_radius(module, R1, 8)
+        assert precisions == [5, None]
+
+    def test_rung_kept_when_the_clip_walk_is_exact(self, monkeypatch):
+        # N = [3**-30000]: c = 3**30000 asks for a K past the bits cap, but
+        # M = [1] has content 1, so the walk runs mod 3
+        module = ConnectionModule(
+            3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[Fraction(1, 3**30000)]]),)
+        )
+        assert _clip_precision(module, 0, R1, 8) is None
+        precisions = recording_walks(monkeypatch)
+        report = intrinsic_radius(module, R1, 8)
+        assert precisions == [1]
+        assert report == exact_walk(intrinsic_radius, module, R1, 8)
 
 
 class TestOcVerdict:
