@@ -11,12 +11,9 @@ direction-i operator sends the basis column e_a to column a of G_{i,s}.
 They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
 common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
     H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
-has int coefficients throughout.  The walk keys its terms by packed
-exponent vectors, so a step moves each by one integer addition, with no
-ring operation, and yields entries whose tuple keys are built only when
-read.  The curvature uses the ring operations LaurentPoly.partial,
-__add__, scalar_mul and PolyMatrix.__matmul__.  A module copy whose internal
-`_ladder_precision` is K walks H_{i,s} mod p**K.
+has int coefficients throughout.  The curvature uses the ring operations
+LaurentPoly.partial, __add__, scalar_mul and PolyMatrix.__matmul__.  A
+module copy with an internal `_ladder_precision` walks H_{i,s} mod p**K.
 """
 
 from __future__ import annotations
@@ -197,10 +194,10 @@ class ConnectionModule:
     nvars_disc: int
     rank: int
     matrices: Tuple[PolyMatrix, ...]
-    # Internal: K for a copy on which `iter_deriv_matrices` walks modulo
-    # p**K.  It is not part of the module: repr, equality and descriptors
+    # Internal: K, or a list of K per step, for a copy that
+    # `iter_deriv_matrices` walks mod p**K; repr, equality and descriptors
     # leave it out.
-    _ladder_precision: Optional[int] = None
+    _ladder_precision: Optional[int | list[int]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -303,13 +300,14 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     step past it doubles `reach` and repacks wider, so no digit overflows.
     The yielded entries build their tuple keys when first read.
 
-    With `_ladder_precision` K, each coefficient is replaced by its
-    symmetric residue mod q = p**K, in (-q/2, q/2]: a kept one has its
-    exact valuation and no more bits, and a term divisible by p**K is
-    dropped, so a zero here does not prove H_s = 0.
+    With `_ladder_precision` K, or a list whose [s] is K at step s, each
+    coefficient of H_s is replaced by its symmetric residue mod q = p**K,
+    in (-q/2, q/2]: a kept one has its exact valuation and no more bits,
+    and a term divisible by p**K is dropped, so a zero here does not prove
+    H_s = 0.  `radius.deriv_ladder` walks p**(w_1 + 1), the tapered
+    p**kappa_s, p**K, then exactly, each from the last one's first zero.
 
-    A norm exponent of G_s is that of H_s minus s * v_p(c).  Callers
-    bound the iteration; integrability is not re-checked here.
+    Callers bound the iteration; integrability is not re-checked here.
     """
     c = ladder_denominator(module, direction)
     p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
@@ -329,8 +327,6 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
         return [[[(pack_key(K, bits) - origin, v) for K, v in entry] for entry in row] for row in M]
 
     precision = module._ladder_precision
-    q = None if precision is None else p ** precision
-    half = 0 if q is None else q // 2
     reach = _FIRST_REACH
     bits = pack_width(reach * E)
     shifts = packed(bits)
@@ -350,6 +346,9 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
                 for row in terms
             ]
             bits, shifts = wider, packed(wider)
+        k = precision[s] if isinstance(precision, list) else precision
+        q = None if k is None else p**k
+        half = 0 if q is None else q // 2
         out = []
         for i in range(rank):
             row = []

@@ -124,11 +124,11 @@ def corpus_by_label() -> dict[str, CorpusEntry]:
 
 
 def random_integrable_module(rng: random.Random, prime: int, rank: int) -> ConnectionModule:
-    """Random integrable two-variable module with entries depending on
-    both variables: N_i = d_i(phi) * C for a monomial potential phi and a
-    constant matrix C (all such pairs commute, so curvature vanishes)."""
-    if rank < 1 or rank > 2:
-        raise ValueError("generator supports rank 1 and 2")
+    """Random integrable module of rank 1-3 in two variables, both in each
+    entry: N_i = d_i(phi) * C for a monomial potential phi and a constant
+    matrix C (all such pairs commute, so curvature vanishes)."""
+    if rank < 1 or rank > 3:
+        raise ValueError("generator supports rank 1 to 3")
     while True:
         e1 = rng.randint(-3, 3)
         e2 = rng.randint(-3, 3)
@@ -144,8 +144,8 @@ def random_integrable_module(rng: random.Random, prime: int, rank: int) -> Conne
     else:
         while True:
             C = [
-                [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-                for _ in range(2)
+                [Fraction(rng.randint(-3, 3)) for _ in range(rank)]
+                for _ in range(rank)
             ]
             if any(c != 0 for row in C for c in row):
                 break

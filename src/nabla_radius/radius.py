@@ -12,11 +12,17 @@ is approximated by the worst (largest-exponent) estimate over a trailing
 window of depths; when some G_{i,s} vanishes identically the direction is
 exactly 1 and is flagged as such.
 
-`deriv_ladder` is the one walk of the recursion and owns its precision:
-mod p**K, or exact, and at the unit radius first mod p**(w_1 + 1), w_1
-the valuation of H_1.  At the unit radius a nonzero reduction of H_s has
-the exact norm, and w_s >= w_1 at every depth, so that coarsest rung
-gives the same estimates and records until its first zero.
+`deriv_ladder` is the one walk of the recursion and owns its precision,
+a chain of levels that each start at the first reduced zero of the one
+before: at the unit radius mod p**(w_1 + 1), w_1 the valuation of H_1;
+then, for the estimates alone, mod p**kappa_s; then mod p**K; then
+exactly.  At the unit radius a nonzero reduction of H_s has the exact
+norm, and w_s >= w_1 at every depth, so that coarsest rung gives the same
+estimates and records until its first zero.  kappa_s tapers with the
+depth s: by Leibniz, a digit dropped at depth s moves H_t by a valuation
+that grows with t - s, as fast as the norms w_i already read show, so
+only the digits that can reach an estimate at a depth t <= depth are
+kept (`_Taper`).  K is that rule when nothing has been read.
 `intrinsic_radius` walks each direction once and `taylor_probe` walks
 exactly.  For `curves.curve_witness_search` the unit-radius walk also
 keeps the `unit_step` of every depth, which the witness check reads in
@@ -155,7 +161,10 @@ def _clip_precision(
 
     At the unit radius `deriv_ladder` walks mod p**k0, k0 =
     `_rung_precision`, before it walks mod p**K: K serves only from the
-    first depth where H_s vanishes mod p**k0.
+    first depth where H_s vanishes mod p**k0, or, for the estimates alone,
+    where the tapered walk of `_Taper` reaches its error floor.  There mu
+    = 0, and K is what `_Taper` plans with no norm read: the
+    no-information case of its rule.
     """
     rates = [r.exponent for r in rho]
     r_i = rates[direction]
@@ -191,11 +200,117 @@ def _rung_precision(module: ConnectionModule, direction: int) -> Optional[int]:
     return None if k0 * module.prime.bit_length() > _PRECISION_BITS_CAP else k0
 
 
+def _unit_norm(H: PolyMatrix) -> Optional[int]:
+    """The unit-radius norm exponent of a ladder matrix, the least
+    valuation of its int coefficients; None for H = 0."""
+    g = gcd(*[gcd(*e._store.values()) for row in H.rows for e in row])
+    return int_valuation(g, H.prime) if g else None
+
+
+# The tapered walk plans again after reading H_s for s = 8, 16, 32, ...
+_FIRST_PLAN = 8
+
+
+class _Taper:
+    """The precisions kappa[s] of the tapered unit-radius walk, planned
+    from the norm exponents w_i it has read.
+
+    v = v_p(c), T_t = t * (v + 1/(p-1)) and g_i = w_i - i v, the norm
+    exponent of G_i.  For the direction's operator D = d + N and any
+    matrix X, D^k X = sum_j C(k, j) G_{k-j} d^j(X), and d^j / j! sends t^n
+    to the int multiple C(n, j) t^(n-j), so at the unit radius
+
+        w(c^k D^k X) >= w(X) + k v + F(k),
+        F(k) = min_{i <= k} (v_p(k!) - v_p(i!) + g_i).
+
+    A term dropped at depth s has valuation >= kappa[s], so it moves H_t by
+    valuation >= kappa[s] + (t - s) v + F(t - s).  The walk is linear, so
+    the error of H_t is the sum of those moves; `plan` takes
+
+        kappa[s] = ceil(max_{s <= t <= depth} (T_t - (t - s) v - F(t - s))) + 1
+
+    and the error of every H_t, t <= depth, then has valuation at least
+    its floor, min_{s <= t} (kappa[s] + (t - s) v + F(t - s)) >= T_t + 1.
+
+    F is bounded below from the reads: g_i itself up to the last depth a
+    read, past it g_{a+b} >= g_a + F(b) (Leibniz for G_{a+b} = D^b G_a)
+    and g_i >= -i v (H_i has int coefficients).  With no read, F(k) = -k v
+    and kappa[s] = ceil(T_depth) + 1 at every s: that is
+    `_clip_precision`'s K at the unit radius, the first schedule.
+
+    A coefficient of H_t below the floor is exact.  So H_t counts as a
+    reduced zero when its least valuation w reaches the floor, as an exact
+    zero H_t does; otherwise w is the exact w_t, and only such reads are
+    taken.  The floor taken is the larger of T_t + 1 and the min above
+    with the latest F, both lower bounds on the error.  The min costs
+    O(t), so it is taken only when no coefficient lies below T_t + 1; past
+    the last plan that is tested on the coefficients up to the first one
+    below, with no gcd.
+    """
+
+    def __init__(self, prime: int, step: int, depth: int) -> None:
+        self.prime, self.step, self.depth = prime, step, depth
+        self.slope = step * (prime - 1) + 1  # T_t = t * slope / (p - 1)
+        self.facts = [0]  # v_p(k!)
+        for k in range(1, depth + 1):
+            self.facts.append(self.facts[-1] + (0 if k % prime else int_valuation(k, prime)))
+        self.norms = [0]  # w_0, w_1, ..., the exact reads
+        self.bound = [0] * (depth + 1)  # F
+        self.kappa = [0] * (depth + 1)
+        self.plan()
+        self.last = _FIRST_PLAN  # the last depth read: 8 * 2**j <= depth / 2
+        while 4 * self.last <= depth:
+            self.last *= 2
+
+    def read(self, s: int, w: int) -> None:
+        """Take w_s, exact; plan again once s is 8, 16, ... up to `last`."""
+        if s == len(self.norms) and s <= self.last:
+            self.norms.append(w)
+            if s >= _FIRST_PLAN and s & (s - 1) == 0:
+                self.plan()
+
+    def plan(self) -> None:
+        """F from the reads, and kappa[s] for every s past them."""
+        p, v, depth, facts, norms, F = self.prime, self.step, self.depth, self.facts, self.norms, self.bound
+        D, a = p - 1, len(norms) - 1
+        least = reach = 0  # min_{i <= k} (g_i - v_p(i!)); max_{i <= k} (i - D F(i))
+        ahead = [0] * (depth + 1)  # ahead[k] = reach at k
+        for k in range(1, depth + 1):
+            if k <= a:
+                g = norms[k] - k * v
+            else:
+                g = max(-k * v, norms[a] - a * v + F[k - a]) if a else -k * v
+            least = min(least, g - facts[k])
+            F[k] = facts[k] + least
+            reach = ahead[k] = max(reach, k - D * F[k])
+        # T_t - (t - s) v - F(t - s) = (s * slope + (t - s) - D F(t - s)) / D
+        for s in range(a + 1, depth + 1):
+            self.kappa[s] = -(-(s * self.slope + ahead[depth - s]) // D) + 1
+
+    def reduced_zero(self, s: int, H: PolyMatrix) -> bool:
+        """Whether H_s of the tapered walk reaches its error floor; if not,
+        its norm exponent is read."""
+        u = -(-s * self.slope // (self.prime - 1)) + 1  # the least int >= T_s + 1
+        if s > self.last:
+            q = self.prime**u
+            if any(a % q for row in H.rows for e in row for a in e._store.values()):
+                return False
+        w = _unit_norm(H)
+        if w is None or w >= u and w >= min(
+            self.kappa[j] + (s - j) * self.step + self.bound[s - j] for j in range(1, s + 1)
+        ):
+            return True
+        self.read(s, w)
+        return False
+
+
 def deriv_ladder(
     module: ConnectionModule,
     direction: int,
     depth: int,
     rho: Optional[Tuple[LogRadius, ...]] = None,
+    *,
+    taper: bool = False,
 ) -> Iterator[Tuple[int, PolyMatrix, int]]:
     """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
 
@@ -205,35 +320,52 @@ def deriv_ladder(
     minus the shift s * v_p(c); a comparison of two norms of the same H_s
     needs no shift.
 
-    With a radius vector rho, the walk runs mod p**K on a module copy that
-    carries K = `_clip_precision(module, direction, rho, depth)`; without
-    one it is exact.  A zero mod p**K does not prove H_s = 0, so at the
-    first reduced zero the walk restarts exactly and goes on exactly from
-    that depth.  Only an exact zero ends the walk, right after it: every
-    later H_s vanishes too, since G_{s+1} = d(G_s) + N G_s.
+    Without rho the walk is exact.  With one it runs through a chain of
+    precisions, each on a module copy that carries it, coarsest first:
 
-    At the unit radius one rung comes first: the walk runs mod p**k0, k0 =
-    `_rung_precision(module, direction)`, and at its first zero restarts
-    mod p**K, then exactly as above.  The rung is skipped when k0 is None
-    or k0 >= K, and kept when K is None.  Its yields have the norms and
-    leading parts that the walk mod p**K gives: there every term weighs 0,
-    so the norm exponent w_s of H_s is its least coefficient valuation,
-    and a nonzero H_s mod p**k0 has it exactly, on the same entries, with
-    the same residues mod p**(w_s + 1).  At other radii a kept residue
-    does not bound the norm of a dropped term, which may weigh less, so
-    they have no rung.
+    1. at the unit radius, mod p**k0, k0 = `_rung_precision` = w_1 + 1;
+    2. with `taper`, at the unit radius after a rung, mod p**kappa[s], the
+       Leibniz-tapered precisions of `_Taper`;
+    3. mod p**K, K = `_clip_precision(module, direction, rho, depth)`;
+    4. exactly.
+
+    Each level after the first starts at the first reduced zero of the one
+    before: the walk restarts and goes on from that depth.  Mod p**k a
+    reduced zero is H_s = 0 mod p**k, which does not prove H_s = 0; at the
+    taper it is an H_s whose coefficients all reach the error floor, so
+    that a zero there falls back to p**K, not to the exact walk.  Only an
+    exact zero ends the walk, right after it: every later H_s vanishes
+    too, since G_{s+1} = d(G_s) + N G_s.  The rung is skipped when k0 is
+    None or k0 >= K, and kept when K is None; the taper needs both.
+
+    Every level yields the estimates that the exact walk gives, and an
+    exact zero at depth s is a reduced zero there at every level, so
+    `vanished_at` stays.  Mod p**K that is `_clip_precision`'s argument.
+    The rung's yields have the norms and leading parts that the walk mod
+    p**K gives: there every term weighs 0, so the norm exponent w_s of H_s
+    is its least coefficient valuation, and a nonzero H_s mod p**k0 has it
+    exactly, on the same entries, with the same residues mod p**(w_s + 1).
+    At other radii a kept residue does not bound the norm of a dropped
+    term, which may weigh less, so they have no rung and no taper.  A
+    tapered yield below its floor has the exact w_s.  Only that norm is
+    kept, so `taper` is asked for by `intrinsic_radius` without a record.
     """
     step = int_valuation(ladder_denominator(module, direction), module.prime)
-    precisions: list[Optional[int]] = [None]  # coarsest first, exact last
+    precisions: list[int | list[int] | None] = [None]  # coarsest first, exact last
+    schedule = None
     if rho is not None:
         K = _clip_precision(module, direction, rho, depth)
         if K is not None:
             precisions.insert(0, K)
         k0 = None if any(r.exponent for r in rho) else _rung_precision(module, direction)
         if k0 is not None and (K is None or k0 < K):
+            if taper and K is not None:
+                schedule = _Taper(module.prime, step, depth)
+                precisions.insert(0, schedule.kappa)
             precisions.insert(0, k0)
+    tapered = () if schedule is None else schedule.kappa  # the taper's level; () is none
 
-    def walk(precision: Optional[int]) -> Iterator[PolyMatrix]:
+    def walk(precision: int | list[int] | None) -> Iterator[PolyMatrix]:
         walked = module if precision is None else ConnectionModule(
             module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices,
             precision,
@@ -245,10 +377,16 @@ def deriv_ladder(
     next(ladder)  # H_0 is the identity
     for s in range(1, depth + 1):
         H = next(ladder)
-        while H.is_zero and precisions[level] is not None:
+        while precisions[level] is not None and (
+            schedule.reduced_zero(s, H) if precisions[level] is tapered else H.is_zero
+        ):
             level += 1
+            if precisions[level] is tapered:
+                schedule.plan()
             ladder = walk(precisions[level])
             H = next(islice(ladder, s, None))
+        if level == 0 and schedule is not None and s <= schedule.last:
+            schedule.read(s, _unit_norm(H))  # the rung's norms are exact
         yield s, H, s * step
         if H.is_zero:
             return
@@ -306,7 +444,7 @@ def _direction_radius(
     base = spectral_base_exponent(module.prime)
     r_i = rho[direction].exponent
     estimates: list[Fraction] = []
-    for s, H, shift in deriv_ladder(module, direction, depth, rho):
+    for s, H, shift in deriv_ladder(module, direction, depth, rho, taper=record is None):
         if record is not None:
             record.append(unit_step(H))
         if H.is_zero:

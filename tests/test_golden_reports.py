@@ -8,8 +8,11 @@ on the two ``FRACTIONAL`` modules were recorded before the derivative
 ladder moved to integer numerators over a common denominator, and the
 ``ir-two-radii`` cases before Gauss norms took one valuation per weight
 class.  The ``validate`` case on the non-integrable ``CURVED`` module was
-recorded before the curvature was built entry by entry.  Depths are small
-so that the whole file runs in a few seconds.
+recorded before the curvature was built entry by entry.  The ``oc-deep``
+cases (``DEEP``) were recorded before the unit-radius walk tapered its
+precision with the depth; no taper plans below the clip precision as
+shallow as depth 16.  Other depths are small so that the rest of the file
+runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import json
 
 import pytest
 
+from random import Random
+
 from nabla_radius.cli import main
-from nabla_radius.corpus import build_corpus
-from nabla_radius.descriptor import module_descriptor_to_dict
+from nabla_radius.corpus import build_corpus, random_integrable_module
+from nabla_radius.descriptor import ModuleDescriptor, module_descriptor_to_dict
 
 DEPTH = "16"
 
@@ -100,7 +105,19 @@ CURVED = {
     },
 }
 
-DOCUMENTS = {**FRACTIONAL, **CURVED, **POLYS}
+# Deep `oc` runs: the oc-deep benchmark anchor, and d + 9 t^8 (exp(t^9))
+# over Q_3, which prints NOT_OVERCONVERGENT_EVIDENCE only at depth 512.
+DEEP = {
+    "random7-rk2-p3": module_descriptor_to_dict(
+        ModuleDescriptor(random_integrable_module(Random(7), 3, 2), "random7-rk2-p3")
+    ),
+    "exp-t9-p3": {
+        "prime": 3, "n": 1, "m": 0, "rank": 1, "label": "exp-t9-p3",
+        "matrices": [[[[_term([8], "9")]]]],
+    },
+}
+
+DOCUMENTS = {**FRACTIONAL, **CURVED, **POLYS, **DEEP}
 
 
 def _cases() -> list[tuple[str, str, list[str]]]:
@@ -137,6 +154,10 @@ def _cases() -> list[tuple[str, str, list[str]]]:
              ["cutcheck", "--depth", DEPTH, "--trials", "3", "--seed", "0"]),
         ]
     cases += [(f"validate/{label}", label, ["validate"]) for label in CURVED]
+    deep = [("random7-rk2-p3", depth) for depth in (150, 200, 512)]
+    deep += [(label, depth) for label in FRACTIONAL for depth in (64, 128)]
+    deep += [("exp-t9-p3", 512)]
+    cases += [(f"oc-deep/{label}/{depth}", label, ["oc", "--depth", str(depth)]) for label, depth in deep]
     # Two different radii put terms of mixed exponents into one weight class.
     for label in ("frac-potential-p3", "exp-two-var-p3"):
         cases.append((f"ir-two-radii/{label}", label,
@@ -232,6 +253,14 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'taylor/frac-twist-rk2-p3': (3, '3141ad69e935be60e090dacf78947baf4fd5e95d52db59178d4dc0ad2846e313', ''),
     'cutcheck/frac-twist-rk2-p3': (3, 'c7053554d19ab1729af920b6f4c6f42e1064265d3093770fbe8a2b5286035fc5', ''),
     'validate/curved-rk2-p3': (2, '924bb667e232d8e511e7a30e238141f67fe80a3019caadabe1bed6b842a7a017', ''),
+    'oc-deep/random7-rk2-p3/150': (0, '3fe36c5cba3b60502664eda0995e9fca767f478f7492d15332849d32eaf4290e', ''),
+    'oc-deep/random7-rk2-p3/200': (0, '2e375644491daedd9446a64136d63adb78738007f8140252bef46475086bc2d4', ''),
+    'oc-deep/random7-rk2-p3/512': (0, '1f9f29f1fe91ac5fa678a8d0fedfbe57fafc2aee900bb601a4ab5279dabe96b7', ''),
+    'oc-deep/frac-potential-p3/64': (3, '8a347c6b788a311b747b703d26ea7fb2692911c3d291a547a7a9f8a8e523dbb5', ''),
+    'oc-deep/frac-potential-p3/128': (3, '54c3f588453ef990a7379b3c3727c887d0c3a2af83aeae6948cb179d36085229', ''),
+    'oc-deep/frac-twist-rk2-p3/64': (3, '2cbc090508c391f49c9980389769f22696a7be17a42edbf68f8565f28dc88320', ''),
+    'oc-deep/frac-twist-rk2-p3/128': (3, 'a81610bec44ea264d97970ad821ba6b08d26866bd38cf8c371374935606bce76', ''),
+    'oc-deep/exp-t9-p3/512': (3, '4e3a59147aad5425cbf0fd97d3b39f6552cae98ff43da25986b54d531d2abf80', ''),
     'ir-two-radii/frac-potential-p3': (0, '1866d1c249cc40506aed392ef0e5ee1ee7391fe7272291fcc06fc3318c70fa71', ''),
     'ir-two-radii/exp-two-var-p3': (0, 'f1455252a9a421f78124a0627eb8946c9ad6f076b7243ce97f8a26183ec81b38', ''),
     'specialize-non-unit/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 3 is not a unit\n'),

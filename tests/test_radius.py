@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabla_radius import radius
-from nabla_radius.connection import DepthCapError, NotIntegrableError, iter_deriv_matrices
+from nabla_radius.connection import (
+    DepthCapError,
+    NotIntegrableError,
+    iter_deriv_matrices,
+    ladder_denominator,
+)
 from nabla_radius.corpus import (
     corpus_by_label,
     exponential_module,
@@ -23,6 +28,7 @@ from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
+    _Taper,
     _clip_precision,
     _fold_levels,
     _rung_precision,
@@ -35,7 +41,7 @@ from nabla_radius.radius import (
     taylor_probe,
 )
 
-from test_connection import benchmark_anchor_modules
+from test_connection import benchmark_anchor_modules, potential_module
 
 R1 = (LogRadius.one(),)
 
@@ -82,7 +88,8 @@ def exact_walk(fn, *args):
 
 
 def recording_walks(monkeypatch):
-    """Record the precision of every module the ladder is walked on."""
+    """Record the precision of every module the ladder is walked on: an
+    int K, None (exact), or the list of a tapered walk's precisions."""
     precisions = []
     original = radius.iter_deriv_matrices
 
@@ -92,6 +99,14 @@ def recording_walks(monkeypatch):
 
     monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
     return precisions
+
+
+TAPERED = "tapered"
+
+
+def chain(precisions):
+    """The levels that `recording_walks` saw, a tapered one as TAPERED."""
+    return [TAPERED if isinstance(k, list) else k for k in precisions]
 
 
 class TestDerivLadder:
@@ -360,12 +375,16 @@ class TestUnitRung:
 
     def test_rung_fails_then_clip_precision(self, monkeypatch):
         # N = 1/(2t): the rung mod 3 meets a zero at s = 3, and the walk
-        # restarts mod 3**33, K = ceil(64 * 1/2) + 1
+        # that keeps a record restarts mod 3**33, K = ceil(64 * 1/2) + 1;
+        # the walk for the estimates alone restarts tapered instead
         module = corpus_by_label()["power-half-p3"].descriptor.module
         precisions = recording_walks(monkeypatch)
-        report = intrinsic_radius(module, R1, 64)
+        verdict = oc_ir_test(module, 64, _records=[])
         assert precisions == [1, 33]
-        assert report == exact_walk(intrinsic_radius, module, R1, 64)
+        precisions.clear()
+        report = intrinsic_radius(module, R1, 64)
+        assert chain(precisions) == [1, TAPERED]
+        assert report == verdict.report == exact_walk(intrinsic_radius, module, R1, 64)
 
     def test_cutcheck_dense_walks_once_per_direction_mod_p(self, monkeypatch):
         module = benchmark_anchor_modules()["cutcheck-dense"]
@@ -400,6 +419,210 @@ class TestUnitRung:
         report = intrinsic_radius(module, R1, 8)
         assert precisions == [1]
         assert report == exact_walk(intrinsic_radius, module, R1, 8)
+
+
+def tapered_yields(module, direction, depth):
+    """(s, H_s, the exact H_s) for every depth that `oc`'s walk in one
+    direction yields from its tapered level."""
+    exact = [H for _, H, _ in deriv_ladder(module, direction, depth)]
+    unit = (LogRadius.one(),) * module.dims
+    with pytest.MonkeyPatch.context() as mp:
+        precisions = recording_walks(mp)
+        return [
+            (s, H, exact[s - 1])
+            for s, H, _ in deriv_ladder(module, direction, depth, unit, taper=True)
+            if isinstance(precisions[-1], list)
+        ]
+
+
+@st.composite
+def taper_modules(draw):
+    """A seeded `random_integrable_module` of rank 1 to 3, or a potential
+    module d + d(phi) C whose coefficients have p in their denominators,
+    as the golden files' FRACTIONAL modules do, so that v_p(c) > 0."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rank = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return random_integrable_module(Random(draw(st.integers(0, 2**32 - 1))), p, rank)
+    unit = st.sampled_from([1, -1, 2, -2, 4, 5, -7])
+    exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    terms = draw(st.dictionaries(
+        exponents, st.builds(lambda a, k: Fraction(a, p**k), unit, st.integers(1, 2)),
+        min_size=1, max_size=2,
+    ))
+    C = draw(st.lists(
+        st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, p])), min_size=rank, max_size=rank),
+        min_size=rank, max_size=rank,
+    ).filter(lambda C: any(any(row) for row in C)))
+    return potential_module(p, 2, 0, terms, C)
+
+
+class TestTaper:
+    """At the unit radius the walk for the estimates alone runs, after the
+    rung, mod p**kappa_s: the Leibniz-tapered precisions of `_Taper`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(module=taper_modules(), depth=st.integers(16, 40))
+    def test_no_error_reaches_below_its_floor(self, module, depth):
+        # Each dropped digit moves H_t by valuation >= T_t + 1, T_t = t *
+        # (v_p(c) + 1/(p-1)), at every depth t <= depth, not only in the
+        # window: equal reports alone would not show a plan that drops too
+        # much, since the window's estimates are often clipped to 0.
+        p = module.prime
+        for direction in range(module.dims):
+            v = int_valuation(ladder_denominator(module, direction), p)
+            for s, H, exact in tapered_yields(module, direction, depth):
+                floor = s * (v + Fraction(1, p - 1)) + 1
+                for row, exact_row in zip(H.rows, exact.rows):
+                    for entry, exact_entry in zip(row, exact_row):
+                        a, b = entry.terms, exact_entry.terms
+                        for J in a.keys() | b.keys():
+                            error = a.get(J, 0) - b.get(J, 0)
+                            assert not error or int_valuation(error, p) >= floor
+        assert oc_ir_test(module, depth) == exact_walk(oc_ir_test, module, depth)
+
+    @pytest.mark.parametrize("name", ["oc-deep", "exp-t9"])
+    def test_the_walk_is_tapered_to_the_depth(self, name):
+        # the oc-deep anchor, and d + 9 t^8 (exp(t^9)) at p = 3
+        if name == "oc-deep":
+            module = benchmark_anchor_modules()[name]
+        else:
+            module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(8,): 9})]]),))
+        for direction in range(module.dims):
+            assert len(tapered_yields(module, direction, 64)) >= 60
+
+    @pytest.mark.parametrize("p, rank, depth", [(2, 1, 16), (3, 2, 150), (5, 3, 512)])
+    def test_with_no_norm_read_every_precision_is_k(self, p, rank, depth):
+        # F(k) = -k v_p(c) gives kappa_s = ceil(T_depth) + 1 at every s
+        for module in (random_integrable_module(Random(1), p, rank), exponential_module(p, Fraction(1, p**3))):
+            step = int_valuation(ladder_denominator(module, 0), p)
+            K = _clip_precision(module, 0, (LogRadius.one(),) * module.dims, depth)
+            assert _Taper(p, step, depth).kappa[1:] == [K] * depth
+
+    @pytest.mark.parametrize("a", [12, 20, 40])
+    @pytest.mark.parametrize("depth", [64, 150])
+    def test_a_tapered_zero_falls_back_to_k_then_exactly(self, monkeypatch, a, depth):
+        # G_s = a (a-1) ... (a-s+1) t**-s first vanishes at s = a + 1.  That
+        # zero reaches the tapered walk's floor, and the walk restarts mod
+        # p**K, where it vanishes too, and only then exactly.
+        module = power_module(3, a)
+        precisions = recording_walks(monkeypatch)
+        verdict = oc_ir_test(module, depth)
+        d = verdict.report.directions[0]
+        assert d.vanished_at == a + 1 and d.exact
+        assert chain(precisions) == [
+            _rung_precision(module, 0), TAPERED, _clip_precision(module, 0, R1, depth), None
+        ]
+        assert verdict == exact_walk(oc_ir_test, module, depth)
+
+    def test_a_zero_past_the_first_plan(self, monkeypatch):
+        # N = P diag(10, 13) P^-1 / t, P = [[1, 1], [0, 1]]: G_s = P
+        # diag((10)_s, (13)_s) P^-1 t**-s vanishes first at s = 14, after the
+        # walk has planned below K from the norms it read up to s = 8
+        def entry(a):
+            return LaurentPoly(3, 1, 0, {(-1,): a})
+
+        N = PolyMatrix([[entry(10), entry(3)], [LaurentPoly.zero(3, 1, 0), entry(13)]])
+        module = ConnectionModule(3, 1, 0, 2, (N,))
+        precisions = recording_walks(monkeypatch)
+        verdict = oc_ir_test(module, 64)
+        assert verdict.report.directions[0].vanished_at == 14
+        K = _clip_precision(module, 0, R1, 64)
+        assert chain(precisions) == [1, TAPERED, K, None]
+        assert max(precisions[1][9:15]) < K
+        assert verdict == exact_walk(oc_ir_test, module, 64)
+
+    def test_a_floor_reached_above_zero_goes_on_mod_p_k(self, monkeypatch):
+        # N = 3/(2t): some H_s reaches the tapered walk's floor, but no H_s
+        # vanishes mod p**K, so the walk goes on mod p**K to the depth
+        module = power_module(3, Fraction(3, 2))
+        precisions = recording_walks(monkeypatch)
+        report = intrinsic_radius(module, R1, 64)
+        assert chain(precisions) == [2, TAPERED, _clip_precision(module, 0, R1, 64)]
+        assert report == exact_walk(intrinsic_radius, module, R1, 64)
+
+    def test_the_record_walk_has_no_taper(self, monkeypatch):
+        module = benchmark_anchor_modules()["oc-deep"]
+        precisions = recording_walks(monkeypatch)
+        oc_ir_test(module, 64, _records=[])
+        assert not any(isinstance(k, list) for k in precisions)
+        precisions.clear()
+        intrinsic_radius(module, (LogRadius(Fraction(1, 3)),) * 2, 64)
+        assert not any(isinstance(k, list) for k in precisions)
+
+
+def conjugated(module, P, P_inverse):
+    """The module in the basis P: every N_i becomes P^-1 N_i P."""
+    p, n, m = module.prime, module.nvars_annulus, module.nvars_disc
+    P = PolyMatrix.from_scalar_rows(p, n, m, P)
+    P_inverse = PolyMatrix.from_scalar_rows(p, n, m, P_inverse)
+    return ConnectionModule(p, n, m, module.rank, tuple(P_inverse @ N @ P for N in module.matrices))
+
+
+@st.composite
+def unimodular(draw, p, rank):
+    """P in GL_rank(Z_p) with its inverse, both integral: a product of
+    elementary matrices, each adding an int multiple of one row to another
+    or scaling a row by a unit of Z_p."""
+    P = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
+    P_inverse = [row[:] for row in P]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(rank)))[:2]
+        if draw(st.booleans()):
+            # row i times a unit a; the inverse's column i over a
+            a = Fraction(draw(st.sampled_from([x for x in range(-4, 5) if x % p])))
+            P = [[e * a if r == i else e for e in row] for r, row in enumerate(P)]
+            P_inverse = [[e / a if c == i else e for c, e in enumerate(row)] for row in P_inverse]
+        else:
+            # row i plus a times row j; the inverse's column j minus a times its column i
+            a = draw(st.integers(-4, 4))
+            P = [[e + a * P[j][c] if r == i else e for c, e in enumerate(row)] for r, row in enumerate(P)]
+            P_inverse = [
+                [e - a * row[i] if c == j else e for c, e in enumerate(row)] for row in P_inverse
+            ]
+    return P, P_inverse
+
+
+class TestGauge:
+    """The intrinsic radius is an invariant of the differential module;
+    two exact invariances of the windowed reports."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]),
+           rank=st.integers(2, 3), depth=st.integers(8, 40))
+    def test_a_constant_change_of_basis_keeps_every_report(self, data, seed, p, rank, depth):
+        # G'_s = P^-1 G_s P with P and P^-1 integral, so every norm is kept,
+        # at every radius
+        module = random_integrable_module(Random(seed), p, rank)
+        P, P_inverse = data.draw(unimodular(p, rank))
+        assert [[sum(P[i][k] * P_inverse[k][j] for k in range(rank)) for j in range(rank)]
+                for i in range(rank)] == [[int(i == j) for j in range(rank)] for i in range(rank)]
+        gauged = conjugated(module, P, P_inverse)
+        unit = (LogRadius.one(),) * 2
+        assert oc_ir_test(gauged, depth) == oc_ir_test(module, depth)
+        assert intrinsic_radius(gauged, unit, depth) == intrinsic_radius(module, unit, depth)
+        rho = (LogRadius(Fraction(1, 5)), LogRadius(Fraction(1, 3)))
+        assert intrinsic_radius(gauged, rho, depth) == intrinsic_radius(module, rho, depth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]),
+           rank=st.integers(1, 3), depth=st.integers(8, 40))
+    def test_swapping_the_variables_swaps_the_directions(self, seed, p, rank, depth):
+        module = random_integrable_module(Random(seed), p, rank)
+
+        def swap(entry):
+            return LaurentPoly(p, 2, 0, {(J[1], J[0]): a for J, a in entry.terms.items()})
+
+        swapped = ConnectionModule(p, 2, 0, rank, tuple(
+            PolyMatrix([[swap(e) for e in row] for row in N.rows]) for N in reversed(module.matrices)
+        ))
+        verdict, swapped_verdict = oc_ir_test(module, depth), oc_ir_test(swapped, depth)
+        assert swapped_verdict.verdict is verdict.verdict
+        ir, swapped_ir = verdict.report, swapped_verdict.report
+        assert [d.to_json_dict() for d in reversed(swapped_ir.directions)] == [
+            dict(d.to_json_dict(), direction=1 - d.direction) for d in ir.directions
+        ]
+        assert (swapped_ir.ir_estimate, swapped_ir.exact_flag) == (ir.ir_estimate, ir.exact_flag)
 
 
 class TestOcVerdict:
