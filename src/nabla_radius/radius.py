@@ -251,9 +251,7 @@ class _Taper:
     def __init__(self, prime: int, step: int, depth: int) -> None:
         self.prime, self.step, self.depth = prime, step, depth
         self.slope = step * (prime - 1) + 1  # T_t = t * slope / (p - 1)
-        self.facts = [0]  # v_p(k!)
-        for k in range(1, depth + 1):
-            self.facts.append(self.facts[-1] + (0 if k % prime else int_valuation(k, prime)))
+        self.facts = [factorial_valuation(k, prime) for k in range(depth + 1)]
         self.norms = [0]  # w_0, w_1, ..., the exact reads
         self.bound = [0] * (depth + 1)  # F
         self.kappa = [0] * (depth + 1)
