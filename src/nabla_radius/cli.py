@@ -16,6 +16,10 @@ load the rest of the package at start-up.  No module imports
 ``dataclasses``: the record classes are made by ``padic.frozen_record``,
 which generates no code, so no command loads ``dataclasses`` and the
 ``inspect`` module it pulls in, or ``exec``s methods for each class.
+Nor does any command load OpenSSL: `descriptor` hashes with CPython's
+built-in SHA-256 rather than through ``hashlib``.  The report leaves in
+one write, since ``json.dump`` writes each of its chunks on its own,
+which an unbuffered stdout sends as hundreds of system calls.
 """
 
 from __future__ import annotations
@@ -372,8 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(one_line(str(exc), "nabla-radius: "), file=sys.stderr)
         return EXIT_NOT_INTEGRABLE if isinstance(exc, NotIntegrableError) else EXIT_INVALID
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
 
 

@@ -78,13 +78,22 @@ class PolyMatrix:
         for row in rows:
             for entry in row:
                 first._check_signature(entry)
-        object.__setattr__(self, "prime", first.prime)
-        object.__setattr__(self, "nvars_annulus", first.nvars_annulus)
-        object.__setattr__(self, "nvars_disc", first.nvars_disc)
-        object.__setattr__(self, "rows", rows)
+        self._fill(first.prime, first.nvars_annulus, first.nvars_disc, rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyMatrix is immutable")
+
+    @classmethod
+    def _new(cls, prime: int, n: int, m: int, rows: tuple) -> "PolyMatrix":
+        """Internal: takes ownership of `rows`, a nonempty square tuple of
+        row tuples whose entries all have the signature (prime, n, m);
+        nothing is checked, as in `LaurentPoly._new`."""
+        return object.__new__(cls)._fill(prime, n, m, rows)
+
+    def _fill(self, *values: object) -> "PolyMatrix":
+        for name, value in zip(PolyMatrix.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def identity(cls, prime: int, n: int, m: int, size: int) -> "PolyMatrix":
@@ -298,7 +307,9 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     of M}, so |J_l| <= s * E, E the largest |exponent| in S.  The width
     `pack_width(reach * E)` holds `reach` steps, first _FIRST_REACH; a
     step past it doubles `reach` and repacks wider, so no digit overflows.
-    The yielded entries build their tuple keys when first read.
+    Each H_s is a `PolyMatrix` of `LaurentPoly`s made by their `_new`,
+    which skip the checks of matrices and entries the walk built itself;
+    the entries build their tuple keys when first read.
 
     With `_ladder_precision` K, or a list whose [s] is K at step s, each
     coefficient of H_s is replaced by its symmetric residue mod q = p**K,
@@ -334,7 +345,7 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     terms = [[one if i == j else {} for j in range(rank)] for i in range(rank)]
     s = 0
     while True:
-        yield PolyMatrix(tuple(
+        yield PolyMatrix._new(p, n, m, tuple(
             tuple(LaurentPoly._new(p, n, m, acc, bits) for acc in row) for row in terms
         ))
         s += 1

@@ -10,12 +10,18 @@ with one matrix per variable (annulus variables first), each a rank x
 rank nested list of term lists, coefficients as exact "num/den" strings.
 An optional "expected" object carries free-form expected results for
 corpus entries.  Serialization is canonical (terms ordered
-lexicographically, keys sorted) so documents hash stably.
+lexicographically, keys sorted) so documents hash stably.  A document
+that repeats a key in any object is refused: JSON readers differ on which
+copy they keep, so it has no one meaning to hash or to analyse.
+
+The digest is SHA-256 from CPython's built-in module, not from `hashlib`:
+importing `hashlib` loads OpenSSL's `_hashlib`, which costs every command
+a few milliseconds and MB to hash one document of a few KB.  It is the
+same function, so every digest is the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
@@ -25,6 +31,15 @@ from typing import Any, Mapping, Optional
 from .connection import ConnectionModule, PolyMatrix
 from .laurent import LaurentPoly, SignatureError
 from .padic import PrimeError, check_prime, frozen_record
+
+# the built-in SHA-256, as random.py takes SHA-512: hashlib loads OpenSSL
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class DescriptorError(ValueError):
@@ -136,7 +151,7 @@ def canonical_json(doc: Any) -> str:
 
 
 def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
-    return hashlib.sha256(
+    return sha256(
         canonical_json(module_descriptor_to_dict(descriptor)).encode("utf-8")
     ).hexdigest()
 
@@ -161,12 +176,25 @@ def _read_json(path: str) -> Any:
         # json.loads accepts NaN, Infinity and -Infinity, which are not JSON
         raise DescriptorError(f"invalid JSON in {path}: {token} is not a JSON value")
 
+    def refuse_duplicates(pairs: list[tuple[str, Any]]) -> dict:
+        # json.loads keeps the last copy of a repeated key
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise DescriptorError(f"invalid JSON in {path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if _nesting(text) > MAX_NESTING:
             raise DescriptorError(f"invalid JSON in {path}: nested too deeply")
-        return json.loads(text, parse_constant=refuse_constant)
+        return json.loads(
+            text, parse_constant=refuse_constant, object_pairs_hook=refuse_duplicates
+        )
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -116,8 +116,8 @@ class LaurentPoly:
     @classmethod
     def _new(cls, prime: int, n: int, m: int, terms: dict, bits: int = 0) -> "LaurentPoly":
         """Internal: takes ownership of `terms`, keyed by exponent vectors
-        or by `pack_key`s of width `bits` > 0, with valid keys and nonzero
-        int or Fraction values."""
+        with nonzero int or Fraction values, or by `pack_key`s of width
+        `bits` > 0 with nonzero int values, the keys valid."""
         return object.__new__(cls)._fill(prime, n, m, terms, bits)
 
     def _fill(self, *values: object) -> "LaurentPoly":
@@ -253,13 +253,15 @@ class LaurentPoly:
         of radii, None for zero.  |f|_rho is log-convex, so a term peaks at
         the corner with the inner rate on its negative exponents and the
         outer one elsewhere.  Its weight is an integer over the rates'
-        common denominator D, read from a packed key's digits in place, and
-        from no key when every rate is 0.  Terms of equal weight form a
-        class with one valuation, that of their gcd.  Classes go in
-        ascending weight; one of integer coefficients has a gcd of
-        valuation >= 0, so once its weight reaches the best exponent so
-        far it is skipped, exactly.  A class with a denominator is always
-        evaluated."""
+        common denominator D, read from a packed key's digits in place.
+        Terms of equal weight form a class with one valuation, that of
+        their gcd.  Classes go in ascending weight; one of integer
+        coefficients has a gcd of valuation >= 0, so once its weight
+        reaches the best exponent so far it is skipped, exactly.  A class
+        with a denominator is always evaluated.  When every rate is 0, all
+        terms weigh 0 and form one class, whose gcd and denominator lcm
+        are taken from the values with no per-term loop; a packed ladder
+        entry holds ints, which `gcd` takes as they are."""
         D = lcm(*[r.denominator for r in inner + outer])
         # slots with a rate other than 0, rates as integers over D
         bits = self._bits
@@ -268,6 +270,15 @@ class LaurentPoly:
             (l, l * bits, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
             for l, (a, b) in enumerate(zip(inner, outer)) if a or b
         ]
+        if not slots:
+            values = self._store.values()
+            if not values:
+                return None
+            if self._bits:
+                num, den = gcd(*values), 1
+            else:
+                num, den = gcd(*[c.numerator for c in values]), lcm(*[c.denominator for c in values])
+            return Fraction(fraction_valuation(num if den == 1 else Fraction(num, den), self.prime))
         classes: dict[int, list[Fraction | int]] = {}
         for key, coeff in self._store.items():
             w = 0

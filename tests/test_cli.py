@@ -753,6 +753,34 @@ class TestNonJsonConstants:
         assert err.startswith("nabla-radius: ") and "NaN is not a JSON value" in err
 
 
+class TestDuplicateKeys:
+    """A document that repeats a key is a refused input, whichever copy
+    another JSON reader would keep."""
+
+    @pytest.mark.parametrize("key", ["prime", "x" * 5000])
+    def test_refused_in_one_short_line(self, capsys, tmp_path, key):
+        bad = tmp_path / "dup.json"
+        bad.write_text('{"prime": 3, "n": 1, "m": 0, "rank": 1, "matrices": [[[[]]]],'
+                       ' "%s": 5, "%s": 5}' % (key, key), encoding="utf-8")
+        code, report, err = run_json(capsys, ["validate", str(bad)])
+        assert code == 1 and err == ""
+        assert report["status"] == "schema-error"
+        assert report["descriptor_sha256"] is None
+        assert "duplicate key" in report["error"] and len(report["error"].encode()) < 200
+        code, out, err = run(capsys, ["oc", "--depth", "16", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and err.count("\n") == 1
+        assert "duplicate key" in err and len(err.encode()) < 200
+
+    def test_poly_descriptor(self, capsys, tmp_path):
+        bad = tmp_path / "dup.json"
+        bad.write_text('{"prime": 3, "terms": [{"exps": [0], "coeff": "1", "coeff": "2"}]}',
+                       encoding="utf-8")
+        code, out, err = run(capsys, ["techlemma", str(bad), "--alpha", "1", "--beta", "1/2"])
+        assert code == 1 and out == ""
+        assert err.startswith("nabla-radius: ") and err.endswith("duplicate key 'coeff'\n")
+
+
 class TestDeeplyNestedJson:
     """A document nested more than MAX_NESTING arrays and objects deep is a
     refused input, counted on the text before it is parsed, so the bound

@@ -1,13 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nabla_radius
 from nabla_radius.corpus import (
     build_corpus,
     exponential_module,
+    exponential_two_var_module,
     power_module,
     random_integrable_module,
 )
@@ -155,6 +162,61 @@ class TestHashing:
         labeled = ModuleDescriptor(module=base.module, label="x")
         assert descriptor_sha256(base) != descriptor_sha256(labeled)
 
+    def test_digest_is_hashlib_sha256(self):
+        """The built-in SHA-256 is hashlib's, on every corpus document."""
+        for entry in build_corpus():
+            text = canonical_json(module_descriptor_to_dict(entry.descriptor))
+            assert descriptor_sha256(entry.descriptor) == (
+                hashlib.sha256(text.encode("utf-8")).hexdigest()
+            )
+
+
+# Runs cli.main in a fresh interpreter and prints whether OpenSSL's
+# hashlib binding was loaded, before and after.
+OPENSSL_PROBE = """
+import contextlib, io, json, sys
+before = "_hashlib" in sys.modules
+if sys.argv[1:]:
+    from nabla_radius.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+else:
+    code = None
+print(json.dumps([code, before, "_hashlib" in sys.modules]))
+"""
+
+
+def run_probe(*argv):
+    src = str(Path(nabla_radius.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENSSL_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNoOpenSSL:
+    """Commands hash with CPython's built-in SHA-256 and never load the
+    `_hashlib` binding that `import hashlib` brings in."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"], 0),
+        (["oc", "--depth", "8"], 3),
+        (["cutcheck", "--depth", "8"], 3),
+    ], ids=["validate", "oc", "cutcheck"])
+    def test_commands_leave_hashlib_unloaded(self, tmp_path, argv, code):
+        if run_probe()[1]:
+            pytest.skip("this interpreter loads _hashlib at start-up")
+        path = tmp_path / "module.json"
+        doc = module_descriptor_to_dict(ModuleDescriptor(exponential_two_var_module(3), "exp-two-var"))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_probe(*argv, str(path)) == [code, False, False]
+
 
 class TestParseErrors:
     def test_not_an_object(self):
@@ -225,6 +287,44 @@ class TestParseErrors:
             load_module_descriptor(str(path))
         path.write_text('{"prime": 3, "terms": [], "label": %s}' % token, encoding="utf-8")
         with pytest.raises(DescriptorError, match=f"{token} is not a JSON value"):
+            load_poly_descriptor(str(path))
+
+
+class TestDuplicateKeys:
+    """A key repeated in any object of a document is refused; JSON readers
+    differ on which copy they keep."""
+
+    MODULE = (
+        '{"prime": 3, "n": 1, "m": 0, "rank": 1,'
+        ' "matrices": [[[[{"exps": [-1], "coeff": "1/2"}]]]]%s}'
+    )
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"prime": 3, "prime": 5, "n": 1, "m": 0, "rank": 1,'
+         ' "matrices": [[[[{"exps": [-1], "coeff": "1/2"}]]]]}', "prime"),
+        ('{"prime": 3, "n": 1, "m": 0, "rank": 1,'
+         ' "matrices": [[[[{"exps": [-1], "coeff": "1/2", "coeff": "1/3"}]]]]}', "coeff"),
+        (MODULE % ', "expected": {"ir": "1/2", "oc": "x", "ir": "1/3"}', "ir"),
+        (MODULE % ', "expected": {"cases": [{"a": 1}, {"b": 1, "b": 1}]}', "b"),
+    ], ids=["top-level", "coeff", "expected", "nested-in-expected"])
+    def test_module_document(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DescriptorError) as info:
+            load_module_descriptor(str(path))
+        assert str(info.value) == f"invalid JSON in {path}: duplicate key {key!r}"
+
+    def test_single_copies_still_load(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(self.MODULE % ', "expected": {"ir": "1/2", "oc": "x"}', encoding="utf-8")
+        assert load_module_descriptor(str(path)).expected == {"ir": "1/2", "oc": "x"}
+
+    def test_polynomial_document(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"prime": 3, "terms": [{"exps": [0], "exps": [1], "coeff": "2"}]}', encoding="utf-8"
+        )
+        with pytest.raises(DescriptorError, match="^invalid JSON in .*: duplicate key 'exps'$"):
             load_poly_descriptor(str(path))
 
 

@@ -1,14 +1,16 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from operator import add
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabla_radius import laurent
-from nabla_radius.connection import _least_exponent
+from nabla_radius.connection import _least_exponent, iter_deriv_matrices
+from nabla_radius.corpus import random_integrable_module
 from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.padic import LogRadius, fraction_valuation
 
@@ -491,6 +493,59 @@ class TestSupVertexNorm:
             for combo in product((lam, Fraction(0)), repeat=n)
         )
         assert f.sup_vertex_lognorm(LogRadius(lam)) == reference
+
+
+def least_term_valuation(f: LaurentPoly) -> Fraction | None:
+    """Reference norm at the unit radius, where every term weighs 0: the
+    least v_p(a_J) over the terms, read without unpacking a packed key."""
+    valuations = [fraction_valuation(c, f.prime) for c in f._store.values()]
+    return Fraction(min(valuations)) if valuations else None
+
+
+def assert_unit_norms_match_reference(f: LaurentPoly) -> None:
+    bits = f._bits
+    expected = least_term_valuation(f)
+    assert f.gauss_lognorm((LogRadius.one(),) * f.nvars) == expected
+    assert f.gauss_lognorm((LogRadius(Fraction(0)),) * f.nvars) == expected
+    assert f.sup_vertex_lognorm(LogRadius(Fraction(0))) == expected
+    assert f._bits == bits  # a packed entry is normed in place
+
+
+class TestZeroRates:
+    """Gauss norms at all-zero radii and sup norms at lam = 0 take the
+    whole polynomial as one weight class, from its values alone."""
+
+    @given(data=st.data(), n=st.integers(0, 3), m=st.integers(0, 2),
+           kind=st.sampled_from(["polys", "int", "fraction", "mixed"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_least_term_valuation(self, data, n, m, kind):
+        """Fraction coefficients from `polys` (denominators up to 360, so
+        often divisible by p) and ladder-like ones: ints, Fractions over
+        p**k * q with k >= 1, and a mix."""
+        if n + m == 0:
+            n = 1
+        if kind == "polys":
+            f = data.draw(polys(n, m))
+        else:
+            f = data.draw(ladder_polys(n, m, data.draw(st.sampled_from([2, 3, 5])), kind))
+        assert_unit_norms_match_reference(f)
+
+    @pytest.mark.parametrize("n,m", SIGNATURES)
+    def test_zero_polynomial(self, n, m):
+        assert_unit_norms_match_reference(LaurentPoly.zero(3, n, m))
+        assert_unit_norms_match_reference(LaurentPoly._new(3, n, m, {}, laurent.pack_width(4)))
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]),
+           rank=st.integers(1, 3), direction=st.integers(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_packed_ladder_entries(self, seed, p, rank, direction):
+        """Every entry of H_0 .. H_12 of a seeded draw: packed int dicts."""
+        module = random_integrable_module(Random(seed), p, rank)
+        for H in islice(iter_deriv_matrices(module, direction), 13):
+            for row in H.rows:
+                for entry in row:
+                    assert entry._bits
+                    assert_unit_norms_match_reference(entry)
 
 
 class TestSpecialize:
