@@ -29,7 +29,6 @@ from .laurent import (
     pack_key,
     pack_width,
     packed_partial,
-    unpack_key,
 )
 from .padic import LogRadius, _safe_repr, exact_int, frozen_record
 
@@ -288,14 +287,10 @@ def ladder_denominator(module: ConnectionModule, direction: int) -> int:
     return c
 
 
-# The first digit width of the walk holds the keys of this many steps, the
-# deepest walk an analysis takes.
-_FIRST_REACH = DEFAULT_DEPTH_CAP
-
-
 def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
-    """Yield H_0 = identity, H_1, ... indefinitely, where H_s = c**s G_s
-    for c = ladder_denominator(module, direction).
+    """Yield H_0 = identity, H_1, ..., H_cap, where H_s = c**s G_s for c =
+    ladder_denominator(module, direction) and cap = DEFAULT_DEPTH_CAP; asking
+    for H_{cap+1} raises DepthCapError.
 
     H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps every
     coefficient an int.  Each entry is one dict keyed by `laurent.pack_key`:
@@ -305,11 +300,11 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
 
     A key of H_s is a sum of s shifts of S = {-e_direction} + {exponents
     of M}, so |J_l| <= s * E, E the largest |exponent| in S.  The width
-    `pack_width(reach * E)` holds `reach` steps, first _FIRST_REACH; a
-    step past it doubles `reach` and repacks wider, so no digit overflows.
-    Each H_s is a `PolyMatrix` of `LaurentPoly`s made by their `_new`,
-    which skip the checks of matrices and entries the walk built itself;
-    the entries build their tuple keys when first read.
+    `pack_width(DEFAULT_DEPTH_CAP * E)` holds every key up to the cap, the
+    deepest matrix an analysis reads, so no digit overflows.  Each H_s is
+    a `PolyMatrix` of `LaurentPoly`s made by their `_new`, which skip the
+    checks of matrices and entries the walk built itself; the entries
+    build their tuple keys when first read.
 
     With `_ladder_precision` K, or a list whose [s] is K at step s, each
     coefficient of H_s is replaced by its symmetric residue mod q = p**K,
@@ -318,7 +313,7 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     H_s = 0.  `radius.deriv_ladder` walks p**(w_1 + 1), the tapered
     p**kappa_s, p**K, then exactly, each from the last one's first zero.
 
-    Callers bound the iteration; integrability is not re-checked here.
+    Integrability is not re-checked here.
     """
     c = ladder_denominator(module, direction)
     p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
@@ -333,15 +328,11 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     ]
     E = max([1] + [abs(j) for row in M for entry in row for K, _ in entry for j in K])
 
-    def packed(bits: int) -> list:
-        origin = pack_key((0,) * dims, bits)
-        return [[[(pack_key(K, bits) - origin, v) for K, v in entry] for entry in row] for row in M]
-
     precision = module._ladder_precision
-    reach = _FIRST_REACH
-    bits = pack_width(reach * E)
-    shifts = packed(bits)
-    one = {pack_key((0,) * dims, bits): 1}
+    bits = pack_width(DEFAULT_DEPTH_CAP * E)
+    origin = pack_key((0,) * dims, bits)
+    shifts = [[[(pack_key(K, bits) - origin, v) for K, v in entry] for entry in row] for row in M]
+    one = {origin: 1}
     terms = [[one if i == j else {} for j in range(rank)] for i in range(rank)]
     s = 0
     while True:
@@ -349,14 +340,8 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
             tuple(LaurentPoly._new(p, n, m, acc, bits) for acc in row) for row in terms
         ))
         s += 1
-        if s > reach:
-            reach *= 2
-            wider = pack_width(reach * E)
-            terms = [
-                [{pack_key(unpack_key(k, dims, bits), wider): a for k, a in acc.items()} for acc in row]
-                for row in terms
-            ]
-            bits, shifts = wider, packed(wider)
+        if s > DEFAULT_DEPTH_CAP:
+            raise DepthCapError(f"H_{s} is past the depth cap {DEFAULT_DEPTH_CAP}")
         k = precision[s] if isinstance(precision, list) else precision
         q = None if k is None else p**k
         half = 0 if q is None else q // 2

@@ -10,8 +10,10 @@ non-overconvergence witness back to the full module.  Since no entry's
 norm can rise under evaluation, `generic_equality_check` specializes only
 the leading parts of the entries that attain the matrix norm, and stops
 at the first one that keeps it.  It reads them from a record of the
-reduced unit-radius walk (`radius.unit_step` at each depth): the search's
-verdict walk keeps that record, and a direct call streams its own.
+unit-radius walk (`radius.unit_step` at each depth), which has the exact
+walk's norms, attaining entries and leading parts mod p**(norm + 1): the
+search's verdict walk keeps that record, and a direct call streams its
+own.
 """
 
 from __future__ import annotations
@@ -121,16 +123,14 @@ def generic_equality_check(
     valuation > full, and has valuation full exactly when that one does:
     e keeps the norm full exactly when its leading part does.
 
-    The ladder is walked as for the verdict at this depth: at the unit
-    radius, mod p**k0 with k0 = w_1 + 1 up to the first zero there, then
-    mod p**K (`radius.deriv_ladder`).  That is exact for any modulus p**k.
-    A kept coefficient has its exact valuation, below k, and a dropped one
-    a valuation of at least k, so a nonzero H_s mod p**k has the exact
-    norm full < k on the same entries, with the same leading terms mod
-    p**(full + 1).  The point's coordinates are units, so specializing
-    commutes with reduction mod p**k, and an entry keeps the norm full
-    exactly when its reduction does.  Only an exact zero H_s is a zero
-    matrix here.
+    The ladder is walked as for the verdict at this depth, at the unit
+    radius (`radius.deriv_ladder`).  Each H_s it yields is either exact or
+    off the exact one by an error of valuation above full, so it has the
+    exact norm full on the same entries, with the same leading terms mod
+    p**(full + 1).  Those residues are all that is read here: specialized
+    at unit coordinates, a multiple of p**(full + 1) stays one, so an
+    entry keeps the norm full exactly when its yielded leading part does.
+    Only an exact zero H_s is a zero matrix here.
 
     Before a leading part is specialized, `_fold` reduces its exponents
     outside the kept direction mod p - 1, so no coordinate is raised past

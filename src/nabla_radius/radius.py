@@ -15,14 +15,16 @@ exactly 1 and is flagged as such.
 `deriv_ladder` is the one walk of the recursion and owns its precision,
 a chain of levels that each start at the first reduced zero of the one
 before: at the unit radius mod p**(w_1 + 1), w_1 the valuation of H_1;
-then, for the estimates alone, mod p**kappa_s; then mod p**K; then
-exactly.  At the unit radius a nonzero reduction of H_s has the exact
-norm, and w_s >= w_1 at every depth, so that coarsest rung gives the same
-estimates and records until its first zero.  kappa_s tapers with the
-depth s: by Leibniz, a digit dropped at depth s moves H_t by a valuation
-that grows with t - s, as fast as the norms w_i already read show, so
-only the digits that can reach an estimate at a depth t <= depth are
-kept (`_Taper`).  K is that rule when nothing has been read.
+then mod p**kappa_s; then mod p**K; then exactly.  At the unit radius
+the norm exponent w_s of H_s is its least coefficient valuation, and
+every level yields H_s plus an error of valuation above w_s until its
+first reduced zero.  So each yield has the exact w_s, attained on the
+same entries, with the same residues mod p**(w_s + 1): every reader,
+estimate or record, gets the exact walk's answer.  kappa_s tapers with
+the depth s: by Leibniz, a digit dropped at depth s moves H_t by a
+valuation that grows with t - s, as fast as the norms w_i already read
+show, so only the digits that can reach an estimate at a depth t <=
+depth are kept (`_Taper`).  K is that rule when nothing has been read.
 `intrinsic_radius` walks each direction once and `taylor_probe` walks
 exactly.  For `curves.curve_witness_search` the unit-radius walk also
 keeps the `unit_step` of every depth, which the witness check reads in
@@ -160,10 +162,10 @@ def _clip_precision(
     would ask for a huge p**K; the exact walk gives the same estimates.
 
     At the unit radius `deriv_ladder` walks mod p**k0, k0 =
-    `_rung_precision`, before it walks mod p**K: K serves only from the
-    first depth where H_s vanishes mod p**k0, or, for the estimates alone,
-    where the tapered walk of `_Taper` reaches its error floor.  There mu
-    = 0, and K is what `_Taper` plans with no norm read: the
+    `_rung_precision`, and then at the tapered precisions of `_Taper`
+    before it walks mod p**K: K serves only from the first depth where the
+    taper reaches its error floor, or from the start when k0 >= K.  There
+    mu = 0, and K is what `_Taper` plans with no norm read: the
     no-information case of its rule.
     """
     rates = [r.exponent for r in rho]
@@ -236,29 +238,35 @@ class _Taper:
     read, past it g_{a+b} >= g_a + F(b) (Leibniz for G_{a+b} = D^b G_a)
     and g_i >= -i v (H_i has int coefficients).  With no read, F(k) = -k v
     and kappa[s] = ceil(T_depth) + 1 at every s: that is
-    `_clip_precision`'s K at the unit radius, the first schedule.
+    `_clip_precision`'s K at the unit radius.
+
+    `deriv_ladder` builds the taper at the rung's first zero, at depth z,
+    with the reads that the rung implies: H_1 .. H_{z-1} are nonzero mod
+    p**(w_1 + 1), so each has w_i = w_1.  Steps up to those reads keep the
+    no-read kappa, and `plan` sets the ones past them.
 
     A coefficient of H_t below the floor is exact.  So H_t counts as a
     reduced zero when its least valuation w reaches the floor, as an exact
-    zero H_t does; otherwise w is the exact w_t, and only such reads are
-    taken.  The floor taken is the larger of T_t + 1 and the min above
-    with the latest F, both lower bounds on the error.  The min costs
-    O(t), so it is taken only when no coefficient lies below T_t + 1; past
-    the last plan that is tested on the coefficients up to the first one
-    below, with no gcd.
+    zero H_t does.  Otherwise the error lies above w: w is the exact w_t,
+    attained on the same entries, with the same residues mod p**(w + 1),
+    and only such reads are taken.  The floor taken is the larger of T_t +
+    1 and the min above with the latest F, both lower bounds on the error.
+    The min costs O(t), so it is taken only when no coefficient lies below
+    T_t + 1; past the last plan that is tested on the coefficients up to
+    the first one below, with no gcd.
     """
 
-    def __init__(self, prime: int, step: int, depth: int) -> None:
+    def __init__(self, prime: int, step: int, depth: int, reads: Sequence[int] = ()) -> None:
         self.prime, self.step, self.depth = prime, step, depth
         self.slope = step * (prime - 1) + 1  # T_t = t * slope / (p - 1)
         self.facts = [factorial_valuation(k, prime) for k in range(depth + 1)]
-        self.norms = [0]  # w_0, w_1, ..., the exact reads
-        self.bound = [0] * (depth + 1)  # F
-        self.kappa = [0] * (depth + 1)
-        self.plan()
         self.last = _FIRST_PLAN  # the last depth read: 8 * 2**j <= depth / 2
         while 4 * self.last <= depth:
             self.last *= 2
+        self.norms = [0, *reads[: self.last]]  # w_0, w_1, ..., the exact reads
+        self.bound = [0] * (depth + 1)  # F
+        self.kappa = [-(-depth * self.slope // (prime - 1)) + 1] * (depth + 1)  # no read
+        self.plan()
 
     def read(self, s: int, w: int) -> None:
         """Take w_s, exact; plan again once s is 8, 16, ... up to `last`."""
@@ -307,8 +315,6 @@ def deriv_ladder(
     direction: int,
     depth: int,
     rho: Optional[Tuple[LogRadius, ...]] = None,
-    *,
-    taper: bool = False,
 ) -> Iterator[Tuple[int, PolyMatrix, int]]:
     """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
 
@@ -322,8 +328,8 @@ def deriv_ladder(
     precisions, each on a module copy that carries it, coarsest first:
 
     1. at the unit radius, mod p**k0, k0 = `_rung_precision` = w_1 + 1;
-    2. with `taper`, at the unit radius after a rung, mod p**kappa[s], the
-       Leibniz-tapered precisions of `_Taper`;
+    2. at the unit radius, mod p**kappa[s], the Leibniz-tapered precisions
+       of the `_Taper` that the rung's first zero builds;
     3. mod p**K, K = `_clip_precision(module, direction, rho, depth)`;
     4. exactly.
 
@@ -334,34 +340,38 @@ def deriv_ladder(
     that a zero there falls back to p**K, not to the exact walk.  Only an
     exact zero ends the walk, right after it: every later H_s vanishes
     too, since G_{s+1} = d(G_s) + N G_s.  The rung is skipped when k0 is
-    None or k0 >= K, and kept when K is None; the taper needs both.
+    None or k0 >= K, and kept when K is None; the taper needs both.  A
+    walk that never leaves the rung builds no taper.
 
     Every level yields the estimates that the exact walk gives, and an
     exact zero at depth s is a reduced zero there at every level, so
     `vanished_at` stays.  Mod p**K that is `_clip_precision`'s argument.
-    The rung's yields have the norms and leading parts that the walk mod
-    p**K gives: there every term weighs 0, so the norm exponent w_s of H_s
-    is its least coefficient valuation, and a nonzero H_s mod p**k0 has it
-    exactly, on the same entries, with the same residues mod p**(w_s + 1).
-    At other radii a kept residue does not bound the norm of a dropped
-    term, which may weigh less, so they have no rung and no taper.  A
-    tapered yield below its floor has the exact w_s.  Only that norm is
-    kept, so `taper` is asked for by `intrinsic_radius` without a record.
+    At the unit radius every term weighs 0, so the norm exponent w_s of
+    H_s is its least coefficient valuation, and a yield that is not a
+    reduced zero differs from the exact H_s by an error of valuation above
+    w_s.  Mod p**k the error is a multiple of p**k, and a nonzero H_s mod
+    p**k has a coefficient below k; at the taper the error reaches the
+    floor, and the yield has a coefficient below it.  So the yield has the
+    exact w_s, attained on the same entries, with the same residues mod
+    p**(w_s + 1): the estimates and the `unit_step` records are the exact
+    walk's.  On the rung, where w_s >= w_1 = k0 - 1, that pins w_s = w_1,
+    the reads the taper starts from.  At other radii a kept residue does
+    not bound the norm of a dropped term, which may weigh less, so they
+    have no rung and no taper.
     """
     step = int_valuation(ladder_denominator(module, direction), module.prime)
     precisions: list[int | list[int] | None] = [None]  # coarsest first, exact last
-    schedule = None
+    w1 = None  # w_1 = k0 - 1, when the rung's first zero builds a taper
     if rho is not None:
         K = _clip_precision(module, direction, rho, depth)
         if K is not None:
             precisions.insert(0, K)
         k0 = None if any(r.exponent for r in rho) else _rung_precision(module, direction)
         if k0 is not None and (K is None or k0 < K):
-            if taper and K is not None:
-                schedule = _Taper(module.prime, step, depth)
-                precisions.insert(0, schedule.kappa)
             precisions.insert(0, k0)
-    tapered = () if schedule is None else schedule.kappa  # the taper's level; () is none
+            if K is not None:
+                w1 = k0 - 1
+    schedule: Optional[_Taper] = None
 
     def walk(precision: int | list[int] | None) -> Iterator[PolyMatrix]:
         walked = module if precision is None else ConnectionModule(
@@ -376,15 +386,14 @@ def deriv_ladder(
     for s in range(1, depth + 1):
         H = next(ladder)
         while precisions[level] is not None and (
-            schedule.reduced_zero(s, H) if precisions[level] is tapered else H.is_zero
+            schedule.reduced_zero(s, H) if schedule is not None and level == 1 else H.is_zero
         ):
+            if level == 0 and w1 is not None:
+                schedule = _Taper(module.prime, step, depth, [w1] * (s - 1))
+                precisions.insert(1, schedule.kappa)
             level += 1
-            if precisions[level] is tapered:
-                schedule.plan()
             ladder = walk(precisions[level])
             H = next(islice(ladder, s, None))
-        if level == 0 and schedule is not None and s <= schedule.last:
-            schedule.read(s, _unit_norm(H))  # the rung's norms are exact
         yield s, H, s * step
         if H.is_zero:
             return
@@ -442,7 +451,7 @@ def _direction_radius(
     base = spectral_base_exponent(module.prime)
     r_i = rho[direction].exponent
     estimates: list[Fraction] = []
-    for s, H, shift in deriv_ladder(module, direction, depth, rho, taper=record is None):
+    for s, H, shift in deriv_ladder(module, direction, depth, rho):
         if record is not None:
             record.append(unit_step(H))
         if H.is_zero:

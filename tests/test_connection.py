@@ -28,7 +28,7 @@ from nabla_radius.corpus import (
     random_integrable_module,
     trivial_module,
 )
-from nabla_radius import connection, laurent
+from nabla_radius import laurent
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
 from nabla_radius.radius import (
@@ -340,10 +340,13 @@ class TestIteratedDerivatives:
             list(deriv_ladder(module, 1, 3))
 
     def test_depth_cap(self):
-        # The recursion itself is unbounded; the analyses refuse depths
-        # above the cap and accept the cap itself.
+        # The recursion yields up to the cap and refuses the matrix past
+        # it; the analyses refuse depths above the cap and accept the cap
+        # itself.
         module = exponential_module(3)
-        assert len(ladder(module, 0, 600)) == 601
+        assert len(ladder(module, 0, DEFAULT_DEPTH_CAP)) == DEFAULT_DEPTH_CAP + 1
+        with pytest.raises(DepthCapError, match="^H_513 is past the depth cap 512$"):
+            ladder(module, 0, DEFAULT_DEPTH_CAP + 1)
         with pytest.raises(DepthCapError):
             intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP + 1)
         report = intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP)
@@ -650,19 +653,21 @@ class TestPackedWalk:
         for direction in range(module.dims):
             assert_walk_matches_reference(module, direction, 10, precision)
 
-    def test_a_walk_that_outgrows_its_digit_width_is_repacked(self, monkeypatch):
+    def test_a_walk_to_the_cap_fits_its_digit_width(self):
         # phi = t0**3 t1**2: N_1 = 2 t0**3 t1 raises the t0 exponent by
         # E = 3 at every step, and 2**s t0**(3s) t1**s is a term of H_s, so
-        # the exponents reach the bound s * E of the width rule.  A first
-        # reach of 4 steps makes the walk repack at steps 5, 9, 17 and 33.
-        monkeypatch.setattr(connection, "_FIRST_REACH", 4)
+        # the exponents reach the bound s * E of the width rule, at every
+        # step up to the cap, with one digit width throughout.
         module = potential_module(3, 2, 0, {(3, 2): 1}, [[1]])
-        depth = 40
-        walk = list(islice(iter_deriv_matrices(module, 1), depth + 1))
-        widths = sorted({e._bits for H in walk for row in H.rows for e in row})
-        assert widths == [laurent.pack_width(reach * 3) for reach in (4, 8, 16, 32, 64)]
-        assert walk == reference_ladder(module, 1, depth)
-        assert max(J[0] for J in walk[depth].rows[0][0].terms) == 3 * depth
+        cap = DEFAULT_DEPTH_CAP
+        walk = list(islice(iter_deriv_matrices(module, 1), cap + 1))
+        widths = {e._bits for H in walk for row in H.rows for e in row}
+        assert widths == {laurent.pack_width(cap * 3)}
+        assert walk[:41] == reference_ladder(module, 1, 40)
+        for s in (40, 129, cap):
+            terms = walk[s].rows[0][0].terms
+            assert max(J[0] for J in terms) == 3 * s
+            assert terms[(3 * s, s)] == 2**s
         assert_walk_matches_reference(module, 0, 12, precision=5)
 
     def test_exponents_of_ten_to_the_twelfth(self):
@@ -672,7 +677,7 @@ class TestPackedWalk:
         for direction in range(2):
             assert_walk_matches_reference(module, direction, 4, precision=3)
         H = next(islice(iter_deriv_matrices(module, 1), 3, None))
-        assert H.rows[0][0]._bits == laurent.pack_width(connection._FIRST_REACH * e)
+        assert H.rows[0][0]._bits == laurent.pack_width(DEFAULT_DEPTH_CAP * e)
         # N_1**3 = (e t0 t1**(e-1))**3 is the term with the largest exponents
         assert H.rows[0][0].terms[(3, 3 * e - 3)] == e ** 3
         assert max(J[1] for J in H.rows[0][0].terms) == 3 * e - 3

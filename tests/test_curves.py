@@ -42,7 +42,7 @@ from nabla_radius.radius import (
     unit_step,
 )
 from test_golden_reports import FRACTIONAL
-from test_radius import exact_walk, recording_walks
+from test_radius import conjugated, exact_walk, recording_walks, unimodular
 
 
 def g_ladder(module, direction, depth):
@@ -660,3 +660,51 @@ class TestCurveWitnessSearch:
         report = curve_witness_search(fermat_module(), depth=12, trials=8, seed=3)
         assert report.witness is None
         assert len(calls) == 1
+
+
+def norm_exponents(module, direction, depth):
+    """The unit-radius norm exponent of G_s for s = 1, 2, ..., up to depth
+    or an exact zero (None): w(H_s) minus the module's own shift s v_p(c)."""
+    unit = (LogRadius.one(),) * module.dims
+    return [
+        None if H.is_zero else H.gauss_lognorm(unit) - shift
+        for _, H, shift in deriv_ladder(module, direction, depth)
+    ]
+
+
+class TestCurveInvariants:
+    """What the cut-by-curves step rests on, checked on seeded draws: a
+    curve never raises a norm, and the search does not see the basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        module=seeded_modules(),
+        direction=st.integers(0, 1),
+        point_seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(4, 24),
+    )
+    def test_a_curve_never_raises_a_norm(self, module, direction, point_seed, depth):
+        # w_s(curve) >= w_s(module) on the exponents of G_s, each after its
+        # own module's shift: the curve's c may differ from the module's
+        point = sample_unit_point(random.Random(point_seed), module.prime, 1)
+        full = norm_exponents(module, direction, depth)
+        curve = norm_exponents(specialize(module, direction, point), 0, depth)
+        assert len(curve) <= len(full)
+        for w, w_curve in zip(full, curve):
+            assert w_curve is None or w is not None and w_curve >= w
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5]),
+        rank=st.integers(2, 3),
+        depth=st.sampled_from([16, 48]),
+    )
+    def test_a_constant_change_of_basis_keeps_the_report(self, data, seed, p, rank, depth):
+        # G'_s = P^-1 G_s P, and its evaluation at a point is P^-1 G_s(point)
+        # P: P and P^-1 are integral, so every norm on either side is kept
+        module = random_integrable_module(random.Random(seed), p, rank)
+        gauged = conjugated(module, *data.draw(unimodular(p, rank)))
+        report = curve_witness_search(module, depth, trials=4, seed=seed)
+        assert curve_witness_search(gauged, depth, trials=4, seed=seed).to_json_dict() == report.to_json_dict()

@@ -107,9 +107,21 @@ CURVED = {
 
 # Deep `oc` runs: the oc-deep benchmark anchor, and d + 9 t^8 (exp(t^9))
 # over Q_3, which prints NOT_OVERCONVERGENT_EVIDENCE only at depth 512.
+# Deep `cutcheck` runs, recorded while its record walk went from the rung
+# straight to p**K: on power-half-p3 at depth 512, and on the rank-1 draw
+# `Random(10)` and the anchor at depth 150, the walk meets a zero of the
+# rung, and their records then come from the tapered walk.  On the rank-2
+# draw `Random(13)` over Q_5 the witness direction's walk does too, and a
+# trial point reads that record.
 DEEP = {
     "random7-rk2-p3": module_descriptor_to_dict(
         ModuleDescriptor(random_integrable_module(Random(7), 3, 2), "random7-rk2-p3")
+    ),
+    "random10-rk1-p3": module_descriptor_to_dict(
+        ModuleDescriptor(random_integrable_module(Random(10), 3, 1), "random10-rk1-p3")
+    ),
+    "random13-rk2-p5": module_descriptor_to_dict(
+        ModuleDescriptor(random_integrable_module(Random(13), 5, 2), "random13-rk2-p5")
     ),
     "exp-t9-p3": {
         "prime": 3, "n": 1, "m": 0, "rank": 1, "label": "exp-t9-p3",
@@ -158,6 +170,15 @@ def _cases() -> list[tuple[str, str, list[str]]]:
     deep += [(label, depth) for label in FRACTIONAL for depth in (64, 128)]
     deep += [("exp-t9-p3", 512)]
     cases += [(f"oc-deep/{label}/{depth}", label, ["oc", "--depth", str(depth)]) for label, depth in deep]
+    deep = [
+        ("power-half-p3", 512), ("random10-rk1-p3", 150), ("random7-rk2-p3", 150),
+        ("random13-rk2-p5", 150),
+    ]
+    cases += [
+        (f"cutcheck-deep/{label}/{depth}", label,
+         ["cutcheck", "--depth", str(depth), "--trials", "3", "--seed", "0"])
+        for label, depth in deep
+    ]
     # Two different radii put terms of mixed exponents into one weight class.
     for label in ("frac-potential-p3", "exp-two-var-p3"):
         cases.append((f"ir-two-radii/{label}", label,
@@ -261,6 +282,10 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     'oc-deep/frac-twist-rk2-p3/64': (3, '2cbc090508c391f49c9980389769f22696a7be17a42edbf68f8565f28dc88320', ''),
     'oc-deep/frac-twist-rk2-p3/128': (3, 'a81610bec44ea264d97970ad821ba6b08d26866bd38cf8c371374935606bce76', ''),
     'oc-deep/exp-t9-p3/512': (3, '4e3a59147aad5425cbf0fd97d3b39f6552cae98ff43da25986b54d531d2abf80', ''),
+    'cutcheck-deep/power-half-p3/512': (0, 'cda82fdf170c3d6a3bd31a8a004e91917103f103a05397baf00a75ebfc167355', ''),
+    'cutcheck-deep/random10-rk1-p3/150': (0, '8a8c15f84230996f3bd131ad62ae4285b8dd0e84b1f28d67e661fabf2861fd01', ''),
+    'cutcheck-deep/random7-rk2-p3/150': (0, '03634e535b57cb08c05da3b861db3bdb159089d08d9ce332876736004589a20a', ''),
+    'cutcheck-deep/random13-rk2-p5/150': (3, '1a999dc557316f92a78dd30820d458c3d67fb16e4950ee13c3f71d616a2bb0f3', ''),
     'ir-two-radii/frac-potential-p3': (0, '1866d1c249cc40506aed392ef0e5ee1ee7391fe7272291fcc06fc3318c70fa71', ''),
     'ir-two-radii/exp-two-var-p3': (0, 'f1455252a9a421f78124a0627eb8946c9ad6f076b7243ce97f8a26183ec81b38', ''),
     'specialize-non-unit/exp-two-var-p3': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'nabla-radius: coordinate 3 is not a unit\n'),

@@ -4,7 +4,7 @@ from itertools import islice
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nabla_radius import radius
 from nabla_radius.connection import (
@@ -39,6 +39,7 @@ from nabla_radius.radius import (
     oc_ir_test,
     spectral_base_exponent,
     taylor_probe,
+    unit_step,
 )
 
 from test_connection import benchmark_anchor_modules, potential_module
@@ -126,15 +127,16 @@ class TestDerivLadder:
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
 
     def test_goes_on_exactly_after_a_zero_mod_p_k(self, monkeypatch):
-        # N = 81 + 3**20 t, first walked at k0 = v_3(81) + 1 = 5, then at
-        # K = ceil(12 * 1/2) + 1 = 7: H_1 is 81 mod p**k0, and H_2 = 3**20 +
-        # 3**8 + 2 * 3**24 t + 3**40 t**2 is zero mod p**k0 and mod p**K, so
-        # from s = 2 on the walk is the exact one.
+        # N = 81 + 3**20 t, first walked at k0 = v_3(81) + 1 = 5, then
+        # tapered, then at K = ceil(12 * 1/2) + 1 = 7: H_1 is 81 mod p**k0,
+        # and H_2 = 3**20 + 3**8 + 2 * 3**24 t + 3**40 t**2 is zero mod
+        # p**k0, reaches the taper's floor and is zero mod p**K, so from
+        # s = 2 on the walk is the exact one.
         module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81, (1,): 3**20})]]),))
         exact = [H for _, H, _ in deriv_ladder(module, 0, 12)]
         precisions = recording_walks(monkeypatch)
         walk = [H for _, H, _ in deriv_ladder(module, 0, 12, R1)]
-        assert precisions == [5, 7, None]
+        assert chain(precisions) == [5, TAPERED, 7, None]
         assert walk[0] == PolyMatrix([[LaurentPoly(3, 1, 0, {(0,): 81})]]) != exact[0]
         assert walk[1:] == exact[1:]
         assert len(walk) == 12 and not any(H.is_zero for H in walk)
@@ -313,33 +315,32 @@ class TestReducedWalk:
         intrinsic_radius(exponential_module(3), R1, depth=16)
         assert precisions == [_rung_precision(exponential_module(3), 0)] == [1]
 
-    def test_reduction_never_enlarges_a_coefficient(self, monkeypatch):
+    def test_reduction_never_enlarges_a_coefficient(self):
         # Negative coefficients are common here; a residue in [0, p**k)
-        # would turn a small -a into p**k - a.  Each yield is compared mod
-        # the precision of the walk that gave it: the rung's k0 = 2 up to
-        # its first zero, then K.
+        # would turn a small -a into p**k - a.  A module copy is walked at
+        # each fixed precision that the unit-radius walk starts from, the
+        # rung's k0 = 2 and K, and compared with the exact walk.
         module = random_integrable_module(Random(7), 3, 2)
         rho = (LogRadius.one(),) * 2
-        exact = [list(deriv_ladder(module, direction, 40)) for direction in range(2)]
-        precisions = recording_walks(monkeypatch)
         for direction in range(2):
-            precisions.clear()
-            wide, negative = set(), set()
-            for (s, H, _), (_, E, _) in zip(deriv_ladder(module, direction, 40, rho), exact[direction]):
-                k = precisions[-1]
+            exact = list(islice(iter_deriv_matrices(module, direction), 41))
+            ks = [_rung_precision(module, direction), _clip_precision(module, direction, rho, 40)]
+            assert ks[0] == 2 < ks[1]
+            for k in ks:
                 q = 3**k
-                for row, exact_row in zip(H.rows, E.rows):
-                    for entry, exact_entry in zip(row, exact_row):
-                        for J, a in entry.terms.items():
-                            b = exact_entry.terms[J]
-                            assert (a - b) % q == 0
-                            assert a.bit_length() <= b.bit_length()
-                            if a < 0:
-                                negative.add(k)
-                        if any(abs(b) >= q for b in exact_entry.terms.values()):
-                            wide.add(k)
-            assert precisions == [2, _clip_precision(module, direction, rho, 40)]
-            assert wide == negative == set(precisions)
+                reduced = ConnectionModule(3, 2, 0, 2, module.matrices, k)
+                wide = negative = False
+                for H, E in zip(islice(iter_deriv_matrices(reduced, direction), 41), exact):
+                    for row, exact_row in zip(H.rows, E.rows):
+                        for entry, exact_entry in zip(row, exact_row):
+                            a_terms, b_terms = entry.terms, exact_entry.terms
+                            for J in a_terms.keys() | b_terms.keys():
+                                a, b = a_terms.get(J, 0), b_terms.get(J, 0)
+                                assert (a - b) % q == 0
+                                assert a.bit_length() <= b.bit_length()
+                                negative |= a < 0
+                            wide |= any(abs(b) >= q for b in b_terms.values())
+                assert wide and negative
 
 
 def residues(record, p):
@@ -374,17 +375,23 @@ class TestUnitRung:
         assert run() == exact_walk(run)
 
     def test_rung_fails_then_clip_precision(self, monkeypatch):
-        # N = 1/(2t): the rung mod 3 meets a zero at s = 3, and the walk
-        # that keeps a record restarts mod 3**33, K = ceil(64 * 1/2) + 1;
-        # the walk for the estimates alone restarts tapered instead
+        # N = 1/(2t): the rung mod 3 meets a zero at s = 3, the walk goes
+        # on tapered, and at depth 512 it reaches the taper's floor and goes
+        # on mod 3**257, K = ceil(512 * 1/2) + 1.  The walk that keeps a
+        # record and the one for the estimates alone are the same walk.
         module = corpus_by_label()["power-half-p3"].descriptor.module
         precisions = recording_walks(monkeypatch)
-        verdict = oc_ir_test(module, 64, _records=[])
-        assert precisions == [1, 33]
+        records = []
+        verdict = oc_ir_test(module, 512, _records=records)
+        assert chain(precisions) == [1, TAPERED, 257]
+        recorded = precisions[:]
         precisions.clear()
-        report = intrinsic_radius(module, R1, 64)
-        assert chain(precisions) == [1, TAPERED]
-        assert report == verdict.report == exact_walk(intrinsic_radius, module, R1, 64)
+        report = intrinsic_radius(module, R1, 512)
+        assert precisions == recorded
+        assert report == verdict.report == exact_walk(intrinsic_radius, module, R1, 512)
+        exact_records = []
+        exact_walk(lambda: oc_ir_test(module, 512, _records=exact_records))
+        assert residues(records[0], 3) == residues(exact_records[0], 3)
 
     def test_cutcheck_dense_walks_once_per_direction_mod_p(self, monkeypatch):
         module = benchmark_anchor_modules()["cutcheck-dense"]
@@ -422,15 +429,15 @@ class TestUnitRung:
 
 
 def tapered_yields(module, direction, depth):
-    """(s, H_s, the exact H_s) for every depth that `oc`'s walk in one
-    direction yields from its tapered level."""
+    """(s, H_s, the exact H_s) for every depth that the unit-radius walk
+    in one direction yields from its tapered level."""
     exact = [H for _, H, _ in deriv_ladder(module, direction, depth)]
     unit = (LogRadius.one(),) * module.dims
     with pytest.MonkeyPatch.context() as mp:
         precisions = recording_walks(mp)
         return [
             (s, H, exact[s - 1])
-            for s, H, _ in deriv_ladder(module, direction, depth, unit, taper=True)
+            for s, H, _ in deriv_ladder(module, direction, depth, unit)
             if isinstance(precisions[-1], list)
         ]
 
@@ -458,8 +465,8 @@ def taper_modules(draw):
 
 
 class TestTaper:
-    """At the unit radius the walk for the estimates alone runs, after the
-    rung, mod p**kappa_s: the Leibniz-tapered precisions of `_Taper`."""
+    """At the unit radius the walk runs, after the rung, mod p**kappa_s:
+    the Leibniz-tapered precisions of `_Taper`."""
 
     @settings(max_examples=40, deadline=None)
     @given(module=taper_modules(), depth=st.integers(16, 40))
@@ -541,14 +548,55 @@ class TestTaper:
         assert chain(precisions) == [2, TAPERED, _clip_precision(module, 0, R1, 64)]
         assert report == exact_walk(intrinsic_radius, module, R1, 64)
 
-    def test_the_record_walk_has_no_taper(self, monkeypatch):
-        module = benchmark_anchor_modules()["oc-deep"]
+    @settings(max_examples=30, deadline=None)
+    @given(module=taper_modules(), depth=st.integers(16, 48))
+    # N = 3/(2t) and N = 12/t: each walk reaches the taper's floor and goes
+    # on mod p**K (the tests above); the random draws often do too
+    @example(module=power_module(3, Fraction(3, 2)), depth=64)
+    @example(module=power_module(3, 12), depth=64)
+    def test_the_tapered_record_is_the_exact_walks(self, module, depth):
+        # at every depth: the same full, the same entries attaining it, and
+        # the same keys and residues mod p**(full + 1) of their leading parts
+        records = []
+        oc_ir_test(module, depth, _records=records)
+        unit = (LogRadius.one(),) * module.dims
+        for direction, record in enumerate(records):
+            walk = [H for _, H, _ in deriv_ladder(module, direction, depth, unit)]
+            exact = [H for _, H, _ in deriv_ladder(module, direction, len(walk))]
+            assert record == [unit_step(H) for H in walk]
+            assert [leading_residues(H) for H in walk] == [leading_residues(H) for H in exact]
+
+    def test_a_walk_that_never_leaves_the_rung_builds_no_taper(self, monkeypatch):
+        built = []
+        original = radius._Taper
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(radius, "_Taper", counting)
         precisions = recording_walks(monkeypatch)
-        oc_ir_test(module, 64, _records=[])
-        assert not any(isinstance(k, list) for k in precisions)
-        precisions.clear()
-        intrinsic_radius(module, (LogRadius(Fraction(1, 3)),) * 2, 64)
-        assert not any(isinstance(k, list) for k in precisions)
+        curve_witness_search(benchmark_anchor_modules()["cutcheck-dense"], depth=48, trials=10, seed=0)
+        oc_ir_test(exponential_module(3), 64)
+        assert precisions == [1, 1, 1] and built == []
+        # N = 1/(2t): the rung's first zero is at s = 3, after w_1 = w_2 = 0
+        oc_ir_test(corpus_by_label()["power-half-p3"].descriptor.module, 64)
+        assert built == [(3, 0, 64, [0, 0])]
+
+
+def leading_residues(H):
+    """The unit-radius norm exponent full of a ladder matrix, with the
+    position of each entry attaining it and that entry's nonzero terms
+    mod p**(full + 1)."""
+    full, _ = unit_step(H)
+    if full is None:
+        return None, {}
+    q = H.prime ** (full + 1)
+    return full, {
+        (i, j): {J: a % q for J, a in e.terms.items() if a % q}
+        for i, row in enumerate(H.rows) for j, e in enumerate(row)
+        if any(a % q for a in e.terms.values())
+    }
 
 
 def conjugated(module, P, P_inverse):
