@@ -95,16 +95,6 @@ class PolyMatrix:
         return self
 
     @classmethod
-    def identity(cls, prime: int, n: int, m: int, size: int) -> "PolyMatrix":
-        # an int 1, as in the H_0 that the derivative ladder yields
-        one = LaurentPoly._new(prime, n, m, {(0,) * (n + m): 1})
-        zero = LaurentPoly.zero(prime, n, m)
-        return cls(tuple(
-            tuple(one if i == j else zero for j in range(size))
-            for i in range(size)
-        ))
-
-    @classmethod
     def zeros(cls, prime: int, n: int, m: int, size: int) -> "PolyMatrix":
         zero = LaurentPoly.zero(prime, n, m)
         return cls(tuple(tuple(zero for _ in range(size)) for _ in range(size)))

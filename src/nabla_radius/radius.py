@@ -14,21 +14,22 @@ exactly 1 and is flagged as such.
 
 `deriv_ladder` is the one walk of the recursion and owns its precision,
 a chain of levels that each start at the first reduced zero of the one
-before: at the unit radius mod p**(w_1 + 1), w_1 the valuation of H_1;
-then mod p**kappa_s; then mod p**K; then exactly.  At the unit radius
-the norm exponent w_s of H_s is its least coefficient valuation, and
-every level yields H_s plus an error of valuation above w_s until its
-first reduced zero.  So each yield has the exact w_s, attained on the
-same entries, with the same residues mod p**(w_s + 1): every reader,
-estimate or record, gets the exact walk's answer.  kappa_s tapers with
-the depth s: by Leibniz, a digit dropped at depth s moves H_t by a
-valuation that grows with t - s, as fast as the norms w_i already read
-show, so only the digits that can reach an estimate at a depth t <=
-depth are kept (`_Taper`).  K is that rule when nothing has been read.
-`intrinsic_radius` walks each direction once and `taylor_probe` walks
-exactly.  For `curves.curve_witness_search` the unit-radius walk also
-keeps the `unit_step` of every depth, which the witness check reads in
-place of a walk of its own.
+before: at the unit radius mod p**k0, k0 = w_1 + 1, w_1 the valuation of
+H_1; then mod p**kappa_s; then mod p**K; then exactly.  One planner,
+`_walk_plan`, decides k0 and K once per walk.  At the unit radius the
+norm exponent w_s of H_s is its least coefficient valuation, and every
+level yields H_s plus an error of valuation above w_s until its first
+reduced zero.  So each yield has the exact w_s, attained on the same
+entries, with the same residues mod p**(w_s + 1): every reader, estimate
+or record, gets the exact walk's answer.  kappa_s tapers with the depth
+s: by Leibniz, a digit dropped at depth s moves H_t by a valuation that
+grows with t - s, as fast as the norms w_i already read show, so only
+the digits that can reach an estimate at a depth t <= depth are kept
+(`_Taper`).  K is that rule when nothing has been read, and the taper is
+given it.  `intrinsic_radius` walks each direction once and
+`taylor_probe` walks exactly.  For `curves.curve_witness_search` the
+unit-radius walk also keeps the `unit_step` of every depth, which the
+witness check reads in place of a walk of its own.
 """
 
 from __future__ import annotations
@@ -139,67 +140,59 @@ class RadiusReport:
 _PRECISION_BITS_CAP = 2**16
 
 
-def _clip_precision(
+def _walk_plan(
     module: ConnectionModule,
     direction: int,
-    rho: Tuple[LogRadius, ...],
     depth: int,
-) -> Optional[int]:
-    """K such that walking H_s mod p**K leaves every clipped window
-    estimate at rho unchanged for s <= depth, or None (walk exactly) when
-    p**K would pass _PRECISION_BITS_CAP bits:
+    rho: Optional[Tuple[LogRadius, ...]],
+) -> Tuple[int, Optional[int], Optional[int]]:
+    """(v_p(c), k0, K): the fixed precisions of `deriv_ladder`'s walk at
+    rho, for c = ladder_denominator(module, direction) and M = c
+    N_direction, the ladder's int matrix.  Without rho the walk is exact
+    and (v_p(c), None, None) is returned.
+
+    K is the precision mod which every clipped window estimate at rho is
+    unchanged for s <= depth:
 
         K = ceil(depth * max(0, v_p(c) + 1/(p-1) - r_i - mu)) + 1.
 
     The estimate at depth s is max(0, (T_s - w_s) / s) with
     T_s = s * (v_p(c) + 1/(p-1) - r_i), so w_s matters only below T_s.
     Every key J of H_s is a sum of s shifts of S = {-e_i} + {exponents of
-    c N_i}, so its weight sum_l J_l r_l is at least s * mu, mu the least
+    M}, so its weight sum_l J_l r_l is at least s * mu, mu the least
     weight of a shift.  A term dropped as divisible by p**K therefore has
     a norm exponent of at least K + s * mu >= T_s, and every kept term has
     its exact valuation: w_s mod p**K equals w_s below T_s and stays at
-    least T_s above it.  K grows with depth * |mu|, so a huge exponent
-    would ask for a huge p**K; the exact walk gives the same estimates.
+    least T_s above it.  At the unit radius mu = 0, and K is what `_Taper`
+    plans with no norm read: the no-information case of its rule.
 
-    At the unit radius `deriv_ladder` walks mod p**k0, k0 =
-    `_rung_precision`, and then at the tapered precisions of `_Taper`
-    before it walks mod p**K: K serves only from the first depth where the
-    taper reaches its error floor, or from the start when k0 >= K.  There
-    mu = 0, and K is what `_Taper` plans with no norm read: the
-    no-information case of its rule.
+    k0 = v_p(content of M) + 1, the precision of the first rung, is set
+    only at the unit radius.  H_1 = M, and H_{s+1} = c d(H_s) + M H_s has
+    int factors, so every coefficient of every H_s is divisible by
+    p**(k0 - 1): w_s never falls below w_1 = k0 - 1, and p**k0 is the
+    least modulus that keeps H_1.  M = 0 has no rung.
+
+    A precision whose p**k would pass _PRECISION_BITS_CAP bits is None,
+    and so is a k0 >= K, whose rung would start where p**K does.  K grows
+    with depth * |mu|, so a huge exponent asks for a huge p**K; the exact
+    walk gives the same estimates.
     """
+    p = module.prime
+    c = ladder_denominator(module, direction)
+    step = int_valuation(c, p)
+    if rho is None:
+        return step, None, None
+    terms = [t for row in module.matrices[direction].rows for entry in row for t in entry.terms.items()]
     rates = [r.exponent for r in rho]
     r_i = rates[direction]
-    mu = min(
-        [-r_i] + [
-            sum(j * r for j, r in zip(J, rates))
-            for row in module.matrices[direction].rows for entry in row for J in entry.terms
-        ]
-    )
-    step = int_valuation(ladder_denominator(module, direction), module.prime)
-    slope = step + spectral_base_exponent(module.prime) - r_i - mu
-    K = math.ceil(depth * max(Fraction(0), slope)) + 1
-    return None if K * module.prime.bit_length() > _PRECISION_BITS_CAP else K
-
-
-def _rung_precision(module: ConnectionModule, direction: int) -> Optional[int]:
-    """k0 = v_p(content of M) + 1 for the ladder's int matrix M = c
-    N_direction, the precision of the unit-radius walk's first rung; None
-    when M = 0 or p**k0 would pass _PRECISION_BITS_CAP bits.
-
-    H_1 = M, and H_{s+1} = c d(H_s) + M H_s has int factors, so every
-    coefficient of every H_s is divisible by p**(k0 - 1): w_s never falls
-    below w_1 = k0 - 1, and p**k0 is the least modulus that keeps H_1.
-    """
-    c = ladder_denominator(module, direction)
-    content = gcd(*[
-        v.numerator * (c // v.denominator)
-        for row in module.matrices[direction].rows for entry in row for v in entry.terms.values()
-    ])
-    if not content:
-        return None
-    k0 = int_valuation(content, module.prime) + 1
-    return None if k0 * module.prime.bit_length() > _PRECISION_BITS_CAP else k0
+    mu = min([-r_i] + [sum(j * r for j, r in zip(J, rates)) for J, _ in terms])
+    K = math.ceil(depth * max(Fraction(0), step + spectral_base_exponent(p) - r_i - mu)) + 1
+    content = gcd(*[v.numerator * (c // v.denominator) for _, v in terms])
+    k0 = int_valuation(content, p) + 1 if content and not any(rates) else None
+    k0, K = (None if k is None or k * p.bit_length() > _PRECISION_BITS_CAP else k for k in (k0, K))
+    if k0 is not None and K is not None and k0 >= K:
+        k0 = None
+    return step, k0, K
 
 
 def _unit_norm(H: PolyMatrix) -> Optional[int]:
@@ -237,8 +230,8 @@ class _Taper:
     F is bounded below from the reads: g_i itself up to the last depth a
     read, past it g_{a+b} >= g_a + F(b) (Leibniz for G_{a+b} = D^b G_a)
     and g_i >= -i v (H_i has int coefficients).  With no read, F(k) = -k v
-    and kappa[s] = ceil(T_depth) + 1 at every s: that is
-    `_clip_precision`'s K at the unit radius.
+    and kappa[s] = ceil(T_depth) + 1 at every s: that is the K of
+    `_walk_plan` at the unit radius, which the taper is given.
 
     `deriv_ladder` builds the taper at the rung's first zero, at depth z,
     with the reads that the rung implies: H_1 .. H_{z-1} are nonzero mod
@@ -256,7 +249,7 @@ class _Taper:
     the first one below, with no gcd.
     """
 
-    def __init__(self, prime: int, step: int, depth: int, reads: Sequence[int] = ()) -> None:
+    def __init__(self, prime: int, step: int, depth: int, K: int, reads: Sequence[int] = ()) -> None:
         self.prime, self.step, self.depth = prime, step, depth
         self.slope = step * (prime - 1) + 1  # T_t = t * slope / (p - 1)
         self.facts = [factorial_valuation(k, prime) for k in range(depth + 1)]
@@ -265,7 +258,7 @@ class _Taper:
             self.last *= 2
         self.norms = [0, *reads[: self.last]]  # w_0, w_1, ..., the exact reads
         self.bound = [0] * (depth + 1)  # F
-        self.kappa = [-(-depth * self.slope // (prime - 1)) + 1] * (depth + 1)  # no read
+        self.kappa = [K] * (depth + 1)  # no read
         self.plan()
 
     def read(self, s: int, w: int) -> None:
@@ -327,11 +320,14 @@ def deriv_ladder(
     Without rho the walk is exact.  With one it runs through a chain of
     precisions, each on a module copy that carries it, coarsest first:
 
-    1. at the unit radius, mod p**k0, k0 = `_rung_precision` = w_1 + 1;
+    1. at the unit radius, mod p**k0, k0 = w_1 + 1;
     2. at the unit radius, mod p**kappa[s], the Leibniz-tapered precisions
        of the `_Taper` that the rung's first zero builds;
-    3. mod p**K, K = `_clip_precision(module, direction, rho, depth)`;
+    3. mod p**K;
     4. exactly.
+
+    `_walk_plan(module, direction, depth, rho)` decides k0 and K, and
+    says why each keeps the estimates.
 
     Each level after the first starts at the first reduced zero of the one
     before: the walk restarts and goes on from that depth.  Mod p**k a
@@ -339,13 +335,14 @@ def deriv_ladder(
     taper it is an H_s whose coefficients all reach the error floor, so
     that a zero there falls back to p**K, not to the exact walk.  Only an
     exact zero ends the walk, right after it: every later H_s vanishes
-    too, since G_{s+1} = d(G_s) + N G_s.  The rung is skipped when k0 is
-    None or k0 >= K, and kept when K is None; the taper needs both.  A
-    walk that never leaves the rung builds no taper.
+    too, since G_{s+1} = d(G_s) + N G_s.  The rung is walked when k0 is
+    set and the taper when k0 and K both are.  A walk that never leaves
+    the rung builds no taper.  A depth that is not an int in
+    1..DEFAULT_DEPTH_CAP is refused before the plan.
 
     Every level yields the estimates that the exact walk gives, and an
     exact zero at depth s is a reduced zero there at every level, so
-    `vanished_at` stays.  Mod p**K that is `_clip_precision`'s argument.
+    `vanished_at` stays.  Mod p**K that is `_walk_plan`'s argument.
     At the unit radius every term weighs 0, so the norm exponent w_s of
     H_s is its least coefficient valuation, and a yield that is not a
     reduced zero differs from the exact H_s by an error of valuation above
@@ -359,18 +356,10 @@ def deriv_ladder(
     not bound the norm of a dropped term, which may weigh less, so they
     have no rung and no taper.
     """
-    step = int_valuation(ladder_denominator(module, direction), module.prime)
-    precisions: list[int | list[int] | None] = [None]  # coarsest first, exact last
-    w1 = None  # w_1 = k0 - 1, when the rung's first zero builds a taper
-    if rho is not None:
-        K = _clip_precision(module, direction, rho, depth)
-        if K is not None:
-            precisions.insert(0, K)
-        k0 = None if any(r.exponent for r in rho) else _rung_precision(module, direction)
-        if k0 is not None and (K is None or k0 < K):
-            precisions.insert(0, k0)
-            if K is not None:
-                w1 = k0 - 1
+    check_count("depth", depth, 1)
+    step, k0, K = _walk_plan(module, direction, depth, rho)
+    # coarsest first, exact last
+    precisions: list[int | list[int] | None] = [k for k in (k0, K) if k is not None] + [None]
     schedule: Optional[_Taper] = None
 
     def walk(precision: int | list[int] | None) -> Iterator[PolyMatrix]:
@@ -388,8 +377,8 @@ def deriv_ladder(
         while precisions[level] is not None and (
             schedule.reduced_zero(s, H) if schedule is not None and level == 1 else H.is_zero
         ):
-            if level == 0 and w1 is not None:
-                schedule = _Taper(module.prime, step, depth, [w1] * (s - 1))
+            if level == 0 and k0 is not None and K is not None:
+                schedule = _Taper(module.prime, step, depth, K, [k0 - 1] * (s - 1))
                 precisions.insert(1, schedule.kappa)
             level += 1
             ladder = walk(precisions[level])

@@ -84,10 +84,15 @@ def plain_step(G, N, direction):
     ))
 
 
+def identity(p, n, m, size):
+    """The identity matrix of the given signature and size."""
+    return PolyMatrix.from_scalar_rows(p, n, m, [[int(i == j) for j in range(size)] for i in range(size)])
+
+
 def reference_ladder(module, direction, depth):
     """G_0 .. G_depth by the plain recursion G_{s+1} = d(G_s) + N G_s."""
     N = module.matrices[direction]
-    G = PolyMatrix.identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
+    G = identity(module.prime, module.nvars_annulus, module.nvars_disc, module.rank)
     seq = [G]
     for _ in range(depth):
         G = plain_step(G, N, direction)
@@ -108,7 +113,7 @@ class TestPolyMatrix:
 
     def test_identity_and_matmul(self):
         p = 3
-        I = PolyMatrix.identity(p, 1, 0, 2)
+        I = identity(p, 1, 0, 2)
         t = LaurentPoly(p, 1, 0, {(1,): 1})
         A = PolyMatrix([[t, LaurentPoly.constant(p, 1, 0, 1)],
                         [LaurentPoly.zero(p, 1, 0), t]])
@@ -275,7 +280,7 @@ class TestIteratedDerivatives:
     def test_trivial_module_all_identity_derivatives(self):
         module = trivial_module(3, 1, 0, 2)
         seq = ladder(module, 0, 5)
-        assert seq[0] == PolyMatrix.identity(3, 1, 0, 2)
+        assert seq[0] == identity(3, 1, 0, 2)
         for s in range(1, 6):
             assert seq[s].is_zero
 
@@ -386,7 +391,7 @@ class TestIteratedDerivatives:
         module = power_module(3, Fraction(1, 2))
         gen = iter_deriv_matrices(module, 0)
         walk = list(deriv_ladder(module, 0, 5))
-        assert next(gen) == PolyMatrix.identity(3, 1, 0, 1)
+        assert next(gen) == identity(3, 1, 0, 1)
         assert [s for s, _, _ in walk] == [1, 2, 3, 4, 5]
         assert [shift for _, _, shift in walk] == [0] * 5  # c = 2, a 3-adic unit
         for _, H, _ in walk:
@@ -534,7 +539,8 @@ class TestIntegerLadder:
             assert H == reference_ladder(module, 0, 3)
 
     def test_coefficient_of_an_int_term_is_a_fraction(self):
-        one = PolyMatrix.identity(3, 1, 0, 1).rows[0][0]
+        # the int 1 of the H_0 that the walk yields first
+        one = next(iter_deriv_matrices(trivial_module(3, 1, 0, 1), 0)).rows[0][0]
         assert type(one.terms[(0,)]) is int
         for exps, value in (((0,), 1), ((1,), 0)):
             assert one.coefficient(exps) == value

@@ -126,12 +126,13 @@ ENTRY_POINTS = [
     ("LaurentPoly-nvars_disc", "nvars_disc", lambda x: LaurentPoly(3, 0, x, {(1,): 1}), (1,),
      (1.0, True, "1", Fraction(1))),
     ("ConnectionModule-nvars_annulus", "nvars_annulus",
-     lambda x: ConnectionModule(3, x, 0, 1, (PolyMatrix.identity(3, 1, 0, 1),)), (1,),
+     lambda x: ConnectionModule(3, x, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[1]]),)), (1,),
      (1.0, True, "1", Fraction(1))),
     ("ConnectionModule-nvars_disc", "nvars_disc",
-     lambda x: ConnectionModule(3, 1, x, 1, (PolyMatrix.identity(3, 1, 0, 1),)), (0,),
+     lambda x: ConnectionModule(3, 1, x, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[1]]),)), (0,),
      (0.0, False, "0", Fraction(0))),
-    ("ConnectionModule-rank", "rank", lambda x: ConnectionModule(3, 1, 0, x, (PolyMatrix.identity(3, 1, 0, 2),)),
+    ("ConnectionModule-rank", "rank",
+     lambda x: ConnectionModule(3, 1, 0, x, (PolyMatrix.from_scalar_rows(3, 1, 0, [[1, 0], [0, 1]]),)),
      (2,), (2.0, True, "2", Fraction(2))),
     ("LaurentPoly.scalar_mul", "scalar factors", POLY.scalar_mul, (Fraction(2, 3), -5), (2.0, True, "5")),
     ("LaurentPoly.specialize", "coordinates", lambda x: POLY.specialize(0, (x,)),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nabla_radius import radius
 from nabla_radius.connection import (
+    DEFAULT_DEPTH_CAP,
     DepthCapError,
     NotIntegrableError,
     iter_deriv_matrices,
@@ -28,10 +29,10 @@ from nabla_radius.connection import ConnectionModule, PolyMatrix
 from nabla_radius.padic import LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
+    _PRECISION_BITS_CAP,
     _Taper,
-    _clip_precision,
     _fold_levels,
-    _rung_precision,
+    _walk_plan,
     Verdict,
     deriv_ladder,
     factorial_valuation,
@@ -125,6 +126,17 @@ class TestDerivLadder:
         walk = list(deriv_ladder(exponential_module(3), 0, 7))
         assert [s for s, _, _ in walk] == list(range(1, 8))
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
+
+    @pytest.mark.parametrize("rho", [None, R1])
+    def test_depth_is_checked_before_the_first_step(self, monkeypatch, rho):
+        pulled = counting_ladder(monkeypatch)
+        with pytest.raises(DepthCapError):
+            next(deriv_ladder(exponential_module(3), 0, DEFAULT_DEPTH_CAP + 88, rho))
+        with pytest.raises(TypeError):
+            next(deriv_ladder(exponential_module(3), 0, True, rho))
+        with pytest.raises(ValueError):
+            next(deriv_ladder(exponential_module(3), 0, 0, rho))
+        assert pulled == []
 
     def test_goes_on_exactly_after_a_zero_mod_p_k(self, monkeypatch):
         # N = 81 + 3**20 t, first walked at k0 = v_3(81) + 1 = 5, then
@@ -302,7 +314,7 @@ class TestReducedWalk:
         # would have more than 10**8 bits.  The walk is exact instead.
         module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(-10**8,): 1})]]),))
         rho = (LogRadius(1),)
-        assert _clip_precision(module, 0, rho, 8) is None
+        assert _walk_plan(module, 0, 8, rho) == (0, None, None)
         precisions = recording_walks(monkeypatch)
         report = intrinsic_radius(module, rho, 8)
         assert precisions == [None]
@@ -313,7 +325,7 @@ class TestReducedWalk:
         # N = [1]: no H_s vanishes mod p, so the rung's walk is the only one
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(exponential_module(3), R1, depth=16)
-        assert precisions == [_rung_precision(exponential_module(3), 0)] == [1]
+        assert precisions == [_walk_plan(exponential_module(3), 0, 16, R1)[1]] == [1]
 
     def test_reduction_never_enlarges_a_coefficient(self):
         # Negative coefficients are common here; a residue in [0, p**k)
@@ -324,7 +336,7 @@ class TestReducedWalk:
         rho = (LogRadius.one(),) * 2
         for direction in range(2):
             exact = list(islice(iter_deriv_matrices(module, direction), 41))
-            ks = [_rung_precision(module, direction), _clip_precision(module, direction, rho, 40)]
+            ks = _walk_plan(module, direction, 40, rho)[1:]
             assert ks[0] == 2 < ks[1]
             for k in ks:
                 q = 3**k
@@ -341,6 +353,48 @@ class TestReducedWalk:
                                 negative |= a < 0
                             wide |= any(abs(b) >= q for b in b_terms.values())
                 assert wide and negative
+
+
+class TestWalkPlan:
+    """`_walk_plan` decides a walk's fixed precisions: the rung's k0 at the
+    unit radius only, and K, each within the bits cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.sampled_from([2, 3, 5]),
+        rank=st.integers(1, 3),
+        rates=st.one_of(
+            st.just((0, 0)),
+            st.tuples(*[st.fractions(0, 3, max_denominator=6)] * 2),
+        ),
+        depth=st.integers(1, DEFAULT_DEPTH_CAP),
+    )
+    def test_plan_against_the_exact_walk(self, seed, p, rank, rates, depth):
+        module = random_integrable_module(Random(seed), p, rank)
+        rho = tuple(LogRadius(r) for r in rates)
+        bits = p.bit_length()
+        for direction in range(module.dims):
+            step, k0, K = _walk_plan(module, direction, depth, rho)
+            assert step == int_valuation(ladder_denominator(module, direction), p)
+            assert _walk_plan(module, direction, depth, None) == (step, None, None)
+            assert k0 is None or K is None or k0 < K
+            assert all(k is None or 0 < k and k * bits <= _PRECISION_BITS_CAP for k in (k0, K))
+            if any(rates):
+                assert k0 is None
+                continue
+            closed = math.ceil(depth * (step + Fraction(1, p - 1))) + 1
+            assert K == (closed if closed * bits <= _PRECISION_BITS_CAP else None)
+            # w_1, the least coefficient valuation of the exact H_1
+            H1 = next(islice(iter_deriv_matrices(module, direction), 1, None))
+            w1 = min(
+                (int_valuation(a, p) for row in H1.rows for e in row for a in e.terms.values()),
+                default=None,
+            )
+            if k0 is not None:
+                assert k0 - 1 == w1
+            else:
+                assert w1 is None or K is not None and w1 + 1 >= K or (w1 + 1) * bits > _PRECISION_BITS_CAP
 
 
 def residues(record, p):
@@ -404,13 +458,16 @@ class TestUnitRung:
         rho = (LogRadius(Fraction(1, 3)),)
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(exponential_module(3), rho, depth=16)
-        assert precisions == [_clip_precision(exponential_module(3), 0, rho, 16)]
+        _, k0, K = _walk_plan(exponential_module(3), 0, 16, rho)
+        assert k0 is None and precisions == [K]
 
     def test_no_rung_when_k0_reaches_k(self, monkeypatch):
         # N = [81]: k0 = v_3(81) + 1 = 5 = K = ceil(8 * 1/2) + 1, so the walk
-        # starts at K; H_2 = 3**8 vanishes mod p**K and it goes on exactly
+        # starts at K; H_2 = 3**8 vanishes mod p**K and it goes on exactly.
+        # One step deeper K = 6 > k0, and the rung is kept.
         module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[81]]),))
-        assert _rung_precision(module, 0) == _clip_precision(module, 0, R1, 8) == 5
+        assert _walk_plan(module, 0, 8, R1) == (0, None, 5)
+        assert _walk_plan(module, 0, 9, R1) == (0, 5, 6)
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(module, R1, 8)
         assert precisions == [5, None]
@@ -421,7 +478,7 @@ class TestUnitRung:
         module = ConnectionModule(
             3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[Fraction(1, 3**30000)]]),)
         )
-        assert _clip_precision(module, 0, R1, 8) is None
+        assert _walk_plan(module, 0, 8, R1) == (30000, 1, None)
         precisions = recording_walks(monkeypatch)
         report = intrinsic_radius(module, R1, 8)
         assert precisions == [1]
@@ -500,11 +557,14 @@ class TestTaper:
 
     @pytest.mark.parametrize("p, rank, depth", [(2, 1, 16), (3, 2, 150), (5, 3, 512)])
     def test_with_no_norm_read_every_precision_is_k(self, p, rank, depth):
-        # F(k) = -k v_p(c) gives kappa_s = ceil(T_depth) + 1 at every s
+        # F(k) = -k v_p(c) gives kappa_s = ceil(T_depth) + 1 at every s: the
+        # plan with no read keeps the K that the taper is given, and that K
+        # is the closed form
         for module in (random_integrable_module(Random(1), p, rank), exponential_module(p, Fraction(1, p**3))):
-            step = int_valuation(ladder_denominator(module, 0), p)
-            K = _clip_precision(module, 0, (LogRadius.one(),) * module.dims, depth)
-            assert _Taper(p, step, depth).kappa[1:] == [K] * depth
+            step, _, K = _walk_plan(module, 0, depth, (LogRadius.one(),) * module.dims)
+            assert step == int_valuation(ladder_denominator(module, 0), p)
+            assert K == math.ceil(depth * (step + Fraction(1, p - 1))) + 1
+            assert _Taper(p, step, depth, K).kappa[1:] == [K] * depth
 
     @pytest.mark.parametrize("a", [12, 20, 40])
     @pytest.mark.parametrize("depth", [64, 150])
@@ -517,9 +577,8 @@ class TestTaper:
         verdict = oc_ir_test(module, depth)
         d = verdict.report.directions[0]
         assert d.vanished_at == a + 1 and d.exact
-        assert chain(precisions) == [
-            _rung_precision(module, 0), TAPERED, _clip_precision(module, 0, R1, depth), None
-        ]
+        _, k0, K = _walk_plan(module, 0, depth, R1)
+        assert chain(precisions) == [k0, TAPERED, K, None]
         assert verdict == exact_walk(oc_ir_test, module, depth)
 
     def test_a_zero_past_the_first_plan(self, monkeypatch):
@@ -534,7 +593,7 @@ class TestTaper:
         precisions = recording_walks(monkeypatch)
         verdict = oc_ir_test(module, 64)
         assert verdict.report.directions[0].vanished_at == 14
-        K = _clip_precision(module, 0, R1, 64)
+        K = _walk_plan(module, 0, 64, R1)[2]
         assert chain(precisions) == [1, TAPERED, K, None]
         assert max(precisions[1][9:15]) < K
         assert verdict == exact_walk(oc_ir_test, module, 64)
@@ -545,7 +604,7 @@ class TestTaper:
         module = power_module(3, Fraction(3, 2))
         precisions = recording_walks(monkeypatch)
         report = intrinsic_radius(module, R1, 64)
-        assert chain(precisions) == [2, TAPERED, _clip_precision(module, 0, R1, 64)]
+        assert chain(precisions) == [2, TAPERED, _walk_plan(module, 0, 64, R1)[2]]
         assert report == exact_walk(intrinsic_radius, module, R1, 64)
 
     @settings(max_examples=30, deadline=None)
@@ -579,9 +638,10 @@ class TestTaper:
         curve_witness_search(benchmark_anchor_modules()["cutcheck-dense"], depth=48, trials=10, seed=0)
         oc_ir_test(exponential_module(3), 64)
         assert precisions == [1, 1, 1] and built == []
-        # N = 1/(2t): the rung's first zero is at s = 3, after w_1 = w_2 = 0
+        # N = 1/(2t): the rung's first zero is at s = 3, after w_1 = w_2 = 0,
+        # and the taper is given K = ceil(64 * 1/2) + 1
         oc_ir_test(corpus_by_label()["power-half-p3"].descriptor.module, 64)
-        assert built == [(3, 0, 64, [0, 0])]
+        assert built == [(3, 0, 64, 33, [0, 0])]
 
 
 def leading_residues(H):
@@ -671,6 +731,33 @@ class TestGauge:
             dict(d.to_json_dict(), direction=1 - d.direction) for d in ir.directions
         ]
         assert (swapped_ir.ir_estimate, swapped_ir.exact_flag) == (ir.ir_estimate, ir.exact_flag)
+
+    def test_oc_evidence_depends_on_the_basis_under_a_non_constant_gauge(self):
+        # D = diag(1, t_0**2) presents the same module, N'_i = D^-1 N_i D +
+        # D^-1 d_i(D), but other G_s, so a finite window reads other norms:
+        # a dependence recorded here, not an invariance (ROADMAP item 16).
+        # Random(1), rank 2, p = 3: INCONCLUSIVE at depth 60 (IR exponent
+        # 1/13) and OVERCONVERGENT_EVIDENCE once gauged; at depth 200 both
+        # are OVERCONVERGENT_EVIDENCE, with IR exponent 1/32 against 0.
+        p = 3
+        module = random_integrable_module(Random(1), p, 2)
+        D = PolyMatrix.from_scalar_rows(p, 2, 0, [[1, 0], [0, LaurentPoly(p, 2, 0, {(2, 0): 1})]])
+        D_inverse = PolyMatrix.from_scalar_rows(p, 2, 0, [[1, 0], [0, LaurentPoly(p, 2, 0, {(-2, 0): 1})]])
+
+        def gauged(N, i):
+            A = D_inverse @ N @ D
+            B = D_inverse @ PolyMatrix([[e.partial(i) for e in row] for row in D.rows])
+            return PolyMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+        gauge = ConnectionModule(p, 2, 0, 2, tuple(gauged(N, i) for i, N in enumerate(module.matrices)))
+        outcomes = {
+            depth: [(v.verdict, v.report.ir_estimate) for v in (oc_ir_test(module, depth), oc_ir_test(gauge, depth))]
+            for depth in (60, 200)
+        }
+        assert outcomes == {
+            60: [(Verdict.INCONCLUSIVE, Fraction(1, 13)), (Verdict.OVERCONVERGENT_EVIDENCE, 0)],
+            200: [(Verdict.OVERCONVERGENT_EVIDENCE, Fraction(1, 32)), (Verdict.OVERCONVERGENT_EVIDENCE, 0)],
+        }
 
 
 class TestOcVerdict:
