@@ -12,8 +12,8 @@ They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
 common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
     H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
 has int coefficients throughout.  The curvature uses the ring operations
-LaurentPoly.partial, __add__, scalar_mul and PolyMatrix.__matmul__.  A
-module copy with an internal `_ladder_precision` walks H_{i,s} mod p**K.
+LaurentPoly.partial, __add__, scalar_mul and PolyMatrix.__matmul__.  The
+pair (module, K) walks H_{i,s} mod p**K.
 """
 
 from __future__ import annotations
@@ -192,10 +192,6 @@ class ConnectionModule:
     nvars_disc: int
     rank: int
     matrices: Tuple[PolyMatrix, ...]
-    # Internal: K, or a list of K per step, for a copy that
-    # `iter_deriv_matrices` walks mod p**K; repr, equality and descriptors
-    # leave it out.
-    _ladder_precision: Optional[int | list[int]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -277,7 +273,9 @@ def ladder_denominator(module: ConnectionModule, direction: int) -> int:
     return c
 
 
-def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[PolyMatrix]:
+def iter_deriv_matrices(
+    module: ConnectionModule | Tuple[ConnectionModule, Optional[int | list[int]]], direction: int
+) -> Iterator[PolyMatrix]:
     """Yield H_0 = identity, H_1, ..., H_cap, where H_s = c**s G_s for c =
     ladder_denominator(module, direction) and cap = DEFAULT_DEPTH_CAP; asking
     for H_{cap+1} raises DepthCapError.
@@ -296,15 +294,18 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     checks of matrices and entries the walk built itself; the entries
     build their tuple keys when first read.
 
-    With `_ladder_precision` K, or a list whose [s] is K at step s, each
-    coefficient of H_s is replaced by its symmetric residue mod q = p**K,
-    in (-q/2, q/2]: a kept one has its exact valuation and no more bits,
-    and a term divisible by p**K is dropped, so a zero here does not prove
-    H_s = 0.  `radius.deriv_ladder` walks p**(w_1 + 1), the tapered
-    p**kappa_s, p**K, then exactly, each from the last one's first zero.
+    Given the pair (module, precision) in place of the module, with the
+    precision K, or a list whose [s] is K at step s, each coefficient of
+    H_s is replaced by its symmetric residue mod q = p**K, in (-q/2, q/2]:
+    a kept one has its exact valuation and no more bits, and a term
+    divisible by p**K is dropped, so a zero here does not prove H_s = 0.
+    A precision of None walks exactly, as the bare module does.
+    `radius.deriv_ladder` walks p**(w_1 + 1), the tapered p**kappa_s,
+    p**K, then exactly, each from the last one's first zero.
 
     Integrability is not re-checked here.
     """
+    module, precision = module if isinstance(module, tuple) else (module, None)
     c = ladder_denominator(module, direction)
     p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
     dims = n + m
@@ -318,7 +319,6 @@ def iter_deriv_matrices(module: ConnectionModule, direction: int) -> Iterator[Po
     ]
     E = max([1] + [abs(j) for row in M for entry in row for K, _ in entry for j in K])
 
-    precision = module._ladder_precision
     bits = pack_width(DEFAULT_DEPTH_CAP * E)
     origin = pack_key((0,) * dims, bits)
     shifts = [[[(pack_key(K, bits) - origin, v) for K, v in entry] for entry in row] for row in M]

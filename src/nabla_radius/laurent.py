@@ -20,6 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
+    POWER_BITS_CAP,
     LogRadius,
     _safe_repr,
     check_prime,
@@ -31,10 +32,6 @@ from .padic import (
 )
 
 ExponentVector = Tuple[int, ...]
-
-# `specialize` refuses a power of a coordinate past this many bits, the
-# scale of the cap on the modulus p**K of the derivative ladder.
-_POWER_BITS_CAP = 2**16
 
 
 class SignatureError(ValueError):
@@ -315,7 +312,7 @@ class LaurentPoly:
         per distinct exponent.  Units are not checked (`curves` does).
         Before any power is taken, ValueError refuses a coordinate 0 on a
         slot with a negative exponent, and n/d when (b - 1) * E, a lower
-        bound on the bits of (n/d)**E, passes _POWER_BITS_CAP (b the bits
+        bound on the bits of (n/d)**E, passes POWER_BITS_CAP (b the bits
         of max(|n|, d), E the slot's largest |exponent|), even if the huge
         powers would cancel."""
         if not 0 <= direction < self.nvars:
@@ -337,10 +334,10 @@ class LaurentPoly:
             e = max(top, bottom)
             if not c and bottom:
                 raise ValueError(f"coordinate 0 for variable {l}, which has a negative exponent")
-            if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e > _POWER_BITS_CAP:
+            if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e > POWER_BITS_CAP:
                 raise ValueError(
                     f"coordinate {_safe_repr(c, str)} to the power {_safe_repr(e, str)}"
-                    f" needs more than {_POWER_BITS_CAP} bits"
+                    f" needs more than {POWER_BITS_CAP} bits"
                 )
             num_l, den_l = c.numerator, c.denominator
             den *= den_l ** top * num_l ** bottom

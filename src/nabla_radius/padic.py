@@ -28,6 +28,11 @@ class PrimeError(ValueError):
 PRIME_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# No power past this many bits is built: not the modulus p**K of the
+# derivative ladder (`radius`), nor a coordinate's power in
+# `LaurentPoly.specialize`.
+POWER_BITS_CAP = 2**16
+
 
 @lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
@@ -183,13 +188,11 @@ def frozen_record(cls: _Cls) -> _Cls:
     of the same name as a field's default, then `__post_init__` if the class
     has one), `__eq__` field by field between instances of the same class,
     the matching `__hash__`, `__repr__`, and `__setattr__`/`__delattr__`
-    that raise AttributeError.  A field whose name starts with "_" is
-    internal: repr, equality and hash leave it out.
+    that raise AttributeError.  Repr, equality and hash read every field.
     """
     names = tuple(cls.__annotations__)
     name_set = frozenset(names)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    public = tuple(n for n in names if not n.startswith("_"))
     post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
@@ -208,7 +211,7 @@ def frozen_record(cls: _Cls) -> _Cls:
             self.__post_init__()
 
     def key(self) -> tuple:
-        return tuple([getattr(self, n) for n in public])
+        return tuple([getattr(self, n) for n in names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -219,7 +222,7 @@ def frozen_record(cls: _Cls) -> _Cls:
         return hash(key(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in public)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):

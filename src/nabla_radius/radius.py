@@ -52,7 +52,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, exact, frozen_record, int_valuation
+from .padic import POWER_BITS_CAP, LogRadius, exact, frozen_record, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -136,10 +136,6 @@ class RadiusReport:
         }
 
 
-# Above this many bits p**K is not built and the ladder is walked exactly.
-_PRECISION_BITS_CAP = 2**16
-
-
 def _walk_plan(
     module: ConnectionModule,
     direction: int,
@@ -172,7 +168,7 @@ def _walk_plan(
     p**(k0 - 1): w_s never falls below w_1 = k0 - 1, and p**k0 is the
     least modulus that keeps H_1.  M = 0 has no rung.
 
-    A precision whose p**k would pass _PRECISION_BITS_CAP bits is None,
+    A precision whose p**k would pass POWER_BITS_CAP bits is None,
     and so is a k0 >= K, whose rung would start where p**K does.  K grows
     with depth * |mu|, so a huge exponent asks for a huge p**K; the exact
     walk gives the same estimates.
@@ -189,7 +185,7 @@ def _walk_plan(
     K = math.ceil(depth * max(Fraction(0), step + spectral_base_exponent(p) - r_i - mu)) + 1
     content = gcd(*[v.numerator * (c // v.denominator) for _, v in terms])
     k0 = int_valuation(content, p) + 1 if content and not any(rates) else None
-    k0, K = (None if k is None or k * p.bit_length() > _PRECISION_BITS_CAP else k for k in (k0, K))
+    k0, K = (None if k is None or k * p.bit_length() > POWER_BITS_CAP else k for k in (k0, K))
     if k0 is not None and K is not None and k0 >= K:
         k0 = None
     return step, k0, K
@@ -318,7 +314,8 @@ def deriv_ladder(
     needs no shift.
 
     Without rho the walk is exact.  With one it runs through a chain of
-    precisions, each on a module copy that carries it, coarsest first:
+    precisions, each handed to `iter_deriv_matrices` as the pair (module,
+    precision), coarsest first:
 
     1. at the unit radius, mod p**k0, k0 = w_1 + 1;
     2. at the unit radius, mod p**kappa[s], the Leibniz-tapered precisions
@@ -362,15 +359,8 @@ def deriv_ladder(
     precisions: list[int | list[int] | None] = [k for k in (k0, K) if k is not None] + [None]
     schedule: Optional[_Taper] = None
 
-    def walk(precision: int | list[int] | None) -> Iterator[PolyMatrix]:
-        walked = module if precision is None else ConnectionModule(
-            module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices,
-            precision,
-        )
-        return iter_deriv_matrices(walked, direction)
-
     level = 0
-    ladder = walk(precisions[0])
+    ladder = iter_deriv_matrices((module, precisions[0]), direction)
     next(ladder)  # H_0 is the identity
     for s in range(1, depth + 1):
         H = next(ladder)
@@ -381,7 +371,7 @@ def deriv_ladder(
                 schedule = _Taper(module.prime, step, depth, K, [k0 - 1] * (s - 1))
                 precisions.insert(1, schedule.kappa)
             level += 1
-            ladder = walk(precisions[level])
+            ladder = iter_deriv_matrices((module, precisions[level]), direction)
             H = next(islice(ladder, s, None))
         yield s, H, s * step
         if H.is_zero:

@@ -118,6 +118,20 @@ class TestValidate:
         assert code == 1
         assert doc["status"] == "schema-error"
 
+    @pytest.mark.parametrize(
+        "rank, matrices, error",
+        [(0, [[]], "rank must be >= 1"), (1, [[[[], []]]], "matrix 0 row 0 must have 1 entries")],
+        ids=["rank-0", "long-row"],
+    )
+    def test_shape_refused(self, capsys, tmp_path, rank, matrices, error):
+        bad = tmp_path / "bad.json"
+        doc = {"prime": 3, "n": 1, "m": 0, "rank": rank, "matrices": matrices}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, _ = run_json(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert report["status"] == "schema-error"
+        assert report["error"] == error
+
     def test_missing_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, ["validate", str(tmp_path / "nope.json")])
         assert code == 1

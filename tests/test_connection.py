@@ -29,7 +29,7 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius import laurent
-from nabla_radius.laurent import LaurentPoly
+from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
 from nabla_radius.radius import (
     Verdict,
@@ -110,6 +110,16 @@ class TestPolyMatrix:
         with pytest.raises(ValueError):
             PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 2, 0, 1)],
                         [LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 1, 0, 1)]])
+
+    def test_matmul_refuses_a_size_mismatch(self):
+        with pytest.raises(SignatureError, match="^matrix size mismatch$"):
+            identity(3, 1, 0, 1) @ identity(3, 1, 0, 2)
+
+    def test_assignment_is_refused(self):
+        A = identity(3, 1, 0, 1)
+        with pytest.raises(AttributeError, match="^PolyMatrix is immutable$"):
+            A.prime = 5
+        assert A.prime == 3
 
     def test_identity_and_matmul(self):
         p = 3
@@ -336,6 +346,14 @@ class TestIteratedDerivatives:
             trivial_module(3, 1, 0, True)
         with pytest.raises(TypeError, match="^nvars_annulus must be int, not bool$"):
             LaurentPoly(3, True, 0, {(1,): 1})
+
+    def test_rank_zero_and_no_variables_are_refused(self):
+        with pytest.raises(SignatureError, match="^rank must be >= 1$"):
+            ConnectionModule(3, 1, 0, 0, (identity(3, 1, 0, 1),))
+        with pytest.raises(SignatureError, match="^need at least one variable$"):
+            ConnectionModule(3, 0, 0, 1, ())
+        with pytest.raises(ValueError, match="^generator supports rank 1 to 3$"):
+            random_integrable_module(Random(0), 3, 4)
 
     def test_direction_out_of_range(self):
         module = exponential_module(3)
@@ -629,17 +647,14 @@ def symmetric_residues(A, q):
 
 def assert_walk_matches_reference(module, direction, depth, precision=None):
     """H_s = c**s G_s for s <= depth, G_s from the plain recursion, and with
-    a precision K the walk of the reduced copy is H_s mod p**K."""
+    a precision K the walk of the pair (module, K) is H_s mod p**K."""
     c = ladder_denominator(module, direction)
     exact = islice(iter_deriv_matrices(module, direction), depth + 1)
     expected = [scaled(G, c ** s) for s, G in enumerate(reference_ladder(module, direction, depth))]
     assert list(exact) == expected
     if precision is not None:
-        reduced = ConnectionModule(
-            module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices, precision
-        )
         q = module.prime ** precision
-        walk = islice(iter_deriv_matrices(reduced, direction), depth + 1)
+        walk = islice(iter_deriv_matrices((module, precision), direction), depth + 1)
         assert list(walk) == [symmetric_residues(H, q) for H in expected]
 
 

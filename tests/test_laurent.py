@@ -12,7 +12,7 @@ from nabla_radius import laurent
 from nabla_radius.connection import _least_exponent, iter_deriv_matrices
 from nabla_radius.corpus import random_integrable_module
 from nabla_radius.laurent import LaurentPoly, SignatureError
-from nabla_radius.padic import LogRadius, fraction_valuation
+from nabla_radius.padic import POWER_BITS_CAP, LogRadius, fraction_valuation
 
 PRIMES = [2, 3, 5, 7]
 
@@ -153,6 +153,15 @@ class TestConstruction:
             LaurentPoly(3, 1, 1, {(0, -1): 1})  # disc exponent < 0
         with pytest.raises(SignatureError):
             LaurentPoly(3, 1, 0, {(Fraction(1, 2),): 1})
+        for n, m in ((-1, 0), (1, -1)):
+            with pytest.raises(SignatureError, match="^variable counts must be >= 0$"):
+                LaurentPoly(3, n, m)
+
+    def test_assignment_is_refused(self):
+        f = LaurentPoly.constant(3, 1, 0, 1)
+        with pytest.raises(AttributeError, match="^LaurentPoly is immutable$"):
+            f.prime = 5
+        assert f.prime == 3
 
     def test_rejects_boolean_exponents(self):
         # True == 1 would otherwise be stored, and serialized, as `true`.
@@ -611,7 +620,7 @@ class TestSpecialize:
         assert peak < 100_000, peak
 
     def test_power_past_the_bit_cap_is_refused(self):
-        cap = laurent._POWER_BITS_CAP
+        cap = POWER_BITS_CAP
         assert cap == 2**16
         # (b - 1) * E against the cap, b the bits of max(|n|, d): 2 and 1/3
         # have b = 2, -4 and 5/4 have b = 3

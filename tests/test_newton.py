@@ -188,6 +188,18 @@ class TestShrinkInterval:
         assert cert.interval.r_beta == Fraction(3, 2)
         assert cert.margin == Fraction(1, 2)
 
+    def test_shrinks_from_both_sides(self):
+        # t^-1 strictly dominates only for 1 < r < 2: 9 t^-2 ties it at
+        # r = 2 and 1/3 at r = 1, so both sides of the window are open and
+        # a quarter of its length is cut from each.
+        a = poly(3, {(-1,): Fraction(1), (-2,): Fraction(9), (0,): Fraction(1, 3)})
+        cert = shrink_interval(a, AlignedInterval(2, 1))
+        assert (cert.n0, cert.A, cert.B) == (-1, frozenset({-2, -1}), frozenset())
+        assert cert.interval == AlignedInterval(Fraction(7, 4), Fraction(5, 4))
+        assert cert.sup_norm == -2
+        assert cert.margin == Fraction(1, 4)
+        assert unit_certificate_check(a, cert) is None
+
     def test_no_shrink_needed(self):
         a = poly(2, {(0,): Fraction(1), (1,): Fraction(1)})
         I = AlignedInterval(Fraction(2), Fraction(1, 2))

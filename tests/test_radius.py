@@ -26,10 +26,9 @@ from nabla_radius.corpus import (
 from nabla_radius.curves import curve_witness_search
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
-from nabla_radius.padic import LogRadius, int_valuation
+from nabla_radius.padic import POWER_BITS_CAP, LogRadius, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
-    _PRECISION_BITS_CAP,
     _Taper,
     _fold_levels,
     _walk_plan,
@@ -60,6 +59,11 @@ def test_factorial_valuation_against_factorial(s, p):
     assert factorial_valuation(s, p) == expected
 
 
+def test_factorial_valuation_refuses_a_negative_integer():
+    with pytest.raises(ValueError, match="^factorial of a negative integer$"):
+        factorial_valuation(-1, 3)
+
+
 def counting_ladder(monkeypatch):
     """Record every matrix the walk pulls from the recursion."""
     pulled = []
@@ -78,11 +82,8 @@ def exact_walk(fn, *args):
     """fn(*args) with every ladder walked in exact arithmetic."""
     original = radius.iter_deriv_matrices
 
-    def exact(module, direction):
-        exact_copy = ConnectionModule(
-            module.prime, module.nvars_annulus, module.nvars_disc, module.rank, module.matrices
-        )
-        return original(exact_copy, direction)
+    def exact(walked, direction):
+        return original(walked[0] if isinstance(walked, tuple) else walked, direction)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radius, "iter_deriv_matrices", exact)
@@ -90,14 +91,14 @@ def exact_walk(fn, *args):
 
 
 def recording_walks(monkeypatch):
-    """Record the precision of every module the ladder is walked on: an
+    """Record the precision of every level the ladder is walked at: an
     int K, None (exact), or the list of a tapered walk's precisions."""
     precisions = []
     original = radius.iter_deriv_matrices
 
-    def recording(module, direction):
-        precisions.append(module._ladder_precision)
-        return original(module, direction)
+    def recording(walked, direction):
+        precisions.append(walked[1] if isinstance(walked, tuple) else None)
+        return original(walked, direction)
 
     monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
     return precisions
@@ -126,6 +127,31 @@ class TestDerivLadder:
         walk = list(deriv_ladder(exponential_module(3), 0, 7))
         assert [s for s, _, _ in walk] == list(range(1, 8))
         assert len(pulled) == 8  # G_0 .. G_7, G_8 is never computed
+
+    def test_every_level_walks_the_callers_module(self, monkeypatch):
+        # A reduced level travels as the pair (module, precision), so the
+        # walk builds no module of its own, and a module's fields are its
+        # descriptor's alone.
+        assert list(ConnectionModule.__annotations__) == [
+            "prime", "nvars_annulus", "nvars_disc", "rank", "matrices"
+        ]
+        walked = []
+        original = radius.iter_deriv_matrices
+
+        def recording(first, direction):
+            walked.append(first)
+            return original(first, direction)
+
+        monkeypatch.setattr(radius, "iter_deriv_matrices", recording)
+        anchors = benchmark_anchor_modules()
+        oc_module, cut_module = anchors["oc-deep"], anchors["cutcheck-dense"]
+        oc_ir_test(oc_module, 150)
+        oc_walks = walked[:]
+        walked.clear()
+        curve_witness_search(cut_module, depth=48, trials=10, seed=0)
+        for module, walks in ((oc_module, oc_walks), (cut_module, walked)):
+            assert any(isinstance(w, tuple) and w[1] is not None for w in walks)
+            assert all((w[0] if isinstance(w, tuple) else w) is module for w in walks)
 
     @pytest.mark.parametrize("rho", [None, R1])
     def test_depth_is_checked_before_the_first_step(self, monkeypatch, rho):
@@ -329,7 +355,7 @@ class TestReducedWalk:
 
     def test_reduction_never_enlarges_a_coefficient(self):
         # Negative coefficients are common here; a residue in [0, p**k)
-        # would turn a small -a into p**k - a.  A module copy is walked at
+        # would turn a small -a into p**k - a.  The module is walked at
         # each fixed precision that the unit-radius walk starts from, the
         # rung's k0 = 2 and K, and compared with the exact walk.
         module = random_integrable_module(Random(7), 3, 2)
@@ -340,9 +366,8 @@ class TestReducedWalk:
             assert ks[0] == 2 < ks[1]
             for k in ks:
                 q = 3**k
-                reduced = ConnectionModule(3, 2, 0, 2, module.matrices, k)
                 wide = negative = False
-                for H, E in zip(islice(iter_deriv_matrices(reduced, direction), 41), exact):
+                for H, E in zip(islice(iter_deriv_matrices((module, k), direction), 41), exact):
                     for row, exact_row in zip(H.rows, E.rows):
                         for entry, exact_entry in zip(row, exact_row):
                             a_terms, b_terms = entry.terms, exact_entry.terms
@@ -379,12 +404,12 @@ class TestWalkPlan:
             assert step == int_valuation(ladder_denominator(module, direction), p)
             assert _walk_plan(module, direction, depth, None) == (step, None, None)
             assert k0 is None or K is None or k0 < K
-            assert all(k is None or 0 < k and k * bits <= _PRECISION_BITS_CAP for k in (k0, K))
+            assert all(k is None or 0 < k and k * bits <= POWER_BITS_CAP for k in (k0, K))
             if any(rates):
                 assert k0 is None
                 continue
             closed = math.ceil(depth * (step + Fraction(1, p - 1))) + 1
-            assert K == (closed if closed * bits <= _PRECISION_BITS_CAP else None)
+            assert K == (closed if closed * bits <= POWER_BITS_CAP else None)
             # w_1, the least coefficient valuation of the exact H_1
             H1 = next(islice(iter_deriv_matrices(module, direction), 1, None))
             w1 = min(
@@ -394,7 +419,7 @@ class TestWalkPlan:
             if k0 is not None:
                 assert k0 - 1 == w1
             else:
-                assert w1 is None or K is not None and w1 + 1 >= K or (w1 + 1) * bits > _PRECISION_BITS_CAP
+                assert w1 is None or K is not None and w1 + 1 >= K or (w1 + 1) * bits > POWER_BITS_CAP
 
 
 def residues(record, p):

@@ -116,14 +116,6 @@ class TestEquality:
         assert ModuleDescriptor(module(), "a") != ModuleDescriptor(module(), "b")
         assert trivial_module(3, 1, 0, 1) != trivial_module(5, 1, 0, 1)
 
-    def test_module_equality_ignores_ladder_precision(self):
-        base = module()
-        reduced = ConnectionModule(3, 1, 0, 1, base.matrices, 12)
-        assert reduced._ladder_precision == 12 and base._ladder_precision is None
-        assert reduced == base
-        assert ModuleDescriptor(reduced, "x") == ModuleDescriptor(base, "x")
-        assert repr(reduced) == repr(base)
-
     def test_a_differing_field_of_a_changed_record_breaks_equality(self):
         assert AlignedInterval(HALF, QUARTER) != AlignedInterval(HALF, Fraction(1, 8))
         certificate = SAMPLES["DominanceCertificate"]()
@@ -160,9 +152,8 @@ class TestConstruction:
         keyword = ConnectionModule(
             prime=3, nvars_annulus=1, nvars_disc=0, rank=1, matrices=matrices
         )
-        mixed = ConnectionModule(3, 1, nvars_disc=0, rank=1, matrices=matrices, _ladder_precision=4)
+        mixed = ConnectionModule(3, 1, nvars_disc=0, rank=1, matrices=matrices)
         assert positional == keyword == mixed
-        assert positional._ladder_precision is None and mixed._ladder_precision == 4
         d = ModuleDescriptor(positional, "label")
         assert (d.module, d.label, d.expected) == (positional, "label", None)
         assert ModuleDescriptor(module=positional) == ModuleDescriptor(positional, None, None)
@@ -237,14 +228,13 @@ class TestRepr:
             " witness_direction=0, rationale='why', report=RadiusReport(rho=("
         )
 
-    def test_module_repr_leaves_out_ladder_precision(self):
+    def test_module_and_corpus_entry_repr(self):
         module_text = (
             "ConnectionModule(prime=3, nvars_annulus=1, nvars_disc=0, rank=1,"
             " matrices=(PolyMatrix(size=1, p=3),))"
         )
-        reduced = ConnectionModule(3, 1, 0, 1, module().matrices, 7)
-        assert repr(reduced) == module_text
-        assert repr(CorpusEntry(ModuleDescriptor(reduced, "rk1"), QUARTER, HALF, 24)) == (
+        assert repr(module()) == module_text
+        assert repr(CorpusEntry(ModuleDescriptor(module(), "rk1"), QUARTER, HALF, 24)) == (
             f"CorpusEntry(descriptor=ModuleDescriptor(module={module_text}, label='rk1',"
             " expected=None), taylor_eta=Fraction(1, 4), taylor_lambda=Fraction(1, 2),"
             " taylor_bound=24)"
