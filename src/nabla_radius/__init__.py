@@ -25,7 +25,7 @@ _EXPORTS = {
     "connection": (
         "DEFAULT_DEPTH_CAP", "ConnectionModule", "DepthCapError", "IntegrabilityViolation",
         "NotIntegrableError", "PolyMatrix", "curvature", "integrability_check",
-        "iter_deriv_matrices", "ladder_denominator", "require_integrable",
+        "iter_deriv_matrices", "ladder_matrix", "require_integrable",
     ),
     "corpus": (
         "CorpusEntry", "build_corpus", "corpus_by_label", "exponential_module",

@@ -8,8 +8,8 @@ is the vanishing of every curvature
 The iterated single-direction matrices satisfy G_{i,0} = identity and
 G_{i,s+1} = d_i(G_{i,s}) + N_i G_{i,s}, so that the s-th power of the
 direction-i operator sends the basis column e_a to column a of G_{i,s}.
-They are computed as H_{i,s} = c_i**s G_{i,s}, where c_i is the least
-common denominator of N_i's coefficients: with the integral M_i = c_i N_i,
+They are computed as H_{i,s} = c_i**s G_{i,s}, with c_i and the int
+matrix M_i = c_i N_i of `ladder_matrix`:
     H_{i,s+1} = c_i d_i(H_{i,s}) + M_i H_{i,s}
 has int coefficients throughout.  The curvature uses the ring operations
 LaurentPoly.partial, __add__, scalar_mul and PolyMatrix.__matmul__.  The
@@ -260,34 +260,36 @@ def require_integrable(module: ConnectionModule) -> None:
         )
 
 
-def ladder_denominator(module: ConnectionModule, direction: int) -> int:
-    """The least common denominator c of the coefficients of N_direction,
-    the least c > 0 for which c * N_direction has int coefficients."""
+def ladder_matrix(module: ConnectionModule, direction: int) -> Tuple[int, list]:
+    """(c, M) for the walk in a direction i: c is the least common
+    denominator of N_i's coefficients, the least c > 0 for which M = c N_i
+    has int coefficients, and M is given as one list of (exponent vector,
+    int) terms per entry.  Every key of H_s = c**s G_{i,s} is a sum of s
+    shifts of S = {-e_i} + {exponents of M}.  A direction out of range is
+    an IndexError."""
     if not 0 <= direction < module.dims:
         raise IndexError(f"direction {_safe_repr(direction)} out of range")
-    c = 1
-    for row in module.matrices[direction].rows:
-        for entry in row:
-            for v in entry.terms.values():
-                c = math.lcm(c, v.denominator)
-    return c
+    rows = module.matrices[direction].rows
+    c = math.lcm(*[v.denominator for row in rows for e in row for v in e.terms.values()])
+    return c, [[[(J, v.numerator * (c // v.denominator)) for J, v in e.terms.items()] for e in row]
+               for row in rows]
 
 
 def iter_deriv_matrices(
     module: ConnectionModule | Tuple[ConnectionModule, Optional[int | list[int]]], direction: int
 ) -> Iterator[PolyMatrix]:
-    """Yield H_0 = identity, H_1, ..., H_cap, where H_s = c**s G_s for c =
-    ladder_denominator(module, direction) and cap = DEFAULT_DEPTH_CAP; asking
-    for H_{cap+1} raises DepthCapError.
+    """Yield H_0 = identity, H_1, ..., H_cap, where H_s = c**s G_s for (c,
+    M) = ladder_matrix(module, direction) and cap = DEFAULT_DEPTH_CAP;
+    asking for H_{cap+1} raises DepthCapError.
 
-    H_{s+1} = c d(H_s) + M H_s with M = c N_direction keeps every
-    coefficient an int.  Each entry is one dict keyed by `laurent.pack_key`:
-    c J_d a_J at J - e_d (`laurent.packed_partial`), plus v1 v2 at K + J,
-    one integer addition, for each term v1 t^K of M[i][k] and v2 t^J of
-    H_s[k][j]; cancelled sums are dropped at the end of the entry.
+    H_{s+1} = c d(H_s) + M H_s keeps every coefficient an int.  Each
+    entry is one dict keyed by `laurent.pack_key`: c J_d a_J at J - e_d
+    (`laurent.packed_partial`), plus v1 v2 at K + J, one integer addition,
+    for each term v1 t^K of M[i][k] and v2 t^J of H_s[k][j]; cancelled
+    sums are dropped at the end of the entry.
 
-    A key of H_s is a sum of s shifts of S = {-e_direction} + {exponents
-    of M}, so |J_l| <= s * E, E the largest |exponent| in S.  The width
+    A key of H_s is a sum of s shifts of `ladder_matrix`'s S, so |J_l| <=
+    s * E, E the largest |exponent| in S.  The width
     `pack_width(DEFAULT_DEPTH_CAP * E)` holds every key up to the cap, the
     deepest matrix an analysis reads, so no digit overflows.  Each H_s is
     a `PolyMatrix` of `LaurentPoly`s made by their `_new`, which skip the
@@ -306,17 +308,9 @@ def iter_deriv_matrices(
     Integrability is not re-checked here.
     """
     module, precision = module if isinstance(module, tuple) else (module, None)
-    c = ladder_denominator(module, direction)
+    c, M = ladder_matrix(module, direction)
     p, n, m, rank = module.prime, module.nvars_annulus, module.nvars_disc, module.rank
     dims = n + m
-    # M = c N as (shift, int) pairs per entry
-    M = [
-        [
-            [(K, v.numerator * (c // v.denominator)) for K, v in entry.terms.items()]
-            for entry in row
-        ]
-        for row in module.matrices[direction].rows
-    ]
     E = max([1] + [abs(j) for row in M for entry in row for K, _ in entry for j in K])
 
     bits = pack_width(DEFAULT_DEPTH_CAP * E)

@@ -10,10 +10,10 @@ non-overconvergence witness back to the full module.  Since no entry's
 norm can rise under evaluation, `generic_equality_check` specializes only
 the leading parts of the entries that attain the matrix norm, and stops
 at the first one that keeps it.  It reads them from a record of the
-unit-radius walk (`radius.unit_step` at each depth), which has the exact
-walk's norms, attaining entries and leading parts mod p**(norm + 1): the
-search's verdict walk keeps that record, and a direct call streams its
-own.
+unit-radius walk (`radius.unit_step` at each depth), which agrees with
+the exact walk's as far as it is read (`radius.deriv_ladder` says why):
+the search's verdict walk keeps that record, and a direct call streams
+its own.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ def generic_equality_check(
     e keeps the norm full exactly when its leading part does.
 
     The ladder is walked as for the verdict at this depth, at the unit
-    radius (`radius.deriv_ladder`).  Each H_s it yields is either exact or
-    off the exact one by an error of valuation above full, so it has the
-    exact norm full on the same entries, with the same leading terms mod
-    p**(full + 1).  Those residues are all that is read here: specialized
-    at unit coordinates, a multiple of p**(full + 1) stays one, so an
-    entry keeps the norm full exactly when its yielded leading part does.
+    radius, and each record has the exact walk's full, on the same
+    entries, with the same leading terms mod p**(full + 1)
+    (`radius.deriv_ladder` says why).  Those residues are all that is read
+    here: specialized at unit coordinates, a multiple of p**(full + 1)
+    stays one, so an entry keeps the norm full exactly when its yielded
+    leading part does.
     Only an exact zero H_s is a zero matrix here.
 
     Before a leading part is specialized, `_fold` reduces its exponents

@@ -16,18 +16,14 @@ exactly 1 and is flagged as such.
 a chain of levels that each start at the first reduced zero of the one
 before: at the unit radius mod p**k0, k0 = w_1 + 1, w_1 the valuation of
 H_1; then mod p**kappa_s; then mod p**K; then exactly.  One planner,
-`_walk_plan`, decides k0 and K once per walk.  At the unit radius the
-norm exponent w_s of H_s is its least coefficient valuation, and every
-level yields H_s plus an error of valuation above w_s until its first
-reduced zero.  So each yield has the exact w_s, attained on the same
-entries, with the same residues mod p**(w_s + 1): every reader, estimate
-or record, gets the exact walk's answer.  kappa_s tapers with the depth
-s: by Leibniz, a digit dropped at depth s moves H_t by a valuation that
-grows with t - s, as fast as the norms w_i already read show, so only
-the digits that can reach an estimate at a depth t <= depth are kept
-(`_Taper`).  K is that rule when nothing has been read, and the taper is
-given it.  `intrinsic_radius` walks each direction once and
-`taylor_probe` walks exactly.  For `curves.curve_witness_search` the
+`_walk_plan`, decides k0 and K once per walk, and every reader, estimate
+or record, gets the exact walk's answer (`deriv_ladder` says why).
+kappa_s tapers with the depth s: by Leibniz, a digit dropped at depth s
+moves H_t by a valuation that grows with t - s, as fast as the norms w_i
+already read show, so only the digits that can reach an estimate at a
+depth t <= depth are kept (`_Taper`).  K is that rule when nothing has
+been read, and the taper is given it.  `intrinsic_radius` walks each
+direction once and `taylor_probe` walks exactly.  For `curves.curve_witness_search` the
 unit-radius walk also keeps the `unit_step` of every depth, which the
 witness check reads in place of a walk of its own.
 """
@@ -48,7 +44,7 @@ from .connection import (
     PolyMatrix,
     check_count,
     iter_deriv_matrices,
-    ladder_denominator,
+    ladder_matrix,
     require_integrable,
 )
 from .laurent import LaurentPoly
@@ -143,9 +139,8 @@ def _walk_plan(
     rho: Optional[Tuple[LogRadius, ...]],
 ) -> Tuple[int, Optional[int], Optional[int]]:
     """(v_p(c), k0, K): the fixed precisions of `deriv_ladder`'s walk at
-    rho, for c = ladder_denominator(module, direction) and M = c
-    N_direction, the ladder's int matrix.  Without rho the walk is exact
-    and (v_p(c), None, None) is returned.
+    rho, for (c, M) = ladder_matrix(module, direction).  Without rho the
+    walk is exact and (v_p(c), None, None) is returned.
 
     K is the precision mod which every clipped window estimate at rho is
     unchanged for s <= depth:
@@ -154,12 +149,12 @@ def _walk_plan(
 
     The estimate at depth s is max(0, (T_s - w_s) / s) with
     T_s = s * (v_p(c) + 1/(p-1) - r_i), so w_s matters only below T_s.
-    Every key J of H_s is a sum of s shifts of S = {-e_i} + {exponents of
-    M}, so its weight sum_l J_l r_l is at least s * mu, mu the least
-    weight of a shift.  A term dropped as divisible by p**K therefore has
-    a norm exponent of at least K + s * mu >= T_s, and every kept term has
-    its exact valuation: w_s mod p**K equals w_s below T_s and stays at
-    least T_s above it.  At the unit radius mu = 0, and K is what `_Taper`
+    Every key J of H_s is a sum of s shifts of `ladder_matrix`'s S, so its
+    weight sum_l J_l r_l is at least s * mu, mu the least weight of a
+    shift.  A term dropped as divisible by p**K therefore has a norm
+    exponent of at least K + s * mu >= T_s, and every kept term has its
+    exact valuation: w_s mod p**K equals w_s below T_s and stays at least
+    T_s above it.  At the unit radius mu = 0, and K is what `_Taper`
     plans with no norm read: the no-information case of its rule.
 
     k0 = v_p(content of M) + 1, the precision of the first rung, is set
@@ -174,16 +169,16 @@ def _walk_plan(
     walk gives the same estimates.
     """
     p = module.prime
-    c = ladder_denominator(module, direction)
+    c, M = ladder_matrix(module, direction)
     step = int_valuation(c, p)
     if rho is None:
         return step, None, None
-    terms = [t for row in module.matrices[direction].rows for entry in row for t in entry.terms.items()]
+    terms = [t for row in M for entry in row for t in entry]
     rates = [r.exponent for r in rho]
     r_i = rates[direction]
     mu = min([-r_i] + [sum(j * r for j, r in zip(J, rates)) for J, _ in terms])
     K = math.ceil(depth * max(Fraction(0), step + spectral_base_exponent(p) - r_i - mu)) + 1
-    content = gcd(*[v.numerator * (c // v.denominator) for _, v in terms])
+    content = gcd(*[a for _, a in terms])
     k0 = int_valuation(content, p) + 1 if content and not any(rates) else None
     k0, K = (None if k is None or k * p.bit_length() > POWER_BITS_CAP else k for k in (k0, K))
     if k0 is not None and K is not None and k0 >= K:
@@ -236,8 +231,7 @@ class _Taper:
 
     A coefficient of H_t below the floor is exact.  So H_t counts as a
     reduced zero when its least valuation w reaches the floor, as an exact
-    zero H_t does.  Otherwise the error lies above w: w is the exact w_t,
-    attained on the same entries, with the same residues mod p**(w + 1),
+    zero H_t does; otherwise w is the exact w_t (`deriv_ladder` says why),
     and only such reads are taken.  The floor taken is the larger of T_t +
     1 and the min above with the latest F, both lower bounds on the error.
     The min costs O(t), so it is taken only when no coefficient lies below
@@ -256,13 +250,6 @@ class _Taper:
         self.bound = [0] * (depth + 1)  # F
         self.kappa = [K] * (depth + 1)  # no read
         self.plan()
-
-    def read(self, s: int, w: int) -> None:
-        """Take w_s, exact; plan again once s is 8, 16, ... up to `last`."""
-        if s == len(self.norms) and s <= self.last:
-            self.norms.append(w)
-            if s >= _FIRST_PLAN and s & (s - 1) == 0:
-                self.plan()
 
     def plan(self) -> None:
         """F from the reads, and kappa[s] for every s past them."""
@@ -295,7 +282,11 @@ class _Taper:
             self.kappa[j] + (s - j) * self.step + self.bound[s - j] for j in range(1, s + 1)
         ):
             return True
-        self.read(s, w)
+        # take w_s, exact; plan again once s is 8, 16, ... up to `last`
+        if s == len(self.norms) and s <= self.last:
+            self.norms.append(w)
+            if s >= _FIRST_PLAN and s & (s - 1) == 0:
+                self.plan()
         return False
 
 
@@ -308,7 +299,7 @@ def deriv_ladder(
     """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
 
     H_s = c**s G_{direction,s} is the int-coefficient numerator that
-    `iter_deriv_matrices` computes, c = ladder_denominator(module,
+    `iter_deriv_matrices` computes, for (c, M) = ladder_matrix(module,
     direction).  Every Gauss or sup norm exponent of G_s is that of H_s
     minus the shift s * v_p(c); a comparison of two norms of the same H_s
     needs no shift.
@@ -392,7 +383,9 @@ def unit_step(H: PolyMatrix) -> UnitStep:
     that of the gcd of all the coefficients, and None when H = 0.  An
     entry attains it when p**(full + 1) does not divide its own gcd.  Only
     coefficients are read: a leading part keeps the keys of its entry as
-    they are, packed for a ladder matrix.
+    they are, packed for a ladder matrix.  For a yield of `deriv_ladder`
+    the result is the exact walk's as far as it is read, the residues mod
+    p**(full + 1): `deriv_ladder` says why.
     """
     p = H.prime
     entries = [e for row in H.rows for e in row]

@@ -15,7 +15,7 @@ from nabla_radius.connection import (
     PolyMatrix,
     integrability_check,
     iter_deriv_matrices,
-    ladder_denominator,
+    ladder_matrix,
 )
 from nabla_radius.corpus import (
     build_corpus,
@@ -247,8 +247,8 @@ def test_criterion_6_specialization_naturality_exact():
             # G_s = H_s / c_full**s and the curve's G'_s = H'_s / c_curve**s,
             # so G_s(point) == G'_s exactly when
             # c_curve**s * H_s(point) == c_full**s * H'_s.
-            c_full = ladder_denominator(module, direction)
-            c_curve = ladder_denominator(curve, 0)
+            c_full = ladder_matrix(module, direction)[0]
+            c_curve = ladder_matrix(curve, 0)[0]
             full = islice(iter_deriv_matrices(module, direction), 51)
             reduced = islice(iter_deriv_matrices(curve, 0), 51)
             for s, (H, H_curve) in enumerate(zip(full, reduced, strict=True)):

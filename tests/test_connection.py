@@ -1,6 +1,7 @@
 from collections import defaultdict
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from operator import add
 from random import Random
 
@@ -17,7 +18,7 @@ from nabla_radius.connection import (
     curvature,
     integrability_check,
     iter_deriv_matrices,
-    ladder_denominator,
+    ladder_matrix,
     require_integrable,
 )
 from nabla_radius.corpus import (
@@ -29,16 +30,19 @@ from nabla_radius.corpus import (
     trivial_module,
 )
 from nabla_radius import laurent
+from nabla_radius.descriptor import parse_module_descriptor
 from nabla_radius.laurent import LaurentPoly, SignatureError
 from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
 from nabla_radius.radius import (
     Verdict,
+    _walk_plan,
     deriv_ladder,
     intrinsic_radius,
     oc_ir_test,
     taylor_probe,
     unit_step,
 )
+from test_golden_reports import FRACTIONAL
 
 
 def scalar(p, n, m, value):
@@ -53,7 +57,7 @@ def scaled(A, factor):
 def ladder(module, direction, depth):
     """G_0 .. G_depth of the derivative recursion in one direction: the
     ladder's numerators H_s divided by c**s."""
-    c = ladder_denominator(module, direction)
+    c = ladder_matrix(module, direction)[0]
     numerators = islice(iter_deriv_matrices(module, direction), depth + 1)
     return [scaled(H, Fraction(1, c ** s)) for s, H in enumerate(numerators)]
 
@@ -110,6 +114,15 @@ class TestPolyMatrix:
         with pytest.raises(ValueError):
             PolyMatrix([[LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 2, 0, 1)],
                         [LaurentPoly.constant(p, 1, 0, 1), LaurentPoly.constant(p, 1, 0, 1)]])
+
+    def test_a_foreign_operand_is_left_to_python(self):
+        # __eq__ and __matmul__ return NotImplemented for a non-matrix, so
+        # == falls back to identity and @ raises TypeError
+        A = identity(3, 1, 0, 1)
+        assert (A == 1) is False
+        assert (A == "x") is False
+        with pytest.raises(TypeError):
+            A @ 1
 
     def test_matmul_refuses_a_size_mismatch(self):
         with pytest.raises(SignatureError, match="^matrix size mismatch$"):
@@ -418,7 +431,7 @@ class TestIteratedDerivatives:
     def test_shift_is_s_times_the_denominator_valuation(self):
         # N = [a/t] with a = 1/6 at p = 3: c = 6 and v_3(c) = 1.
         module = power_module(3, Fraction(1, 6))
-        assert ladder_denominator(module, 0) == 6
+        assert ladder_matrix(module, 0)[0] == 6
         walk = list(deriv_ladder(module, 0, 6))
         assert [shift for _, _, shift in walk] == [1, 2, 3, 4, 5, 6]
         seq = ladder(module, 0, 6)
@@ -513,7 +526,7 @@ class TestIntegerLadder:
     def test_numerators_over_c_power_match_the_fraction_recursion(self, module):
         assert integrability_check(module) is None
         for i in range(module.dims):
-            c = ladder_denominator(module, i)
+            c = ladder_matrix(module, i)[0]
             assert c % module.prime == 0 and c // module.prime ** int_valuation(c, module.prime) > 1
             numerators = list(islice(iter_deriv_matrices(module, i), 13))
             for s, (H, G) in enumerate(zip(numerators, reference_ladder(module, i, 12))):
@@ -525,7 +538,7 @@ class TestIntegerLadder:
     def test_rank_three_in_every_direction_matches_the_fraction_recursion(self, module):
         assert integrability_check(module) is None
         for i in range(module.dims):  # the last direction is the disc variable
-            c = ladder_denominator(module, i)
+            c = ladder_matrix(module, i)[0]
             assert int_valuation(c, module.prime) > 0
             numerators = list(islice(iter_deriv_matrices(module, i), 9))
             for s, (H, G) in enumerate(zip(numerators, reference_ladder(module, i, 8))):
@@ -540,7 +553,7 @@ class TestIntegerLadder:
         module = potential_module(p, 2, 1, terms, _NILPOTENT)
         phi = LaurentPoly(p, 2, 1, terms)
         for i in range(3):
-            c = ladder_denominator(module, i)
+            c = ladder_matrix(module, i)[0]
             assert c == 9
             H2 = next(islice(iter_deriv_matrices(module, i), 2, None))
             d2 = phi.partial(i).partial(i).scalar_mul(c * c)
@@ -552,7 +565,7 @@ class TestIntegerLadder:
     def test_denominator_is_one_on_an_integral_module(self):
         # Integer values stored as Fractions still have denominator 1.
         for module in (exponential_two_var_module(3), power_module(5, Fraction(3))):
-            assert all(ladder_denominator(module, i) == 1 for i in range(module.dims))
+            assert all(ladder_matrix(module, i)[0] == 1 for i in range(module.dims))
             H = list(islice(iter_deriv_matrices(module, 0), 4))
             assert H == reference_ladder(module, 0, 3)
 
@@ -572,9 +585,59 @@ class TestIntegerLadder:
                 p, 1, 0, [[Fraction(1, 6), 0], [Fraction(5, 4), Fraction(2, 9)]]
             ),),
         )
-        assert ladder_denominator(module, 0) == 36
+        assert ladder_matrix(module, 0)[0] == 36
         with pytest.raises(IndexError):
-            ladder_denominator(module, 1)
+            ladder_matrix(module, 1)[0]
+
+
+FRACTIONAL_MODULES = [parse_module_descriptor(doc).module for doc in FRACTIONAL.values()]
+
+
+@st.composite
+def ladder_modules(draw):
+    """A seeded `random_integrable_module` with p in {2, 3, 5} and rank 1
+    to 3, or one of the golden files' FRACTIONAL modules."""
+    fractional = draw(st.sampled_from([None, *FRACTIONAL_MODULES]))
+    if fractional is not None:
+        return fractional
+    p, rank = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+    return random_integrable_module(Random(draw(st.integers(0, 2**32 - 1))), p, rank)
+
+
+def prime_divisors(n):
+    """The primes dividing an int n >= 1, by trial division."""
+    found, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            found.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return found + [n] if n > 1 else found
+
+
+class TestLadderMatrix:
+    """`ladder_matrix(module, i)` is (c, M): c the least common denominator
+    of N_i's coefficients and M = c N_i as int terms, one list per entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(module=ladder_modules(), depth=st.integers(1, DEFAULT_DEPTH_CAP))
+    def test_c_is_least_and_m_is_c_times_n(self, module, depth):
+        p = module.prime
+        unit = (LogRadius.one(),) * module.dims
+        for i in range(module.dims):
+            c, M = ladder_matrix(module, i)
+            rows = module.matrices[i].rows
+            coefficients = [v for row in rows for e in row for v in e.terms.values()]
+            assert M == [[[(J, c * v) for J, v in e.terms.items()] for e in row] for row in rows]
+            assert all(type(a) is int for row in M for terms in row for _, a in terms)
+            for q in prime_divisors(c):
+                # (c / q) N has a coefficient that is not an integer
+                assert any((c // q * v).denominator > 1 for v in coefficients)
+            _, k0, _ = _walk_plan(module, i, depth, unit)
+            if k0 is not None:
+                content = gcd(*[a for row in M for terms in row for _, a in terms])
+                assert k0 - 1 == int_valuation(content, p)
 
 
 def benchmark_anchor_modules():
@@ -648,7 +711,7 @@ def symmetric_residues(A, q):
 def assert_walk_matches_reference(module, direction, depth, precision=None):
     """H_s = c**s G_s for s <= depth, G_s from the plain recursion, and with
     a precision K the walk of the pair (module, K) is H_s mod p**K."""
-    c = ladder_denominator(module, direction)
+    c = ladder_matrix(module, direction)[0]
     exact = islice(iter_deriv_matrices(module, direction), depth + 1)
     expected = [scaled(G, c ** s) for s, G in enumerate(reference_ladder(module, direction, depth))]
     assert list(exact) == expected
@@ -709,7 +772,7 @@ class TestPackedWalk:
         p = 3
         module = potential_module(p, 1, 1, {(-1, 2): 1, (2, 1): Fraction(1, 3)}, [[1, 2], [0, 1]])
         assert integrability_check(module) is None
-        assert ladder_denominator(module, 1) == 3
+        assert ladder_matrix(module, 1)[0] == 3
         assert_walk_matches_reference(module, 1, 10, precision=4)
         for H in islice(iter_deriv_matrices(module, 1), 11):
             assert_integral_entries(H, 1)

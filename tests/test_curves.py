@@ -15,7 +15,7 @@ from nabla_radius.connection import (
     PolyMatrix,
     integrability_check,
     iter_deriv_matrices,
-    ladder_denominator,
+    ladder_matrix,
 )
 from nabla_radius.corpus import (
     build_corpus,
@@ -24,7 +24,6 @@ from nabla_radius.corpus import (
     random_integrable_module,
     trivial_module,
 )
-from nabla_radius.descriptor import parse_module_descriptor
 from nabla_radius.curves import (
     _unit_point,
     curve_witness_search,
@@ -41,13 +40,13 @@ from nabla_radius.radius import (
     oc_ir_test,
     unit_step,
 )
-from test_golden_reports import FRACTIONAL
+from test_connection import FRACTIONAL_MODULES
 from test_radius import conjugated, exact_walk, recording_walks, unimodular
 
 
 def g_ladder(module, direction, depth):
     """G_0 .. G_depth: the ladder's numerators H_s divided by c**s."""
-    c = ladder_denominator(module, direction)
+    c = ladder_matrix(module, direction)[0]
     return [
         PolyMatrix(tuple(tuple(e.scalar_mul(Fraction(1, c ** s)) for e in row) for row in H.rows))
         for s, H in enumerate(islice(iter_deriv_matrices(module, direction), depth + 1))
@@ -335,9 +334,6 @@ class TestFoldedLeadingParts:
         module = fermat_module()
         assert generic_equality_check(module, 0, (Fraction(2),), 4) == 1
         assert unfolded_check(module, 0, (Fraction(2),), 4) == 1
-
-
-FRACTIONAL_MODULES = [parse_module_descriptor(doc).module for doc in FRACTIONAL.values()]
 
 
 @st.composite

@@ -256,6 +256,16 @@ class TestRingOps:
             with pytest.raises(TypeError):
                 scalar * f
 
+    def test_a_foreign_operand_is_left_to_python(self):
+        # __eq__ and __add__ return NotImplemented for a non-polynomial, so
+        # == falls back to identity and + raises TypeError
+        f = LaurentPoly.constant(3, 1, 0, 1)
+        assert (f == "x") is False
+        assert (f == 1) is False
+        for other in (1, "x"):
+            with pytest.raises(TypeError):
+                f + other
+
     def test_signature_mismatch(self):
         f = LaurentPoly.constant(3, 1, 0, 1)
         g = LaurentPoly.constant(3, 2, 0, 1)

@@ -12,7 +12,7 @@ from nabla_radius.connection import (
     DepthCapError,
     NotIntegrableError,
     iter_deriv_matrices,
-    ladder_denominator,
+    ladder_matrix,
 )
 from nabla_radius.corpus import (
     corpus_by_label,
@@ -401,7 +401,7 @@ class TestWalkPlan:
         bits = p.bit_length()
         for direction in range(module.dims):
             step, k0, K = _walk_plan(module, direction, depth, rho)
-            assert step == int_valuation(ladder_denominator(module, direction), p)
+            assert step == int_valuation(ladder_matrix(module, direction)[0], p)
             assert _walk_plan(module, direction, depth, None) == (step, None, None)
             assert k0 is None or K is None or k0 < K
             assert all(k is None or 0 < k and k * bits <= POWER_BITS_CAP for k in (k0, K))
@@ -559,7 +559,7 @@ class TestTaper:
         # much, since the window's estimates are often clipped to 0.
         p = module.prime
         for direction in range(module.dims):
-            v = int_valuation(ladder_denominator(module, direction), p)
+            v = int_valuation(ladder_matrix(module, direction)[0], p)
             for s, H, exact in tapered_yields(module, direction, depth):
                 floor = s * (v + Fraction(1, p - 1)) + 1
                 for row, exact_row in zip(H.rows, exact.rows):
@@ -587,7 +587,7 @@ class TestTaper:
         # is the closed form
         for module in (random_integrable_module(Random(1), p, rank), exponential_module(p, Fraction(1, p**3))):
             step, _, K = _walk_plan(module, 0, depth, (LogRadius.one(),) * module.dims)
-            assert step == int_valuation(ladder_denominator(module, 0), p)
+            assert step == int_valuation(ladder_matrix(module, 0)[0], p)
             assert K == math.ceil(depth * (step + Fraction(1, p - 1))) + 1
             assert _Taper(p, step, depth, K).kappa[1:] == [K] * depth
 
