@@ -30,7 +30,7 @@ from .laurent import (
     pack_width,
     packed_partial,
 )
-from .padic import LogRadius, _safe_repr, exact_int, frozen_record
+from .padic import LogRadius, _safe_repr, check_direction, exact_int, frozen_record
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -265,11 +265,9 @@ def ladder_matrix(module: ConnectionModule, direction: int) -> Tuple[int, list]:
     denominator of N_i's coefficients, the least c > 0 for which M = c N_i
     has int coefficients, and M is given as one list of (exponent vector,
     int) terms per entry.  Every key of H_s = c**s G_{i,s} is a sum of s
-    shifts of S = {-e_i} + {exponents of M}.  A direction out of range is
-    an IndexError."""
-    if not 0 <= direction < module.dims:
-        raise IndexError(f"direction {_safe_repr(direction)} out of range")
-    rows = module.matrices[direction].rows
+    shifts of S = {-e_i} + {exponents of M}.  The direction goes through
+    `padic.check_direction`."""
+    rows = module.matrices[check_direction(direction, module.dims)].rows
     c = math.lcm(*[v.denominator for row in rows for e in row for v in e.terms.values()])
     return c, [[[(J, v.numerator * (c // v.denominator)) for J, v in e.terms.items()] for e in row]
                for row in rows]
@@ -293,8 +291,8 @@ def iter_deriv_matrices(
     `pack_width(DEFAULT_DEPTH_CAP * E)` holds every key up to the cap, the
     deepest matrix an analysis reads, so no digit overflows.  Each H_s is
     a `PolyMatrix` of `LaurentPoly`s made by their `_new`, which skip the
-    checks of matrices and entries the walk built itself; the entries
-    build their tuple keys when first read.
+    checks of matrices and entries the walk built itself; an entry's
+    tuple keys are unpacked for each reader that asks for them.
 
     Given the pair (module, precision) in place of the module, with the
     precision K, or a list whose [s] is K at step s, each coefficient of

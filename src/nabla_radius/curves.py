@@ -30,19 +30,11 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, _safe_repr, exact, fraction_valuation, frozen_record
+from .padic import LogRadius, _safe_repr, check_direction, exact, exact_int, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
 SAMPLE_RANGE = 9
-
-
-def _check_direction(module: ConnectionModule, direction: int) -> None:
-    if not 0 <= direction < module.dims:
-        raise ValueError(
-            f"direction {_safe_repr(direction)} out of range for a module with"
-            f" {module.dims} variables"
-        )
 
 
 def _unit_point(
@@ -64,7 +56,7 @@ def specialize(
     module: ConnectionModule, direction: int, point: Sequence[Fraction | int]
 ) -> ConnectionModule:
     """One-variable module obtained by fixing all other variables at `point`."""
-    _check_direction(module, direction)
+    check_direction(direction, module.dims)
     N = module.matrices[direction].specialize(direction, _unit_point(module, point))
     return ConnectionModule(
         prime=module.prime,
@@ -143,7 +135,7 @@ def generic_equality_check(
     p = 2 every such exponent folds to 0.
     """
     check_count("depth", depth, 1)
-    _check_direction(module, direction)
+    check_direction(direction, module.dims)
     coords = _unit_point(module, point)
     require_integrable(module)
     if _record is None:
@@ -235,8 +227,7 @@ def curve_witness_search(
     ints (not bools), and `tol` and `window` go to `oc_ir_test`.
     """
     check_count("trials", trials, 1)
-    if type(seed) is not int:
-        raise TypeError(f"seed must be int, not {type(seed).__name__}")
+    exact_int(seed, "seed")
     records: list[list[UnitStep]] = []
     verdict = oc_ir_test(module, depth, tol, window, _records=records)
     witness: Optional[Tuple[Fraction, ...]] = None

@@ -85,8 +85,8 @@ def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
     n = _require_int(doc, "n")
     m = _require_int(doc, "m")
     rank = _require_int(doc, "rank")
-    if n < 0 or m < 0 or n + m < 1:
-        raise DescriptorError("need n >= 0, m >= 0 and n + m >= 1")
+    if n < 0 or m < 0 or not 1 <= n + m <= MAX_VARIABLES:
+        raise DescriptorError(f"need n >= 0, m >= 0 and 1 <= n + m <= {MAX_VARIABLES}")
     if rank < 1:
         raise DescriptorError("rank must be >= 1")
     matrices_doc = doc.get("matrices")
@@ -155,6 +155,11 @@ def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
         canonical_json(module_descriptor_to_dict(descriptor)).encode("utf-8")
     ).hexdigest()
 
+
+# The most variables n + m a module document may have.  Its integrability
+# check compares every pair of directions, so the work grows with
+# (n + m)**2; this bound is checked before any matrix is parsed.
+MAX_VARIABLES = 64
 
 # The deepest nesting of arrays and objects a document may have (a module
 # document needs 7), counted on the text so that it does not depend on the

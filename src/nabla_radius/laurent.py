@@ -4,10 +4,10 @@ A polynomial has ``nvars_annulus`` annulus variables (exponents of either
 sign) and ``nvars_disc`` disc variables (exponents >= 0).  Terms map
 exponent vectors to nonzero ``int`` or ``Fraction`` coefficients.  The
 derivative ladder's entries key them by ``pack_key`` instead, one int per
-vector (this module alone defines that packing), and build tuple keys in
-place when one is first read.  At radii rho_l = p**(-r_l) the term
-p**v t^J has the Gauss norm exponent v + sum_l J_l r_l; a polynomial's is
-the least over its terms, None for zero.  Gauss norms and sup norms over
+vector (this module alone defines that packing), and give a reader tuple
+keys in a fresh dict, the entry left as it is.  At radii rho_l =
+p**(-r_l) the term p**v t^J has the Gauss norm exponent v + sum_l J_l
+r_l; a polynomial's is the least over its terms, None for zero.  Gauss norms and sup norms over
 a subannulus are one kernel, the sup over a box of radii.
 """
 
@@ -23,6 +23,7 @@ from .padic import (
     POWER_BITS_CAP,
     LogRadius,
     _safe_repr,
+    check_direction,
     check_prime,
     exact,
     exact_int,
@@ -67,7 +68,7 @@ def packed_partial(terms: dict[int, int], direction: int, bits: int, scale: int)
 class LaurentPoly:
     """Immutable Laurent polynomial with exact rational coefficients.
     `_store` is keyed by exponent vectors, or by `pack_key`s of width
-    `_bits` > 0 until `_terms` is read."""
+    `_bits` > 0."""
 
     __slots__ = ("prime", "nvars_annulus", "nvars_disc", "_store", "_bits")
 
@@ -138,12 +139,11 @@ class LaurentPoly:
 
     @property
     def _terms(self) -> dict[ExponentVector, Fraction | int]:
-        """The terms keyed by exponent vectors."""
-        if self._bits:
-            dims, bits = self.nvars, self._bits
-            object.__setattr__(self, "_store", {unpack_key(k, dims, bits): a for k, a in self._store.items()})
-            object.__setattr__(self, "_bits", 0)
-        return self._store
+        """The terms keyed by exponent vectors: `_store` itself, or a packed
+        one unpacked into a fresh dict on each read, so a caller reads it
+        once and never mutates it."""
+        bits = self._bits
+        return {unpack_key(k, self.nvars, bits): a for k, a in self._store.items()} if bits else self._store
 
     @property
     def terms(self) -> Mapping[ExponentVector, Fraction | int]:
@@ -180,7 +180,7 @@ class LaurentPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{self._terms[key]}*t^{key}" for key in sorted(self._terms)) or "0"
+        body = " + ".join(f"{a}*t^{key}" for key, a in sorted(self._terms.items())) or "0"
         return f"LaurentPoly(p={self.prime}, {self.nvars_annulus}+{self.nvars_disc} vars, {body})"
 
     # -- ring operations --------------------------------------------------
@@ -208,8 +208,9 @@ class LaurentPoly:
             return NotImplemented
         self._check_signature(other)
         acc: dict[ExponentVector, Fraction | int] = {}
+        right = other._terms.items()
         for k1, v1 in self._terms.items():
-            for k2, v2 in other._terms.items():
+            for k2, v2 in right:
                 key = tuple(map(add, k1, k2))
                 acc[key] = acc.get(key, 0) + v1 * v2
         return LaurentPoly._new(
@@ -220,8 +221,7 @@ class LaurentPoly:
 
     def partial(self, direction: int) -> "LaurentPoly":
         """Coordinate derivative d/dt_direction (0-based direction index)."""
-        if not 0 <= direction < self.nvars:
-            raise IndexError(f"direction {_safe_repr(direction)} out of range")
+        check_direction(direction, self.nvars)
         return LaurentPoly._new(self.prime, self.nvars_annulus, self.nvars_disc, {
             key[:direction] + (j - 1,) + key[direction + 1:]: v * j
             for key, v in self._terms.items() if (j := key[direction])
@@ -315,8 +315,7 @@ class LaurentPoly:
         bound on the bits of (n/d)**E, passes POWER_BITS_CAP (b the bits
         of max(|n|, d), E the slot's largest |exponent|), even if the huge
         powers would cancel."""
-        if not 0 <= direction < self.nvars:
-            raise IndexError(f"direction {_safe_repr(direction)} out of range")
+        check_direction(direction, self.nvars)
         others = [l for l in range(self.nvars) if l != direction]
         if len(coords) != len(others):
             raise SignatureError(
@@ -357,10 +356,7 @@ class LaurentPoly:
 
     def to_records(self) -> list[dict]:
         """Term list ordered lexicographically by exponent vector."""
-        return [
-            {"exps": list(key), "coeff": str(self._terms[key])}
-            for key in sorted(self._terms)
-        ]
+        return [{"exps": list(key), "coeff": str(a)} for key, a in sorted(self._terms.items())]
 
     @classmethod
     def from_records(cls, prime: int, n: int, m: int, records: Iterable[Mapping]) -> "LaurentPoly":

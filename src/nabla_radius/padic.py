@@ -95,6 +95,15 @@ def exact_int(value: object, what: str) -> int:
     return value
 
 
+def check_direction(direction: object, dims: int) -> int:
+    """direction, the index of one of `dims` variables: an `exact_int`
+    in 0..dims - 1, else ValueError.  Every function that takes a
+    direction checks it here."""
+    if not 0 <= exact_int(direction, "direction") < dims:
+        raise ValueError(f"direction {_safe_repr(direction)} out of range for a module with {dims} variables")
+    return direction
+
+
 def int_valuation(k: int, p: int) -> int:
     """p-adic valuation of a nonzero integer.
 

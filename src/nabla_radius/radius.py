@@ -443,14 +443,15 @@ LEAST_DEPTH = 8
 
 def intrinsic_radius(
     module: ConnectionModule,
-    rho: Tuple[LogRadius, ...],
+    rho: Sequence[LogRadius],
     depth: int,
     window: Fraction = DEFAULT_WINDOW,
     *,
     _records: Optional[list[list[UnitStep]]] = None,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
-    one per variable, annulus radii first; window is `exact`, in (0, 1].
+    one `LogRadius` per variable, annulus radii first, which the report
+    keeps as a tuple; window is `exact`, in (0, 1].
 
     Internal: given an empty list `_records` at the unit radius, each
     direction's walk also fills one list there with its `unit_step`s."""
@@ -458,8 +459,11 @@ def intrinsic_radius(
     window = exact(window, "window")
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
+    rho = tuple(rho)
     if len(rho) != module.dims:
         raise ValueError(f"radius vector has {len(rho)} entries, expected {module.dims}")
+    if bad := [r for r in rho if type(r) is not LogRadius]:
+        raise TypeError(f"rho must hold LogRadius values, not {type(bad[0]).__name__}")
     require_integrable(module)
     if _records is not None:
         assert not _records and not any(r.exponent for r in rho)

@@ -23,6 +23,7 @@ from nabla_radius.corpus import (
 )
 from nabla_radius.descriptor import (
     MAX_NESTING,
+    MAX_VARIABLES,
     ModuleDescriptor,
     parse_module_descriptor,
     module_descriptor_to_dict,
@@ -131,6 +132,19 @@ class TestValidate:
         assert code == 1
         assert report["status"] == "schema-error"
         assert report["error"] == error
+
+    @pytest.mark.parametrize("n, code, status", [
+        (MAX_VARIABLES, 0, "ok"), (MAX_VARIABLES + 1, 1, "schema-error"),
+    ], ids=["at-bound", "past-bound"])
+    def test_variable_count_is_bounded(self, capsys, tmp_path, n, code, status):
+        # an all-zero module: integrability compares every pair of directions
+        path = tmp_path / "wide.json"
+        doc = {"prime": 3, "n": n, "m": 0, "rank": 1, "matrices": [[[[]]]] * n}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, report, _ = run_json(capsys, ["validate", str(path)])
+        assert (got, report["status"]) == (code, status)
+        if code:
+            assert report["error"] == f"need n >= 0, m >= 0 and 1 <= n + m <= {MAX_VARIABLES}"
 
     def test_missing_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, ["validate", str(tmp_path / "nope.json")])

@@ -370,9 +370,10 @@ class TestIteratedDerivatives:
 
     def test_direction_out_of_range(self):
         module = exponential_module(3)
-        with pytest.raises(IndexError):
+        message = "^direction 1 out of range for a module with 1 variables$"
+        with pytest.raises(ValueError, match=message):
             next(iter_deriv_matrices(module, 1))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=message):
             list(deriv_ladder(module, 1, 3))
 
     def test_depth_cap(self):
@@ -586,7 +587,7 @@ class TestIntegerLadder:
             ),),
         )
         assert ladder_matrix(module, 0)[0] == 36
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^direction 1 out of range"):
             ladder_matrix(module, 1)[0]
 
 

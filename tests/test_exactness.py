@@ -3,9 +3,10 @@
 At unit radius a Gauss norm exponent is a bare valuation, an int; if it
 leaked out as one, `w / s` in the window estimates would be a float.
 
-Every rational a caller passes enters through `padic.exact`, and every
-count through `connection.check_count`: the table at the end lists each
-entry point with its rational or count parameters.
+Every rational a caller passes enters through `padic.exact`, every count
+through `connection.check_count`, and every direction through
+`padic.check_direction`: the table at the end lists each entry point with
+its rational, count or direction parameters.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from nabla_radius.connection import ConnectionModule, PolyMatrix
+from nabla_radius.connection import ConnectionModule, PolyMatrix, iter_deriv_matrices, ladder_matrix
 from nabla_radius.corpus import (
     build_corpus,
     exponential_module,
@@ -111,6 +113,18 @@ UNIT2 = (LogRadius.one(),) * 2
 ETA, LAM = LogRadius(Fraction(1, 4)), LogRadius(Fraction(1, 8))
 POLY = LaurentPoly(3, 2, 0, {(1, -2): Fraction(9, 2), (0, 3): Fraction(1, 3), (2, 5): 7})
 
+# (entry point, the call on a direction): each takes a direction of one
+# of two variables.
+DIRECTIONS = [
+    ("ladder_matrix", lambda x: ladder_matrix(EXP2, x)),
+    ("iter_deriv_matrices", lambda x: list(islice(iter_deriv_matrices(EXP2, x), 3))[-1]),
+    ("LaurentPoly.partial", POLY.partial),
+    ("LaurentPoly.specialize", lambda x: POLY.specialize(x, (2,))),
+    ("PolyMatrix.specialize", lambda x: PolyMatrix([[POLY]]).specialize(x, (2,))),
+    ("curves.specialize", lambda x: specialize(EXP2, x, (2,))),
+    ("generic_equality_check", lambda x: generic_equality_check(EXP2, x, (2,), 8)),
+]
+
 # (entry point and parameter, the name its message gives, the call, values
 # that must be accepted, values that must raise TypeError).  Each refused
 # tuple holds a float, a bool and a str, and for a count or the seed a
@@ -171,6 +185,7 @@ ENTRY_POINTS = [
     ("power_module-a", "a", lambda x: power_module(3, x), (Fraction(1, 2), 3), RATIONAL),
     ("falling_factorial_valuation-a", "a", lambda x: falling_factorial_valuation(x, 3, 3),
      (Fraction(1, 2), 9), RATIONAL),
+    *[(f"{entry}-direction", "direction", call, (0, 1), (True, 1.0, "1")) for entry, call in DIRECTIONS],
 ]
 
 
@@ -178,7 +193,7 @@ def _result_digest(result: object) -> str:
     """The first 16 hex digits of the SHA-256 of a result's JSON form."""
     if isinstance(result, ConnectionModule):
         doc = module_descriptor_to_dict(ModuleDescriptor(result))
-    elif isinstance(result, LaurentPoly):
+    elif isinstance(result, (LaurentPoly, PolyMatrix)):
         doc = result.to_records()
     elif hasattr(result, "to_json_dict"):
         doc = result.to_json_dict()
@@ -237,6 +252,20 @@ ACCEPTED_DIGESTS = {
     "power_module-a-3": "d2b0c0324470acb2",
     "falling_factorial_valuation-a-Fraction(1, 2)": "391552c099c101b1",
     "falling_factorial_valuation-a-9": "cc11310c456c3690",
+    "ladder_matrix-direction-0": "e5b6cb1548e70ee6",
+    "ladder_matrix-direction-1": "911d1451b2d958bd",
+    "iter_deriv_matrices-direction-0": "67dbdaad0662b32e",
+    "iter_deriv_matrices-direction-1": "33ea8a78f520f455",
+    "LaurentPoly.partial-direction-0": "130e5bc07b490ff0",
+    "LaurentPoly.partial-direction-1": "2a96385ff2b30e11",
+    "LaurentPoly.specialize-direction-0": "6b458a1fc0342fe3",
+    "LaurentPoly.specialize-direction-1": "5877a92452ae64e2",
+    "PolyMatrix.specialize-direction-0": "09bc023fbac6334c",
+    "PolyMatrix.specialize-direction-1": "c96402b9c2881af0",
+    "curves.specialize-direction-0": "ba89c2d9287afab1",
+    "curves.specialize-direction-1": "cf6b42ab7f347a41",
+    "generic_equality_check-direction-0": "f2953d2931e36d0c",
+    "generic_equality_check-direction-1": "f2953d2931e36d0c",
 }
 
 
@@ -257,3 +286,12 @@ def test_inexact_input_is_refused_by_name(call, name, bad):
 )
 def test_exact_input_gives_the_same_result(key, call, good):
     assert _result_digest(call(good)) == ACCEPTED_DIGESTS[key]
+
+
+@pytest.mark.parametrize("call", [call for _, call in DIRECTIONS], ids=[entry for entry, _ in DIRECTIONS])
+@pytest.mark.parametrize("bad", [-1, 2, 10**4000 - 1], ids=["-1", "dims", "4000-nines"])
+def test_a_direction_out_of_range_is_one_value_error(call, bad):
+    message = f"direction {bad} out of range for a module with 2 variables"
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == message

@@ -194,6 +194,16 @@ class TestIntrinsicRadius:
         with pytest.raises(TypeError):
             intrinsic_radius(module, (LogRadius(None),), depth=16)
 
+    def test_rho_is_kept_as_a_tuple_of_log_radii(self):
+        module = exponential_two_var_module(3)
+        report = intrinsic_radius(module, [LogRadius.one(), LogRadius.one()], depth=8)
+        assert type(report.rho) is tuple and report.rho == (LogRadius.one(),) * 2
+        assert hash(report) == hash(intrinsic_radius(module, (LogRadius.one(),) * 2, depth=8))
+        with pytest.raises(TypeError, match="^rho must hold LogRadius values, not Fraction$"):
+            intrinsic_radius(module, [LogRadius.one(), Fraction(1, 2)], depth=8)
+        with pytest.raises(ValueError, match="^radius vector has 1 entries, expected 2$"):
+            intrinsic_radius(module, [LogRadius.one()], depth=8)
+
     def test_non_integrable_rejected(self):
         p = 3
         t2 = LaurentPoly(p, 2, 0, {(0, 1): 1})
