@@ -45,7 +45,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .padic import LogRadius, parse_fraction
+from .padic import LogRadius, check_radii, parse_fraction
 
 SCHEMA = "nabla-radius/1"
 
@@ -113,11 +113,7 @@ def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[LogRadius, .
     entries = [_parse_radius_arg(t, "radius exponent") for t in tokens]
     if len(entries) == 1:
         entries = entries * dims
-    if len(entries) != dims:
-        raise ValueError(
-            f"got {len(tokens)} radius values for a module with {dims} variables"
-        )
-    return tuple(entries)
+    return check_radii(entries, dims)
 
 
 def _load(path: str) -> tuple[ModuleDescriptor, dict]:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Any, Mapping, Optional
 
 from .connection import ConnectionModule, PolyMatrix
-from .laurent import LaurentPoly, SignatureError
+from .laurent import LaurentPoly
 from .padic import PrimeError, check_prime, frozen_record
 
 # the built-in SHA-256, as random.py takes SHA-512: hashlib loads OpenSSL
@@ -87,8 +87,8 @@ def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
     rank = _require_int(doc, "rank")
     if n < 0 or m < 0 or not 1 <= n + m <= MAX_VARIABLES:
         raise DescriptorError(f"need n >= 0, m >= 0 and 1 <= n + m <= {MAX_VARIABLES}")
-    if rank < 1:
-        raise DescriptorError("rank must be >= 1")
+    if not 1 <= rank <= MAX_RANK:
+        raise DescriptorError(f"need 1 <= rank <= {MAX_RANK}")
     matrices_doc = doc.get("matrices")
     if not isinstance(matrices_doc, list) or len(matrices_doc) != n + m:
         raise DescriptorError(f"'matrices' must list {n + m} matrices")
@@ -117,16 +117,13 @@ def parse_module_descriptor(doc: Any) -> ModuleDescriptor:
     expected = doc.get("expected")
     if expected is not None and not isinstance(expected, Mapping):
         raise DescriptorError("'expected' must be an object")
-    try:
-        module = ConnectionModule(
-            prime=prime,
-            nvars_annulus=n,
-            nvars_disc=m,
-            rank=rank,
-            matrices=tuple(matrices),
-        )
-    except SignatureError as exc:
-        raise DescriptorError(str(exc)) from None
+    module = ConnectionModule(
+        prime=prime,
+        nvars_annulus=n,
+        nvars_disc=m,
+        rank=rank,
+        matrices=tuple(matrices),
+    )
     return ModuleDescriptor(module=module, label=label, expected=expected)
 
 
@@ -156,10 +153,13 @@ def descriptor_sha256(descriptor: ModuleDescriptor) -> str:
     ).hexdigest()
 
 
-# The most variables n + m a module document may have.  Its integrability
-# check compares every pair of directions, so the work grows with
-# (n + m)**2; this bound is checked before any matrix is parsed.
-MAX_VARIABLES = 64
+# The most variables n + m, and the largest rank, a module document may
+# have; both are checked before any matrix is parsed.  Its integrability
+# check multiplies rank x rank matrices for every pair of directions, so
+# the work grows with (n + m)**2 * rank**3, and the two bounds are chosen
+# together: the all-zero module at both bounds validates in about a second.
+MAX_VARIABLES = 16
+MAX_RANK = 16
 
 # The deepest nesting of arrays and objects a document may have (a module
 # document needs 7), counted on the text so that it does not depend on the

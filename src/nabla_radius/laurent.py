@@ -25,6 +25,8 @@ from .padic import (
     _safe_repr,
     check_direction,
     check_prime,
+    check_radii,
+    check_radius,
     exact,
     exact_int,
     fraction_valuation,
@@ -232,17 +234,13 @@ class LaurentPoly:
     def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
         """rho-Gauss norm exponent at one radius per variable, annulus radii
         first; None for the zero norm.  The box with a single point."""
-        if len(radii) != self.nvars:
-            raise SignatureError(
-                f"radius vector has {len(radii)} entries, expected {self.nvars}"
-            )
-        rates = [radius.exponent for radius in radii]
+        rates = [radius.exponent for radius in check_radii(radii, self.nvars)]
         return self._box_lognorm(rates, rates)
 
     def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
         """Sup norm exponent over the subannulus with inner radius lam: the
         largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m."""
-        inner = [lam.exponent] * self.nvars_annulus + [0] * self.nvars_disc
+        inner = [check_radius(lam, "lam").exponent] * self.nvars_annulus + [0] * self.nvars_disc
         return self._box_lognorm(inner, [0] * self.nvars)
 
     def _box_lognorm(self, inner: list[Fraction | int], outer: list[Fraction | int]) -> Optional[Fraction]:

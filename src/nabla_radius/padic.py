@@ -104,6 +104,24 @@ def check_direction(direction: object, dims: int) -> int:
     return direction
 
 
+def check_radius(value: object, what: str) -> LogRadius:
+    """value if its type is exactly `LogRadius`; anything else raises
+    TypeError naming `what`.  Every function that takes a radius checks
+    it here."""
+    if type(value) is not LogRadius:
+        raise TypeError(f"{what} must be LogRadius, not {type(value).__name__}")
+    return value
+
+
+def check_radii(rho: object, dims: int) -> tuple[LogRadius, ...]:
+    """rho, one `check_radius` per variable of `dims`, as a tuple; another
+    length raises ValueError."""
+    rho = tuple(check_radius(r, "rho entries") for r in rho)
+    if len(rho) != dims:
+        raise ValueError(f"got {len(rho)} radius values for a module with {dims} variables")
+    return rho
+
+
 def int_valuation(k: int, p: int) -> int:
     """p-adic valuation of a nonzero integer.
 

@@ -48,7 +48,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import POWER_BITS_CAP, LogRadius, exact, frozen_record, int_valuation
+from .padic import POWER_BITS_CAP, LogRadius, check_radii, check_radius, exact, frozen_record, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -387,19 +387,16 @@ def unit_step(H: PolyMatrix) -> UnitStep:
     the result is the exact walk's as far as it is read, the residues mod
     p**(full + 1): `deriv_ladder` says why.
     """
-    p = H.prime
-    entries = [e for row in H.rows for e in row]
-    gcds = [gcd(*e._store.values()) for e in entries]
-    g = gcd(*gcds)
-    if not g:
+    full = _unit_norm(H)
+    if full is None:
         return None, ()
-    full = int_valuation(g, p)
+    p = H.prime
     q = p ** (full + 1)
     return full, tuple(
         LaurentPoly._new(
             p, H.nvars_annulus, H.nvars_disc, {k: a for k, a in e._store.items() if a % q}, e._bits
         )
-        for e, g_e in zip(entries, gcds) if g_e % q
+        for row in H.rows for e in row if gcd(*e._store.values()) % q
     )
 
 
@@ -459,11 +456,7 @@ def intrinsic_radius(
     window = exact(window, "window")
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
-    rho = tuple(rho)
-    if len(rho) != module.dims:
-        raise ValueError(f"radius vector has {len(rho)} entries, expected {module.dims}")
-    if bad := [r for r in rho if type(r) is not LogRadius]:
-        raise TypeError(f"rho must hold LogRadius values, not {type(bad[0]).__name__}")
+    rho = check_radii(rho, module.dims)
     require_integrable(module)
     if _records is not None:
         assert not _records and not any(r.exponent for r in rho)
@@ -649,8 +642,9 @@ def taylor_probe(
     exceeds 1 and the tail trends downward; anything else is inconclusive.
     """
     check_count("bound", j_bound, 8)
-    if eta.exponent <= 0:
+    if check_radius(eta, "eta").exponent <= 0:
         raise ValueError("eta must satisfy 0 < eta < 1 (positive exponent)")
+    check_radius(lam, "lam")
     require_integrable(module)
     p = module.prime
     h = eta.exponent

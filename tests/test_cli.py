@@ -23,6 +23,7 @@ from nabla_radius.corpus import (
 )
 from nabla_radius.descriptor import (
     MAX_NESTING,
+    MAX_RANK,
     MAX_VARIABLES,
     ModuleDescriptor,
     parse_module_descriptor,
@@ -121,7 +122,7 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "rank, matrices, error",
-        [(0, [[]], "rank must be >= 1"), (1, [[[[], []]]], "matrix 0 row 0 must have 1 entries")],
+        [(0, [[]], f"need 1 <= rank <= {MAX_RANK}"), (1, [[[[], []]]], "matrix 0 row 0 must have 1 entries")],
         ids=["rank-0", "long-row"],
     )
     def test_shape_refused(self, capsys, tmp_path, rank, matrices, error):
@@ -133,18 +134,22 @@ class TestValidate:
         assert report["status"] == "schema-error"
         assert report["error"] == error
 
-    @pytest.mark.parametrize("n, code, status", [
-        (MAX_VARIABLES, 0, "ok"), (MAX_VARIABLES + 1, 1, "schema-error"),
-    ], ids=["at-bound", "past-bound"])
-    def test_variable_count_is_bounded(self, capsys, tmp_path, n, code, status):
-        # an all-zero module: integrability compares every pair of directions
+    @pytest.mark.parametrize("n, rank, code, error", [
+        (MAX_VARIABLES, MAX_RANK, 0, None),
+        (MAX_VARIABLES + 1, 1, 1, f"need n >= 0, m >= 0 and 1 <= n + m <= {MAX_VARIABLES}"),
+        (1, MAX_RANK + 1, 1, f"need 1 <= rank <= {MAX_RANK}"),
+    ], ids=["at-bound", "past-bound", "past-rank-bound"])
+    def test_variable_count_is_bounded(self, capsys, tmp_path, n, rank, code, error):
+        # an all-zero module: integrability multiplies rank x rank matrices
+        # for every pair of directions
         path = tmp_path / "wide.json"
-        doc = {"prime": 3, "n": n, "m": 0, "rank": 1, "matrices": [[[[]]]] * n}
+        matrix = [[[]] * rank] * rank
+        doc = {"prime": 3, "n": n, "m": 0, "rank": rank, "matrices": [matrix] * n}
         path.write_text(json.dumps(doc), encoding="utf-8")
         got, report, _ = run_json(capsys, ["validate", str(path)])
-        assert (got, report["status"]) == (code, status)
+        assert (got, report["status"]) == (code, "schema-error" if code else "ok")
         if code:
-            assert report["error"] == f"need n >= 0, m >= 0 and 1 <= n + m <= {MAX_VARIABLES}"
+            assert report["error"] == error
 
     def test_missing_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, ["validate", str(tmp_path / "nope.json")])

@@ -295,3 +295,37 @@ def test_a_direction_out_of_range_is_one_value_error(call, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == message
+
+
+# (entry point, the name its message gives, the call on one radius): each
+# takes LogRadius values, rho one per variable of two.
+RADII = [
+    ("LaurentPoly.gauss_lognorm", "rho entries", lambda x: POLY.gauss_lognorm((LogRadius.one(), x))),
+    ("PolyMatrix.gauss_lognorm", "rho entries",
+     lambda x: PolyMatrix([[POLY]]).gauss_lognorm((LogRadius.one(), x))),
+    ("LaurentPoly.sup_vertex_lognorm", "lam", POLY.sup_vertex_lognorm),
+    ("PolyMatrix.sup_vertex_lognorm", "lam", PolyMatrix([[POLY]]).sup_vertex_lognorm),
+    ("intrinsic_radius", "rho entries", lambda x: intrinsic_radius(EXP2, (LogRadius.one(), x), 8)),
+    ("taylor_probe-eta", "eta", lambda x: taylor_probe(EXP2, x, LAM, 8)),
+    ("taylor_probe-lam", "lam", lambda x: taylor_probe(EXP2, ETA, x, 8)),
+]
+
+
+@pytest.mark.parametrize("call, name", [(call, name) for _, name, call in RADII], ids=[e for e, _, _ in RADII])
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0, "0", None], ids=repr)
+def test_a_radius_that_is_not_a_log_radius_is_refused_by_name(call, name, bad):
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be LogRadius, not {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("call", [
+    POLY.gauss_lognorm,
+    PolyMatrix([[POLY]]).gauss_lognorm,
+    lambda rho: intrinsic_radius(EXP2, rho, 8),
+], ids=["LaurentPoly.gauss_lognorm", "PolyMatrix.gauss_lognorm", "intrinsic_radius"])
+@pytest.mark.parametrize("n", [1, 3], ids=["short", "long"])
+def test_a_radius_vector_of_another_length_is_one_value_error(call, n):
+    with pytest.raises(ValueError) as info:
+        call((LogRadius.one(),) * n)
+    assert str(info.value) == f"got {n} radius values for a module with 2 variables"

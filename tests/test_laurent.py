@@ -360,7 +360,7 @@ class TestGaussNorm:
 
     def test_wrong_arity_rejected(self):
         f = LaurentPoly.constant(3, 2, 0, 1)
-        with pytest.raises(SignatureError):
+        with pytest.raises(ValueError, match="^got 1 radius values for a module with 2 variables$"):
             f.gauss_lognorm((LogRadius.one(),))
 
     @pytest.mark.parametrize("n,m", SIGNATURES)

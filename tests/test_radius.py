@@ -199,9 +199,9 @@ class TestIntrinsicRadius:
         report = intrinsic_radius(module, [LogRadius.one(), LogRadius.one()], depth=8)
         assert type(report.rho) is tuple and report.rho == (LogRadius.one(),) * 2
         assert hash(report) == hash(intrinsic_radius(module, (LogRadius.one(),) * 2, depth=8))
-        with pytest.raises(TypeError, match="^rho must hold LogRadius values, not Fraction$"):
+        with pytest.raises(TypeError, match="^rho entries must be LogRadius, not Fraction$"):
             intrinsic_radius(module, [LogRadius.one(), Fraction(1, 2)], depth=8)
-        with pytest.raises(ValueError, match="^radius vector has 1 entries, expected 2$"):
+        with pytest.raises(ValueError, match="^got 1 radius values for a module with 2 variables$"):
             intrinsic_radius(module, [LogRadius.one()], depth=8)
 
     def test_non_integrable_rejected(self):
