@@ -17,19 +17,24 @@ load the rest of the package at start-up.  No module imports
 which generates no code, so no command loads ``dataclasses`` and the
 ``inspect`` module it pulls in, or ``exec``s methods for each class.
 Nor does any command load OpenSSL: `descriptor` hashes with CPython's
-built-in SHA-256 rather than through ``hashlib``.  The report leaves in
+built-in SHA-256 rather than through ``hashlib``.  A plain command line
+(a subcommand, its exact long options each with a value that does not
+start with "-", and its positionals) is read straight from the one option
+table, ``COMMANDS``, so it imports no ``argparse``, and so neither
+``gettext`` nor ``locale``.  Help, errors and every other form go through
+argparse, whose parser is built from the same table.  The report leaves in
 one write, since ``json.dump`` writes each of its chunks on its own,
 which an unbuffered stdout sends as hundreds of system calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .connection import (
     DEFAULT_TOL,
@@ -46,6 +51,9 @@ from .descriptor import (
     module_descriptor_to_dict,
 )
 from .padic import LogRadius, check_radii, parse_fraction
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = "nabla-radius/1"
 
@@ -303,70 +311,121 @@ def cmd_corpus(args: argparse.Namespace) -> tuple[dict, int]:
     return {"schema": SCHEMA, "command": "corpus", "entries": entries}, EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; reserve 2 for curvature."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.exit(EXIT_INVALID, one_line(message, f"{self.prog}: error: ") + "\n")
-
-
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
     """One option declaration, as argparse's add_argument takes it."""
     return flags, options
 
 
+# options that several subcommands take
+_DESCRIPTOR = _arg("descriptor")
+_DEPTH = _arg("--depth", type=int, default=200)
+_TOL = _arg("--tol", default=str(DEFAULT_TOL))
+_WINDOW = _arg("--window", default=str(DEFAULT_WINDOW))
+
+# The one option table: name, handler, help and declarations of each
+# subcommand, read by build_parser and by _read_plain alike.
+COMMANDS = (
+    ("validate", cmd_validate, "check descriptor schema and integrability", (_DESCRIPTOR,)),
+    ("ir", cmd_ir, "windowed intrinsic-radius estimates", (
+        _DESCRIPTOR, _DEPTH, _WINDOW,
+        _arg("--radius", action="append", metavar="EXP",
+             help="radius exponent num/den; repeat per variable"))),
+    ("oc", cmd_oc, "overconvergence verdict at the unit polyradius",
+     (_DESCRIPTOR, _DEPTH, _TOL, _WINDOW)),
+    ("taylor", cmd_taylor, "Taylor-term decay probe", (
+        _DESCRIPTOR,
+        _arg("--eta", required=True, help="eta exponent num/den (> 0, i.e. radius < 1)"),
+        _arg("--lambda", dest="lam", default="0",
+             help="inner-radius exponent num/den (default 0, i.e. radius 1)"),
+        _arg("--depth", type=int, default=24, help="multi-index bound J"))),
+    ("specialize", cmd_specialize, "restrict to a coordinate curve", (
+        _DESCRIPTOR,
+        _arg("--direction", type=int, required=True),
+        _arg("--point", required=True,
+             help="comma-separated unit coordinates; empty for a one-variable module"))),
+    ("cutcheck", cmd_cutcheck, "curve witness search", (
+        _DESCRIPTOR,
+        _arg("--depth", type=int, default=64),
+        _arg("--trials", type=int, default=10),
+        _arg("--seed", type=int, default=0),
+        _TOL, _WINDOW)),
+    ("techlemma", cmd_techlemma, "dominant-term certificate on an interval", (
+        _arg("poly", help="one-variable polynomial descriptor path"),
+        _arg("--alpha", required=True, help="inner endpoint exponent num/den"),
+        _arg("--beta", required=True, help="outer endpoint exponent num/den"))),
+    ("corpus", cmd_corpus, "list or dump bundled example modules", (
+        _arg("--dump", metavar="LABEL", help="print one descriptor document"),)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS, for help, errors and every command
+    line that _read_plain hands back."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with status 2 on bad usage; reserve 2 for curvature."""
+
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.exit(EXIT_INVALID, one_line(message, f"{self.prog}: error: ") + "\n")
+
     parser = _Parser(prog="nabla-radius", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, *arguments) -> None:
+    for name, handler, help_text, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
-
-    # options that several subcommands take
-    descriptor = _arg("descriptor")
-    depth = _arg("--depth", type=int, default=200)
-    tol = _arg("--tol", default=str(DEFAULT_TOL))
-    window = _arg("--window", default=str(DEFAULT_WINDOW))
-
-    add("validate", cmd_validate, "check descriptor schema and integrability", descriptor)
-    add("ir", cmd_ir, "windowed intrinsic-radius estimates", descriptor, depth, window,
-        _arg("--radius", action="append", metavar="EXP",
-             help="radius exponent num/den; repeat per variable"))
-    add("oc", cmd_oc, "overconvergence verdict at the unit polyradius",
-        descriptor, depth, tol, window)
-    add("taylor", cmd_taylor, "Taylor-term decay probe", descriptor,
-        _arg("--eta", required=True, help="eta exponent num/den (> 0, i.e. radius < 1)"),
-        _arg("--lambda", dest="lam", default="0",
-             help="inner-radius exponent num/den (default 0, i.e. radius 1)"),
-        _arg("--depth", type=int, default=24, help="multi-index bound J"))
-    add("specialize", cmd_specialize, "restrict to a coordinate curve", descriptor,
-        _arg("--direction", type=int, required=True),
-        _arg("--point", required=True,
-             help="comma-separated unit coordinates; empty for a one-variable module"))
-    add("cutcheck", cmd_cutcheck, "curve witness search", descriptor,
-        _arg("--depth", type=int, default=64),
-        _arg("--trials", type=int, default=10),
-        _arg("--seed", type=int, default=0),
-        tol, window)
-    add("techlemma", cmd_techlemma, "dominant-term certificate on an interval",
-        _arg("poly", help="one-variable polynomial descriptor path"),
-        _arg("--alpha", required=True, help="inner endpoint exponent num/den"),
-        _arg("--beta", required=True, help="outer endpoint exponent num/den"))
-    add("corpus", cmd_corpus, "list or dump bundled example modules",
-        _arg("--dump", metavar="LABEL", help="print one descriptor document"))
-
     return parser
 
 
+def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from a plain command line: a subcommand,
+    then its exact long options, each with a value not starting with "-", and
+    its positionals, in any order.  None for any other command line, which
+    argparse then reads (or refuses) itself."""
+    row = next((row for row in COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, handler, _, arguments = row
+    options = {flags[0]: spec for flags, spec in arguments if flags[0].startswith("-")}
+    given: dict[str, list[str]] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, None)
+        if token not in options or value is None or value.startswith("-"):
+            return None
+        given.setdefault(token, []).append(value)
+    names = [flags[0] for flags, _ in arguments if not flags[0].startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    namespace = dict(zip(names, positionals), command=name, handler=handler)
+    for flag, spec in options.items():
+        dest = spec.get("dest", flag[2:])
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            namespace[dest] = spec.get("default")
+            continue
+        try:
+            values = [spec.get("type", str)(value) for value in given[flag]]
+        except (TypeError, ValueError):
+            return None
+        namespace[dest] = values if spec.get("action") == "append" else values[-1]
+    return SimpleNamespace(**namespace)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         report, code = args.handler(args)
     except (OSError, ValueError) as exc:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nabla_radius
 from nabla_radius import curves, newton, radius
-from nabla_radius.cli import EXIT_CODES, main, one_line
+from nabla_radius.cli import COMMANDS, EXIT_CODES, _read_plain, build_parser, main, one_line
 from nabla_radius.corpus import (
     corpus_by_label,
     exponential_module,
@@ -553,6 +553,78 @@ class TestLongArgparseTokens:
         assert all(name in err for name in ("validate", "techlemma", "corpus"))
 
 
+DECLARED_FLAGS = sorted({flags[0] for *_, arguments in COMMANDS for flags, _ in arguments
+                         if flags[0].startswith("-")})
+READER_VALUES = st.sampled_from(["5", "-1", "-1/2", "", "x", "1/3", LONG_INT, "m.json"])
+
+
+@st.composite
+def reader_argv(draw):
+    """A subcommand; some of its declared options, each with a value; about
+    its count of positionals; then a few more tokens (any declared flag, an
+    abbreviation, --flag=value, a help or end-of-options token, a value),
+    all in any order."""
+    name, _, _, arguments = draw(st.sampled_from(COMMANDS))
+    own = [flags[0] for flags, _ in arguments if flags[0].startswith("-")]
+    count = len(arguments) - len(own)
+    value = st.sampled_from(["5", "1/3", "m.json"]) | READER_VALUES
+    pieces = [(flag, draw(value)) for flag in own if draw(st.booleans())]
+    pieces += [(draw(value),)] * draw(st.sampled_from([count, count, max(count - 1, 0), count + 1]))
+    flag = st.sampled_from(DECLARED_FLAGS)
+    spelled = st.one_of(
+        flag,
+        st.builds(lambda f, k: f[:k], flag, st.integers(3, 7)),
+        st.sampled_from(["-h", "--help", "--", "-"]),
+    )
+    pieces += draw(st.lists(st.one_of(
+        st.tuples(spelled, value),
+        st.builds(lambda f, v: (f"{f}={v}",), flag, value),
+        st.tuples(spelled),
+        st.tuples(value),
+    ), max_size=3))
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+class TestPlainCommandLines:
+    """`cli._read_plain` reads a plain command line into the namespace that
+    argparse builds from it, and hands every other command line back."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reader_argv())
+    def test_reader_agrees_with_argparse(self, argv):
+        plain = _read_plain(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = build_parser().parse_args(argv)
+        except SystemExit:
+            assert plain is None
+        else:
+            assert plain is None or vars(plain) == vars(parsed)
+
+    @pytest.mark.parametrize("argv", [
+        ["oc", "m.json"],
+        ["oc", "--depth", "8", "m.json", "--depth", "16", "--tol", "1/3"],
+        ["ir", "--radius", "1/3", "m.json", "--radius", "1/2"],
+        ["taylor", "--lambda", "1/8", "--eta", "1/4", "--depth", "40", "m.json"],
+        ["specialize", "m.json", "--direction", "0", "--point", ""],
+        ["corpus"],
+    ])
+    def test_plain_lines_are_read(self, argv):
+        assert vars(_read_plain(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_declarations_need_no_other_argparse_rule(self):
+        # the reader derives dest from the flag and applies no type to a default
+        for *_, arguments in COMMANDS:
+            for flags, options in arguments:
+                assert len(flags) == 1
+                assert flags[0].startswith("--") or not flags[0].startswith("-")
+                assert set(options) <= {"action", "default", "dest", "help", "metavar",
+                                        "required", "type"}
+                assert options.get("action", "append") == "append"
+                assert not (isinstance(options.get("default"), str) and "type" in options)
+                assert "-" not in flags[0][2:] or "dest" in options
+
+
 class TestOneLine:
     """`one_line`, the one bound on text that leaves the process."""
 
@@ -1053,6 +1125,25 @@ class TestSpecialize:
         )
         assert (code, out, err) == (1, "", f"nabla-radius: {message}\n")
 
+    def test_negative_coordinate_after_an_equals_sign(self, capsys, tmp_path):
+        # argparse reads "-1/2" after a space as an option, not as a value,
+        # so a negative coordinate is passed as --point=-1/2
+        descriptor = corpus_by_label()["exp-two-var-p3"].descriptor
+        path = tmp_path / "exp-two-var-p3.json"
+        path.write_text(json.dumps(module_descriptor_to_dict(descriptor)), encoding="utf-8")
+        code, doc, err = run_json(
+            capsys, ["specialize", str(path), "--direction", "0", "--point=-1/2"]
+        )
+        assert (code, err) == (0, "")
+        curve = curves.specialize(descriptor.module, 0, (Fraction(-1, 2),))
+        assert doc["module"] == module_descriptor_to_dict(
+            ModuleDescriptor(module=curve, label="exp-two-var-p3-curve-t0")
+        )
+        assert doc["parameters"] == {"direction": 0, "point": ["-1/2"]}
+        assert run(capsys, ["specialize", str(path), "--direction", "0", "--point", "-1/2"]) == (
+            1, "", "nabla-radius specialize: error: argument --point: expected one argument\n"
+        )
+
     @pytest.mark.parametrize("direction", ["5", "-1"])
     def test_direction_out_of_range(self, capsys, two_var_path, direction):
         code, out, err = run(
@@ -1225,17 +1316,22 @@ class TestHarness:
         assert sorted(values) == sorted(EXIT_CODES)
 
 
-# Runs cli.main in a fresh interpreter; prints the exit code and the
-# nabla_radius submodules it loaded.
+# Runs cli.main in a fresh interpreter; prints the exit code, the
+# nabla_radius submodules it loaded, the slow standard modules loaded after
+# start-up, and those that the interpreter had loaded before.
 MODULES_PROBE = """
-import contextlib, io, json, sys
+import sys
+preloaded = set(sys.modules)
+import contextlib, io, json
 from nabla_radius.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
+slow = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 print(json.dumps([
     code,
     sorted(m for m in sys.modules if m.startswith("nabla_radius.")),
-    sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+    sorted(m for m in slow if m in sys.modules and m not in preloaded),
+    sorted(m for m in slow if m in preloaded),
 ]))
 """
 
@@ -1244,7 +1340,23 @@ VALIDATE_SET = {"cli", "connection", "descriptor", "laurent", "padic"}
 
 class TestModulesLoaded:
     """Each subcommand imports only the modules it runs, and none of them
-    loads `dataclasses` or the `inspect` module it pulls in."""
+    loads `dataclasses` or the `inspect` module it pulls in.  A plain command
+    line loads no `argparse`, and so neither `gettext` nor `locale`."""
+
+    @staticmethod
+    def probe(request, argv, fixture):
+        args = [*argv, request.getfixturevalue(fixture)] if fixture else argv
+        src = str(Path(nabla_radius.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
 
     @pytest.mark.parametrize(
         "argv, fixture, code, extra",
@@ -1262,18 +1374,17 @@ class TestModulesLoaded:
         ids=["validate", "ir", "oc", "taylor", "specialize", "cutcheck", "techlemma", "corpus"],
     )
     def test_subcommand_loads_only_its_modules(self, request, argv, fixture, code, extra):
-        args = [*argv, request.getfixturevalue(fixture)] if fixture else argv
-        src = str(Path(nabla_radius.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", MODULES_PROBE, *args],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        got_code, loaded, slow_imports = json.loads(proc.stdout)
+        got_code, loaded, slow_imports, _ = self.probe(request, argv, fixture)
         assert got_code == code
         assert set(loaded) == {f"nabla_radius.{m}" for m in VALIDATE_SET | extra}
         assert slow_imports == []
+
+    def test_a_line_the_reader_hands_back_loads_argparse(self, request):
+        # an abbreviated option is argparse's to expand
+        got_code, loaded, slow_imports, preloaded = self.probe(
+            request, ["oc", "--dep", "8"], "dwork_path")
+        if "argparse" in preloaded:
+            pytest.skip("this interpreter loads argparse at start-up")
+        assert got_code == 3
+        assert set(loaded) == {f"nabla_radius.{m}" for m in VALIDATE_SET | {"radius"}}
+        assert "argparse" in slow_imports
