@@ -22,7 +22,7 @@ from fractions import Fraction
 from nabla_radius.cli import one_line
 from nabla_radius.connection import DEFAULT_DEPTH_CAP, DEFAULT_WINDOW
 from nabla_radius.corpus import falling_factorial_valuation, power_module
-from nabla_radius.padic import LogRadius, PrimeError, check_prime, parse_fraction
+from nabla_radius.padic import PrimeError, check_prime, parse_fraction
 from nabla_radius.radius import (
     LEAST_DEPTH,
     DirectionRadius,
@@ -95,7 +95,7 @@ def main() -> int:
     print(f"{'s':>5} {'w_s':>5} {'w_s/s':>10} {'estimate':>10} {'point@depth':>12}")
     if rows:
         deepest = max(rows[-1][0], LEAST_DEPTH)
-        walk = intrinsic_radius(module, (LogRadius.one(),), deepest, window=1).directions[0]
+        walk = intrinsic_radius(module, (Fraction(0),), deepest, window=1).directions[0]
     for s, w in rows:
         depth = max(s, LEAST_DEPTH)
         est = max(Fraction(0), base - Fraction(w, s))

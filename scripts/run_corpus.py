@@ -12,7 +12,6 @@ import sys
 import time
 
 from nabla_radius.corpus import build_corpus
-from nabla_radius.padic import LogRadius
 from nabla_radius.radius import oc_ir_test, taylor_probe
 
 
@@ -28,12 +27,7 @@ def main() -> int:
         expected = entry.descriptor.expected or {}
         started = time.monotonic()
         verdict = oc_ir_test(module, depth=entry.taylor_bound)
-        probe = taylor_probe(
-            module,
-            LogRadius(entry.taylor_eta),
-            LogRadius(entry.taylor_lambda),
-            entry.taylor_bound,
-        )
+        probe = taylor_probe(module, entry.taylor_eta, entry.taylor_lambda, entry.taylor_bound)
         elapsed = time.monotonic() - started
 
         ok = True

@@ -2,9 +2,9 @@
 
 Scalars are plain ``int``/``Fraction`` values with the prime passed
 alongside; norms and radii live on a log scale as exact ``Fraction``
-exponents of ``p`` (a norm of None is the zero norm).  A radius is a
-``LogRadius``, whose exponent is >= 0, and a radius vector is a plain
-tuple of them, one per variable, annulus radii first.  On top of that sit
+exponents of ``p`` (a norm of None is the zero norm).  A radius is its
+exponent, a ``Fraction`` >= 0, and a radius vector is a plain tuple of
+them, one per variable, annulus radii first.  On top of that sit
 Laurent polynomials with rho-Gauss norms, matrix connections with the
 iterated derivative recursion (run on integer numerators over a power of
 one common denominator), windowed intrinsic-radius estimates,
@@ -46,8 +46,7 @@ _EXPORTS = {
         "AlignedInterval", "DominanceCertificate", "shrink_interval", "unit_certificate_check",
     ),
     "padic": (
-        "LogRadius", "PrimeError", "check_prime", "fraction_valuation", "int_valuation",
-        "parse_fraction",
+        "PrimeError", "check_prime", "fraction_valuation", "int_valuation", "parse_fraction",
     ),
     "radius": (
         "DirectionRadius", "OcVerdict", "ProbeOutcome", "RadiusReport", "TaylorReport",

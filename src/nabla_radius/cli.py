@@ -50,7 +50,7 @@ from .descriptor import (
     load_poly_descriptor,
     module_descriptor_to_dict,
 )
-from .padic import LogRadius, check_radii, parse_fraction
+from .padic import check_radii, check_radius, parse_fraction
 
 if TYPE_CHECKING:
     import argparse
@@ -105,9 +105,9 @@ def _parse_fraction_arg(text: str, what: str) -> Fraction:
         raise ValueError(f"invalid {what}: {text!r}") from None
 
 
-def _parse_radius_arg(text: str, what: str) -> LogRadius:
+def _parse_radius_arg(text: str, what: str) -> Fraction:
     try:
-        return LogRadius.parse(text)
+        return check_radius(parse_fraction(text), what)
     except ValueError:
         raise ValueError(
             f"invalid {what}: {text!r} (radii must be positive: give the exponent"
@@ -115,9 +115,9 @@ def _parse_radius_arg(text: str, what: str) -> LogRadius:
         ) from None
 
 
-def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[LogRadius, ...]:
+def _radius_vector(tokens: Optional[list[str]], dims: int) -> tuple[Fraction, ...]:
     if not tokens:
-        return (LogRadius.one(),) * dims
+        return (Fraction(0),) * dims
     entries = [_parse_radius_arg(t, "radius exponent") for t in tokens]
     if len(entries) == 1:
         entries = entries * dims
@@ -195,7 +195,7 @@ def cmd_ir(args: argparse.Namespace) -> tuple[dict, int]:
     window = _parse_fraction_arg(args.window, "window")
     report = intrinsic_radius(module, rho, args.depth, window)
     doc = _report("ir", envelope, report.to_json_dict(), depth=args.depth, window=str(window),
-                  radius=[str(r.exponent) for r in rho])
+                  radius=[str(r) for r in rho])
     return doc, EXIT_OK
 
 

@@ -30,7 +30,7 @@ from .laurent import (
     pack_width,
     packed_partial,
 )
-from .padic import LogRadius, _safe_repr, check_direction, exact_int, frozen_record
+from .padic import _safe_repr, check_direction, exact_int, frozen_record
 
 DEFAULT_DEPTH_CAP = 512
 
@@ -152,13 +152,13 @@ class PolyMatrix:
             out.append(tuple(row))
         return PolyMatrix(tuple(out))
 
-    def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
+    def gauss_lognorm(self, radii: Tuple[Fraction, ...]) -> Optional[Fraction]:
         """Largest entry Gauss norm exponent; None for the zero matrix."""
         return _least_exponent(
             entry.gauss_lognorm(radii) for row in self.rows for entry in row
         )
 
-    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
+    def sup_vertex_lognorm(self, lam: Fraction) -> Optional[Fraction]:
         """Largest entry sup norm exponent over the subannulus; None for zero."""
         return _least_exponent(
             entry.sup_vertex_lognorm(lam) for row in self.rows for entry in row

@@ -30,7 +30,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import LogRadius, _safe_repr, check_direction, exact, exact_int, fraction_valuation, frozen_record
+from .padic import _safe_repr, check_direction, exact, exact_int, fraction_valuation, frozen_record
 from .radius import OcVerdict, UnitStep, Verdict, deriv_ladder, oc_ir_test, unit_step
 
 # Sampled unit coordinates are num/den with 0 < |num| <= 9 and 0 < den <= 9.
@@ -69,13 +69,14 @@ def specialize(
 
 def _fold(e: LaurentPoly, direction: int) -> LaurentPoly:
     """e with every exponent outside `direction` reduced mod p - 1, the
-    terms that then share an exponent vector summed."""
+    terms that then share an exponent vector summed and zero sums dropped.
+    A reduced exponent is >= 0, so every key stays valid."""
     period = e.prime - 1
     acc: dict[tuple[int, ...], Fraction | int] = {}
-    for key, a in e.terms.items():
+    for key, a in e._terms.items():
         key = tuple(j if l == direction else j % period for l, j in enumerate(key))
         acc[key] = acc.get(key, 0) + a
-    return LaurentPoly(e.prime, e.nvars_annulus, e.nvars_disc, acc)
+    return LaurentPoly._new(e.prime, e.nvars_annulus, e.nvars_disc, {k: a for k, a in acc.items() if a})
 
 
 def generic_equality_check(
@@ -139,9 +140,9 @@ def generic_equality_check(
     coords = _unit_point(module, point)
     require_integrable(module)
     if _record is None:
-        unit = (LogRadius.one(),) * module.dims
+        unit = (Fraction(0),) * module.dims
         _record = (unit_step(H) for _, H, _ in deriv_ladder(module, direction, depth, unit))
-    single = (LogRadius.one(),)
+    single = (Fraction(0),)
     for s, (full, leading) in enumerate(_record, 1):
         if leading and not any(
             _fold(e, direction).specialize(direction, coords).gauss_lognorm(single) == full

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .padic import (
     POWER_BITS_CAP,
-    LogRadius,
     _safe_repr,
     check_direction,
     check_prime,
@@ -231,16 +230,16 @@ class LaurentPoly:
 
     # -- norms ---------------------------------------------------------------
 
-    def gauss_lognorm(self, radii: Tuple[LogRadius, ...]) -> Optional[Fraction]:
-        """rho-Gauss norm exponent at one radius per variable, annulus radii
-        first; None for the zero norm.  The box with a single point."""
-        rates = [radius.exponent for radius in check_radii(radii, self.nvars)]
+    def gauss_lognorm(self, radii: Tuple[Fraction, ...]) -> Optional[Fraction]:
+        """rho-Gauss norm exponent at one radius exponent per variable, annulus
+        radii first; None for the zero norm.  The box with a single point."""
+        rates = list(check_radii(radii, self.nvars))
         return self._box_lognorm(rates, rates)
 
-    def sup_vertex_lognorm(self, lam: LogRadius) -> Optional[Fraction]:
-        """Sup norm exponent over the subannulus with inner radius lam: the
-        largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m."""
-        inner = [check_radius(lam, "lam").exponent] * self.nvars_annulus + [0] * self.nvars_disc
+    def sup_vertex_lognorm(self, lam: Fraction) -> Optional[Fraction]:
+        """Sup norm exponent over the subannulus with inner radius exponent lam:
+        the largest Gauss norm over the vertex radius vectors {lam, 1}^n x {1}^m."""
+        inner = [check_radius(lam, "lam")] * self.nvars_annulus + [0] * self.nvars_disc
         return self._box_lognorm(inner, [0] * self.nvars)
 
     def _box_lognorm(self, inner: list[Fraction | int], outer: list[Fraction | int]) -> Optional[Fraction]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .laurent import LaurentPoly, SignatureError
-from .padic import LogRadius, fraction_valuation, frozen_record, radius_exponent
+from .padic import check_radius, fraction_valuation, frozen_record
 
 
 @frozen_record
@@ -37,7 +37,7 @@ class AlignedInterval:
 
     def __post_init__(self) -> None:
         for name in ("r_alpha", "r_beta"):
-            object.__setattr__(self, name, radius_exponent(getattr(self, name)))
+            object.__setattr__(self, name, check_radius(getattr(self, name), "radius exponent"))
         if self.r_beta <= 0:
             raise ValueError("outer radius must be < 1 (exponent > 0)")
         if self.r_alpha < self.r_beta:
@@ -202,7 +202,7 @@ def unit_certificate_check(
         },
     )
     for r in certificate.interval.endpoints:
-        f_exp = f.gauss_lognorm((LogRadius(r),))
+        f_exp = f.gauss_lognorm((r,))
         if f_exp is not None and f_exp <= 0:
             return r
     return None

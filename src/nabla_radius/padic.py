@@ -5,9 +5,10 @@ the prime p is passed alongside them.  Valuations are integers (with None
 standing in for the +infinity valuation of zero), and multiplicative
 quantities of the form p**(-w) are stored by their rational exponent w:
 a norm is an ``Optional[Fraction]`` (None for the zero norm) and a radius
-in (0, 1] is a ``LogRadius``, an exponent >= 0.  No floating point is used
-anywhere in the package: a rational enters it through `parse_fraction` as
-text, and as a number only through `exact`, which refuses any other type.
+in (0, 1] is its exponent, a ``Fraction`` >= 0 that `check_radius` checks.
+No floating point is used anywhere in the package: a rational enters it
+through `parse_fraction` as text, and as a number only through `exact`,
+which refuses any other type.
 """
 
 from __future__ import annotations
@@ -104,16 +105,17 @@ def check_direction(direction: object, dims: int) -> int:
     return direction
 
 
-def check_radius(value: object, what: str) -> LogRadius:
-    """value if its type is exactly `LogRadius`; anything else raises
-    TypeError naming `what`.  Every function that takes a radius checks
-    it here."""
-    if type(value) is not LogRadius:
-        raise TypeError(f"{what} must be LogRadius, not {type(value).__name__}")
-    return value
+def check_radius(value: object, what: str) -> Fraction:
+    """value, the exponent r of a radius p**(-r) in (0, 1], as a Fraction:
+    `exact` naming `what`, and >= 0, else ValueError.  Every function that
+    takes a radius checks it here."""
+    r = exact(value, what)
+    if r.numerator < 0:
+        raise ValueError(f"{what} must be >= 0, got {_safe_repr(value, str)}")
+    return r
 
 
-def check_radii(rho: object, dims: int) -> tuple[LogRadius, ...]:
+def check_radii(rho: object, dims: int) -> tuple[Fraction, ...]:
     """rho, one `check_radius` per variable of `dims`, as a tuple; another
     length raises ValueError."""
     rho = tuple(check_radius(r, "rho entries") for r in rho)
@@ -196,14 +198,6 @@ def parse_fraction(text: str) -> Fraction:
     raise ValueError(f"malformed rational {text!r}")
 
 
-def radius_exponent(e: object) -> Fraction:
-    """e checked as the exponent of a radius in (0, 1]: `exact`, and >= 0."""
-    r = exact(e, "radius exponents")
-    if r < 0:
-        raise ValueError(f"radius exponent must be >= 0, got {_safe_repr(e, str)}")
-    return r
-
-
 _Cls = TypeVar("_Cls", bound=type)
 
 
@@ -261,21 +255,3 @@ def frozen_record(cls: _Cls) -> _Cls:
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
     return cls
-
-
-@frozen_record
-class LogRadius:
-    """A radius p**(-exponent) in (0, 1]: an exact rational exponent >= 0."""
-
-    exponent: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", radius_exponent(self.exponent))
-
-    @classmethod
-    def one(cls) -> "LogRadius":
-        return cls(Fraction(0))
-
-    @classmethod
-    def parse(cls, text: str) -> "LogRadius":
-        return cls(parse_fraction(text))

@@ -48,7 +48,7 @@ from .connection import (
     require_integrable,
 )
 from .laurent import LaurentPoly
-from .padic import POWER_BITS_CAP, LogRadius, check_radii, check_radius, exact, frozen_record, int_valuation
+from .padic import POWER_BITS_CAP, check_radii, check_radius, exact, frozen_record, int_valuation
 
 
 def spectral_base_exponent(prime: int) -> Fraction:
@@ -107,7 +107,7 @@ class DirectionRadius:
 class RadiusReport:
     """Full intrinsic-radius report at one radius vector."""
 
-    rho: Tuple[LogRadius, ...]
+    rho: Tuple[Fraction, ...]
     depth: int
     window: Fraction
     directions: Tuple[DirectionRadius, ...]
@@ -123,7 +123,7 @@ class RadiusReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rho": [str(r.exponent) for r in self.rho],
+            "rho": [str(r) for r in self.rho],
             "depth": self.depth,
             "window": str(self.window),
             "directions": [d.to_json_dict() for d in self.directions],
@@ -136,7 +136,7 @@ def _walk_plan(
     module: ConnectionModule,
     direction: int,
     depth: int,
-    rho: Optional[Tuple[LogRadius, ...]],
+    rho: Optional[Tuple[Fraction, ...]],
 ) -> Tuple[int, Optional[int], Optional[int]]:
     """(v_p(c), k0, K): the fixed precisions of `deriv_ladder`'s walk at
     rho, for (c, M) = ladder_matrix(module, direction).  Without rho the
@@ -174,12 +174,11 @@ def _walk_plan(
     if rho is None:
         return step, None, None
     terms = [t for row in M for entry in row for t in entry]
-    rates = [r.exponent for r in rho]
-    r_i = rates[direction]
-    mu = min([-r_i] + [sum(j * r for j, r in zip(J, rates)) for J, _ in terms])
+    r_i = rho[direction]
+    mu = min([-r_i] + [sum(j * r for j, r in zip(J, rho)) for J, _ in terms])
     K = math.ceil(depth * max(Fraction(0), step + spectral_base_exponent(p) - r_i - mu)) + 1
     content = gcd(*[a for _, a in terms])
-    k0 = int_valuation(content, p) + 1 if content and not any(rates) else None
+    k0 = int_valuation(content, p) + 1 if content and not any(rho) else None
     k0, K = (None if k is None or k * p.bit_length() > POWER_BITS_CAP else k for k in (k0, K))
     if k0 is not None and K is not None and k0 >= K:
         k0 = None
@@ -294,7 +293,7 @@ def deriv_ladder(
     module: ConnectionModule,
     direction: int,
     depth: int,
-    rho: Optional[Tuple[LogRadius, ...]] = None,
+    rho: Optional[Tuple[Fraction, ...]] = None,
 ) -> Iterator[Tuple[int, PolyMatrix, int]]:
     """Yield (s, H_s, s * v_p(c)) for s = 1..depth, streaming the recursion.
 
@@ -407,7 +406,7 @@ def _window_start(depth: int, window: Fraction) -> int:
 def _direction_radius(
     module: ConnectionModule,
     direction: int,
-    rho: Tuple[LogRadius, ...],
+    rho: Tuple[Fraction, ...],
     depth: int,
     window: Fraction,
     record: Optional[list[UnitStep]] = None,
@@ -418,7 +417,7 @@ def _direction_radius(
     H_s is appended to it, and its full serves as a window depth's norm."""
     start = _window_start(depth, window)
     base = spectral_base_exponent(module.prime)
-    r_i = rho[direction].exponent
+    r_i = rho[direction]
     estimates: list[Fraction] = []
     for s, H, shift in deriv_ladder(module, direction, depth, rho):
         if record is not None:
@@ -440,15 +439,15 @@ LEAST_DEPTH = 8
 
 def intrinsic_radius(
     module: ConnectionModule,
-    rho: Sequence[LogRadius],
+    rho: Sequence[Fraction],
     depth: int,
     window: Fraction = DEFAULT_WINDOW,
     *,
     _records: Optional[list[list[UnitStep]]] = None,
 ) -> RadiusReport:
     """Windowed intrinsic-radius estimates in every direction at radii rho,
-    one `LogRadius` per variable, annulus radii first, which the report
-    keeps as a tuple; window is `exact`, in (0, 1].
+    one exponent per variable through `check_radius`, annulus radii first,
+    kept by the report as a tuple of Fractions; window is `exact`, in (0, 1].
 
     Internal: given an empty list `_records` at the unit radius, each
     direction's walk also fills one list there with its `unit_step`s."""
@@ -459,7 +458,7 @@ def intrinsic_radius(
     rho = check_radii(rho, module.dims)
     require_integrable(module)
     if _records is not None:
-        assert not _records and not any(r.exponent for r in rho)
+        assert not _records and not any(rho)
         _records.extend([] for _ in range(module.dims))
     directions = tuple(
         _direction_radius(module, i, rho, depth, window, None if _records is None else _records[i])
@@ -510,7 +509,7 @@ def oc_ir_test(
     if tol <= 0:
         raise ValueError("tol must be positive")
     report = intrinsic_radius(
-        module, (LogRadius.one(),) * module.dims, depth, window, _records=_records
+        module, (Fraction(0),) * module.dims, depth, window, _records=_records
     )
     negative: list[DirectionRadius] = []
     undecided: list[DirectionRadius] = []
@@ -562,16 +561,16 @@ class TaylorReport:
 
     outcome: ProbeOutcome
     witness: Optional[Tuple[int, ...]]
-    eta: LogRadius
-    lam: LogRadius
+    eta: Fraction
+    lam: Fraction
     level_minima: Tuple[Optional[Fraction], ...]  # levels 0, 1, ..., bound
 
     def to_json_dict(self) -> dict:
         return {
             "outcome": self.outcome.value,
             "witness": list(self.witness) if self.witness is not None else None,
-            "eta_exponent": str(self.eta.exponent),
-            "lambda_exponent": str(self.lam.exponent),
+            "eta_exponent": str(self.eta),
+            "lambda_exponent": str(self.lam),
             "bound": len(self.level_minima) - 1,
             "levels": [
                 {"total": k, "min_exponent": "inf" if e is None else str(e)}
@@ -620,12 +619,14 @@ def _fold_levels(
 
 def taylor_probe(
     module: ConnectionModule,
-    eta: LogRadius,
-    lam: LogRadius,
+    eta: Fraction,
+    lam: Fraction,
     j_bound: int,
 ) -> TaylorReport:
     """Probe the decay of ||(1/j!) * D^j e_a|| * eta^|j| for |j| <= j_bound.
 
+    eta and lam are radii by their exponents, each through `check_radius`,
+    and the exponent of eta is > 0; the report keeps them as Fractions.
     A multi-index j is scored by the product of its single-direction terms,
     e_1(j_1) + ... + e_d(j_d) on the log scale, with norms taken as sup
     norms over the subannulus with inner radius lam.  The product is a
@@ -642,12 +643,12 @@ def taylor_probe(
     exceeds 1 and the tail trends downward; anything else is inconclusive.
     """
     check_count("bound", j_bound, 8)
-    if check_radius(eta, "eta").exponent <= 0:
+    eta = check_radius(eta, "eta")
+    if eta <= 0:
         raise ValueError("eta must satisfy 0 < eta < 1 (positive exponent)")
-    check_radius(lam, "lam")
+    lam = check_radius(lam, "lam")
     require_integrable(module)
     p = module.prime
-    h = eta.exponent
     dims = module.dims
 
     # e_l(s): exponent of ||(1/s!) d_l^s|| * eta^s, None for an exact zero.
@@ -659,7 +660,7 @@ def taylor_probe(
                 break
             w = H.sup_vertex_lognorm(lam)
             assert w is not None
-            exps.append(w - shift - factorial_valuation(s, p) + s * h)
+            exps.append(w - shift - factorial_valuation(s, p) + s * eta)
         exps.extend(None for _ in range(len(exps), j_bound + 1))
         per_direction.append(exps)
 

@@ -34,7 +34,7 @@ from nabla_radius.curves import (
 )
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.newton import AlignedInterval, shrink_interval, unit_certificate_check
-from nabla_radius.padic import LogRadius, fraction_valuation
+from nabla_radius.padic import fraction_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
     Verdict,
@@ -44,7 +44,7 @@ from nabla_radius.radius import (
     taylor_probe,
 )
 
-R1 = (LogRadius.one(),)
+R1 = (Fraction(0),)
 
 
 def scaled_equal(A, a, B, b):
@@ -53,10 +53,12 @@ def scaled_equal(A, a, B, b):
     u.numerator * a * w.denominator == w.numerator * b * u.denominator."""
     for row_a, row_b in zip(A.rows, B.rows):
         for x, y in zip(row_a, row_b):
-            if x.terms.keys() != y.terms.keys():
+            # each read of `terms` unpacks a packed ladder entry whole
+            x_terms, y_terms = x.terms, y.terms
+            if x_terms.keys() != y_terms.keys():
                 return False
-            for k, u in x.terms.items():
-                w = y.terms[k]
+            for k, u in x_terms.items():
+                w = y_terms[k]
                 if u.numerator * a * w.denominator != w.numerator * b * u.denominator:
                     return False
     return True
@@ -81,7 +83,7 @@ def _random_poly(rng, prime, n, m, max_terms):
 
 
 def _random_radii(rng, n, m):
-    return tuple(LogRadius(abs(_random_fraction(rng, 0, 12, 6))) for _ in range(n + m))
+    return tuple(abs(_random_fraction(rng, 0, 12, 6)) for _ in range(n + m))
 
 
 def test_criterion_1_trivial_modules_are_exactly_one():
@@ -90,7 +92,7 @@ def test_criterion_1_trivial_modules_are_exactly_one():
     for n, m in shapes:
         for rank in (1, 2, 3):
             report = intrinsic_radius(
-                trivial_module(3, n, m, rank), (LogRadius.one(),) * (n + m), depth=8
+                trivial_module(3, n, m, rank), (Fraction(0),) * (n + m), depth=8
             )
             assert report.exact_flag, (n, m, rank)
             assert report.ir_estimate == 0, (n, m, rank)
@@ -116,9 +118,9 @@ def test_criterion_2_exponential_module_radius_and_probes():
         assert verdict.verdict is Verdict.NOT_OVERCONVERGENT_EVIDENCE, p
         assert verdict.witness_direction == 0
 
-        inside = taylor_probe(module, LogRadius(Fraction(1, 2 * (p - 1))), LogRadius.one(), 24)
+        inside = taylor_probe(module, Fraction(1, 2 * (p - 1)), Fraction(0), 24)
         assert inside.outcome is ProbeOutcome.FAIL, p
-        outside = taylor_probe(module, LogRadius(Fraction(2, p - 1)), LogRadius.one(), 24)
+        outside = taylor_probe(module, Fraction(2, p - 1), Fraction(0), 24)
         assert outside.outcome is ProbeOutcome.PASS, p
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"p={p} took {elapsed:.2f}s"
@@ -175,7 +177,7 @@ def test_criterion_4_norm_laws_on_random_inputs():
         mid = (r1 + r2) / 2
 
         def w(r):
-            return f.gauss_lognorm((LogRadius(r),))
+            return f.gauss_lognorm((r,))
 
         assert 2 * w(mid) >= w(r1) + w(r2)
     print("criterion 4 (norm laws: multiplicative + ultrametric with equality "
@@ -210,9 +212,7 @@ def test_criterion_5_dominance_certificates_verify():
         sup = cert.sup_norm
         grid_min = min(
             a.gauss_lognorm(
-                (LogRadius(
-                    interval.r_beta + (interval.r_alpha - interval.r_beta) * Fraction(k, 32)
-                ),)
+                (interval.r_beta + (interval.r_alpha - interval.r_beta) * Fraction(k, 32),)
             )
             for k in range(33)
         )
@@ -293,12 +293,7 @@ def test_criterion_8_verdicts_and_probes_agree_on_corpus():
             assert verdict.witness_direction == expected["witness_direction"]
             assert str(verdict.report.ir_estimate) == expected["ir_exponent"]
 
-        probe = taylor_probe(
-            module,
-            LogRadius(entry.taylor_eta),
-            LogRadius(entry.taylor_lambda),
-            entry.taylor_bound,
-        )
+        probe = taylor_probe(module, entry.taylor_eta, entry.taylor_lambda, entry.taylor_bound)
         if expected["oc"] == "positive":
             assert probe.outcome is ProbeOutcome.PASS, entry.label
         else:
@@ -317,7 +312,7 @@ def test_criterion_9_constant_twist_grid_closed_form():
             module = ConnectionModule(p, 1, 0, 1, (N,))
             for r in grid:
                 report = intrinsic_radius(
-                    module, (LogRadius(r),), depth=12
+                    module, (r,), depth=12
                 )
                 d = report.directions[0]
                 expected = max(Fraction(0), spectral_base_exponent(p) - r - v)

@@ -493,6 +493,24 @@ class TestLongRationalArguments:
         assert err.count("\n") == 1 and len(err.encode("utf-8")) < 200
 
 
+class TestNegativeRadiusExponents:
+    """A negative radius exponent is refused in one line, worded as the
+    radius door of each command words it."""
+
+    def test_techlemma_alpha(self, capsys, poly_path):
+        code, out, err = run(capsys, ["techlemma", poly_path, "--alpha=-1/2", "--beta", "1/4"])
+        assert (code, out) == (1, "")
+        assert err == "nabla-radius: radius exponent must be >= 0, got -1/2\n"
+
+    def test_ir_radius(self, capsys, two_var_path):
+        code, out, err = run(capsys, ["ir", two_var_path, "--radius=-1/3"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "nabla-radius: invalid radius exponent: '-1/3' (radii must be positive:"
+            " give the exponent e >= 0 of p**(-e) as num/den)\n"
+        )
+
+
 LONG_INT = "9" * 5000  # past the int/str digit limit of 4300
 
 # characters of hostile text: any code point, lone surrogates (how an

@@ -32,7 +32,7 @@ from nabla_radius.corpus import (
 from nabla_radius import laurent
 from nabla_radius.descriptor import parse_module_descriptor
 from nabla_radius.laurent import LaurentPoly, SignatureError
-from nabla_radius.padic import LogRadius, fraction_valuation, int_valuation
+from nabla_radius.padic import fraction_valuation, int_valuation
 from nabla_radius.radius import (
     Verdict,
     _walk_plan,
@@ -151,8 +151,8 @@ class TestPolyMatrix:
         p = 3
         A = PolyMatrix.from_scalar_rows(p, 1, 0, [[Fraction(3), Fraction(1, 9)],
                                                   [Fraction(1), Fraction(27)]])
-        assert A.gauss_lognorm((LogRadius.one(),)) == Fraction(-2)
-        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((LogRadius.one(),)) is None
+        assert A.gauss_lognorm((Fraction(0),)) == Fraction(-2)
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((Fraction(0),)) is None
 
     def test_unit_radius_norm_takes_one_valuation_per_nonzero_entry(self, monkeypatch):
         p = 3
@@ -172,7 +172,7 @@ class TestPolyMatrix:
             return fraction_valuation(x, prime)
 
         monkeypatch.setattr(laurent, "fraction_valuation", counting)
-        assert H.gauss_lognorm((LogRadius.one(),)) == expected
+        assert H.gauss_lognorm((Fraction(0),)) == expected
         assert len(calls) == len(entries)
 
     def test_specialize_entrywise(self):
@@ -340,7 +340,7 @@ class TestIteratedDerivatives:
         seq = ladder(module, 0, 40)
         for s in range(41):
             w = falling_factorial_valuation(a, s, p)
-            got = seq[s].gauss_lognorm((LogRadius.one(),))
+            got = seq[s].gauss_lognorm((Fraction(0),))
             assert got == w
 
     def test_recursion_invariant(self):
@@ -385,8 +385,8 @@ class TestIteratedDerivatives:
         with pytest.raises(DepthCapError, match="^H_513 is past the depth cap 512$"):
             ladder(module, 0, DEFAULT_DEPTH_CAP + 1)
         with pytest.raises(DepthCapError):
-            intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP + 1)
-        report = intrinsic_radius(module, (LogRadius.one(),), DEFAULT_DEPTH_CAP)
+            intrinsic_radius(module, (Fraction(0),), DEFAULT_DEPTH_CAP + 1)
+        report = intrinsic_radius(module, (Fraction(0),), DEFAULT_DEPTH_CAP)
         assert report.depth == DEFAULT_DEPTH_CAP
 
     def test_one_bounded_count_check(self):
@@ -417,7 +417,7 @@ class TestIteratedDerivatives:
         with pytest.raises(NotIntegrableError):
             require_integrable(module)
         with pytest.raises(NotIntegrableError):
-            taylor_probe(module, LogRadius(Fraction(1, 4)), LogRadius.one(), 8)
+            taylor_probe(module, Fraction(1, 4), Fraction(0), 8)
 
     def test_generator_matches_sequence(self):
         module = power_module(3, Fraction(1, 2))
@@ -437,8 +437,8 @@ class TestIteratedDerivatives:
         assert [shift for _, _, shift in walk] == [1, 2, 3, 4, 5, 6]
         seq = ladder(module, 0, 6)
         for s, H, shift in walk:
-            w = H.gauss_lognorm((LogRadius.one(),))
-            assert w - shift == seq[s].gauss_lognorm((LogRadius.one(),))
+            w = H.gauss_lognorm((Fraction(0),))
+            assert w - shift == seq[s].gauss_lognorm((Fraction(0),))
 
     @given(
         e1=st.integers(-3, 3).filter(bool),
@@ -625,7 +625,7 @@ class TestLadderMatrix:
     @given(module=ladder_modules(), depth=st.integers(1, DEFAULT_DEPTH_CAP))
     def test_c_is_least_and_m_is_c_times_n(self, module, depth):
         p = module.prime
-        unit = (LogRadius.one(),) * module.dims
+        unit = (Fraction(0),) * module.dims
         for i in range(module.dims):
             c, M = ladder_matrix(module, i)
             rows = module.matrices[i].rows

@@ -32,7 +32,7 @@ from nabla_radius.curves import (
     specialize,
 )
 from nabla_radius.laurent import LaurentPoly
-from nabla_radius.padic import LogRadius, fraction_valuation
+from nabla_radius.padic import fraction_valuation
 from nabla_radius.radius import (
     Verdict,
     deriv_ladder,
@@ -56,8 +56,8 @@ def g_ladder(module, direction, depth):
 def full_matrix_check(module, direction, point, depth):
     """Reference check: the first s <= depth at which the whole matrix H_s
     and its evaluation H_s(point) differ in unit-radius norm, else None."""
-    multi = (LogRadius.one(),) * module.dims
-    single = (LogRadius.one(),)
+    multi = (Fraction(0),) * module.dims
+    single = (Fraction(0),)
     for s, H, _ in deriv_ladder(module, direction, depth):
         if H.gauss_lognorm(multi) != H.specialize(direction, point).gauss_lognorm(single):
             return s
@@ -67,7 +67,7 @@ def full_matrix_check(module, direction, point, depth):
 def curve_radius(module, report, depth):
     """The radius of a search report's witness curve, computed by its own recursion."""
     curve = specialize(module, report.verdict.witness_direction, report.witness)
-    return intrinsic_radius(curve, (LogRadius.one(),), depth).ir_estimate
+    return intrinsic_radius(curve, (Fraction(0),), depth).ir_estimate
 
 
 def potential_module(p, phi):
@@ -284,7 +284,7 @@ class TestGenericEqualityMatchesFullMatrix:
 def unfolded_check(module, direction, point, depth):
     """The check with each leading part specialized as it is, its
     exponents not folded mod p - 1."""
-    single = (LogRadius.one(),)
+    single = (Fraction(0),)
     for s, H, _ in deriv_ladder(module, direction, depth):
         full, leading = unit_step(H)
         if leading and not any(
@@ -407,7 +407,7 @@ class TestUnitStep:
             [{}, {(2,): 6, (0,): 18}],
         ])
         full, leading = unit_step(H)
-        assert full == 1 == H.gauss_lognorm((LogRadius.one(),))
+        assert full == 1 == H.gauss_lognorm((Fraction(0),))
         assert [dict(e.terms) for e in leading] == [{(1,): 3, (2,): -6}, {(2,): 6}]
 
     @pytest.mark.parametrize("v", [0, 2, 7, 40])
@@ -482,7 +482,7 @@ class TestRecordedWitnessCheck:
     def test_record_matches_the_standalone_check(self, module, direction, point_seeds, depth):
         records = []
         oc_ir_test(module, depth, _records=records)
-        unit = (LogRadius.one(),) * module.dims
+        unit = (Fraction(0),) * module.dims
         walk = [H for _, H, _ in deriv_ladder(module, direction, depth, unit)]
         streamed = [unit_step(H) for H in walk]
         assert [full for full, _ in streamed] == [H.gauss_lognorm(unit) for H in walk]
@@ -661,7 +661,7 @@ class TestCurveWitnessSearch:
 def norm_exponents(module, direction, depth):
     """The unit-radius norm exponent of G_s for s = 1, 2, ..., up to depth
     or an exact zero (None): w(H_s) minus the module's own shift s v_p(c)."""
-    unit = (LogRadius.one(),) * module.dims
+    unit = (Fraction(0),) * module.dims
     return [
         None if H.is_zero else H.gauss_lognorm(unit) - shift
         for _, H, shift in deriv_ladder(module, direction, depth)

@@ -33,7 +33,6 @@ from nabla_radius.curves import curve_witness_search, generic_equality_check, sp
 from nabla_radius.descriptor import ModuleDescriptor, module_descriptor_to_dict
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.newton import AlignedInterval, shrink_interval, unit_certificate_check
-from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, oc_ir_test, taylor_probe
 
 MODULES = {
@@ -48,23 +47,23 @@ MODULES = {
 
 def test_gauss_norm_at_unit_radius_is_a_fraction():
     f = LaurentPoly(3, 2, 0, {(1, -2): 9, (0, 3): Fraction(1, 3)})
-    w = f.gauss_lognorm((LogRadius.one(),) * 2)
+    w = f.gauss_lognorm((Fraction(0),) * 2)
     assert w == -1 and type(w) is Fraction
     M = PolyMatrix([[f, f], [f, LaurentPoly.zero(3, 2, 0)]])
-    assert type(M.gauss_lognorm((LogRadius.one(),) * 2)) is Fraction
+    assert type(M.gauss_lognorm((Fraction(0),) * 2)) is Fraction
 
 
 def test_sup_norm_without_negative_exponents_is_a_fraction():
     f = LaurentPoly(3, 1, 1, {(2, 0): 9, (0, 1): 27})
-    w = f.sup_vertex_lognorm(LogRadius(Fraction(1, 2)))
+    w = f.sup_vertex_lognorm(Fraction(1, 2))
     assert w == 2 and type(w) is Fraction
-    assert type(PolyMatrix([[f]]).sup_vertex_lognorm(LogRadius.one())) is Fraction
+    assert type(PolyMatrix([[f]]).sup_vertex_lognorm(Fraction(0))) is Fraction
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_radius_estimates_at_unit_radius_are_fractions(name):
     module = MODULES[name]
-    report = intrinsic_radius(module, (LogRadius.one(),) * module.dims, depth=16)
+    report = intrinsic_radius(module, (Fraction(0),) * module.dims, depth=16)
     assert type(report.ir_estimate) is Fraction
     for d in report.directions:
         assert type(d.point_estimate) is Fraction
@@ -75,7 +74,7 @@ def test_radius_estimates_at_unit_radius_are_fractions(name):
 @pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.label)
 def test_finite_taylor_level_minima_are_fractions(entry):
     report = taylor_probe(
-        entry.descriptor.module, LogRadius(entry.taylor_eta), LogRadius(entry.taylor_lambda), 16
+        entry.descriptor.module, entry.taylor_eta, entry.taylor_lambda, 16
     )
     finite = [e for e in report.level_minima if e is not None]
     assert finite and all(type(e) is Fraction for e in finite)
@@ -109,8 +108,8 @@ def test_float_and_bool_coordinates_are_refused(bad):
 
 
 EXP2 = MODULES["exp-two-var-p3"]
-UNIT2 = (LogRadius.one(),) * 2
-ETA, LAM = LogRadius(Fraction(1, 4)), LogRadius(Fraction(1, 8))
+UNIT2 = (Fraction(0),) * 2
+ETA, LAM = Fraction(1, 4), Fraction(1, 8)
 POLY = LaurentPoly(3, 2, 0, {(1, -2): Fraction(9, 2), (0, 3): Fraction(1, 3), (2, 5): 7})
 
 # (entry point, the call on a direction): each takes a direction of one
@@ -151,10 +150,9 @@ ENTRY_POINTS = [
     ("LaurentPoly.scalar_mul", "scalar factors", POLY.scalar_mul, (Fraction(2, 3), -5), (2.0, True, "5")),
     ("LaurentPoly.specialize", "coordinates", lambda x: POLY.specialize(0, (x,)),
      (Fraction(1, 2), 2), (0.5, True, "1/2")),
-    ("LogRadius", "radius exponents", LogRadius, (Fraction(1, 2), 2), (0.5, False, "1/2")),
-    ("AlignedInterval-r_alpha", "radius exponents", lambda x: AlignedInterval(x, Fraction(1, 4)),
+    ("AlignedInterval-r_alpha", "radius exponent", lambda x: AlignedInterval(x, Fraction(1, 4)),
      (Fraction(1, 2), 1), (0.5, True, "1/2")),
-    ("AlignedInterval-r_beta", "radius exponents", lambda x: AlignedInterval(2, x),
+    ("AlignedInterval-r_beta", "radius exponent", lambda x: AlignedInterval(2, x),
      (Fraction(1, 2), 1), (0.5, True, "1/2")),
     ("curves.specialize-point", "unit point coordinates", lambda x: specialize(EXP2, 0, (x,)),
      (Fraction(-8, 5), 2), (0.5, True, "2")),
@@ -217,8 +215,6 @@ ACCEPTED_DIGESTS = {
     "LaurentPoly.scalar_mul--5": "7e61e9727d128cb7",
     "LaurentPoly.specialize-Fraction(1, 2)": "981a34769e7f9c81",
     "LaurentPoly.specialize-2": "6b458a1fc0342fe3",
-    "LogRadius-Fraction(1, 2)": "11a1c8d713d38dcf",
-    "LogRadius-2": "38dab9da61f76063",
     "AlignedInterval-r_alpha-Fraction(1, 2)": "118784766565b0ab",
     "AlignedInterval-r_alpha-1": "c3666ff7913df8cf",
     "AlignedInterval-r_beta-Fraction(1, 2)": "a58c04e3456eccc9",
@@ -297,26 +293,52 @@ def test_a_direction_out_of_range_is_one_value_error(call, bad):
     assert str(info.value) == message
 
 
-# (entry point, the name its message gives, the call on one radius): each
-# takes LogRadius values, rho one per variable of two.
+# (entry point, the name its messages give, the call on one radius
+# exponent): every radius entry point, each through `padic.check_radius`;
+# rho is one exponent per variable of two.  The two tests below check the
+# door at each: the types it refuses, and the values it reads.
 RADII = [
-    ("LaurentPoly.gauss_lognorm", "rho entries", lambda x: POLY.gauss_lognorm((LogRadius.one(), x))),
+    ("LaurentPoly.gauss_lognorm", "rho entries", lambda x: POLY.gauss_lognorm((Fraction(0), x))),
     ("PolyMatrix.gauss_lognorm", "rho entries",
-     lambda x: PolyMatrix([[POLY]]).gauss_lognorm((LogRadius.one(), x))),
+     lambda x: PolyMatrix([[POLY]]).gauss_lognorm((Fraction(0), x))),
     ("LaurentPoly.sup_vertex_lognorm", "lam", POLY.sup_vertex_lognorm),
     ("PolyMatrix.sup_vertex_lognorm", "lam", PolyMatrix([[POLY]]).sup_vertex_lognorm),
-    ("intrinsic_radius", "rho entries", lambda x: intrinsic_radius(EXP2, (LogRadius.one(), x), 8)),
+    ("intrinsic_radius", "rho entries", lambda x: intrinsic_radius(EXP2, (Fraction(0), x), 8)),
     ("taylor_probe-eta", "eta", lambda x: taylor_probe(EXP2, x, LAM, 8)),
     ("taylor_probe-lam", "lam", lambda x: taylor_probe(EXP2, ETA, x, 8)),
+    ("AlignedInterval-r_alpha", "radius exponent", lambda x: AlignedInterval(x, Fraction(1, 4))),
+    ("AlignedInterval-r_beta", "radius exponent", lambda x: AlignedInterval(2, x)),
 ]
 
 
 @pytest.mark.parametrize("call, name", [(call, name) for _, name, call in RADII], ids=[e for e, _, _ in RADII])
-@pytest.mark.parametrize("bad", [Fraction(1, 2), 0, "0", None], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, True, "0", None], ids=repr)
 def test_a_radius_that_is_not_a_log_radius_is_refused_by_name(call, name, bad):
     with pytest.raises(TypeError) as info:
         call(bad)
-    assert str(info.value) == f"{name} must be LogRadius, not {type(bad).__name__}"
+    assert str(info.value) == f"{name} must be int or Fraction, not {type(bad).__name__}"
+
+
+def _outcome(call, value):
+    """What call(value) returns, or the type and message of what it raises."""
+    try:
+        return call(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call, name", [(call, name) for _, name, call in RADII], ids=[e for e, _, _ in RADII])
+def test_every_radius_door_on_exact_values(call, name):
+    # 0 and 1 give what Fraction(0) and Fraction(1) give, a refusal too
+    # where the radius must be below 1 (eta, the outer end of an interval);
+    # 1/3 is taken everywhere, and a negative exponent is one ValueError
+    for whole in (0, 1):
+        assert _outcome(call, whole) == _outcome(call, Fraction(whole))
+    call(Fraction(1, 3))
+    for bad in (-1, Fraction(-1, 3)):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be >= 0, got {bad}"
 
 
 @pytest.mark.parametrize("call", [
@@ -327,5 +349,5 @@ def test_a_radius_that_is_not_a_log_radius_is_refused_by_name(call, name, bad):
 @pytest.mark.parametrize("n", [1, 3], ids=["short", "long"])
 def test_a_radius_vector_of_another_length_is_one_value_error(call, n):
     with pytest.raises(ValueError) as info:
-        call((LogRadius.one(),) * n)
+        call((Fraction(0),) * n)
     assert str(info.value) == f"got {n} radius values for a module with 2 variables"

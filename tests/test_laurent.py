@@ -12,7 +12,7 @@ from nabla_radius import laurent
 from nabla_radius.connection import _least_exponent, iter_deriv_matrices
 from nabla_radius.corpus import random_integrable_module
 from nabla_radius.laurent import LaurentPoly, SignatureError
-from nabla_radius.padic import POWER_BITS_CAP, LogRadius, fraction_valuation
+from nabla_radius.padic import POWER_BITS_CAP, fraction_valuation
 
 PRIMES = [2, 3, 5, 7]
 
@@ -34,7 +34,7 @@ def polys(draw, n, m, prime=None, max_terms=6):
 @st.composite
 def radii(draw, n, m):
     pos = st.fractions(min_value=Fraction(0), max_value=Fraction(3), max_denominator=12)
-    return tuple(LogRadius(draw(pos)) for _ in range(n + m))
+    return tuple(draw(pos) for _ in range(n + m))
 
 
 @st.composite
@@ -62,14 +62,13 @@ def ladder_polys(draw, n, m, p, kind):
 def class_radii(draw, n, m):
     """Radius vectors from a few small exponents, so that weights collide."""
     pos = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
-    return tuple(LogRadius(draw(pos)) for _ in range(n + m))
+    return tuple(draw(pos) for _ in range(n + m))
 
 
 def per_term_lognorm(f: LaurentPoly, rho) -> Fraction | None:
     """Reference norm: the smallest term exponent v(a_J) + sum_l J_l r_l."""
-    exps = [r.exponent for r in rho]
     term_exps = [
-        Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, exps))
+        Fraction(fraction_valuation(c, f.prime)) + sum(j * r for j, r in zip(key, rho))
         for key, c in f.terms.items()
     ]
     return min(term_exps) if term_exps else None
@@ -350,18 +349,18 @@ class TestGaussNorm:
     def test_tie_between_terms(self):
         # p=3: |3 t**2| = 3**-1, |(1/3) t**-1| = 3**1 at rho = 1.
         f = LaurentPoly(3, 1, 0, {(2,): Fraction(3), (-1,): Fraction(1, 3)})
-        assert f.gauss_lognorm((LogRadius.one(),)) == Fraction(-1)
+        assert f.gauss_lognorm((Fraction(0),)) == Fraction(-1)
         # rho = 3**-1: min(1 + 2*1, -1 + (-1)*1) = -2.
-        rho = (LogRadius(Fraction(1)),)
+        rho = (Fraction(1),)
         assert f.gauss_lognorm(rho) == Fraction(-2)
 
     def test_zero_polynomial_has_zero_norm(self):
-        assert LaurentPoly.zero(3, 1, 0).gauss_lognorm((LogRadius.one(),)) is None
+        assert LaurentPoly.zero(3, 1, 0).gauss_lognorm((Fraction(0),)) is None
 
     def test_wrong_arity_rejected(self):
         f = LaurentPoly.constant(3, 2, 0, 1)
         with pytest.raises(ValueError, match="^got 1 radius values for a module with 2 variables$"):
-            f.gauss_lognorm((LogRadius.one(),))
+            f.gauss_lognorm((Fraction(0),))
 
     @pytest.mark.parametrize("n,m", SIGNATURES)
     def test_multiplicative_random(self, n, m):
@@ -421,7 +420,7 @@ class TestGaussNorm:
         mid = (r1 + r2) / 2
 
         def w(r):
-            return f.gauss_lognorm((LogRadius(r),))
+            return f.gauss_lognorm((r,))
 
         assert w(mid) >= Fraction(w(r1) + w(r2), 2)
 
@@ -441,8 +440,8 @@ class TestWeightClassSkip:
         lambda terms: LaurentPoly._new(3, 1, 0, dict(terms)),  # int coefficients, as the ladder's
     ])
     @pytest.mark.parametrize("norm", [
-        lambda f: f.gauss_lognorm((LogRadius(Fraction(1)),)),
-        lambda f: f.sup_vertex_lognorm(LogRadius(Fraction(1))),
+        lambda f: f.gauss_lognorm((Fraction(1),)),
+        lambda f: f.sup_vertex_lognorm(Fraction(1)),
     ])
     def test_a_later_fraction_class_wins(self, monkeypatch, build, norm):
         f = build(self.TERMS)
@@ -455,7 +454,7 @@ class TestWeightClassSkip:
         monkeypatch.setattr(laurent, "fraction_valuation", valuation)
         assert norm(f) == -3
         assert seen == [1, Fraction(1, 27)]
-        assert per_term_lognorm(f, (LogRadius(Fraction(1)),)) == -3
+        assert per_term_lognorm(f, (Fraction(1),)) == -3
 
 
 class TestSupVertexNorm:
@@ -464,29 +463,29 @@ class TestSupVertexNorm:
         # vertices r in {1, 1/3}: at r=1 both terms give 0; at exponent 1
         # the t**-1 term gives -1.  Sup norm exponent is -1.
         f = LaurentPoly(3, 1, 0, {(-1,): 1, (1,): 1})
-        lam = LogRadius(Fraction(1))
+        lam = Fraction(1)
         assert f.sup_vertex_lognorm(lam) == Fraction(-1)
         # Both terms weigh -1/2 at lam = 1/2; v(9) = 2 comes first, but the
         # norm takes v(gcd(9, 3)) = 1.
         f = LaurentPoly(3, 2, 0, {(-1, 1): 9, (-1, 0): 3})
-        assert f.sup_vertex_lognorm(LogRadius(Fraction(1, 2))) == Fraction(1, 2)
+        assert f.sup_vertex_lognorm(Fraction(1, 2)) == Fraction(1, 2)
 
     def test_unit_annulus_single_vertex(self):
         f = LaurentPoly(3, 1, 0, {(-2,): Fraction(1, 3)})
-        assert f.sup_vertex_lognorm(LogRadius.one()) == Fraction(-1)
+        assert f.sup_vertex_lognorm(Fraction(0)) == Fraction(-1)
 
     def test_disc_vars_at_radius_one(self):
         f = LaurentPoly(3, 1, 1, {(0, 2): Fraction(9)})
-        assert f.sup_vertex_lognorm(LogRadius(Fraction(1))) == Fraction(2)
+        assert f.sup_vertex_lognorm(Fraction(1)) == Fraction(2)
 
     @given(f=polys(2, 1, prime=5), lam=st.fractions(min_value=Fraction(0), max_value=Fraction(2), max_denominator=8))
     @settings(max_examples=60)
     def test_dominates_interior_gauss_norms(self, f, lam):
-        sup = f.sup_vertex_lognorm(LogRadius(lam))
+        sup = f.sup_vertex_lognorm(lam)
         grid = sorted({Fraction(0), lam, lam / 2, lam * Fraction(3, 4)})
         for r1 in grid:
             for r2 in grid:
-                rho = (LogRadius(r1), LogRadius(r2), LogRadius.one())
+                rho = (r1, r2, Fraction(0))
                 assert norm_at_most(f.gauss_lognorm(rho), sup)
 
     @given(
@@ -509,12 +508,12 @@ class TestSupVertexNorm:
             f = data.draw(polys(n, m))
         else:
             f = data.draw(ladder_polys(n, m, data.draw(st.sampled_from([2, 3, 5])), kind))
-        disc = (LogRadius.one(),) * m
+        disc = (Fraction(0),) * m
         reference = _least_exponent(
-            per_term_lognorm(f, tuple(LogRadius(c) for c in combo) + disc)
+            per_term_lognorm(f, tuple(combo) + disc)
             for combo in product((lam, Fraction(0)), repeat=n)
         )
-        assert f.sup_vertex_lognorm(LogRadius(lam)) == reference
+        assert f.sup_vertex_lognorm(lam) == reference
 
 
 def least_term_valuation(f: LaurentPoly) -> Fraction | None:
@@ -527,9 +526,9 @@ def least_term_valuation(f: LaurentPoly) -> Fraction | None:
 def assert_unit_norms_match_reference(f: LaurentPoly) -> None:
     bits = f._bits
     expected = least_term_valuation(f)
-    assert f.gauss_lognorm((LogRadius.one(),) * f.nvars) == expected
-    assert f.gauss_lognorm((LogRadius(Fraction(0)),) * f.nvars) == expected
-    assert f.sup_vertex_lognorm(LogRadius(Fraction(0))) == expected
+    assert f.gauss_lognorm((0,) * f.nvars) == expected
+    assert f.gauss_lognorm((Fraction(0),) * f.nvars) == expected
+    assert f.sup_vertex_lognorm(Fraction(0)) == expected
     assert f._bits == bits  # a packed entry is normed in place
 
 
@@ -762,9 +761,9 @@ class TestPackedKeys:
         unpack = laurent.unpack_key
         monkeypatch.setattr(laurent, "unpack_key", lambda *args: calls.append(args) or unpack(*args))
         assert not entry.is_zero
-        assert entry.gauss_lognorm((LogRadius.one(),) * 2) == 1
-        assert entry.gauss_lognorm((LogRadius(Fraction(1, 2)), LogRadius(Fraction(1, 3)))) == Fraction(5, 3)
-        assert entry.sup_vertex_lognorm(LogRadius(Fraction(1, 2))) == Fraction(-1, 2)
+        assert entry.gauss_lognorm((Fraction(0),) * 2) == 1
+        assert entry.gauss_lognorm((Fraction(1, 2), Fraction(1, 3))) == Fraction(5, 3)
+        assert entry.sup_vertex_lognorm(Fraction(1, 2)) == Fraction(-1, 2)
         assert calls == []
         first, second = entry.terms, entry.terms
         assert first == second == {(5, -5): 9, (0, 2): 6}
@@ -776,4 +775,4 @@ class TestPackedKeys:
         assert repr(entry) == "LaurentPoly(p=3, 2+0 vars, 6*t^(0, 2) + 9*t^(5, -5))"
         assert entry == LaurentPoly(3, 2, 0, {(5, -5): 9, (0, 2): 6})
         assert entry._store is store and entry._bits == bits
-        assert entry.gauss_lognorm((LogRadius(Fraction(1, 2)),) * 2) == 2
+        assert entry.gauss_lognorm((Fraction(1, 2),) * 2) == 2

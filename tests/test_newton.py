@@ -12,7 +12,7 @@ from nabla_radius.newton import (
     shrink_interval,
     unit_certificate_check,
 )
-from nabla_radius.padic import LogRadius, fraction_valuation
+from nabla_radius.padic import check_radius, fraction_valuation
 
 
 def poly(p, terms):
@@ -60,7 +60,7 @@ class TestAlignedInterval:
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     def test_float_and_bool_exponents_are_refused(self, bad, which):
         args = (bad, Fraction(1, 2)) if which == "alpha" else (Fraction(2), bad)
-        with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
+        with pytest.raises(TypeError, match="^radius exponent must be int or Fraction, not "):
             AlignedInterval(*args)
 
     def test_int_exponents_are_stored_as_fractions(self):
@@ -77,13 +77,14 @@ class TestAlignedInterval:
             AlignedInterval(-int("9" * 4000), Fraction(1, 2))
 
     def test_one_check_serves_both_radius_records(self):
-        # the same exponent check, and so the same message, as LogRadius
+        # both endpoints go through the one radius door, with its message
         for bad in (-1, Fraction(-1, 3), -int("9" * 4000)):
-            with pytest.raises(ValueError) as interval_error:
-                AlignedInterval(Fraction(2), bad)
             with pytest.raises(ValueError) as radius_error:
-                LogRadius(bad)
-            assert str(interval_error.value) == str(radius_error.value)
+                check_radius(bad, "radius exponent")
+            for args in ((bad, Fraction(1, 2)), (Fraction(2), bad)):
+                with pytest.raises(ValueError) as interval_error:
+                    AlignedInterval(*args)
+                assert str(interval_error.value) == str(radius_error.value)
 
     def test_json(self):
         I = AlignedInterval(Fraction(3, 4), Fraction(1, 2))
@@ -115,8 +116,8 @@ class TestSupNorm:
     def test_matches_gauss_norms_at_endpoints(self, a, I):
         # Term lines are affine in r, so the sup over the closed interval
         # is attained at an endpoint; compare with the Gauss-norm route.
-        end_a = a.gauss_lognorm((LogRadius(I.r_alpha),))
-        end_b = a.gauss_lognorm((LogRadius(I.r_beta),))
+        end_a = a.gauss_lognorm((I.r_alpha,))
+        end_b = a.gauss_lognorm((I.r_beta,))
         # the larger norm is the smaller exponent
         assert _dominance(_line_data(a), I)[0] == min(end_a, end_b)
 
@@ -124,7 +125,7 @@ class TestSupNorm:
     @settings(max_examples=80)
     def test_dominates_interior_radii(self, a, I, t):
         r = I.r_beta + (I.r_alpha - I.r_beta) * Fraction(t, 16)
-        interior = a.gauss_lognorm((LogRadius(r),))
+        interior = a.gauss_lognorm((r,))
         assert _dominance(_line_data(a), I)[0] <= interior  # |sup| >= |interior|
 
 
@@ -233,7 +234,7 @@ class TestShrinkInterval:
         assert I.r_beta <= cert.interval.r_beta <= cert.interval.r_alpha <= I.r_alpha
         assert cert.margin is None or cert.margin > 0
         assert cert.sup_norm == min(
-            a.gauss_lognorm((LogRadius(I.r_alpha),)), a.gauss_lognorm((LogRadius(I.r_beta),))
+            a.gauss_lognorm((I.r_alpha,)), a.gauss_lognorm((I.r_beta,))
         )
         assert (cert.A, cert.B, cert.n0) == _dominance(_line_data(a), I)[1:]
         assert unit_certificate_check(a, cert) is None
@@ -260,7 +261,7 @@ class TestUnitCheck:
         original = LaurentPoly.gauss_lognorm
 
         def recording(self, rho):
-            radii.append(rho[0].exponent)
+            radii.append(rho[0])
             return original(self, rho)
 
         monkeypatch.setattr(LaurentPoly, "gauss_lognorm", recording)
@@ -292,9 +293,9 @@ class TestUnitCheck:
         f = poly(a.prime, {(n - n0,): c / c0 for (n,), c in a.terms.items() if n != n0})
 
         def holds(r):
-            f_exp = f.gauss_lognorm((LogRadius(r),))
+            f_exp = f.gauss_lognorm((r,))
             return ((f_exp is None or f_exp > 0)
-                    and a.gauss_lognorm((LogRadius(r),)) == v0 + n0 * r)
+                    and a.gauss_lognorm((r,)) == v0 + n0 * r)
 
         # 65 radii from beta to alpha, both endpoints included
         grid = [I.r_beta + (I.r_alpha - I.r_beta) * Fraction(k, 64) for k in range(65)]
@@ -322,10 +323,10 @@ class TestUnitCheck:
         # the reference also asks |a| = |a_{n0}| rho^{n0} at each endpoint
         def two_norm_check():
             for r in tuple(dict.fromkeys((I.r_beta, I.r_alpha))):
-                f_exp = f.gauss_lognorm((LogRadius(r),))
+                f_exp = f.gauss_lognorm((r,))
                 if f_exp is not None and f_exp <= 0:
                     return r
-                if a.gauss_lognorm((LogRadius(r),)) != v0 + n0 * r:
+                if a.gauss_lognorm((r,)) != v0 + n0 * r:
                     return r
             return None
 

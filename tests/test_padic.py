@@ -9,9 +9,9 @@ from nabla_radius.connection import PolyMatrix, _least_exponent
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.padic import (
     PRIME_BOUND,
-    LogRadius,
     PrimeError,
     check_prime,
+    check_radius,
     exact,
     fraction_valuation,
     int_valuation,
@@ -215,7 +215,7 @@ class TestPAdicRational:
     @given(x=rationals, p=prime_st)
     def test_lognorm_matches_valuation(self, x, p):
         # The norm of a scalar is the Gauss norm of the constant polynomial.
-        w = LaurentPoly.constant(p, 1, 0, x).gauss_lognorm((LogRadius.one(),))
+        w = LaurentPoly.constant(p, 1, 0, x).gauss_lognorm((Fraction(0),))
         if x == 0:
             assert w is None
         else:
@@ -225,7 +225,7 @@ class TestPAdicRational:
     @given(x=nonzero_rationals, y=nonzero_rationals, p=prime_st)
     def test_norm_is_multiplicative(self, x, y, p):
         def norm(c):
-            return LaurentPoly.constant(p, 1, 0, c).gauss_lognorm((LogRadius.one(),))
+            return LaurentPoly.constant(p, 1, 0, c).gauss_lognorm((Fraction(0),))
 
         assert norm(x * y) == norm(x) + norm(y)
 
@@ -239,16 +239,16 @@ class TestLogNorm:
         # and the zero norm loses to every nonzero one.
         p = 3
         M = PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3], [1, 0]])
-        assert M.gauss_lognorm((LogRadius.one(),)) == 0
+        assert M.gauss_lognorm((Fraction(0),)) == 0
         assert PolyMatrix.from_scalar_rows(p, 1, 0, [[0, 3]] * 2).gauss_lognorm(
-            (LogRadius.one(),)
+            (Fraction(0),)
         ) == 1
-        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((LogRadius.one(),)) is None
-        assert PolyMatrix.zeros(p, 1, 0, 2).sup_vertex_lognorm(LogRadius.one()) is None
+        assert PolyMatrix.zeros(p, 1, 0, 2).gauss_lognorm((Fraction(0),)) is None
+        assert PolyMatrix.zeros(p, 1, 0, 2).sup_vertex_lognorm(Fraction(0)) is None
 
     def test_multiplication(self):
         # At radius 3**(-1/6): |t**3| has exponent 1/2, |t**2| 1/3, |t**5| 5/6.
-        rho = (LogRadius(Fraction(1, 6)),)
+        rho = (Fraction(1, 6),)
         a = LaurentPoly(3, 1, 0, {(3,): 1})
         b = LaurentPoly(3, 1, 0, {(2,): 1})
         assert a.gauss_lognorm(rho) == Fraction(1, 2)
@@ -302,30 +302,35 @@ class TestExact:
 
 
 class TestLogRadius:
+    """A radius p**(-r) in (0, 1] is held on the log scale as its exponent
+    r >= 0, a Fraction; `check_radius` is the one door for it."""
+
     def test_center_and_one(self):
         # A radius is positive: there is no center (radius 0) value.
-        with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
-            LogRadius(None)
+        with pytest.raises(TypeError, match="^radius exponent must be int or Fraction, not NoneType$"):
+            check_radius(None, "radius exponent")
         with pytest.raises(ValueError, match="malformed rational 'center'"):
-            LogRadius.parse("center")
-        assert LogRadius.one().exponent == 0
-        assert str(LogRadius(Fraction(1, 2)).exponent) == "1/2"
-        # the constructor coerces an int exponent
-        assert type(LogRadius(2).exponent) is Fraction
+            check_radius(parse_fraction("center"), "radius exponent")
+        assert check_radius(0, "radius exponent") == 0
+        assert str(check_radius(Fraction(1, 2), "radius exponent")) == "1/2"
+        # the door coerces an int exponent
+        assert type(check_radius(2, "radius exponent")) is Fraction
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match="^radius exponent must be >= 0, got -1/2$"):
-            LogRadius(Fraction(-1, 2))
+            check_radius(Fraction(-1, 2), "radius exponent")
+        with pytest.raises(ValueError, match="^eta must be >= 0, got -1$"):
+            check_radius(-1, "eta")
         # an int past the int/str digit limit is named without converting it
         with pytest.raises(ValueError) as info:
-            LogRadius(-(10**5000))
+            check_radius(-(10**5000), "radius exponent")
         assert str(info.value) == "radius exponent must be >= 0, got <int past the int/str digit limit>"
 
     def test_rejects_float_and_bool_exponents(self):
         for e in (0.1, 0.5, True, False):
-            with pytest.raises(TypeError, match="radius exponents must be int or Fraction"):
-                LogRadius(e)
+            with pytest.raises(TypeError, match="^lam must be int or Fraction, not "):
+                check_radius(e, "lam")
 
     def test_parse_round_trip(self):
         for text in ["0", "7/3"]:
-            assert str(LogRadius.parse(text).exponent) == text
+            assert str(check_radius(parse_fraction(text), "radius exponent")) == text

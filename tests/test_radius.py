@@ -26,7 +26,7 @@ from nabla_radius.corpus import (
 from nabla_radius.curves import curve_witness_search
 from nabla_radius.laurent import LaurentPoly
 from nabla_radius.connection import ConnectionModule, PolyMatrix
-from nabla_radius.padic import POWER_BITS_CAP, LogRadius, int_valuation
+from nabla_radius.padic import POWER_BITS_CAP, int_valuation
 from nabla_radius.radius import (
     ProbeOutcome,
     _Taper,
@@ -44,7 +44,7 @@ from nabla_radius.radius import (
 
 from test_connection import benchmark_anchor_modules, potential_module
 
-R1 = (LogRadius.one(),)
+R1 = (Fraction(0),)
 
 
 def test_spectral_base_exponent():
@@ -190,19 +190,20 @@ class TestIntrinsicRadius:
         with pytest.raises(ValueError):
             intrinsic_radius(module, R1, depth=16, window=Fraction(0))
         with pytest.raises(ValueError):
-            intrinsic_radius(module, (LogRadius.one(),) * 2, depth=16)
+            intrinsic_radius(module, (Fraction(0),) * 2, depth=16)
         with pytest.raises(TypeError):
-            intrinsic_radius(module, (LogRadius(None),), depth=16)
+            intrinsic_radius(module, (None,), depth=16)
 
     def test_rho_is_kept_as_a_tuple_of_log_radii(self):
         module = exponential_two_var_module(3)
-        report = intrinsic_radius(module, [LogRadius.one(), LogRadius.one()], depth=8)
-        assert type(report.rho) is tuple and report.rho == (LogRadius.one(),) * 2
-        assert hash(report) == hash(intrinsic_radius(module, (LogRadius.one(),) * 2, depth=8))
-        with pytest.raises(TypeError, match="^rho entries must be LogRadius, not Fraction$"):
-            intrinsic_radius(module, [LogRadius.one(), Fraction(1, 2)], depth=8)
+        report = intrinsic_radius(module, [0, Fraction(0)], depth=8)
+        assert type(report.rho) is tuple and report.rho == (Fraction(0),) * 2
+        assert [type(r) for r in report.rho] == [Fraction, Fraction]
+        assert hash(report) == hash(intrinsic_radius(module, (Fraction(0),) * 2, depth=8))
+        with pytest.raises(TypeError, match="^rho entries must be int or Fraction, not float$"):
+            intrinsic_radius(module, [Fraction(0), 0.5], depth=8)
         with pytest.raises(ValueError, match="^got 1 radius values for a module with 2 variables$"):
-            intrinsic_radius(module, [LogRadius.one()], depth=8)
+            intrinsic_radius(module, [Fraction(0)], depth=8)
 
     def test_non_integrable_rejected(self):
         p = 3
@@ -212,10 +213,10 @@ class TestIntrinsicRadius:
             matrices=(PolyMatrix([[t2]]), PolyMatrix([[LaurentPoly.zero(p, 2, 0)]])),
         )
         with pytest.raises(NotIntegrableError):
-            intrinsic_radius(bad, (LogRadius.one(),) * 2, depth=16)
+            intrinsic_radius(bad, (Fraction(0),) * 2, depth=16)
 
     def test_trivial_module_exact_radius_one(self):
-        report = intrinsic_radius(trivial_module(3, 2, 1, 2), (LogRadius.one(),) * 3, depth=8)
+        report = intrinsic_radius(trivial_module(3, 2, 1, 2), (Fraction(0),) * 3, depth=8)
         assert report.ir_estimate == 0
         assert report.exact_flag
         for d in report.directions:
@@ -275,7 +276,7 @@ class TestIntrinsicRadius:
             (Fraction(2), Fraction(1, 4), Fraction(1, 4)),
         ]
         for c, r, expected in cases:
-            rho = (LogRadius(r),)
+            rho = (r,)
             module = ConnectionModule(3, 1, 0, 1, (PolyMatrix.from_scalar_rows(3, 1, 0, [[c]]),))
             report = intrinsic_radius(module, rho, depth=12)
             d = report.directions[0]
@@ -284,7 +285,7 @@ class TestIntrinsicRadius:
 
     def test_two_var_takes_min_over_directions(self):
         # Direction 0 estimates 1/2; direction 1 vanishes exactly.
-        report = intrinsic_radius(exponential_two_var_module(3), (LogRadius.one(),) * 2, depth=16)
+        report = intrinsic_radius(exponential_two_var_module(3), (Fraction(0),) * 2, depth=16)
         d0, d1 = report.directions
         assert d0.point_estimate == Fraction(1, 2)
         assert d1.exact and d1.vanished_at == 1
@@ -299,7 +300,7 @@ class TestIntrinsicRadius:
     def test_estimates_agree_with_direct_norms(self):
         # Cross-check the windowed formula against the matrices themselves.
         module = power_module(3, Fraction(1, 2))
-        rho = (LogRadius(Fraction(1, 3)),)
+        rho = (Fraction(1, 3),)
         depth = 12
         report = intrinsic_radius(module, rho, depth=depth, window=Fraction(1, 2))
         d = report.directions[0]
@@ -325,7 +326,7 @@ class TestReducedWalk:
     )
     def test_report_equals_exact_walk(self, seed, p, rank, rates, depth):
         module = random_integrable_module(Random(seed), p, rank)
-        rho = tuple(LogRadius(r) for r in rates)
+        rho = tuple(rates)
         assert intrinsic_radius(module, rho, depth) == exact_walk(intrinsic_radius, module, rho, depth)
 
     def test_zero_mod_p_k_falls_back_to_exact_walk(self, monkeypatch):
@@ -349,7 +350,7 @@ class TestReducedWalk:
         # N = t**-(10**8) at r = 1: mu = -10**8, so K passes 10**8 and p**K
         # would have more than 10**8 bits.  The walk is exact instead.
         module = ConnectionModule(3, 1, 0, 1, (PolyMatrix([[LaurentPoly(3, 1, 0, {(-10**8,): 1})]]),))
-        rho = (LogRadius(1),)
+        rho = (1,)
         assert _walk_plan(module, 0, 8, rho) == (0, None, None)
         precisions = recording_walks(monkeypatch)
         report = intrinsic_radius(module, rho, 8)
@@ -369,7 +370,7 @@ class TestReducedWalk:
         # each fixed precision that the unit-radius walk starts from, the
         # rung's k0 = 2 and K, and compared with the exact walk.
         module = random_integrable_module(Random(7), 3, 2)
-        rho = (LogRadius.one(),) * 2
+        rho = (Fraction(0),) * 2
         for direction in range(2):
             exact = list(islice(iter_deriv_matrices(module, direction), 41))
             ks = _walk_plan(module, direction, 40, rho)[1:]
@@ -407,7 +408,7 @@ class TestWalkPlan:
     )
     def test_plan_against_the_exact_walk(self, seed, p, rank, rates, depth):
         module = random_integrable_module(Random(seed), p, rank)
-        rho = tuple(LogRadius(r) for r in rates)
+        rho = tuple(rates)
         bits = p.bit_length()
         for direction in range(module.dims):
             step, k0, K = _walk_plan(module, direction, depth, rho)
@@ -490,7 +491,7 @@ class TestUnitRung:
         assert precisions == [1, 1]
 
     def test_other_radii_walk_at_the_clip_precision(self, monkeypatch):
-        rho = (LogRadius(Fraction(1, 3)),)
+        rho = (Fraction(1, 3),)
         precisions = recording_walks(monkeypatch)
         intrinsic_radius(exponential_module(3), rho, depth=16)
         _, k0, K = _walk_plan(exponential_module(3), 0, 16, rho)
@@ -524,7 +525,7 @@ def tapered_yields(module, direction, depth):
     """(s, H_s, the exact H_s) for every depth that the unit-radius walk
     in one direction yields from its tapered level."""
     exact = [H for _, H, _ in deriv_ladder(module, direction, depth)]
-    unit = (LogRadius.one(),) * module.dims
+    unit = (Fraction(0),) * module.dims
     with pytest.MonkeyPatch.context() as mp:
         precisions = recording_walks(mp)
         return [
@@ -596,7 +597,7 @@ class TestTaper:
         # plan with no read keeps the K that the taper is given, and that K
         # is the closed form
         for module in (random_integrable_module(Random(1), p, rank), exponential_module(p, Fraction(1, p**3))):
-            step, _, K = _walk_plan(module, 0, depth, (LogRadius.one(),) * module.dims)
+            step, _, K = _walk_plan(module, 0, depth, (Fraction(0),) * module.dims)
             assert step == int_valuation(ladder_matrix(module, 0)[0], p)
             assert K == math.ceil(depth * (step + Fraction(1, p - 1))) + 1
             assert _Taper(p, step, depth, K).kappa[1:] == [K] * depth
@@ -653,7 +654,7 @@ class TestTaper:
         # the same keys and residues mod p**(full + 1) of their leading parts
         records = []
         oc_ir_test(module, depth, _records=records)
-        unit = (LogRadius.one(),) * module.dims
+        unit = (Fraction(0),) * module.dims
         for direction, record in enumerate(records):
             walk = [H for _, H, _ in deriv_ladder(module, direction, depth, unit)]
             exact = [H for _, H, _ in deriv_ladder(module, direction, len(walk))]
@@ -741,10 +742,10 @@ class TestGauge:
         assert [[sum(P[i][k] * P_inverse[k][j] for k in range(rank)) for j in range(rank)]
                 for i in range(rank)] == [[int(i == j) for j in range(rank)] for i in range(rank)]
         gauged = conjugated(module, P, P_inverse)
-        unit = (LogRadius.one(),) * 2
+        unit = (Fraction(0),) * 2
         assert oc_ir_test(gauged, depth) == oc_ir_test(module, depth)
         assert intrinsic_radius(gauged, unit, depth) == intrinsic_radius(module, unit, depth)
-        rho = (LogRadius(Fraction(1, 5)), LogRadius(Fraction(1, 3)))
+        rho = (Fraction(1, 5), Fraction(1, 3))
         assert intrinsic_radius(gauged, rho, depth) == intrinsic_radius(module, rho, depth)
 
     @settings(max_examples=30, deadline=None)
@@ -851,24 +852,24 @@ class TestOcVerdict:
 class TestTaylorProbe:
     def test_input_validation(self):
         module = exponential_module(3)
-        eta = LogRadius(Fraction(1, 4))
+        eta = Fraction(1, 4)
         with pytest.raises(ValueError):
-            taylor_probe(module, eta, LogRadius.one(), 7)
+            taylor_probe(module, eta, Fraction(0), 7)
         with pytest.raises(DepthCapError):
-            taylor_probe(module, eta, LogRadius.one(), 600)
+            taylor_probe(module, eta, Fraction(0), 600)
         with pytest.raises(ValueError):
-            taylor_probe(module, LogRadius.one(), LogRadius.one(), 12)  # eta = 1
+            taylor_probe(module, Fraction(0), Fraction(0), 12)  # eta = 1
         with pytest.raises(TypeError):
-            taylor_probe(module, LogRadius(None), LogRadius.one(), 12)
+            taylor_probe(module, None, Fraction(0), 12)
         with pytest.raises(TypeError):
-            taylor_probe(module, eta, LogRadius(None), 12)
+            taylor_probe(module, eta, None, 12)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_exponential_fail_and_pass_thresholds(self, p):
         module = exponential_module(p)
-        lam = LogRadius.one()
-        inside = LogRadius(Fraction(1, 2 * (p - 1)))
-        outside = LogRadius(Fraction(2, p - 1))
+        lam = Fraction(0)
+        inside = Fraction(1, 2 * (p - 1))
+        outside = Fraction(2, p - 1)
         fail = taylor_probe(module, inside, lam, 16)
         assert fail.outcome is ProbeOutcome.FAIL
         assert fail.witness is not None
@@ -879,7 +880,7 @@ class TestTaylorProbe:
     def test_exponential_level_values_match_hand_formula(self):
         # G_s = [1], so e(s) = s*h - v_p(s!) with h the eta exponent.
         p, h, J = 3, Fraction(1, 4), 16
-        report = taylor_probe(exponential_module(p), LogRadius(h), LogRadius.one(), J)
+        report = taylor_probe(exponential_module(p), h, Fraction(0), J)
         assert len(report.level_minima) == J + 1 and report.to_json_dict()["bound"] == J
         for k, e in enumerate(report.level_minima):
             expected = k * h - int_valuation(math.factorial(k), p) if k >= 2 else k * h
@@ -889,7 +890,7 @@ class TestTaylorProbe:
         # At eta exponent exactly 1/(p-1) the tail oscillates: level minima
         # stay positive but drift down across the window.
         report = taylor_probe(
-            exponential_module(3), LogRadius(Fraction(1, 2)), LogRadius.one(), 12
+            exponential_module(3), Fraction(1, 2), Fraction(0), 12
         )
         assert report.outcome is ProbeOutcome.INCONCLUSIVE
         frozen = [(7, Fraction(3, 2)), (8, Fraction(2)), (9, Fraction(1, 2)),
@@ -898,7 +899,7 @@ class TestTaylorProbe:
 
     def test_trivial_module_passes_vacuously(self):
         report = taylor_probe(
-            trivial_module(3, 1, 0, 2), LogRadius(Fraction(1, 3)), LogRadius.one(), 10
+            trivial_module(3, 1, 0, 2), Fraction(1, 3), Fraction(0), 10
         )
         assert report.outcome is ProbeOutcome.PASS
         assert all(e is None for e in report.level_minima[1:])
@@ -908,7 +909,7 @@ class TestTaylorProbe:
         # matrix machinery: G_s = a(a-1)...(a-s+1) t**-s.
         p, a, J = 3, Fraction(1, 2), 24
         h, L = Fraction(1, 4), Fraction(1, 8)
-        report = taylor_probe(power_module(p, a), LogRadius(h), LogRadius(L), J)
+        report = taylor_probe(power_module(p, a), h, L, J)
         coeff = Fraction(1)
         for s in range(J + 1):
             if s:
@@ -928,8 +929,8 @@ class TestTaylorProbe:
         rng = Random(seed)
         p = rng.choice([2, 3, 5])
         module = random_integrable_module(rng, p, rng.randint(1, 2))
-        eta = LogRadius(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
-        lam = LogRadius(Fraction(rng.randint(0, 3), rng.randint(1, 8)))
+        eta = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        lam = Fraction(rng.randint(0, 3), rng.randint(1, 8))
         J = 12
         per_direction = []
         for l in range(module.dims):
@@ -938,7 +939,7 @@ class TestTaylorProbe:
                 if H.is_zero:
                     break
                 w = H.sup_vertex_lognorm(lam)
-                exps.append(w - shift - factorial_valuation(s, p) + s * eta.exponent)
+                exps.append(w - shift - factorial_valuation(s, p) + s * eta)
             per_direction.append(exps + [None] * (J + 1 - len(exps)))
         minima, argmins = _fold_levels(per_direction, J)
         report = taylor_probe(module, eta, lam, J)
@@ -951,7 +952,7 @@ class TestTaylorProbe:
         # Direction 1 vanishes, so only j = (k, 0) contributes.
         module = exponential_two_var_module(3)
         h = Fraction(1)
-        report = taylor_probe(module, LogRadius(h), LogRadius.one(), 10)
+        report = taylor_probe(module, h, Fraction(0), 10)
         for k, e in enumerate(report.level_minima):
             expected = k * h - factorial_valuation(k, 3)
             assert e == expected

@@ -11,7 +11,6 @@ from nabla_radius.curves import CutCheckReport
 from nabla_radius.descriptor import ModuleDescriptor
 from nabla_radius.laurent import SignatureError
 from nabla_radius.newton import AlignedInterval, DominanceCertificate
-from nabla_radius.padic import LogRadius
 from nabla_radius.radius import (
     DirectionRadius,
     OcVerdict,
@@ -19,6 +18,7 @@ from nabla_radius.radius import (
     RadiusReport,
     TaylorReport,
     Verdict,
+    intrinsic_radius,
 )
 
 HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
@@ -30,7 +30,7 @@ def interval():
 
 def radius_report():
     return RadiusReport(
-        (LogRadius(0),), 8, QUARTER, (DirectionRadius(0, 6, (HALF, QUARTER), None),)
+        (Fraction(0),), 8, QUARTER, (DirectionRadius(0, 6, (HALF, QUARTER), None),)
     )
 
 
@@ -45,7 +45,6 @@ def module():
 # One sample of every record class, built from scratch on each call so that
 # two calls give equal but distinct instances.
 SAMPLES = {
-    "LogRadius": lambda: LogRadius(HALF),
     "IntegrabilityViolation": lambda: IntegrabilityViolation(
         0, 1, PolyMatrix.zeros(3, 2, 0, 1)
     ),
@@ -55,7 +54,7 @@ SAMPLES = {
     "RadiusReport": radius_report,
     "OcVerdict": oc_verdict,
     "TaylorReport": lambda: TaylorReport(
-        ProbeOutcome.PASS, (1, 2), LogRadius(QUARTER), LogRadius(HALF), (None, HALF)
+        ProbeOutcome.PASS, (1, 2), QUARTER, HALF, (None, HALF)
     ),
     "CutCheckReport": lambda: CutCheckReport(oc_verdict(), (Fraction(1),), 4, 7),
     "AlignedInterval": interval,
@@ -111,7 +110,8 @@ class TestEveryRecord:
 
 class TestEquality:
     def test_a_differing_field_breaks_equality(self):
-        assert LogRadius(HALF) != LogRadius(QUARTER)
+        report = radius_report()
+        assert report != RadiusReport((HALF,), report.depth, report.window, report.directions)
         assert DirectionRadius(0, 6, (HALF,), None) != DirectionRadius(0, 6, (HALF,), 6)
         assert ModuleDescriptor(module(), "a") != ModuleDescriptor(module(), "b")
         assert trivial_module(3, 1, 0, 1) != trivial_module(5, 1, 0, 1)
@@ -137,12 +137,12 @@ class TestEquality:
         assert {a: "x"}[b] == "x"
 
     def test_equal_log_radii_hash_equal(self):
-        # an int exponent is stored as the equal Fraction
-        a, b = LogRadius(1), LogRadius(Fraction(2, 2))
-        assert type(a.exponent) is Fraction
+        # a radius exponent given as an int is kept as the equal Fraction
+        m = exponential_two_var_module(3)
+        a, b = intrinsic_radius(m, (1, 0), 8), intrinsic_radius(m, (Fraction(2, 2), Fraction(0, 5)), 8)
+        assert [type(r) for r in a.rho] == [Fraction, Fraction]
         assert a == b and hash(a) == hash(b)
         assert {a: "x"}[b] == "x"
-        assert LogRadius.one() == LogRadius(0) == LogRadius.parse("0/5")
 
 
 class TestConstruction:
@@ -170,16 +170,16 @@ class TestConstruction:
         "args, kwargs",
         [
             ((), {}),
-            ((HALF, HALF), {}),
-            ((HALF,), {"exponent": HALF}),
-            ((), {"exponent": HALF, "other": 1}),
-            ((), {"other": HALF}),
+            ((HALF, QUARTER, QUARTER), {}),
+            ((HALF, QUARTER), {"r_alpha": HALF}),
+            ((), {"r_alpha": HALF, "r_beta": QUARTER, "other": 1}),
+            ((HALF,), {"other": QUARTER}),
         ],
         ids=["missing", "too-many", "twice", "unknown", "unknown-for-missing"],
     )
     def test_wrong_arguments_raise_type_error(self, args, kwargs):
         with pytest.raises(TypeError):
-            LogRadius(*args, **kwargs)
+            AlignedInterval(*args, **kwargs)
 
     def test_module_matrices_become_a_tuple_and_are_checked(self):
         N = module().matrices[0]
@@ -191,7 +191,7 @@ class TestConstruction:
 
     def test_post_init_checks_run(self):
         with pytest.raises(ValueError, match="radius exponent must be >= 0"):
-            LogRadius(Fraction(-1))
+            AlignedInterval(Fraction(-1), QUARTER)
         with pytest.raises(ValueError, match="alpha must not exceed beta"):
             AlignedInterval(QUARTER, HALF)
 
@@ -204,11 +204,10 @@ class TestConstruction:
 
 class TestRepr:
     def test_repr_text(self):
-        assert repr(LogRadius(HALF)) == "LogRadius(exponent=Fraction(1, 2))"
         assert repr(interval()) == "AlignedInterval(r_alpha=Fraction(1, 2), r_beta=Fraction(1, 4))"
         assert repr(SAMPLES["TaylorReport"]()) == (
             "TaylorReport(outcome=<ProbeOutcome.PASS: 'pass'>, witness=(1, 2),"
-            " eta=LogRadius(exponent=Fraction(1, 4)), lam=LogRadius(exponent=Fraction(1, 2)),"
+            " eta=Fraction(1, 4), lam=Fraction(1, 2),"
             " level_minima=(None, Fraction(1, 2)))"
         )
         assert repr(SAMPLES["CutCheckReport"]()).endswith(

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from nabla_radius.corpus import falling_factorial_valuation, power_module
-from nabla_radius.padic import LogRadius
 from nabla_radius.radius import intrinsic_radius, spectral_base_exponent
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,7 +67,7 @@ def test_estimate_drift_rows_match_per_depth_walks(prime, a, depth, step):
         if w is None:
             expected.append([str(s), "inf", "derivative", "vanished;", "radius", "exactly", "1"])
             break
-        report = intrinsic_radius(module, (LogRadius.one(),), depth=max(s, 8))
+        report = intrinsic_radius(module, (Fraction(0),), depth=max(s, 8))
         estimate = max(Fraction(0), spectral_base_exponent(prime) - Fraction(w, s))
         expected.append([str(s), str(w), str(Fraction(w, s)), str(estimate),
                          str(report.directions[0].point_estimate)])
