@@ -328,17 +328,20 @@ def _outcome(call, value):
 
 
 @pytest.mark.parametrize("call, name", [(call, name) for _, name, call in RADII], ids=[e for e, _, _ in RADII])
-def test_every_radius_door_on_exact_values(call, name):
-    # 0 and 1 give what Fraction(0) and Fraction(1) give, a refusal too
+@pytest.mark.parametrize("value", [0, 1, Fraction(1, 2), Fraction(1, 3), -1, Fraction(-1, 3)], ids=repr)
+def test_every_radius_door_on_exact_values(call, name, value):
+    # a whole exponent gives what the equal Fraction gives, a refusal too
     # where the radius must be below 1 (eta, the outer end of an interval);
-    # 1/3 is taken everywhere, and a negative exponent is one ValueError
-    for whole in (0, 1):
-        assert _outcome(call, whole) == _outcome(call, Fraction(whole))
-    call(Fraction(1, 3))
-    for bad in (-1, Fraction(-1, 3)):
+    # 1/2 and 1/3 are taken everywhere, and a negative exponent is one
+    # ValueError
+    if value < 0:
         with pytest.raises(ValueError) as info:
-            call(bad)
-        assert str(info.value) == f"{name} must be >= 0, got {bad}"
+            call(value)
+        assert str(info.value) == f"{name} must be >= 0, got {value}"
+    elif isinstance(value, int):
+        assert _outcome(call, value) == _outcome(call, Fraction(value))
+    else:
+        call(value)
 
 
 @pytest.mark.parametrize("call", [
